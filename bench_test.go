@@ -659,7 +659,7 @@ func BenchmarkCoreAnalyze(b *testing.B) {
 	su := benchSuiteGet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Analyze(su.S.Dataset, su.S.Truth, nil)
+		core.Analyze(su.S.Dataset, su.S.Truth)
 	}
 	b.ReportMetric(float64(su.S.Dataset.Len()), "rows")
 }

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	reproduce [-scale 0.25] [-seed 1] [-visits 219] [-workers 0]
-//	          [-diskstore] [-compress auto|on|off] [-pushdown auto|on|off]
-//	          [-pack routing] [-only fig7,table8] [-json|-csv] [-progress]
+//	          [-diskstore] [-compress auto|on|off] [-pack routing]
+//	          [-only fig7,table8] [-json|-csv] [-progress]
 //	reproduce -list
 //	reproduce -list-packs
 //
@@ -18,10 +18,8 @@
 // them in memory — the backend for scales far beyond 1.0 — and changes
 // no output byte. -compress overrides the per-chunk column codec
 // (default: on for the disk store, off in memory); like the store
-// choice it never changes the output. -pushdown overrides the
-// experiments' decode-free projection scans (default: on exactly where
-// the store serves encoded blocks); it too never changes a byte of
-// output. Ctrl-C cancels the build cleanly mid-phase.
+// choice it never changes the output. Ctrl-C cancels the build cleanly
+// mid-phase.
 //
 // At -scale 1 the run simulates the paper's full 7M-request study and
 // takes on the order of a minute; smaller scales keep every shape and
@@ -48,7 +46,6 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS; output is identical at any value)")
 	diskStore := flag.Bool("diskstore", false, "spill the dataset's row store to a temp file (identical output; bounds memory at large -scale)")
 	compress := flag.String("compress", "auto", "row-store chunk codec: auto (on for -diskstore, off in memory), on, or off; identical output either way")
-	pushdown := flag.String("pushdown", "auto", "projection scans over encoded chunks: auto (on for block-backed stores), on, or off; identical output either way")
 	only := flag.String("only", "", "comma-separated experiment ids to render (e.g. fig7,table8; case-insensitive); empty = all")
 	packName := flag.String("pack", "", "scenario pack to apply (see -list-packs; empty or \"default\" = the unmodified study)")
 	listPacks := flag.Bool("list-packs", false, "print the registered scenario packs and exit")
@@ -129,16 +126,6 @@ func main() {
 		opts = append(opts, crossborder.WithCompression(false))
 	default:
 		fmt.Fprintf(os.Stderr, "-compress must be auto, on or off (got %q)\n", *compress)
-		os.Exit(2)
-	}
-	switch *pushdown {
-	case "auto":
-	case "on":
-		opts = append(opts, crossborder.WithPushdown(true))
-	case "off":
-		opts = append(opts, crossborder.WithPushdown(false))
-	default:
-		fmt.Fprintf(os.Stderr, "-pushdown must be auto, on or off (got %q)\n", *pushdown)
 		os.Exit(2)
 	}
 	if *progress {

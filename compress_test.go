@@ -10,13 +10,10 @@ import (
 
 // TestCompressedStoresMatchGolden is the codec's study-level contract:
 // at the golden configuration (seed 1 / scale 0.05) the compressed
-// in-memory store and the compressed spill store must render all 20
-// experiment artifacts byte-identically to the uncompressed study —
-// with query pushdown in every position of its tri-state (auto resolves
-// to on for these stores, off forces the decode-to-rows baseline, and
-// forcing it on over the wide golden store exercises the copy
-// fallback) — and the spill file must be at least 3x smaller than the
-// raw fixed-width column layout.
+// in-memory store, the compressed spill store and the uncompressed
+// spill store must render all 20 experiment artifacts byte-identically
+// to the wide in-memory study, and the compressed spill file must be at
+// least 3x smaller than the raw fixed-width column layout.
 func TestCompressedStoresMatchGolden(t *testing.T) {
 	build := func(opts ...crossborder.Option) *crossborder.Study {
 		t.Helper()
@@ -42,11 +39,8 @@ func TestCompressedStoresMatchGolden(t *testing.T) {
 	}{
 		{"mem-compressed", []crossborder.Option{crossborder.WithCompression(true)}},
 		{"spill-compressed", []crossborder.Option{crossborder.WithRowStore(crossborder.DiskRowStore(""))}},
-		{"mem-compressed-no-pushdown", []crossborder.Option{
-			crossborder.WithCompression(true), crossborder.WithPushdown(false)}},
-		{"spill-compressed-no-pushdown", []crossborder.Option{
-			crossborder.WithRowStore(crossborder.DiskRowStore("")), crossborder.WithPushdown(false)}},
-		{"mem-wide-pushdown", []crossborder.Option{crossborder.WithPushdown(true)}},
+		{"spill-raw", []crossborder.Option{
+			crossborder.WithRowStore(crossborder.DiskRowStore("")), crossborder.WithCompression(false)}},
 	} {
 		st := build(variant.opts...)
 		got := st.RenderAll()

@@ -37,8 +37,6 @@
 //	if err != nil { ... } // ctx.Err() on cancellation, workers drained
 //	fmt.Println(study.Fig7().Render()) // the MaxMind-vs-IPmap flip
 //
-// NewStudy remains as a deprecated, non-cancellable shim.
-//
 // # The experiment registry
 //
 // Every table and figure of the paper is a registered Experiment with a
@@ -75,10 +73,10 @@
 //     netsim.World lookups after Freeze perform no writes and are safe
 //     for any number of concurrent readers (verified under -race).
 //
-// Downstream, core.Analyze shards its row scan over GOMAXPROCS workers
-// and merges the per-shard flow maps (commutative counter addition), and
-// the registry's RunAll computes independent experiments concurrently
-// over the precomputed geolocation joins.
+// Downstream, core.Analyze shards its projected chunk scan over
+// GOMAXPROCS workers and merges the per-shard flow maps (commutative
+// counter addition), and the registry's RunAll computes independent
+// experiments concurrently over the precomputed geolocation joins.
 //
 // # Row storage and compression
 //

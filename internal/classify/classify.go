@@ -20,9 +20,8 @@
 // dictionary, or decoded fixed-width values — plus a per-chunk zone map
 // (min/max, class bitmap, distinct counts) computed at seal time and
 // persisted in the block frame, so scans prune chunks before reading a
-// byte of them. Dataset.Pushdown selects between the projected and
-// decode-to-rows kernels (auto follows the store's block-serving
-// capability); both produce byte-identical results.
+// byte of them. Every experiment kernel runs on the projected path, on
+// every store backend.
 package classify
 
 import (
@@ -174,24 +173,6 @@ func (in *Interner) Str(id uint32) string {
 // Len returns the number of interned strings including "".
 func (in *Interner) Len() int { return len(in.strs) }
 
-// PushdownMode selects whether the experiment kernels run on the
-// projection scan path (decode-free pushdown over encoded chunks) or
-// the decode-to-rows path. The artifacts are byte-identical either
-// way; the flag exists so regressions bisect with one switch.
-type PushdownMode uint8
-
-const (
-	// PushdownAuto (the zero value) enables pushdown exactly when the
-	// store holds encoded blocks — where projected decodes touch fewer
-	// bytes than a full-width decode. Wide in-memory stores keep the
-	// plain scan, which reads resident columns in place.
-	PushdownAuto PushdownMode = iota
-	// PushdownOn forces the projection kernels on every store.
-	PushdownOn
-	// PushdownOff forces the decode-to-rows kernels.
-	PushdownOff
-)
-
 // Dataset is the collected, classified request log. Rows live in a
 // columnar Store (in-memory by default, spill-to-disk for Scale >> 1
 // runs); consumers scan it chunk-wise via Scan/EachRow or directly
@@ -199,8 +180,6 @@ const (
 type Dataset struct {
 	// Store holds the rows column-wise in fixed-size chunks.
 	Store Store
-	// Pushdown selects the scan path of the experiment kernels.
-	Pushdown PushdownMode
 	// FQDNs interns every third-party hostname (and referrer hostnames).
 	FQDNs *Interner
 	// Countries indexes Row.Country.
@@ -242,37 +221,12 @@ func (d *Dataset) Scan(fn func(base int, c *Chunk)) {
 }
 
 // ScanCols walks the store through the projection path (see
-// Store.ScanCols), regardless of the Pushdown mode — the mode gates
-// which path kernels choose, not what the API can do.
+// Store.ScanCols), the scan every experiment kernel runs on.
 func (d *Dataset) ScanCols(cols ColSet, fn func(base int, pc *ProjChunk)) {
 	if d.Store == nil {
 		return
 	}
 	d.Store.ScanCols(cols, fn)
-}
-
-// PushdownEnabled resolves the dataset's Pushdown mode against its
-// store and records the decision in the process-wide scan counters.
-// Kernels call it once per scan to pick a path.
-func (d *Dataset) PushdownEnabled() bool {
-	on := d.pushdownResolved()
-	CountPushdownScan(on)
-	return on
-}
-
-// pushdownResolved is PushdownEnabled without the counter side effect.
-func (d *Dataset) pushdownResolved() bool {
-	switch d.Pushdown {
-	case PushdownOn:
-		return true
-	case PushdownOff:
-		return false
-	}
-	if d.Store == nil {
-		return false
-	}
-	br, ok := d.Store.(BlockReader)
-	return ok && br.HasEncodedBlocks()
 }
 
 // EachRow calls fn for every row in order, gathering each back into

@@ -146,8 +146,7 @@ type LiveSemi struct {
 	ds      *Dataset
 	workers int
 	pool    *workerPool
-	bufs    []*Chunk     // per-worker decode buffers for the rounds
-	pcs     []*ProjChunk // per-worker projection buffers (pushdown rounds)
+	pcs     []*ProjChunk // per-worker projection buffers for the rounds
 	inLTF   []bool
 	rows    int
 	// cand holds the global indices of settled rows that could still
@@ -165,13 +164,11 @@ func NewLiveSemi(ds *Dataset, workers int) *LiveSemi {
 	if workers < 1 {
 		workers = 1
 	}
-	bufs := make([]*Chunk, workers)
 	pcs := make([]*ProjChunk, workers)
-	for i := range bufs {
-		bufs[i] = &Chunk{}
+	for i := range pcs {
 		pcs[i] = &ProjChunk{}
 	}
-	return &LiveSemi{ds: ds, workers: workers, pool: newWorkerPool(workers), bufs: bufs, pcs: pcs}
+	return &LiveSemi{ds: ds, workers: workers, pool: newWorkerPool(workers), pcs: pcs}
 }
 
 // Close releases the worker pool. The LiveSemi must not be used
@@ -238,24 +235,17 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 	// each round O(frontier) instead of O(store), which is what bounds
 	// epoch-commit latency on a long-lived collector. The candidate
 	// list is ascending, so it partitions into per-chunk runs; workers
-	// take whole runs round-robin and load each chunk once into a
-	// persistent per-worker buffer — one decode per touched chunk per
-	// round even when the live store keeps sealed chunks compressed
-	// (for the wide store the load is still a pointer fetch).
+	// take whole runs round-robin and project each chunk once into a
+	// persistent per-worker buffer. Only the FQDN and RefFQDN columns
+	// leave the chunk (the resident class column is mutated in place),
+	// so a round decodes 2 of 9 columns per touched chunk even when the
+	// live store keeps sealed chunks compressed.
 	type roundOut struct {
 		newLTF  []uint32
 		flipped []int
 	}
 	type candRun struct{ chunk, lo, hi int }
 	var runs []candRun
-	// On block-backed stores the rounds use the projection path: only
-	// the FQDN and RefFQDN columns leave the block (the resident class
-	// column is mutated in place), so a round decodes 2 of 9 columns per
-	// touched chunk. Wide stores keep the pointer-fetch chunk load.
-	useProj := false
-	if br, ok := st.(BlockReader); ok && br.HasEncodedBlocks() {
-		useProj = ls.ds.PushdownEnabled()
-	}
 	projCols := Cols(ColFQDN, ColRefFQDN)
 	for {
 		runs = runs[:0]
@@ -273,34 +263,17 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 			out := &outs[w]
 			for r := w; r < len(runs); r += ls.workers {
 				run := runs[r]
-				if useProj {
-					pc := ProjChunkAt(st, run.chunk, projCols, ls.pcs[w])
-					cls := pc.Class
-					fq := pc.Wide(ColFQDN)
-					rf := pc.Wide(ColRefFQDN)
-					for k := run.lo; k < run.hi; k++ {
-						g := ls.cand[k]
-						i := g % chunkRows
-						if ls.inLTF[uint32(rf[i])] {
-							cls[i] = ClassSemiReferrer
-							if f := uint32(fq[i]); !ls.inLTF[f] {
-								out.newLTF = append(out.newLTF, f)
-							}
-							if g < prev {
-								out.flipped = append(out.flipped, g)
-							}
-						}
-					}
-					continue
-				}
-				c := MustChunk(st, run.chunk, ls.bufs[w])
+				pc := ProjChunkAt(st, run.chunk, projCols, ls.pcs[w])
+				cls := pc.Class
+				fq := pc.Wide(ColFQDN)
+				rf := pc.Wide(ColRefFQDN)
 				for k := run.lo; k < run.hi; k++ {
 					g := ls.cand[k]
 					i := g % chunkRows
-					if ls.inLTF[c.RefFQDN[i]] {
-						c.Class[i] = ClassSemiReferrer
-						if !ls.inLTF[c.FQDN[i]] {
-							out.newLTF = append(out.newLTF, c.FQDN[i])
+					if ls.inLTF[uint32(rf[i])] {
+						cls[i] = ClassSemiReferrer
+						if f := uint32(fq[i]); !ls.inLTF[f] {
+							out.newLTF = append(out.newLTF, f)
 						}
 						if g < prev {
 							out.flipped = append(out.flipped, g)

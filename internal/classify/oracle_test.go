@@ -1,0 +1,278 @@
+package classify
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"crossborder/internal/geodata"
+	"crossborder/internal/netsim"
+	"crossborder/internal/webgraph"
+)
+
+// The row oracles below are reference implementations of the report
+// kernels: each walks full-width chunks with Dataset.Scan and
+// aggregates row by row, the obvious way. TestKernelsMatchRowOracle
+// pins the projection kernels to them.
+
+// rowTable2 is ComputeTable2's row oracle.
+func rowTable2(ds *Dataset) Table2 {
+	type agg struct {
+		fqdns map[uint32]bool
+		tlds  map[string]bool
+		urls  map[uint64]bool
+		total int64
+	}
+	var abp, semi, tot agg
+	for _, a := range []*agg{&abp, &semi, &tot} {
+		a.fqdns, a.tlds, a.urls = map[uint32]bool{}, map[string]bool{}, map[uint64]bool{}
+	}
+	ds.Scan(func(_ int, c *Chunk) {
+		for i, cls := range c.Class {
+			if !cls.IsTracking() {
+				continue
+			}
+			method := &semi
+			if cls == ClassABP {
+				method = &abp
+			}
+			for _, a := range []*agg{&tot, method} {
+				a.fqdns[c.FQDN[i]] = true
+				a.tlds[webgraph.ETLDPlusOne(ds.FQDNs.Str(c.FQDN[i]))] = true
+				a.urls[c.URLHash[i]] = true
+				a.total++
+			}
+		}
+	})
+	stats := func(a agg) MethodStats {
+		return MethodStats{FQDNs: len(a.fqdns), TLDs: len(a.tlds), UniqueRequests: int64(len(a.urls)), TotalRequests: a.total}
+	}
+	return Table2{ABP: stats(abp), Semi: stats(semi), Total: stats(tot)}
+}
+
+// rowPerSiteCounts is PerSiteCounts' row oracle.
+func rowPerSiteCounts(ds *Dataset) []SiteCounts {
+	clean := make([]int64, len(ds.Publishers))
+	tracking := make([]int64, len(ds.Publishers))
+	ds.Scan(func(_ int, c *Chunk) {
+		for i, cls := range c.Class {
+			if cls.IsTracking() {
+				tracking[c.Publisher[i]]++
+			} else {
+				clean[c.Publisher[i]]++
+			}
+		}
+	})
+	var out []SiteCounts
+	for i, p := range ds.Publishers {
+		if clean[i]+tracking[i] > 0 {
+			out = append(out, SiteCounts{Domain: p.Domain, Clean: clean[i], Tracking: tracking[i]})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	return out
+}
+
+// rowTopTrackingTLDs is TopTrackingTLDs' row oracle.
+func rowTopTrackingTLDs(ds *Dataset, n int) []TLDSplit {
+	split := make(map[string]*TLDSplit)
+	ds.Scan(func(_ int, c *Chunk) {
+		for i, cls := range c.Class {
+			if !cls.IsTracking() {
+				continue
+			}
+			tld := webgraph.ETLDPlusOne(ds.FQDNs.Str(c.FQDN[i]))
+			s := split[tld]
+			if s == nil {
+				s = &TLDSplit{TLD: tld}
+				split[tld] = s
+			}
+			if cls == ClassABP {
+				s.ABP++
+			} else {
+				s.Semi++
+			}
+		}
+	})
+	var out []TLDSplit
+	for _, s := range split {
+		out = append(out, *s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total() != out[j].Total() {
+			return out[i].Total() > out[j].Total()
+		}
+		return out[i].TLD < out[j].TLD
+	})
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// rowScore is Score's row oracle.
+func rowScore(ds *Dataset) Accuracy {
+	var a Accuracy
+	ds.Scan(func(_ int, c *Chunk) {
+		for i, cls := range c.Class {
+			truth := c.Flags[i]&FlagTruthing != 0
+			switch {
+			case cls.IsTracking() && truth:
+				a.TruePositives++
+			case cls.IsTracking():
+				a.FalsePositives++
+			case truth:
+				a.FalseNegatives++
+			default:
+				a.TrueNegatives++
+			}
+		}
+	})
+	return a
+}
+
+// rowComputeStats is ComputeStats' row oracle.
+func rowComputeStats(ds *Dataset) DatasetStats {
+	users := make(map[int32]bool)
+	fqdns := make(map[uint32]bool)
+	ds.Scan(func(_ int, c *Chunk) {
+		for i := range c.User {
+			users[c.User[i]] = true
+			fqdns[c.FQDN[i]] = true
+		}
+	})
+	return DatasetStats{
+		Users:            len(users),
+		FirstPartySites:  len(ds.Publishers),
+		FirstPartyVisits: ds.Visits,
+		ThirdPartyFQDNs:  len(fqdns),
+		ThirdPartyReqs:   int64(ds.Len()),
+	}
+}
+
+// oracleDataset returns a random dataset frame (interner, publishers,
+// countries) and n rows for it. Rows come in per-user capture blocks
+// whose shape switches between low-cardinality and random columns, so
+// every codec scheme — RLE, dictionary, delta, raw — appears in the
+// sealed chunks. Narrow blocks draw FQDNs from a block-local window in
+// the lower half of the interner and random blocks from the upper half,
+// so some values occur only inside dictionary-coded chunks. finalClasses
+// draws semi labels too; otherwise rows are stage-1 output (clean or
+// ABP) for the fixpoint engines.
+func oracleDataset(rng *rand.Rand, n int, finalClasses bool) (*Dataset, []Row) {
+	const numFQDN, numPub = 600, 40
+	ds := &Dataset{FQDNs: NewInterner(), Start: start, Visits: n / 10}
+	for i := 1; i < numFQDN; i++ {
+		ds.FQDNs.ID(fmt.Sprintf("h%d.t%d.example", i, i%13))
+	}
+	for i := 0; i < numPub; i++ {
+		ds.Publishers = append(ds.Publishers, &webgraph.Publisher{Domain: fmt.Sprintf("site%02d.example", i)})
+	}
+	ds.Countries = []geodata.Country{"DE", "ES", "GR", "US", "BR"}
+	rows := make([]Row, 0, n)
+	for len(rows) < n {
+		user := int32(rng.Intn(50))
+		country := uint8(rng.Intn(len(ds.Countries)))
+		pub := int32(rng.Intn(numPub))
+		narrow := rng.Intn(2) == 0
+		fqdnBase := 1 + rng.Intn(numFQDN/2-6)
+		for k := 1 + rng.Intn(300); k > 0 && len(rows) < n; k-- {
+			r := Row{
+				URLHash: rng.Uint64(), IP: netsim.IP(rng.Uint32()),
+				FQDN: uint32(numFQDN/2 + rng.Intn(numFQDN/2)), Publisher: pub,
+				User: user, Day: uint16(len(rows) / 50), Country: country,
+				Flags: uint8(rng.Intn(16)),
+			}
+			if narrow {
+				r.URLHash = uint64(rng.Intn(20))
+				r.IP = netsim.IP(1 + rng.Intn(12))
+				r.FQDN = uint32(fqdnBase + rng.Intn(6))
+			}
+			if rng.Intn(3) != 0 {
+				r.RefFQDN = uint32(1 + rng.Intn(numFQDN-1))
+			}
+			if rng.Intn(8) == 0 {
+				pub = int32(rng.Intn(numPub))
+			}
+			switch x := rng.Intn(10); {
+			case x < 2:
+				r.Class = ClassABP
+			case finalClasses && x == 2:
+				r.Class = ClassSemiReferrer
+			case finalClasses && x == 3:
+				r.Class = ClassSemiKeyword
+			}
+			rows = append(rows, r)
+		}
+	}
+	return ds, rows
+}
+
+// TestKernelsMatchRowOracle is the kernel-equivalence property: over
+// random datasets, every projected report kernel agrees with its row
+// oracle on every store backend, and LiveSemi fed the rows in random
+// epochs reaches the batch fixpoint on both appendable backends (the
+// live collector's wide and compressed memory stores).
+func TestKernelsMatchRowOracle(t *testing.T) {
+	const chunkRows = 256
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		frame, rows := oracleDataset(rng, 1500+rng.Intn(2000), true)
+		for name, st := range projVariants(t, rows, chunkRows) {
+			ds := *frame
+			ds.Store = st
+			for _, k := range []struct {
+				kernel string
+				got    any
+				want   any
+			}{
+				{"Table2", ComputeTable2(&ds), rowTable2(&ds)},
+				{"PerSiteCounts", PerSiteCounts(&ds), rowPerSiteCounts(&ds)},
+				{"TopTrackingTLDs", TopTrackingTLDs(&ds, 5), rowTopTrackingTLDs(&ds, 5)},
+				{"TopTrackingTLDs/all", TopTrackingTLDs(&ds, 0), rowTopTrackingTLDs(&ds, 0)},
+				{"Score", Score(&ds), rowScore(&ds)},
+				{"ComputeStats", ComputeStats(&ds), rowComputeStats(&ds)},
+			} {
+				if !reflect.DeepEqual(k.got, k.want) {
+					t.Errorf("seed %d %s %s:\n got %+v\nwant %+v", seed, name, k.kernel, k.got, k.want)
+				}
+			}
+		}
+
+		// LiveSemi against the batch fixpoint over the same stage-1 rows.
+		frame, rows = oracleDataset(rng, 1500+rng.Intn(2000), false)
+		ref := *frame
+		ref.Store = StoreOf(rows...)
+		runSemiStages(&ref, 1)
+		want := ref.Rows()
+		for name, mk := range map[string]func() *MemStore{
+			"mem/wide":       func() *MemStore { return NewMemStoreChunked(chunkRows) },
+			"mem/compressed": func() *MemStore { return NewMemStoreCompressed(chunkRows) },
+		} {
+			st := mk()
+			live := *frame
+			live.Store = st
+			ls := NewLiveSemi(&live, 1+rng.Intn(3))
+			for off := 0; off < len(rows); {
+				end := off + 1 + rng.Intn(len(rows)/3)
+				if end > len(rows) {
+					end = len(rows)
+				}
+				for _, r := range rows[off:end] {
+					st.Append(r)
+				}
+				off = end
+				ls.Extend()
+			}
+			ls.Close()
+			for i, r := range live.Rows() {
+				if r.Class.IsTracking() != want[i].Class.IsTracking() ||
+					(r.Class == ClassABP) != (want[i].Class == ClassABP) {
+					t.Fatalf("seed %d %s LiveSemi: row %d class %v, batch %v", seed, name, i, r.Class, want[i].Class)
+				}
+			}
+		}
+	}
+}

@@ -96,7 +96,9 @@ func (v *ColView) wideBuf(n int) []uint64 {
 
 // BlockReader is the optional Store interface behind the projection
 // fast path: stores that keep chunks as framed codec blocks expose the
-// raw block so ProjChunk can decode single columns out of it.
+// raw block so ProjChunk can decode single columns out of it. Chunks
+// it reports as resident wide are projected by copying the requested
+// columns out of the wide chunk.
 type BlockReader interface {
 	// BlockBytes returns chunk i's framed codec block, reading into
 	// *scratch (grown as needed) for disk-backed stores or returning
@@ -104,11 +106,6 @@ type BlockReader interface {
 	// chunk i is resident wide (e.g. the open tail chunk) and must be
 	// loaded through Store.Chunk.
 	BlockBytes(i int, scratch *[]byte) ([]byte, error)
-	// HasEncodedBlocks reports whether the store holds encoded blocks
-	// at all. PushdownAuto enables the projection kernels exactly when
-	// this is true: on a fully wide store the projection path would
-	// copy columns a plain Scan reads in place.
-	HasEncodedBlocks() bool
 }
 
 // ZoneMapped is the optional Store interface for resident zone maps.
@@ -123,8 +120,6 @@ type ZoneMapped interface {
 var (
 	statChunksScanned atomic.Int64
 	statChunksSkipped atomic.Int64
-	statPushdownScans atomic.Int64
-	statFallbackScans atomic.Int64
 )
 
 // ScanStats is a snapshot of the process-wide projection-scan counters.
@@ -134,10 +129,6 @@ type ScanStats struct {
 	// loading a single column (zone-map or class-bitmap pruning).
 	ChunksScanned int64
 	ChunksSkipped int64
-	// PushdownScans and FallbackScans count kernel invocations that
-	// ran the projection path vs the decode-to-rows path.
-	PushdownScans int64
-	FallbackScans int64
 }
 
 // ReadScanStats returns the current counter values.
@@ -145,18 +136,6 @@ func ReadScanStats() ScanStats {
 	return ScanStats{
 		ChunksScanned: statChunksScanned.Load(),
 		ChunksSkipped: statChunksSkipped.Load(),
-		PushdownScans: statPushdownScans.Load(),
-		FallbackScans: statFallbackScans.Load(),
-	}
-}
-
-// CountPushdownScan records one kernel dispatch decision in the
-// process-wide counters.
-func CountPushdownScan(pushdown bool) {
-	if pushdown {
-		statPushdownScans.Add(1)
-	} else {
-		statFallbackScans.Add(1)
 	}
 }
 

@@ -302,32 +302,3 @@ func TestLegacyBlocksDecode(t *testing.T) {
 		}
 	})
 }
-
-// TestPushdownModeResolution pins the tri-state: Auto follows the
-// store's block-serving capability, On and Off override it.
-func TestPushdownModeResolution(t *testing.T) {
-	rows := randomRows(rand.New(rand.NewSource(3)), 100, 10)
-	wide := NewMemStoreChunked(64)
-	comp := NewMemStoreCompressed(64)
-	for _, r := range rows {
-		wide.Append(r)
-		comp.Append(r)
-	}
-	cases := []struct {
-		name string
-		st   Store
-		mode PushdownMode
-		want bool
-	}{
-		{"auto/wide", wide, PushdownAuto, false},
-		{"auto/compressed", comp, PushdownAuto, true},
-		{"on/wide", wide, PushdownOn, true},
-		{"off/compressed", comp, PushdownOff, false},
-	}
-	for _, tc := range cases {
-		ds := &Dataset{Store: tc.st, Pushdown: tc.mode}
-		if got := ds.PushdownEnabled(); got != tc.want {
-			t.Errorf("%s: PushdownEnabled() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}

@@ -46,8 +46,8 @@ func ComputeTable2(ds *Dataset) Table2 {
 		a.urls[urlHash] = struct{}{}
 		a.total++
 	}
-	// tldOf caches the per-FQDN eTLD+1 so both scan paths do one suffix
-	// parse per hostname, not per row.
+	// tldOf caches the per-FQDN eTLD+1 so the scan does one suffix parse
+	// per hostname, not per row.
 	tldOf := make(map[uint32]string)
 	tld := func(f uint32) string {
 		t, ok := tldOf[f]
@@ -66,33 +66,22 @@ func ComputeTable2(ds *Dataset) Table2 {
 			add(semi, fqdn, urlHash, t)
 		}
 	}
-	if ds.PushdownEnabled() {
-		// Only URLHash and FQDN leave the block; chunks with no tracking
-		// rows load nothing at all.
-		ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
-			cls := pc.Class
-			if !AnyTracking(cls) {
-				return
+	// Only URLHash and FQDN leave the block; chunks with no tracking
+	// rows load nothing at all.
+	ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
+		cls := pc.Class
+		if !AnyTracking(cls) {
+			return
+		}
+		urls := pc.Wide(ColURLHash)
+		fqdns := pc.Wide(ColFQDN)
+		for i, c := range cls {
+			if !c.IsTracking() {
+				continue
 			}
-			urls := pc.Wide(ColURLHash)
-			fqdns := pc.Wide(ColFQDN)
-			for i, c := range cls {
-				if !c.IsTracking() {
-					continue
-				}
-				addRow(c, uint32(fqdns[i]), urls[i])
-			}
-		})
-	} else {
-		ds.Scan(func(_ int, c *Chunk) {
-			for i, cls := range c.Class {
-				if !cls.IsTracking() {
-					continue
-				}
-				addRow(cls, c.FQDN[i], c.URLHash[i])
-			}
-		})
-	}
+			addRow(c, uint32(fqdns[i]), urls[i])
+		}
+	})
 	toStats := func(a *agg) MethodStats {
 		return MethodStats{
 			FQDNs:          len(a.fqdns),
@@ -118,37 +107,25 @@ func (s SiteCounts) All() int64 { return s.Clean + s.Tracking }
 func PerSiteCounts(ds *Dataset) []SiteCounts {
 	clean := make([]int64, len(ds.Publishers))
 	tracking := make([]int64, len(ds.Publishers))
-	if ds.PushdownEnabled() {
-		// Rows land in publisher order, so the Publisher column is run
-		// heavy: tally tracking rows per run and derive the clean count
-		// arithmetically from the run length.
-		ds.ScanCols(Cols(ColPublisher), func(_ int, pc *ProjChunk) {
-			cls := pc.Class
-			row := 0
-			for _, r := range pc.Runs(ColPublisher) {
-				end := row + r.Len
-				var t int64
-				for i := row; i < end; i++ {
-					if cls[i].IsTracking() {
-						t++
-					}
-				}
-				tracking[r.Value] += t
-				clean[r.Value] += int64(r.Len) - t
-				row = end
-			}
-		})
-	} else {
-		ds.Scan(func(_ int, c *Chunk) {
-			for i, cls := range c.Class {
-				if cls.IsTracking() {
-					tracking[c.Publisher[i]]++
-				} else {
-					clean[c.Publisher[i]]++
+	// Rows land in publisher order, so the Publisher column is run
+	// heavy: tally tracking rows per run and derive the clean count
+	// arithmetically from the run length.
+	ds.ScanCols(Cols(ColPublisher), func(_ int, pc *ProjChunk) {
+		cls := pc.Class
+		row := 0
+		for _, r := range pc.Runs(ColPublisher) {
+			end := row + r.Len
+			var t int64
+			for i := row; i < end; i++ {
+				if cls[i].IsTracking() {
+					t++
 				}
 			}
-		})
-	}
+			tracking[r.Value] += t
+			clean[r.Value] += int64(r.Len) - t
+			row = end
+		}
+	})
 	out := make([]SiteCounts, 0, len(ds.Publishers))
 	for i, p := range ds.Publishers {
 		if clean[i]+tracking[i] == 0 {
@@ -191,28 +168,18 @@ func TopTrackingTLDs(ds *Dataset, n int) []TLDSplit {
 			semi[tld]++
 		}
 	}
-	if ds.PushdownEnabled() {
-		ds.ScanCols(Cols(ColFQDN), func(_ int, pc *ProjChunk) {
-			cls := pc.Class
-			if !AnyTracking(cls) {
-				return
+	ds.ScanCols(Cols(ColFQDN), func(_ int, pc *ProjChunk) {
+		cls := pc.Class
+		if !AnyTracking(cls) {
+			return
+		}
+		fqdns := pc.Wide(ColFQDN)
+		for i, c := range cls {
+			if c.IsTracking() {
+				addRow(c, uint32(fqdns[i]))
 			}
-			fqdns := pc.Wide(ColFQDN)
-			for i, c := range cls {
-				if c.IsTracking() {
-					addRow(c, uint32(fqdns[i]))
-				}
-			}
-		})
-	} else {
-		ds.Scan(func(_ int, c *Chunk) {
-			for i, cls := range c.Class {
-				if cls.IsTracking() {
-					addRow(cls, c.FQDN[i])
-				}
-			}
-		})
-	}
+		}
+	})
 	seen := make(map[string]struct{}, len(abp)+len(semi))
 	var out []TLDSplit
 	for tld := range abp {
@@ -276,20 +243,12 @@ func Score(ds *Dataset) Accuracy {
 			a.TrueNegatives++
 		}
 	}
-	if ds.PushdownEnabled() {
-		ds.ScanCols(Cols(ColFlags), func(_ int, pc *ProjChunk) {
-			flags := pc.Wide(ColFlags)
-			for i, cls := range pc.Class {
-				score(cls, uint8(flags[i]))
-			}
-		})
-	} else {
-		ds.Scan(func(_ int, c *Chunk) {
-			for i, cls := range c.Class {
-				score(cls, c.Flags[i])
-			}
-		})
-	}
+	ds.ScanCols(Cols(ColFlags), func(_ int, pc *ProjChunk) {
+		flags := pc.Wide(ColFlags)
+		for i, cls := range pc.Class {
+			score(cls, uint8(flags[i]))
+		}
+	})
 	return a
 }
 
@@ -306,33 +265,24 @@ type DatasetStats struct {
 func ComputeStats(ds *Dataset) DatasetStats {
 	users := make(map[int32]struct{})
 	fqdns := make(map[uint32]struct{})
-	if ds.PushdownEnabled() {
-		// Distinct counting never needs row order: a chunk's dictionary IS
-		// its distinct value set, and an RLE column collapses to one set
-		// insert per run. Either way the per-row loop disappears.
-		distinct := func(pc *ProjChunk, c ColID, f func(uint64)) {
-			if dict, _, ok := pc.DictView(c); ok {
-				for _, v := range dict {
-					f(v)
-				}
-				return
+	// Distinct counting never needs row order: a chunk's dictionary IS
+	// its distinct value set, and an RLE column collapses to one set
+	// insert per run. Either way the per-row loop disappears.
+	distinct := func(pc *ProjChunk, c ColID, f func(uint64)) {
+		if dict, _, ok := pc.DictView(c); ok {
+			for _, v := range dict {
+				f(v)
 			}
-			for _, r := range pc.Runs(c) {
-				f(r.Value)
-			}
+			return
 		}
-		ds.ScanCols(Cols(ColUser, ColFQDN), func(_ int, pc *ProjChunk) {
-			distinct(pc, ColUser, func(v uint64) { users[int32(v)] = struct{}{} })
-			distinct(pc, ColFQDN, func(v uint64) { fqdns[uint32(v)] = struct{}{} })
-		})
-	} else {
-		ds.Scan(func(_ int, c *Chunk) {
-			for i := range c.User {
-				users[c.User[i]] = struct{}{}
-				fqdns[c.FQDN[i]] = struct{}{}
-			}
-		})
+		for _, r := range pc.Runs(c) {
+			f(r.Value)
+		}
 	}
+	ds.ScanCols(Cols(ColUser, ColFQDN), func(_ int, pc *ProjChunk) {
+		distinct(pc, ColUser, func(v uint64) { users[int32(v)] = struct{}{} })
+		distinct(pc, ColFQDN, func(v uint64) { fqdns[uint32(v)] = struct{}{} })
+	})
 	return DatasetStats{
 		Users:            len(users),
 		FirstPartySites:  len(ds.Publishers),

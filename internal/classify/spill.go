@@ -242,11 +242,6 @@ func (st *SpillStore) BlockBytes(i int, scratch *[]byte) ([]byte, error) {
 	return raw, nil
 }
 
-// HasEncodedBlocks implements BlockReader. Even an uncompressed spill
-// store benefits from the projection path: blocks are framed raw
-// columns, so a projected read scatters only the requested columns.
-func (st *SpillStore) HasEncodedBlocks() bool { return true }
-
 // ZoneMap implements ZoneMapped.
 func (st *SpillStore) ZoneMap(i int) *ZoneMap {
 	if i < len(st.zones) {

@@ -382,11 +382,6 @@ func (st *MemStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
 	return nil, nil
 }
 
-// HasEncodedBlocks implements BlockReader. A wide MemStore reports
-// false: its chunks are resident full-width, so the projection path
-// would only add copies on top of what Scan reads in place.
-func (st *MemStore) HasEncodedBlocks() bool { return st.compress }
-
 // ZoneMap implements ZoneMapped. Wide stores and the open tail chunk
 // have none; blocks restored from pre-zone-map checkpoints may yield
 // nil entries.

@@ -11,8 +11,8 @@ import (
 // metrics surface (same exposition format as the collector's /metrics):
 // registry membership by liveness state, cumulative liveness
 // transitions, fan-in re-merge count, and the process-wide projection
-// scan counters (chunks pruned by zone map, pushdown vs fallback
-// scans). fanin may be nil when the caller runs a registry without a
+// scan counters (chunks scanned, and chunks pruned by zone map or class
+// bitmap). fanin may be nil when the caller runs a registry without a
 // merge tier.
 func MetricsHandler(reg *Registry, fanin *Fanin) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -67,7 +67,5 @@ func MetricsHandler(reg *Registry, fanin *Fanin) http.Handler {
 		ss := classify.ReadScanStats()
 		counter("mergerd_scan_chunks_total", "Chunks offered to projection scan kernels.", ss.ChunksScanned)
 		counter("mergerd_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
-		counter("mergerd_pushdown_scans_total", "Experiment scans served by the projection path.", ss.PushdownScans)
-		counter("mergerd_fallback_scans_total", "Experiment scans served by the decode-to-rows path.", ss.FallbackScans)
 	})
 }

@@ -143,31 +143,25 @@ func (a *Analysis) Equal(b *Analysis) bool {
 const analyzeRowsPerShard = 1 << 16
 
 // Analyze joins the classified dataset's tracking rows with a geolocation
-// service. filter, when non-nil, selects which rows participate (e.g.
-// only EU28 users, only sensitive sites).
+// service.
 //
 // The scan is chunk-wise over the dataset's columnar store: workers take
-// contiguous chunk ranges, each with a private decode buffer and a
+// contiguous chunk ranges, each with a private projection buffer and a
 // private Analysis, merged at the end. The service must be safe for
-// concurrent Locate calls (all geo implementations are), and filter,
-// like the service, may be invoked from multiple goroutines at once and
-// must not mutate shared state. The result is identical to the
-// sequential scan, for any worker count and either store backend.
-func Analyze(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bool) *Analysis {
-	return analyze(ds, svc, filter, -1)
+// concurrent Locate calls (all geo implementations are). The result is
+// identical to the sequential scan, for any worker count and any store
+// backend.
+func Analyze(ds *classify.Dataset, svc geo.Service) *Analysis {
+	return analyze(ds, svc, -1)
 }
 
 // Predicate narrows Analyze to a subset of rows in a form the scan
-// planner can understand. Row, when non-nil, is an opaque per-row
-// filter — it forces the decode-to-rows path, exactly like Analyze's
-// filter argument. EqCountry, when non-empty, declares the predicate to
-// be "user country equals EqCountry": AnalyzeWhere then keeps the
-// decode-free projection path, where chunk zone maps prune whole chunks
-// whose country range excludes the value and the Country column's RLE
-// runs skip non-matching spans without visiting a row. When both are
-// set, Row further narrows the country-equal rows (row path).
+// planner can understand. EqCountry, when non-empty, declares the
+// predicate to be "user country equals EqCountry": chunk zone maps
+// prune whole chunks whose country range excludes the value and the
+// Country column's RLE runs skip non-matching spans without visiting a
+// row.
 type Predicate struct {
-	Row       func(classify.Row) bool
 	EqCountry geodata.Country
 }
 
@@ -176,41 +170,24 @@ func CountryEquals(c geodata.Country) Predicate {
 	return Predicate{EqCountry: c}
 }
 
-// AnalyzeWhere is Analyze with a typed predicate. A country-equality
-// predicate runs on the projection kernel with zone-map chunk pruning;
-// an opaque Row predicate is equivalent to Analyze(ds, svc, p.Row). The
-// result is always identical to the row-path scan with the equivalent
-// row filter.
+// AnalyzeWhere is Analyze restricted to the rows p selects; the zero
+// Predicate selects every row.
 func AnalyzeWhere(ds *classify.Dataset, svc geo.Service, p Predicate) *Analysis {
 	if p.EqCountry == "" {
-		return analyze(ds, svc, p.Row, -1)
+		return analyze(ds, svc, -1)
 	}
-	eqID := -1
 	for i, c := range ds.Countries {
 		if c == p.EqCountry {
-			eqID = i
-			break
+			return analyze(ds, svc, i)
 		}
 	}
-	if eqID < 0 {
-		// The dataset never saw a user from that country.
-		return NewAnalysis()
-	}
-	cid := uint8(eqID)
-	filter := func(r classify.Row) bool { return r.Country == cid }
-	if p.Row != nil {
-		inner := p.Row
-		combined := func(r classify.Row) bool { return r.Country == cid && inner(r) }
-		return analyze(ds, svc, combined, -1)
-	}
-	return analyze(ds, svc, filter, eqID)
+	// The dataset never saw a user from that country.
+	return NewAnalysis()
 }
 
-// analyze is the shared scan driver. eqID >= 0 declares filter to be
-// the country-equality predicate on that Countries index, which keeps
-// the projection kernel eligible (it enforces the equality itself);
-// eqID < 0 treats a non-nil filter as opaque.
-func analyze(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bool, eqID int) *Analysis {
+// analyze is the shared scan driver. eqID >= 0 restricts the scan to
+// rows whose Country column holds that Countries index.
+func analyze(ds *classify.Dataset, svc geo.Service, eqID int) *Analysis {
 	st := ds.Store
 	if st == nil {
 		return NewAnalysis()
@@ -223,15 +200,8 @@ func analyze(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bo
 	if workers > chunks {
 		workers = chunks
 	}
-	// The projection kernel serves the no-filter call and the declared
-	// country-equality predicate; an opaque filter needs full rows, so
-	// it keeps the decode-to-rows path.
-	pushdown := (filter == nil || eqID >= 0) && ds.PushdownEnabled()
 	if workers <= 1 {
-		if pushdown {
-			return analyzeChunksProj(ds, svc, eqID, 0, chunks)
-		}
-		return analyzeChunks(ds, svc, filter, 0, chunks)
+		return analyzeChunks(ds, svc, eqID, 0, chunks)
 	}
 	parts := make([]*Analysis, workers)
 	var wg sync.WaitGroup
@@ -245,11 +215,7 @@ func analyze(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bo
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			if pushdown {
-				parts[w] = analyzeChunksProj(ds, svc, eqID, lo, hi)
-			} else {
-				parts[w] = analyzeChunks(ds, svc, filter, lo, hi)
-			}
+			parts[w] = analyzeChunks(ds, svc, eqID, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -260,52 +226,22 @@ func analyze(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bo
 	return a
 }
 
-// analyzeChunks is the sequential columnar scan over chunks [lo, hi),
-// reusing one decode buffer. The full Row materializes only for rows
-// that pass the tracking test and face a filter.
-func analyzeChunks(ds *classify.Dataset, svc geo.Service, filter func(classify.Row) bool, lo, hi int) *Analysis {
-	a := NewAnalysis()
-	buf := classify.GetChunk()
-	defer classify.PutChunk(buf)
-	for ci := lo; ci < hi; ci++ {
-		c := classify.MustChunk(ds.Store, ci, buf)
-		for i, cls := range c.Class {
-			if !cls.IsTracking() {
-				continue
-			}
-			if filter != nil && !filter(c.Row(i)) {
-				continue
-			}
-			src := ds.Countries[c.Country[i]]
-			loc, ok := svc.Locate(c.IP[i])
-			if !ok {
-				a.AddUnknown(1)
-				continue
-			}
-			a.Add(src, loc.Country, 1)
-		}
-	}
-	return a
-}
-
-// analyzeChunksProj is the decode-free projection kernel over chunks
+// analyzeChunks is the decode-free projection kernel over chunks
 // [lo, hi): it reads only the Country and IP columns in their encoded
 // forms. Chunks with no tracking rows load nothing (the resident class
 // column decides — the zone map's class bitmap can go stale after the
 // semi-stage fixpoint). Country arrives as RLE runs, so the origin
 // country resolves once per run rather than once per row; IP usually
 // arrives as a dictionary, so Locate runs once per distinct address and
-// per-run counts fold into one Add per (origin, destination) pair. The
-// result is identical to analyzeChunks with a nil filter: counter
-// addition commutes, so folding rows by run and by dictionary id
-// changes the order of Adds but not any total.
+// per-run counts fold into one Add per (origin, destination) pair.
+// Counter addition commutes, so folding rows by run and by dictionary
+// id changes the order of Adds but not any total.
 //
 // eqID >= 0 restricts the scan to rows whose Country column holds that
 // id: the chunk's zone map (min/max over the immutable Country column,
 // authoritative) drops whole chunks before any block fetch, and
-// non-matching RLE runs skip without touching the IP column. The result
-// is identical to analyzeChunks with the equivalent row filter.
-func analyzeChunksProj(ds *classify.Dataset, svc geo.Service, eqID int, lo, hi int) *Analysis {
+// non-matching RLE runs skip without touching the IP column.
+func analyzeChunks(ds *classify.Dataset, svc geo.Service, eqID int, lo, hi int) *Analysis {
 	a := NewAnalysis()
 	pc := classify.GetProj()
 	defer classify.PutProj(pc)

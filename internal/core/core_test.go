@@ -232,7 +232,7 @@ func TestAnalyzeJoinsGeolocation(t *testing.T) {
 	svc := geo.Static{ServiceName: "s", Locations: map[netsim.IP]geo.Location{
 		1: {Country: "DE", Continent: geodata.EU28},
 	}}
-	a := Analyze(ds, svc, nil)
+	a := Analyze(ds, svc)
 	if a.Total() != 3 {
 		t.Errorf("total = %d (clean row must be excluded)", a.Total())
 	}
@@ -242,11 +242,6 @@ func TestAnalyzeJoinsGeolocation(t *testing.T) {
 	inC, inEU, _, flows := a.RegionConfinement(nil)
 	if flows != 2 || inC != 0 || inEU != 100 {
 		t.Errorf("confinement = %f %f flows=%d", inC, inEU, flows)
-	}
-	// Filter excludes everything.
-	a2 := Analyze(ds, svc, func(classify.Row) bool { return false })
-	if a2.Total() != 0 {
-		t.Error("filter must exclude all rows")
 	}
 }
 
@@ -290,7 +285,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ResetTimer()
 	var a *Analysis
 	for i := 0; i < b.N; i++ {
-		a = Analyze(ds, svc, nil)
+		a = Analyze(ds, svc)
 	}
 	b.ReportMetric(float64(a.Total()), "flows")
 }
@@ -329,20 +324,18 @@ func analyzeBenchSpill(b *testing.B, rows int, compress bool) (*classify.Dataset
 	return ds, svc
 }
 
-// BenchmarkPushdownAnalyze pins the decode-free join against its two
-// baselines over the same compressed spill store: pushdown runs the
-// projection kernel (zone/class pruning, per-run country resolution,
-// per-distinct-IP geolocation), decode forces the decode-to-rows path
-// on the same store, and raw is the decode path over the uncompressed
-// spill file. The acceptance bar for this optimization is pushdown
-// >= 2x decode and >= raw.
+// BenchmarkPushdownAnalyze measures the decode-free join over spill
+// stores: pushdown runs the projection kernel (zone/class pruning,
+// per-run country resolution, per-distinct-IP geolocation) over the
+// compressed spill file, raw runs the same kernel over the
+// uncompressed one, where every projected column is a raw copy.
 func BenchmarkPushdownAnalyze(b *testing.B) {
 	const rows = 200_000
 	run := func(b *testing.B, ds *classify.Dataset, svc geo.Service) {
 		b.ResetTimer()
 		var a *Analysis
 		for i := 0; i < b.N; i++ {
-			a = Analyze(ds, svc, nil)
+			a = Analyze(ds, svc)
 		}
 		b.ReportMetric(float64(a.Total()), "flows")
 	}
@@ -350,14 +343,8 @@ func BenchmarkPushdownAnalyze(b *testing.B) {
 		ds, svc := analyzeBenchSpill(b, rows, true)
 		run(b, ds, svc)
 	})
-	b.Run("decode", func(b *testing.B) {
-		ds, svc := analyzeBenchSpill(b, rows, true)
-		ds.Pushdown = classify.PushdownOff
-		run(b, ds, svc)
-	})
 	b.Run("raw", func(b *testing.B) {
 		ds, svc := analyzeBenchSpill(b, rows, false)
-		ds.Pushdown = classify.PushdownOff
 		run(b, ds, svc)
 	})
 }

@@ -44,45 +44,21 @@ func countryFilterDataset(t *testing.T) (*classify.Dataset, geo.Service) {
 	return ds, geo.Static{ServiceName: "test", Locations: locs}
 }
 
-// TestAnalyzeWhereCountryEquality pins the pruned projection path to
-// the row path: for every country (including one the dataset never
-// saw), the zone-map-pruned kernel must produce exactly the analysis
-// the opaque row filter produces, under both pushdown modes.
+// TestAnalyzeWhereCountryEquality pins the pruned projection kernel to
+// the row oracle: for every country (including one the dataset never
+// saw), the zone-map-pruned scan must produce exactly the analysis of
+// the equivalent row filter.
 func TestAnalyzeWhereCountryEquality(t *testing.T) {
 	ds, svc := countryFilterDataset(t)
-	for _, mode := range []classify.PushdownMode{classify.PushdownOn, classify.PushdownOff} {
-		ds.Pushdown = mode
-		for _, c := range []geodata.Country{"DE", "ES", "GR", "US", "FR"} {
-			c := c
-			got := AnalyzeWhere(ds, svc, CountryEquals(c))
-			want := Analyze(ds, svc, func(r classify.Row) bool {
-				return ds.Countries[r.Country] == c
-			})
-			if !got.Equal(want) {
-				t.Errorf("mode=%v country=%s: pruned path disagrees with row path (got %d flows, want %d)",
-					mode, c, got.Total(), want.Total())
-			}
+	for _, c := range []geodata.Country{"DE", "ES", "GR", "US", "FR"} {
+		got := AnalyzeWhere(ds, svc, CountryEquals(c))
+		want := rowAnalyze(ds, svc, func(r classify.Row) bool {
+			return ds.Countries[r.Country] == c
+		})
+		if !got.Equal(want) {
+			t.Errorf("country=%s: pruned path disagrees with row oracle (got %d flows, want %d)",
+				c, got.Total(), want.Total())
 		}
-	}
-}
-
-// TestAnalyzeWhereOpaqueRowPredicate: an opaque Row predicate (alone or
-// combined with EqCountry) must behave exactly like Analyze's filter.
-func TestAnalyzeWhereOpaqueRowPredicate(t *testing.T) {
-	ds, svc := countryFilterDataset(t)
-	ds.Pushdown = classify.PushdownOn
-	evenIP := func(r classify.Row) bool { return r.IP%2 == 0 }
-	got := AnalyzeWhere(ds, svc, Predicate{Row: evenIP})
-	want := Analyze(ds, svc, evenIP)
-	if !got.Equal(want) {
-		t.Error("Row-only predicate disagrees with Analyze filter")
-	}
-	combined := AnalyzeWhere(ds, svc, Predicate{Row: evenIP, EqCountry: "ES"})
-	wantBoth := Analyze(ds, svc, func(r classify.Row) bool {
-		return ds.Countries[r.Country] == "ES" && evenIP(r)
-	})
-	if !combined.Equal(wantBoth) {
-		t.Error("EqCountry+Row predicate disagrees with combined row filter")
 	}
 }
 

@@ -86,7 +86,7 @@ func (su *Suite) Precompute() {
 // TruthAnalysis joins all tracking flows with ground-truth geolocation.
 func (su *Suite) TruthAnalysis() *core.Analysis {
 	su.once.truth.Do(func() {
-		su.truthA = core.Analyze(su.S.Dataset, su.S.Truth, nil)
+		su.truthA = core.Analyze(su.S.Dataset, su.S.Truth)
 	})
 	return su.truthA
 }
@@ -95,7 +95,7 @@ func (su *Suite) TruthAnalysis() *core.Analysis {
 // geolocation — the paper's headline configuration.
 func (su *Suite) IPMapAnalysis() *core.Analysis {
 	su.once.ipmap.Do(func() {
-		su.ipmapA = core.Analyze(su.S.Dataset, su.S.IPMap, nil)
+		su.ipmapA = core.Analyze(su.S.Dataset, su.S.IPMap)
 	})
 	return su.ipmapA
 }
@@ -104,7 +104,7 @@ func (su *Suite) IPMapAnalysis() *core.Analysis {
 // the Fig 7(a) counterfactual.
 func (su *Suite) MaxMindAnalysis() *core.Analysis {
 	su.once.maxmind.Do(func() {
-		su.maxmindA = core.Analyze(su.S.Dataset, su.S.MaxMind, nil)
+		su.maxmindA = core.Analyze(su.S.Dataset, su.S.MaxMind)
 	})
 	return su.maxmindA
 }

@@ -143,13 +143,13 @@ func TestIncrementalAggregatesMatchRescan(t *testing.T) {
 		if got, want := snap.Stats(), classify.ComputeStats(ds); got != want {
 			t.Errorf("epoch %d: stats = %+v, want %+v", epoch, got, want)
 		}
-		if got, want := snap.TruthAnalysis(), core.Analyze(ds, world.Truth, nil); !got.Equal(want) {
+		if got, want := snap.TruthAnalysis(), core.Analyze(ds, world.Truth); !got.Equal(want) {
 			t.Errorf("epoch %d: truth analysis diverges from rescan", epoch)
 		}
-		if got, want := snap.IPMapAnalysis(), core.Analyze(ds, world.IPMap, nil); !got.Equal(want) {
+		if got, want := snap.IPMapAnalysis(), core.Analyze(ds, world.IPMap); !got.Equal(want) {
 			t.Errorf("epoch %d: ipmap analysis diverges from rescan", epoch)
 		}
-		if got, want := snap.MaxMindAnalysis(), core.Analyze(ds, world.MaxMind, nil); !got.Equal(want) {
+		if got, want := snap.MaxMindAnalysis(), core.Analyze(ds, world.MaxMind); !got.Equal(want) {
 			t.Errorf("epoch %d: maxmind analysis diverges from rescan", epoch)
 		}
 		c.Close()

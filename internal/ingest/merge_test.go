@@ -95,13 +95,13 @@ func TestMergeExportsMatchesRescan(t *testing.T) {
 	// The incremental aggregates equal a full rescan of the merged
 	// dataset, and the single collector's view.
 	ds := merged.Dataset()
-	if got, want := merged.TruthAnalysis(), core.Analyze(ds, world.Truth, nil); !got.Equal(want) {
+	if got, want := merged.TruthAnalysis(), core.Analyze(ds, world.Truth); !got.Equal(want) {
 		t.Error("merged truth analysis differs from a full rescan")
 	}
-	if got, want := merged.IPMapAnalysis(), core.Analyze(ds, world.IPMap, nil); !got.Equal(want) {
+	if got, want := merged.IPMapAnalysis(), core.Analyze(ds, world.IPMap); !got.Equal(want) {
 		t.Error("merged ipmap analysis differs from a full rescan")
 	}
-	if got, want := merged.MaxMindAnalysis(), core.Analyze(ds, world.MaxMind, nil); !got.Equal(want) {
+	if got, want := merged.MaxMindAnalysis(), core.Analyze(ds, world.MaxMind); !got.Equal(want) {
 		t.Error("merged maxmind analysis differs from a full rescan")
 	}
 	if !merged.TruthAnalysis().Equal(ref.TruthAnalysis()) ||

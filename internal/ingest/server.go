@@ -429,8 +429,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ss := classify.ReadScanStats()
 	counter("collectd_scan_chunks_total", "Chunks offered to projection scan kernels.", ss.ChunksScanned)
 	counter("collectd_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
-	counter("collectd_pushdown_scans_total", "Experiment scans served by the projection path.", ss.PushdownScans)
-	counter("collectd_fallback_scans_total", "Experiment scans served by the decode-to-rows path.", ss.FallbackScans)
 }
 
 // PendingEvents returns the number of accepted events awaiting the next

@@ -34,7 +34,6 @@ type snapStore struct {
 	classes   [][]classify.Class
 	zones     []*classify.ZoneMap
 	fp        classify.Footprint
-	hasBlocks bool
 	chunkRows int
 	n         int
 }
@@ -79,9 +78,6 @@ func (st *snapStore) ScanCols(cols classify.ColSet, fn func(base int, pc *classi
 func (st *snapStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
 	return st.chunks[i].block, nil
 }
-
-// HasEncodedBlocks implements classify.BlockReader.
-func (st *snapStore) HasEncodedBlocks() bool { return st.hasBlocks }
 
 // ZoneMap implements classify.ZoneMapped.
 func (st *snapStore) ZoneMap(i int) *classify.ZoneMap {
@@ -221,22 +217,14 @@ func (s *Snapshot) Suite() *experiments.Suite {
 	return s.suite
 }
 
-// buildSnapshot freezes the live state into a Snapshot. Called with
-// c.mu held (and once from NewCollector before the collector is
-// shared). prev supplies class slices for chunks this epoch did not
-// touch; chunks at or after prevRows/chunkRows (appended rows) and
-// chunks listed in dirty (flipped rows) get fresh copies.
-func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]struct{}) *Snapshot {
-	st := c.store
-	live := c.merger.Dataset()
+// freezeStore captures the live store's rows as a snapStore. prev
+// supplies class slices for chunks this epoch did not touch; chunks at
+// or after prevRows/ChunkRows (appended rows) and chunks listed in
+// dirty (flipped rows) get fresh copies.
+func freezeStore(st *classify.MemStore, prev *snapStore, prevRows int, dirty map[int]struct{}) *snapStore {
 	numChunks := st.NumChunks()
 	chunkRows := st.ChunkRows()
 	firstDirty := prevRows / chunkRows
-
-	var prevStore *snapStore
-	if prev != nil {
-		prevStore, _ = prev.ds.Store.(*snapStore)
-	}
 	sealed := 0
 	if st.Compressed() {
 		sealed = st.SealedBlocks()
@@ -249,8 +237,8 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 		if !changed && dirty != nil {
 			_, changed = dirty[ci]
 		}
-		if !changed && prevStore != nil && ci < len(prevStore.classes) {
-			classes[ci] = prevStore.classes[ci]
+		if !changed && prev != nil && ci < len(prev.classes) {
+			classes[ci] = prev.classes[ci]
 		} else {
 			src := st.Classes(ci)
 			cp := make([]classify.Class, len(src))
@@ -283,6 +271,23 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 			Class:     classes[ci],
 		}}
 	}
+	return &snapStore{
+		chunks: chunks, classes: classes, zones: zones,
+		fp: st.Footprint(), chunkRows: chunkRows, n: st.Len(),
+	}
+}
+
+// buildSnapshot freezes the live state into a Snapshot. Called with
+// c.mu held (and once from NewCollector before the collector is
+// shared). prevRows and dirty say which chunks changed since prev (see
+// freezeStore).
+func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]struct{}) *Snapshot {
+	st := c.store
+	live := c.merger.Dataset()
+	var prevStore *snapStore
+	if prev != nil {
+		prevStore, _ = prev.ds.Store.(*snapStore)
+	}
 
 	// The interner clone is cached: most steady-state epochs intern no
 	// new FQDN (the vocabulary comes from the finite synthetic graph),
@@ -294,11 +299,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 	}
 	nPubs := len(live.Publishers)
 	ds := &classify.Dataset{
-		Store: &snapStore{
-			chunks: chunks, classes: classes, zones: zones,
-			fp: st.Footprint(), hasBlocks: sealed > 0,
-			chunkRows: chunkRows, n: st.Len(),
-		},
+		Store:      freezeStore(st, prevStore, prevRows, dirty),
 		FQDNs:      c.internClone,
 		Countries:  append([]geodata.Country(nil), live.Countries...),
 		Publishers: live.Publishers[:nPubs:nPubs],

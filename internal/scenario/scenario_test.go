@@ -120,7 +120,7 @@ func TestEU28ConfinementShape(t *testing.T) {
 	// geolocation most EU28 tracking flows stay in EU28, and the US
 	// share is minor; under MaxMind the picture flips toward the US.
 	s := small(t)
-	truthA := core.Analyze(s.Dataset, s.Truth, nil)
+	truthA := core.Analyze(s.Dataset, s.Truth)
 	_, inEU, inEur, flows := truthA.RegionConfinement(core.EU28Origin)
 	if flows == 0 {
 		t.Fatal("no EU28 flows")
@@ -132,7 +132,7 @@ func TestEU28ConfinementShape(t *testing.T) {
 		t.Error("Europe confinement below EU28 confinement")
 	}
 
-	mmA := core.Analyze(s.Dataset, s.MaxMind, nil)
+	mmA := core.Analyze(s.Dataset, s.MaxMind)
 	_, mmEU, _, _ := mmA.RegionConfinement(core.EU28Origin)
 	if mmEU >= inEU-15 {
 		t.Errorf("MaxMind EU28 confinement = %.1f%% vs truth %.1f%%; the Fig 7 flip is missing", mmEU, inEU)
@@ -336,8 +336,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		name string
 		a, b *core.Analysis
 	}{
-		{"truth", core.Analyze(seq.Dataset, seq.Truth, nil), core.Analyze(par.Dataset, par.Truth, nil)},
-		{"maxmind", core.Analyze(seq.Dataset, seq.MaxMind, nil), core.Analyze(par.Dataset, par.MaxMind, nil)},
+		{"truth", core.Analyze(seq.Dataset, seq.Truth), core.Analyze(par.Dataset, par.Truth)},
+		{"maxmind", core.Analyze(seq.Dataset, seq.MaxMind), core.Analyze(par.Dataset, par.MaxMind)},
 	} {
 		ic1, eu1, eur1, n1 := svc.a.RegionConfinement(core.EU28Origin)
 		ic2, eu2, eur2, n2 := svc.b.RegionConfinement(core.EU28Origin)

@@ -49,9 +49,9 @@ func TestRowStoreEquivalence(t *testing.T) {
 			name string
 			a, b *core.Analysis
 		}{
-			{"truth", core.Analyze(mem.Dataset, mem.Truth, nil), core.Analyze(other.Dataset, other.Truth, nil)},
-			{"ipmap", core.Analyze(mem.Dataset, mem.IPMap, nil), core.Analyze(other.Dataset, other.IPMap, nil)},
-			{"maxmind", core.Analyze(mem.Dataset, mem.MaxMind, nil), core.Analyze(other.Dataset, other.MaxMind, nil)},
+			{"truth", core.Analyze(mem.Dataset, mem.Truth), core.Analyze(other.Dataset, other.Truth)},
+			{"ipmap", core.Analyze(mem.Dataset, mem.IPMap), core.Analyze(other.Dataset, other.IPMap)},
+			{"maxmind", core.Analyze(mem.Dataset, mem.MaxMind), core.Analyze(other.Dataset, other.MaxMind)},
 		} {
 			if svc.a.Total() != svc.b.Total() || svc.a.Unknown() != svc.b.Unknown() {
 				t.Errorf("%s/%s totals differ: (%d,%d) vs (%d,%d)", v.name, svc.name,

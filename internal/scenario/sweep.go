@@ -61,7 +61,7 @@ func Summarize(s *Scenario) Summary {
 		TrackingFQDNs: s.Inventory.NumTrackingFQDNs(),
 		CountryFlows:  make(map[geodata.Country]int64),
 	}
-	a := core.Analyze(s.Dataset, s.Truth, nil)
+	a := core.Analyze(s.Dataset, s.Truth)
 	sum.Flows = a.Total()
 	sum.UnknownFlows = a.Unknown()
 	sum.InCountry, sum.InEU28, sum.InEurope, _ = a.RegionConfinement(core.EU28Origin)

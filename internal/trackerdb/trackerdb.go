@@ -72,8 +72,8 @@ func Compile(ds *classify.Dataset, db *pdns.DB) *Inventory {
 	}
 
 	// Pass 1: tracking FQDNs and directly observed IPs with request
-	// counts — a chunk-wise columnar scan needing only the class, FQDN
-	// and IP columns.
+	// counts — a projected scan needing only the class, FQDN and IP
+	// columns.
 	observe := func(ip netsim.IP, n int64) {
 		info := inv.ips[ip]
 		if info == nil {
@@ -83,76 +83,64 @@ func Compile(ds *classify.Dataset, db *pdns.DB) *Inventory {
 		info.Requests += n
 		info.Observed = true
 	}
-	if ds.PushdownEnabled() {
-		// Projection kernel: only FQDN and IP leave the block, chunks
-		// with no tracking rows load nothing, and when both columns are
-		// dictionary coded the row loop touches small per-dict-id
-		// scratch — one interned-string lookup per distinct hostname and
-		// one map operation per distinct IP, instead of one per row.
-		var fseen []bool
-		var icnt []int64
-		ds.ScanCols(classify.Cols(classify.ColFQDN, classify.ColIP), func(_ int, pc *classify.ProjChunk) {
-			cls := pc.Class
-			if !classify.AnyTracking(cls) {
-				return
+	// Only FQDN and IP leave the block, chunks with no tracking rows
+	// load nothing, and when both columns are dictionary coded the row
+	// loop touches small per-dict-id scratch — one interned-string
+	// lookup per distinct hostname and one map operation per distinct
+	// IP, instead of one per row.
+	var fseen []bool
+	var icnt []int64
+	ds.ScanCols(classify.Cols(classify.ColFQDN, classify.ColIP), func(_ int, pc *classify.ProjChunk) {
+		cls := pc.Class
+		if !classify.AnyTracking(cls) {
+			return
+		}
+		fdict, fidx, fok := pc.DictView(classify.ColFQDN)
+		idict, iidx, iok := pc.DictView(classify.ColIP)
+		if fok && iok {
+			if cap(fseen) < len(fdict) {
+				fseen = make([]bool, len(fdict))
 			}
-			fdict, fidx, fok := pc.DictView(classify.ColFQDN)
-			idict, iidx, iok := pc.DictView(classify.ColIP)
-			if fok && iok {
-				if cap(fseen) < len(fdict) {
-					fseen = make([]bool, len(fdict))
-				}
-				fseen = fseen[:len(fdict)]
-				for i := range fseen {
-					fseen[i] = false
-				}
-				if cap(icnt) < len(idict) {
-					icnt = make([]int64, len(idict))
-				}
-				icnt = icnt[:len(idict)]
-				for i := range icnt {
-					icnt[i] = 0
-				}
-				for i, c := range cls {
-					if !c.IsTracking() {
-						continue
-					}
-					fseen[fidx[i]] = true
-					icnt[iidx[i]]++
-				}
-				for k, seen := range fseen {
-					if seen {
-						inv.trackingFQDNs[ds.FQDNs.Str(uint32(fdict[k]))] = struct{}{}
-					}
-				}
-				for k, n := range icnt {
-					if n != 0 {
-						observe(netsim.IP(idict[k]), n)
-					}
-				}
-				return
+			fseen = fseen[:len(fdict)]
+			for i := range fseen {
+				fseen[i] = false
 			}
-			fqdns := pc.Wide(classify.ColFQDN)
-			ips := pc.Wide(classify.ColIP)
+			if cap(icnt) < len(idict) {
+				icnt = make([]int64, len(idict))
+			}
+			icnt = icnt[:len(idict)]
+			for i := range icnt {
+				icnt[i] = 0
+			}
 			for i, c := range cls {
 				if !c.IsTracking() {
 					continue
 				}
-				inv.trackingFQDNs[ds.FQDNs.Str(uint32(fqdns[i]))] = struct{}{}
-				observe(netsim.IP(ips[i]), 1)
+				fseen[fidx[i]] = true
+				icnt[iidx[i]]++
 			}
-		})
-	} else {
-		ds.Scan(func(_ int, c *classify.Chunk) {
-			for i, cls := range c.Class {
-				if !cls.IsTracking() {
-					continue
+			for k, seen := range fseen {
+				if seen {
+					inv.trackingFQDNs[ds.FQDNs.Str(uint32(fdict[k]))] = struct{}{}
 				}
-				inv.trackingFQDNs[ds.FQDNs.Str(c.FQDN[i])] = struct{}{}
-				observe(c.IP[i], 1)
 			}
-		})
-	}
+			for k, n := range icnt {
+				if n != 0 {
+					observe(netsim.IP(idict[k]), n)
+				}
+			}
+			return
+		}
+		fqdns := pc.Wide(classify.ColFQDN)
+		ips := pc.Wide(classify.ColIP)
+		for i, c := range cls {
+			if !c.IsTracking() {
+				continue
+			}
+			inv.trackingFQDNs[ds.FQDNs.Str(uint32(fqdns[i]))] = struct{}{}
+			observe(netsim.IP(ips[i]), 1)
+		}
+	})
 
 	// Pass 2: passive DNS completion. Every forward record of a tracking
 	// FQDN contributes its IP (possibly new) and its validity window.

@@ -99,43 +99,6 @@ func WithCompression(on bool) Option {
 	}
 }
 
-// Pushdown is the tri-state projection-scan selector; see WithPushdown.
-// The zero value (PushdownAuto) enables decode-free query pushdown
-// exactly where it pays by default: on for stores serving encoded
-// column blocks (disk stores and the compressed memory store), off for
-// the wide in-memory default.
-type Pushdown int
-
-const (
-	// PushdownAuto runs projected scans over block-backed stores and
-	// wide scans elsewhere (the default).
-	PushdownAuto Pushdown = iota
-	// PushdownOn forces the projection path for every store; wide
-	// stores satisfy it by copying the requested columns.
-	PushdownOn
-	// PushdownOff forces the decode-to-rows scan everywhere — the
-	// equivalence baseline.
-	PushdownOff
-)
-
-// WithPushdown forces the experiments' projection scan path on or off
-// (the default is on exactly for stores that serve encoded column
-// blocks). Pushdown runs the hot kernels — the cross-border analysis,
-// the Table 1/2 aggregations, the tracker-IP inventory scan, the live
-// fixpoint rounds — directly on compressed chunks: zone maps skip
-// chunks wholesale, RLE runs aggregate arithmetically, and dictionary
-// columns fold per distinct value. It is invisible to every analysis:
-// all artifacts render byte-identically with pushdown on or off.
-func WithPushdown(on bool) Option {
-	return func(o *Options) {
-		if on {
-			o.Pushdown = PushdownOn
-		} else {
-			o.Pushdown = PushdownOff
-		}
-	}
-}
-
 // RowStore selects the storage backend of the classified dataset's row
 // store. The zero value is the in-memory columnar store. The backend
 // never changes the study: the classification phase streams the same

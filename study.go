@@ -9,9 +9,9 @@ import (
 	"crossborder/internal/scenario/pack"
 )
 
-// Options configures a reproduction run. Most callers should use New
-// with functional options instead of filling this struct directly; the
-// struct remains exported for the deprecated NewStudy entry point.
+// Options configures a reproduction run. New assembles it from
+// functional options; an Option is any func(*Options), so callers may
+// also set fields directly.
 type Options struct {
 	// Seed drives every random choice; the same seed reproduces the same
 	// study byte for byte. Zero means seed 1.
@@ -35,10 +35,6 @@ type Options struct {
 	// value compresses disk stores and keeps memory stores wide; see
 	// WithCompression).
 	Compression Compression
-	// Pushdown overrides the experiments' projection scan path (the zero
-	// value enables it exactly where the store serves encoded blocks; see
-	// WithPushdown).
-	Pushdown Pushdown
 	// Pack names the scenario pack to apply ("" or "default" builds the
 	// unmodified study; see WithPack and Packs).
 	Pack string
@@ -135,35 +131,12 @@ func New(ctx context.Context, opts ...Option) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch o.Pushdown {
-	case PushdownOn:
-		s.Dataset.Pushdown = classify.PushdownOn
-	case PushdownOff:
-		s.Dataset.Pushdown = classify.PushdownOff
-	}
 	su := experiments.NewSuite(s)
 	// The same WithProgress callback that observed the build phases also
 	// receives per-experiment progress from long registry runners (phase
 	// "table8"), so `reproduce -progress` covers the whole run.
 	su.Progress = o.Progress
 	return &Study{Suite: su}, nil
-}
-
-// NewStudy builds the whole study eagerly without cancellation or
-// progress.
-//
-// Deprecated: use New, which threads a context through the build
-// pipeline and accepts functional options:
-//
-//	study, err := crossborder.New(ctx, crossborder.WithScale(0.1))
-func NewStudy(o Options) *Study {
-	st, err := New(context.Background(), func(dst *Options) { *dst = o })
-	if err != nil {
-		// Unreachable: the background context never cancels and
-		// cancellation is the pipeline's only error source.
-		panic("crossborder: " + err.Error())
-	}
-	return st
 }
 
 // Scenario exposes the underlying world for advanced use (the cmd tools

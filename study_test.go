@@ -1,6 +1,7 @@
 package crossborder_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +17,12 @@ var (
 func tinyStudy(t *testing.T) *crossborder.Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		studyVal = crossborder.NewStudy(crossborder.Options{
-			Seed: 1, Scale: 0.04, VisitsPerUser: 25,
-		})
+		var err error
+		studyVal, err = crossborder.New(context.Background(),
+			crossborder.WithSeed(1), crossborder.WithScale(0.04), crossborder.WithVisitsPerUser(25))
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 	return studyVal
 }
@@ -69,8 +73,15 @@ func TestStudyScenarioAccess(t *testing.T) {
 }
 
 func TestStudyDeterminism(t *testing.T) {
-	a := crossborder.NewStudy(crossborder.Options{Seed: 9, Scale: 0.02, VisitsPerUser: 8})
-	b := crossborder.NewStudy(crossborder.Options{Seed: 9, Scale: 0.02, VisitsPerUser: 8})
+	build := func() *crossborder.Study {
+		st, err := crossborder.New(context.Background(),
+			crossborder.WithSeed(9), crossborder.WithScale(0.02), crossborder.WithVisitsPerUser(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := build(), build()
 	if a.Table1().Stats != b.Table1().Stats {
 		t.Error("same options must reproduce the same study")
 	}
