@@ -84,9 +84,9 @@
 // a pluggable store. WithRowStore selects the backend — the in-memory
 // default, or DiskRowStore, which spills chunks to a temporary file
 // and keeps only the one-byte class column resident. Sealed chunks run
-// through a per-column codec (dictionary, run-length and delta
-// encodings with canonical Huffman packing, plus an LZ4-style block
-// pass) that cuts the spill file about 3.5x versus the raw layout;
+// through a per-column codec (dictionary with bit-packed indices,
+// run-length and delta encodings, plus an LZ4-style block pass) that
+// cuts the spill file about 3.40x versus the raw layout;
 // WithCompression overrides the default (on for disk, off in memory —
 // turning it on in memory keeps sealed chunks compressed, which is
 // what long-running collectors want). The codec is lossless and

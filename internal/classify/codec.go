@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"sync"
 
 	"crossborder/internal/netsim"
@@ -27,13 +26,13 @@ import (
 //   - dict       sorted distinct values (delta-uvarint) + bit-packed
 //                indices — the interned-id and IP columns have a few
 //                hundred distinct values per 16Ki-row chunk
-//   - dict+huff  same dictionary with canonical-Huffman-coded indices
-//                — the id distributions are Zipf-skewed, so entropy
-//                coding beats fixed-width packing
 //
 // and any scheme's payload may additionally be wrapped in the LZ4-style
 // block compressor from lz4.go when that shrinks it further (templated
 // RTB cascades repeat multi-byte patterns that per-value schemes miss).
+// Every scheme decodes straight into a form the projection scan path
+// runs on (wide values, runs, or dictionary + index stream); tag 4, a
+// retired entropy-coded dictionary scheme, is an unknown tag.
 //
 // Block frame (what SpillSink writes per chunk and the compressed
 // MemStore keeps resident):
@@ -51,20 +50,21 @@ import (
 // (per-column min/max + distinct count + seal-time class bitmap) the
 // projection scan path uses to skip chunks without decoding them.
 //
-// The decoder is hardened: the checksum is verified first, every
-// declared length is validated against caps derived from the
-// caller-supplied row count before any allocation, dictionary indices
-// are range-checked, and Huffman code-length tables must form an
-// exactly complete code. Forged input errors out; it cannot panic or
-// over-allocate (FuzzDecodeChunk).
+// One parser, parseFrame, reads this layout for every consumer (wide
+// decode, zone-map extraction, the projection path, checkpoint
+// restore), and one column decoder, decodeColumnView, decodes payloads
+// for all of them. Both are hardened: the checksum is verified first,
+// unknown column tags are rejected, every declared length is validated
+// against caps derived from the caller-supplied row count before any
+// allocation, and dictionary indices are range-checked. Forged input
+// errors out; it cannot panic or over-allocate (FuzzDecodeChunk).
 
 // Column encoding schemes (low 7 bits of the column tag).
 const (
-	colRaw      = 0
-	colRLE      = 1
-	colDelta    = 2
-	colDict     = 3
-	colDictHuff = 4
+	colRaw   = 0
+	colRLE   = 1
+	colDelta = 2
+	colDict  = 3
 
 	// colLZ4 marks the payload as LZ4-wrapped: [uvarint inner length]
 	// [lz4 stream], with the inner stream encoded per the scheme bits.
@@ -72,8 +72,9 @@ const (
 )
 
 // numSchemes is the number of base column encoding schemes
-// (colRaw..colDictHuff), the index space of EncBreakdown.
-const numSchemes = 5
+// (colRaw..colDict), the index space of EncBreakdown. Base tags at or
+// above it are rejected by parseFrame.
+const numSchemes = 4
 
 // Format-flag bits of the frame's fifth byte.
 const (
@@ -95,19 +96,9 @@ const numCols = 9
 var colWidths = [numCols]int{8, 4, 4, 4, 4, 4, 2, 1, 1}
 
 // maxFuzzRows caps the declared row count when the caller does not
-// know it (DecodeBlock with wantRows < 0, i.e. the fuzzer); stores
-// always pass their exact per-chunk row count.
+// know it (parseFrame with wantRows < 0: the fuzzer and BlockZoneMap);
+// stores always pass their exact per-chunk row count.
 const maxFuzzRows = 1 << 16
-
-// Huffman limits: alphabets larger than huffMaxAlphabet fall back to
-// bit-packing (the code-length table would cost more than it saves),
-// and code lengths are capped so the decoder's accumulator math stays
-// trivially safe.
-const (
-	huffMaxAlphabet = 1 << 14
-	huffMaxLen      = 27
-	huffTableBits   = 11
-)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -122,9 +113,9 @@ var errCorrupt = errors.New("classify: corrupt chunk block")
 // become Semi*), so skip decisions about classes must consult the
 // resident Store.Classes slice, not this bitmap.
 type ZoneMap struct {
-	Min      [numCols]uint64
-	Max      [numCols]uint64
-	Distinct [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
+	Min       [numCols]uint64
+	Max       [numCols]uint64
+	Distinct  [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
 	ClassBits uint8
 }
 
@@ -183,80 +174,113 @@ func parseZoneSection(payload []byte, rows int, zm *ZoneMap) error {
 }
 
 // BlockZoneMap extracts the zone-map section from a framed block
-// without decoding any column payload: it verifies the checksum, walks
-// the nine column headers, and parses the section if present. It
-// returns nil for legacy flags==0 blocks (checkpoints written before
-// zone maps existed) and an error only for corrupt frames.
+// without decoding any column payload. It returns nil for legacy
+// flags==0 blocks (checkpoints written before zone maps existed) and an
+// error only for corrupt frames.
 func BlockZoneMap(block []byte) (*ZoneMap, error) {
-	_, _, _, zm, _, err := inspectBlock(block)
-	return zm, err
+	var f frame
+	if err := parseFrame(block, -1, &f); err != nil {
+		return nil, err
+	}
+	return f.zoneMap(), nil
 }
 
-// inspectBlock walks a framed block's headers without decoding column
-// payloads, returning the row count, per-column tags and framed sizes
-// (tag byte + length prefix + payload), the parsed zone map (nil if the
-// frame has none), and the byte size of the zone-map section.
-func inspectBlock(block []byte) (rows int, tags [numCols]byte, sizes [numCols]int, zm *ZoneMap, zoneBytes int, err error) {
+// frame is one parsed block frame: the row count, each column's tag,
+// still-encoded payload (aliasing the block) and framed size (tag byte
+// + length prefix + payload), and the zone-map section if present.
+type frame struct {
+	rows      int
+	tags      [numCols]byte
+	pays      [numCols][]byte
+	sizes     [numCols]int
+	zone      ZoneMap
+	hasZone   bool
+	zoneBytes int // framed size of the zone-map section
+}
+
+// zoneMap returns a copy of the frame's zone map, nil if it has none.
+func (f *frame) zoneMap() *ZoneMap {
+	if !f.hasZone {
+		return nil
+	}
+	zm := f.zone
+	return &zm
+}
+
+// parseFrame is the one reader of the block frame layout. It verifies
+// the checksum and format flags, checks the declared row count (exactly
+// wantRows when wantRows >= 0, else 1..maxFuzzRows), walks the nine
+// column headers rejecting unknown tags, walks the sections parsing the
+// zone map, and rejects trailing bytes. Payloads are left encoded.
+func parseFrame(block []byte, wantRows int, f *frame) error {
 	if len(block) < 6 {
-		return 0, tags, sizes, nil, 0, fmt.Errorf("%w: %d-byte block", errCorrupt, len(block))
+		return fmt.Errorf("%w: %d-byte block", errCorrupt, len(block))
 	}
 	if got, want := crc32.Checksum(block[4:], castagnoli), binary.LittleEndian.Uint32(block); got != want {
-		return 0, tags, sizes, nil, 0, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", errCorrupt, got, want)
+		return fmt.Errorf("%w: checksum mismatch (%08x != %08x)", errCorrupt, got, want)
 	}
 	flags := block[4]
 	if flags&^byte(frameHasSections) != 0 {
-		return 0, tags, sizes, nil, 0, fmt.Errorf("%w: unknown format flags 0x%02x", errCorrupt, flags)
+		return fmt.Errorf("%w: unknown format flags 0x%02x", errCorrupt, flags)
 	}
 	rest := block[5:]
 	rows64, k := binary.Uvarint(rest)
-	if k <= 0 || rows64 > maxFuzzRows {
-		return 0, tags, sizes, nil, 0, fmt.Errorf("%w: bad row count", errCorrupt)
+	if k <= 0 {
+		return fmt.Errorf("%w: bad row count", errCorrupt)
 	}
 	rest = rest[k:]
-	rows = int(rows64)
+	if wantRows >= 0 {
+		if rows64 != uint64(wantRows) {
+			return fmt.Errorf("%w: block declares %d rows, store expects %d", errCorrupt, rows64, wantRows)
+		}
+	} else if rows64 == 0 || rows64 > maxFuzzRows {
+		return fmt.Errorf("%w: implausible row count %d", errCorrupt, rows64)
+	}
+	f.rows = int(rows64)
 	for col := 0; col < numCols; col++ {
 		if len(rest) < 1 {
-			return 0, tags, sizes, nil, 0, fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
+			return fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
 		}
-		tags[col] = rest[0]
+		tag := rest[0]
+		if tag&^colLZ4 >= numSchemes {
+			return fmt.Errorf("%w: unknown column tag 0x%02x in column %d", errCorrupt, tag, col)
+		}
 		plen64, k := binary.Uvarint(rest[1:])
 		if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-			return 0, tags, sizes, nil, 0, fmt.Errorf("%w: bad payload length for column %d", errCorrupt, col)
+			return fmt.Errorf("%w: bad payload length for column %d", errCorrupt, col)
 		}
-		sizes[col] = 1 + k + int(plen64)
-		rest = rest[sizes[col]:]
+		f.tags[col], f.pays[col], f.sizes[col] = tag, rest[1+k:1+k+int(plen64)], 1+k+int(plen64)
+		rest = rest[f.sizes[col]:]
 	}
-	if flags&frameHasSections == 0 {
-		if len(rest) != 0 {
-			return 0, tags, sizes, nil, 0, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(rest))
-		}
-		return rows, tags, sizes, nil, 0, nil
-	}
-	for len(rest) > 0 {
+	f.hasZone, f.zoneBytes = false, 0
+	for flags&frameHasSections != 0 && len(rest) > 0 {
 		tag := rest[0]
 		if tag == 0 {
-			return 0, tags, sizes, nil, 0, fmt.Errorf("%w: reserved section tag", errCorrupt)
+			return fmt.Errorf("%w: reserved section tag", errCorrupt)
 		}
 		plen64, k := binary.Uvarint(rest[1:])
 		if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-			return 0, tags, sizes, nil, 0, fmt.Errorf("%w: bad section length", errCorrupt)
+			return fmt.Errorf("%w: bad section length", errCorrupt)
 		}
 		payload := rest[1+k : 1+k+int(plen64)]
 		rest = rest[1+k+int(plen64):]
 		if tag != secZoneMap {
 			continue // unknown section: skip (forward compatibility)
 		}
-		z := new(ZoneMap)
-		if err := parseZoneSection(payload, rows, z); err != nil {
-			return 0, tags, sizes, nil, 0, err
+		if err := parseZoneSection(payload, f.rows, &f.zone); err != nil {
+			return err
 		}
-		zm, zoneBytes = z, 1+k+int(plen64)
+		f.hasZone, f.zoneBytes = true, 1+k+int(plen64)
 	}
-	return rows, tags, sizes, zm, zoneBytes, nil
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(rest))
+	}
+	return nil
 }
 
 // ChunkCodec holds the reusable scratch of the chunk codec: staging
-// buffers, dictionary and Huffman tables, and the LZ4 hash chain. It
+// buffers, the dictionary, the LZ4 hash chain, and the one-column
+// decode view the wide decode widens from. It
 // is not safe for concurrent use; each worker borrows one (they are
 // sync.Pool-backed via GetCodec/PutCodec, and a Chunk decode buffer
 // lazily attaches one so per-worker scan loops reuse a single codec
@@ -264,10 +288,6 @@ func inspectBlock(block []byte) (rows int, tags [numCols]byte, sizes [numCols]in
 type ChunkCodec struct {
 	vals   []uint64 // staged column values
 	dict   []uint64 // sorted distinct values
-	idx    []uint32 // per-row dictionary indices
-	freq   []uint32 // per-dictionary-index frequencies
-	lens   []uint8  // Huffman code length per symbol
-	codes  []uint32 // Huffman code per symbol
 	winner []byte   // winning candidate payload staging
 	cand   []byte   // candidate payload staging
 	rawCol []byte   // raw column bytes (LZ4 input)
@@ -275,18 +295,7 @@ type ChunkCodec struct {
 	inner  []byte   // LZ4-unwrapped payload (decode)
 	htab   []int32  // LZ4 hash heads
 	chain  []int32  // LZ4 hash chains
-
-	// Huffman build scratch.
-	hOrd  []int32
-	hPar  []int32
-	hFreq []uint64
-
-	// Canonical Huffman decode state.
-	dTable  []uint32 // primary lookup: sym<<8 | len (len 0 = long code)
-	dCount  [huffMaxLen + 1]uint32
-	dFirst  [huffMaxLen + 1]uint32
-	dOffset [huffMaxLen + 1]uint32
-	dRank   []uint32 // symbols ordered by (length, symbol)
+	view   ColView  // DecodeBlock's per-column decode scratch
 
 	// Statistics of the most recent EncodeBlock call: the zone map and
 	// the winning tag + framed size per column plus the zone-map
@@ -556,34 +565,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 	packBits := bitsFor(d)
 	packSize := dictSize + (n*packBits+7)/8
 
-	// Per-row indices and frequencies (needed by both dict schemes).
-	if cap(cc.idx) < n {
-		cc.idx = make([]uint32, n)
-	}
-	cc.idx = cc.idx[:n]
-	if cap(cc.freq) < d {
-		cc.freq = make([]uint32, d)
-	}
-	cc.freq = cc.freq[:d]
-	for i := range cc.freq {
-		cc.freq[i] = 0
-	}
-	for i, v := range vals {
-		k, _ := slices.BinarySearch(cc.dict, v)
-		cc.idx[i] = uint32(k)
-		cc.freq[k]++
-	}
-
-	huffSize := -1
-	if d >= 2 && d <= huffMaxAlphabet {
-		cc.buildHuffLens()
-		bits := 0
-		for s, f := range cc.freq {
-			bits += int(f) * int(cc.lens[s])
-		}
-		huffSize = dictSize + d + (bits+7)/8
-	}
-
 	// Pick the smallest scheme and materialize it.
 	tag, best := byte(colRaw), rawSize
 	if rleSize < best {
@@ -594,9 +575,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 	}
 	if packSize < best {
 		tag, best = colDict, packSize
-	}
-	if huffSize >= 0 && huffSize < best {
-		tag, best = colDictHuff, huffSize
 	}
 	cc.winner = cc.winner[:0]
 	switch tag {
@@ -621,7 +599,8 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 		cc.winner = cc.appendDict(cc.winner)
 		var acc uint64
 		var nb uint
-		for _, k := range cc.idx {
+		for _, v := range vals {
+			k, _ := slices.BinarySearch(cc.dict, v)
 			acc |= uint64(k) << nb
 			nb += uint(packBits)
 			for nb >= 8 {
@@ -632,24 +611,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 		}
 		if nb > 0 {
 			cc.winner = append(cc.winner, byte(acc))
-		}
-	case colDictHuff:
-		cc.winner = cc.appendDict(cc.winner)
-		cc.winner = append(cc.winner, cc.lens...)
-		cc.buildCanonicalCodes()
-		var acc uint64
-		var nb uint
-		for _, k := range cc.idx {
-			l := uint(cc.lens[k])
-			acc = acc<<l | uint64(cc.codes[k])
-			nb += l
-			for nb >= 8 {
-				cc.winner = append(cc.winner, byte(acc>>(nb-8)))
-				nb -= 8
-			}
-		}
-		if nb > 0 {
-			cc.winner = append(cc.winner, byte(acc<<(8-nb)))
 		}
 	}
 
@@ -716,416 +677,71 @@ func bitsFor(n int) int {
 // allocated, so corrupt or forged blocks return an error instead of
 // panicking or ballooning memory.
 func (cc *ChunkCodec) DecodeBlock(block []byte, wantRows int, buf *Chunk) error {
-	if len(block) < 6 {
-		return fmt.Errorf("%w: %d-byte block", errCorrupt, len(block))
+	var f frame
+	if err := parseFrame(block, wantRows, &f); err != nil {
+		return err
 	}
-	if got, want := crc32.Checksum(block[4:], castagnoli), binary.LittleEndian.Uint32(block); got != want {
-		return fmt.Errorf("%w: checksum mismatch (%08x != %08x)", errCorrupt, got, want)
-	}
-	flags := block[4]
-	if flags&^byte(frameHasSections) != 0 {
-		return fmt.Errorf("%w: unknown format flags 0x%02x", errCorrupt, flags)
-	}
-	rest := block[5:]
-	rows64, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return fmt.Errorf("%w: bad row count", errCorrupt)
-	}
-	rest = rest[k:]
-	n := int(rows64)
-	if wantRows >= 0 {
-		if n != wantRows {
-			return fmt.Errorf("%w: block declares %d rows, store expects %d", errCorrupt, n, wantRows)
-		}
-	} else if rows64 > maxFuzzRows || n == 0 {
-		return fmt.Errorf("%w: implausible row count %d", errCorrupt, rows64)
-	}
-	buf.reset(n)
-	if cap(cc.vals) < n {
-		cc.vals = make([]uint64, n)
-	}
-	cc.vals = cc.vals[:n]
-	for col := 0; col < numCols; col++ {
-		if len(rest) < 1 {
-			return fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
-		}
-		tag := rest[0]
-		plen64, k := binary.Uvarint(rest[1:])
-		if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-			return fmt.Errorf("%w: bad payload length for column %d", errCorrupt, col)
-		}
-		payload := rest[1+k : 1+k+int(plen64)]
-		rest = rest[1+k+int(plen64):]
-		if err := cc.decodeColumn(payload, tag, n, colWidths[col]); err != nil {
-			return fmt.Errorf("column %d: %w", col, err)
-		}
-		scatter(buf, col, cc.vals)
-	}
-	if flags&frameHasSections != 0 {
-		// Tagged sections follow; validate framing but skip the
-		// contents (the wide decode needs none of them, and unknown
-		// tags are forward compatibility by design). Tag 0 is reserved
-		// invalid so trailing garbage cannot masquerade as a section.
-		for len(rest) > 0 {
-			if rest[0] == 0 {
-				return fmt.Errorf("%w: reserved section tag", errCorrupt)
-			}
-			plen64, k := binary.Uvarint(rest[1:])
-			if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-				return fmt.Errorf("%w: bad section length", errCorrupt)
-			}
-			rest = rest[1+k+int(plen64):]
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(rest))
-	}
-	return nil
+	return cc.decodeFrame(&f, buf)
 }
 
-// decodeColumn fills cc.vals[:n] from one column payload.
-func (cc *ChunkCodec) decodeColumn(payload []byte, tag byte, n, width int) error {
-	if tag&colLZ4 != 0 {
-		innerLen, k := binary.Uvarint(payload)
-		if k <= 0 || innerLen > uint64(n*width+64) {
-			return fmt.Errorf("%w: bad lz4 inner length", errCorrupt)
+// decodeFrame decodes a parsed frame's columns one at a time into the
+// codec's view scratch, widening each into buf.
+func (cc *ChunkCodec) decodeFrame(f *frame, buf *Chunk) error {
+	buf.reset(f.rows)
+	for col := 0; col < numCols; col++ {
+		if err := cc.decodeColumnView(f, col, &cc.view); err != nil {
+			return fmt.Errorf("column %d: %w", col, err)
 		}
-		if cap(cc.inner) < int(innerLen) {
-			cc.inner = make([]byte, innerLen)
-		}
-		cc.inner = cc.inner[:innerLen]
-		if err := lzDecompress(payload[k:], cc.inner); err != nil {
-			return err
-		}
-		payload = cc.inner
-		tag &^= colLZ4
-	}
-	var maxVal uint64 = 1<<(8*uint(width)) - 1
-	if width == 8 {
-		maxVal = ^uint64(0)
-	}
-	vals := cc.vals[:n]
-	switch tag {
-	case colRaw:
-		if len(payload) != n*width {
-			return fmt.Errorf("%w: raw column is %d bytes, want %d", errCorrupt, len(payload), n*width)
-		}
-		switch width {
-		case 8:
-			for i := range vals {
-				vals[i] = binary.LittleEndian.Uint64(payload[i*8:])
-			}
-		case 4:
-			for i := range vals {
-				vals[i] = uint64(binary.LittleEndian.Uint32(payload[i*4:]))
-			}
-		case 2:
-			for i := range vals {
-				vals[i] = uint64(binary.LittleEndian.Uint16(payload[i*2:]))
-			}
-		default:
-			for i := range vals {
-				vals[i] = uint64(payload[i])
-			}
-		}
-	case colRLE:
-		i := 0
-		for i < n {
-			run, k := binary.Uvarint(payload)
-			if k <= 0 || run == 0 || run > uint64(n-i) {
-				return fmt.Errorf("%w: bad rle run", errCorrupt)
-			}
-			payload = payload[k:]
-			v, k := binary.Uvarint(payload)
-			if k <= 0 || v > maxVal {
-				return fmt.Errorf("%w: bad rle value", errCorrupt)
-			}
-			payload = payload[k:]
-			for j := 0; j < int(run); j++ {
-				vals[i+j] = v
-			}
-			i += int(run)
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing rle bytes", errCorrupt)
-		}
-	case colDelta:
-		var prev uint64
-		for i := range vals {
-			z, k := binary.Uvarint(payload)
-			if k <= 0 {
-				return fmt.Errorf("%w: truncated delta stream", errCorrupt)
-			}
-			payload = payload[k:]
-			prev += unzigzag(z)
-			if prev > maxVal {
-				return fmt.Errorf("%w: delta value overflows column width", errCorrupt)
-			}
-			vals[i] = prev
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing delta bytes", errCorrupt)
-		}
-	case colDict, colDictHuff:
-		var err error
-		if payload, err = cc.readDict(payload, n, maxVal); err != nil {
-			return err
-		}
-		d := len(cc.dict)
-		if tag == colDict {
-			bits := bitsFor(d)
-			if need := (n*bits + 7) / 8; len(payload) != need {
-				return fmt.Errorf("%w: packed indices are %d bytes, want %d", errCorrupt, len(payload), need)
-			}
-			var acc uint64
-			var nb uint
-			pi := 0
-			mask := uint64(1)<<bits - 1
-			for i := range vals {
-				for nb < uint(bits) {
-					acc |= uint64(payload[pi]) << nb
-					pi++
-					nb += 8
-				}
-				k := acc & mask
-				acc >>= uint(bits)
-				nb -= uint(bits)
-				if k >= uint64(d) {
-					return fmt.Errorf("%w: dictionary index out of range", errCorrupt)
-				}
-				vals[i] = cc.dict[k]
-			}
-		} else {
-			if len(payload) < d {
-				return fmt.Errorf("%w: truncated code lengths", errCorrupt)
-			}
-			if cap(cc.lens) < d {
-				cc.lens = make([]uint8, d)
-			}
-			cc.lens = cc.lens[:d]
-			copy(cc.lens, payload[:d])
-			if err := cc.buildDecodeTables(); err != nil {
-				return err
-			}
-			if err := cc.huffDecode(payload[d:], vals); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown column tag 0x%02x", errCorrupt, tag)
+		scatter(buf, col, cc.view.widen(f.rows))
 	}
 	return nil
 }
 
 // readDict parses [uvarint ndict][delta-uvarint sorted values] into
-// cc.dict, validating the count against the row count and every value
+// v.Dict, validating the count against the row count and every value
 // against the column width before allocating.
-func (cc *ChunkCodec) readDict(payload []byte, n int, maxVal uint64) ([]byte, error) {
+func readDict(payload []byte, n int, maxVal uint64, v *ColView) ([]byte, error) {
 	d64, k := binary.Uvarint(payload)
 	if k <= 0 || d64 == 0 || d64 > uint64(n) || d64 > uint64(len(payload)) {
 		return nil, fmt.Errorf("%w: bad dictionary size", errCorrupt)
 	}
 	payload = payload[k:]
 	d := int(d64)
-	if cap(cc.dict) < d {
-		cc.dict = make([]uint64, d)
+	if cap(v.Dict) < d {
+		v.Dict = make([]uint64, d)
 	}
-	cc.dict = cc.dict[:d]
+	v.Dict = v.Dict[:d]
 	var prev uint64
 	for i := 0; i < d; i++ {
-		v, k := binary.Uvarint(payload)
+		x, k := binary.Uvarint(payload)
 		if k <= 0 {
 			return nil, fmt.Errorf("%w: truncated dictionary", errCorrupt)
 		}
 		payload = payload[k:]
 		if i > 0 {
-			nv := prev + v
-			if nv < prev {
+			nx := prev + x
+			if nx < prev {
 				return nil, fmt.Errorf("%w: dictionary overflow", errCorrupt)
 			}
-			v = nv
+			x = nx
 		}
-		if v > maxVal {
+		if x > maxVal {
 			return nil, fmt.Errorf("%w: dictionary value overflows column width", errCorrupt)
 		}
-		cc.dict[i] = v
-		prev = v
+		v.Dict[i] = x
+		prev = x
 	}
 	return payload, nil
 }
 
-// buildHuffLens computes Huffman code lengths for cc.freq into
-// cc.lens, capped at huffMaxLen, and returns the maximum length. The
-// construction is deterministic: leaves sort by (frequency, symbol)
-// and ties between the leaf and internal queues prefer the leaf.
-func (cc *ChunkCodec) buildHuffLens() int {
-	d := len(cc.freq)
-	if cap(cc.lens) < d {
-		cc.lens = make([]uint8, d)
-	}
-	cc.lens = cc.lens[:d]
-	if cap(cc.hOrd) < d {
-		cc.hOrd = make([]int32, d)
-		cc.hPar = make([]int32, 2*d)
-		cc.hFreq = make([]uint64, 2*d)
-	}
-	ord := cc.hOrd[:d]
-	freqs := append([]uint32(nil), cc.freq...)
-	for {
-		for i := range ord {
-			ord[i] = int32(i)
-		}
-		sort.Slice(ord, func(a, b int) bool {
-			fa, fb := freqs[ord[a]], freqs[ord[b]]
-			if fa != fb {
-				return fa < fb
-			}
-			return ord[a] < ord[b]
-		})
-		nf := cc.hFreq[:2*d]
-		par := cc.hPar[:2*d]
-		for i, f := range freqs {
-			nf[i] = uint64(f)
-		}
-		li, ni, produced := 0, d, d
-		pick := func() int {
-			if li < d && (ni >= produced || nf[ord[li]] <= nf[ni]) {
-				li++
-				return int(ord[li-1])
-			}
-			ni++
-			return ni - 1
-		}
-		for produced < 2*d-1 {
-			a, b := pick(), pick()
-			nf[produced] = nf[a] + nf[b]
-			par[a], par[b] = int32(produced), int32(produced)
-			produced++
-		}
-		root := 2*d - 2
-		depth := nf // reuse as depth storage
-		depth[root] = 0
-		maxLen := 0
-		for node := root - 1; node >= 0; node-- {
-			depth[node] = depth[par[node]] + 1
-			if node < d {
-				l := int(depth[node])
-				cc.lens[node] = uint8(l)
-				if l > maxLen {
-					maxLen = l
-				}
-			}
-		}
-		if maxLen <= huffMaxLen {
-			return maxLen
-		}
-		// Flatten the distribution and retry; converges in a few
-		// rounds and only triggers on pathological skew.
-		for i := range freqs {
-			freqs[i] = freqs[i]/2 + 1
-		}
-	}
-}
-
-// buildCanonicalCodes assigns canonical codes from cc.lens into
-// cc.codes (zlib convention: within a length, codes follow symbol
-// order).
-func (cc *ChunkCodec) buildCanonicalCodes() {
-	d := len(cc.lens)
-	if cap(cc.codes) < d {
-		cc.codes = make([]uint32, d)
-	}
-	cc.codes = cc.codes[:d]
-	var blCount [huffMaxLen + 1]uint32
-	for _, l := range cc.lens {
-		blCount[l]++
-	}
-	var nextCode [huffMaxLen + 1]uint32
-	code := uint32(0)
-	for bits := 1; bits <= huffMaxLen; bits++ {
-		code = (code + blCount[bits-1]) << 1
-		nextCode[bits] = code
-	}
-	for s, l := range cc.lens {
-		if l > 0 {
-			cc.codes[s] = nextCode[l]
-			nextCode[l]++
-		}
-	}
-}
-
-// buildDecodeTables validates cc.lens as an exactly complete canonical
-// code and builds the primary lookup table plus the per-length
-// canonical arrays for long codes.
-func (cc *ChunkCodec) buildDecodeTables() error {
-	d := len(cc.lens)
-	for i := range cc.dCount {
-		cc.dCount[i] = 0
-	}
-	for _, l := range cc.lens {
-		if l == 0 || l > huffMaxLen {
-			return fmt.Errorf("%w: invalid code length %d", errCorrupt, l)
-		}
-		cc.dCount[l]++
-	}
-	// Kraft equality: the code must be exactly complete, or decode
-	// would hit unreachable or ambiguous bit patterns.
-	var kraft uint64
-	for l := 1; l <= huffMaxLen; l++ {
-		kraft += uint64(cc.dCount[l]) << (huffMaxLen - l)
-	}
-	if kraft != 1<<huffMaxLen {
-		return fmt.Errorf("%w: incomplete huffman code", errCorrupt)
-	}
-	code := uint32(0)
-	var rankBase uint32
-	for l := 1; l <= huffMaxLen; l++ {
-		code = (code + cc.dCount[l-1]) << 1
-		cc.dFirst[l] = code
-		cc.dOffset[l] = rankBase
-		rankBase += cc.dCount[l]
-	}
-	if cap(cc.dRank) < d {
-		cc.dRank = make([]uint32, d)
-	}
-	cc.dRank = cc.dRank[:d]
-	var next [huffMaxLen + 1]uint32
-	for l := 1; l <= huffMaxLen; l++ {
-		next[l] = cc.dOffset[l]
-	}
-	for s, l := range cc.lens {
-		cc.dRank[next[l]] = uint32(s)
-		next[l]++
-	}
-	// Primary table for codes up to huffTableBits.
-	if cc.dTable == nil {
-		cc.dTable = make([]uint32, 1<<huffTableBits)
-	}
-	for i := range cc.dTable {
-		cc.dTable[i] = 0
-	}
-	cc.buildCanonicalCodes()
-	for s, l := range cc.lens {
-		if int(l) > huffTableBits {
-			continue
-		}
-		base := cc.codes[s] << (huffTableBits - uint(l))
-		span := uint32(1) << (huffTableBits - uint(l))
-		entry := uint32(s)<<8 | uint32(l)
-		for j := uint32(0); j < span; j++ {
-			cc.dTable[base+j] = entry
-		}
-	}
-	return nil
-}
-
-// decodeColumnView decodes one column payload into v in its cheapest
-// faithful form — the projection path's alternative to decodeColumn:
-// RLE stays (value, run) pairs, dictionary schemes stay the sorted
-// dictionary plus per-row index stream, raw and delta decode to wide
-// values. Validation matches the wide decode; the outputs are backed
-// by v's own arrays so several columns can be live at once.
-func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v *ColView) error {
+// decodeColumnView is the one column decoder: it decodes column col of
+// a parsed frame into v in its cheapest faithful form — RLE stays
+// (value, run) pairs, dict stays the sorted dictionary plus per-row
+// index stream, raw and delta decode to wide values. The outputs are
+// backed by v's own arrays so several columns can be live at once;
+// (*ColView).widen turns any form into plain per-row values.
+func (cc *ChunkCodec) decodeColumnView(f *frame, col int, v *ColView) error {
+	payload, tag, n, width := f.pays[col], f.tags[col], f.rows, colWidths[col]
 	if tag&colLZ4 != 0 {
 		innerLen, k := binary.Uvarint(payload)
 		if k <= 0 || innerLen > uint64(n*width+64) {
@@ -1210,171 +826,41 @@ func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v
 			return fmt.Errorf("%w: trailing delta bytes", errCorrupt)
 		}
 		v.Form = ViewWide
-	case colDict, colDictHuff:
+	case colDict:
 		var err error
-		if payload, err = cc.readDict(payload, n, maxVal); err != nil {
+		if payload, err = readDict(payload, n, maxVal, v); err != nil {
 			return err
 		}
-		d := len(cc.dict)
-		if cap(v.Dict) < d {
-			v.Dict = make([]uint64, d)
+		d := len(v.Dict)
+		bits := bitsFor(d)
+		if need := (n*bits + 7) / 8; len(payload) != need {
+			return fmt.Errorf("%w: packed indices are %d bytes, want %d", errCorrupt, len(payload), need)
 		}
-		v.Dict = v.Dict[:d]
-		copy(v.Dict, cc.dict)
 		if cap(v.Idx) < n {
 			v.Idx = make([]uint32, n)
 		}
 		v.Idx = v.Idx[:n]
-		if tag == colDict {
-			bits := bitsFor(d)
-			if need := (n*bits + 7) / 8; len(payload) != need {
-				return fmt.Errorf("%w: packed indices are %d bytes, want %d", errCorrupt, len(payload), need)
+		var acc uint64
+		var nb uint
+		pi := 0
+		mask := uint64(1)<<bits - 1
+		for i := range v.Idx {
+			for nb < uint(bits) {
+				acc |= uint64(payload[pi]) << nb
+				pi++
+				nb += 8
 			}
-			var acc uint64
-			var nb uint
-			pi := 0
-			mask := uint64(1)<<bits - 1
-			for i := range v.Idx {
-				for nb < uint(bits) {
-					acc |= uint64(payload[pi]) << nb
-					pi++
-					nb += 8
-				}
-				k := acc & mask
-				acc >>= uint(bits)
-				nb -= uint(bits)
-				if k >= uint64(d) {
-					return fmt.Errorf("%w: dictionary index out of range", errCorrupt)
-				}
-				v.Idx[i] = uint32(k)
+			k := acc & mask
+			acc >>= uint(bits)
+			nb -= uint(bits)
+			if k >= uint64(d) {
+				return fmt.Errorf("%w: dictionary index out of range", errCorrupt)
 			}
-		} else {
-			if len(payload) < d {
-				return fmt.Errorf("%w: truncated code lengths", errCorrupt)
-			}
-			if cap(cc.lens) < d {
-				cc.lens = make([]uint8, d)
-			}
-			cc.lens = cc.lens[:d]
-			copy(cc.lens, payload[:d])
-			if err := cc.buildDecodeTables(); err != nil {
-				return err
-			}
-			if err := cc.huffDecodeIdx(payload[d:], v.Idx); err != nil {
-				return err
-			}
+			v.Idx[i] = uint32(k)
 		}
 		v.Form = ViewDict
 	default:
 		return fmt.Errorf("%w: unknown column tag 0x%02x", errCorrupt, tag)
-	}
-	return nil
-}
-
-// huffDecode decodes len(vals) symbols from the bitstream, mapping
-// them through cc.dict.
-func (cc *ChunkCodec) huffDecode(stream []byte, vals []uint64) error {
-	d := uint32(len(cc.dict))
-	totalBits := 8 * len(stream)
-	var acc uint64
-	var bits uint
-	off, consumed := 0, 0
-	for i := range vals {
-		for bits <= 56 && off < len(stream) {
-			acc |= uint64(stream[off]) << (56 - bits)
-			off++
-			bits += 8
-		}
-		e := cc.dTable[uint32(acc>>(64-huffTableBits))]
-		l := uint(e & 0xff)
-		var sym uint32
-		if l != 0 {
-			sym = e >> 8
-		} else {
-			// Long code: canonical per-length search.
-			code := uint32(0)
-			found := false
-			for cl := 1; cl <= huffMaxLen; cl++ {
-				code = code<<1 | uint32(acc>>(64-uint(cl))&1)
-				if cnt := cc.dCount[cl]; cnt > 0 && code-cc.dFirst[cl] < cnt {
-					sym = cc.dRank[cc.dOffset[cl]+code-cc.dFirst[cl]]
-					l = uint(cl)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%w: invalid huffman code", errCorrupt)
-			}
-		}
-		consumed += int(l)
-		if consumed > totalBits {
-			return fmt.Errorf("%w: truncated huffman stream", errCorrupt)
-		}
-		acc <<= l
-		if l > bits {
-			bits = 0
-		} else {
-			bits -= l
-		}
-		if sym >= d {
-			return fmt.Errorf("%w: huffman symbol out of range", errCorrupt)
-		}
-		vals[i] = cc.dict[sym]
-	}
-	return nil
-}
-
-// huffDecodeIdx is huffDecode emitting raw symbol indices instead of
-// dictionary values — the projection path keeps the index stream so
-// predicates translate once per chunk into id sets.
-func (cc *ChunkCodec) huffDecodeIdx(stream []byte, idx []uint32) error {
-	d := uint32(len(cc.dict))
-	totalBits := 8 * len(stream)
-	var acc uint64
-	var bits uint
-	off, consumed := 0, 0
-	for i := range idx {
-		for bits <= 56 && off < len(stream) {
-			acc |= uint64(stream[off]) << (56 - bits)
-			off++
-			bits += 8
-		}
-		e := cc.dTable[uint32(acc>>(64-huffTableBits))]
-		l := uint(e & 0xff)
-		var sym uint32
-		if l != 0 {
-			sym = e >> 8
-		} else {
-			code := uint32(0)
-			found := false
-			for cl := 1; cl <= huffMaxLen; cl++ {
-				code = code<<1 | uint32(acc>>(64-uint(cl))&1)
-				if cnt := cc.dCount[cl]; cnt > 0 && code-cc.dFirst[cl] < cnt {
-					sym = cc.dRank[cc.dOffset[cl]+code-cc.dFirst[cl]]
-					l = uint(cl)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%w: invalid huffman code", errCorrupt)
-			}
-		}
-		consumed += int(l)
-		if consumed > totalBits {
-			return fmt.Errorf("%w: truncated huffman stream", errCorrupt)
-		}
-		acc <<= l
-		if l > bits {
-			bits = 0
-		} else {
-			bits -= l
-		}
-		if sym >= d {
-			return fmt.Errorf("%w: huffman symbol out of range", errCorrupt)
-		}
-		idx[i] = sym
 	}
 	return nil
 }

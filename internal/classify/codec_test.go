@@ -251,8 +251,7 @@ func TestSpillChunkErrorsOnForgedSizes(t *testing.T) {
 	forged := append([]byte(nil), raw[:5]...)
 	forged = binary.AppendUvarint(forged, 1<<50) // declared rows
 	forged = append(forged, raw[5:]...)
-	forged = forged[:len(raw)] // keep the on-disk block length
-	binary.LittleEndian.PutUint32(forged, crc32.Checksum(forged[4:], castagnoli))
+	forged = resealCRC(forged[:len(raw)]) // keep the on-disk block length
 	if _, err := sp.f.WriteAt(forged, sp.offsets[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -262,37 +261,96 @@ func TestSpillChunkErrorsOnForgedSizes(t *testing.T) {
 	}
 }
 
+// resealCRC recomputes a block's frame checksum in place so validation
+// proceeds past it to the forged field behind.
+func resealCRC(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
+	return b
+}
+
+// withColumnTag returns a resealed copy of block whose first column tag
+// is rewritten to tag.
+func withColumnTag(block []byte, tag byte) []byte {
+	b := append([]byte(nil), block...)
+	_, k := binary.Uvarint(b[5:])
+	b[5+k] = tag
+	return resealCRC(b)
+}
+
+// TestDecodeBlockRejectsForgedInput feeds every corrupt frame through
+// every frame reader: the wide decode, zone-map extraction, checkpoint
+// restore into both store modes, and a projected column read (which
+// panics, like every scan-path load failure).
 func TestDecodeBlockRejectsForgedInput(t *testing.T) {
+	const n = 600
 	rng := rand.New(rand.NewSource(8))
-	rows := randomRows(rng, 600, 30)
+	rows := randomRows(rng, n, 30)
 	c := chunkOf(rows)
 	cc := GetCodec()
 	defer PutCodec(cc)
-	block := cc.EncodeBlock(c, true, nil)
+	block := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	cc.noSections = true
+	legacy := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	cc.noSections = false
 
-	reseal := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
-		return b
-	}
 	cases := map[string][]byte{
-		"empty":          {},
-		"short":          block[:5],
-		"truncated":      reseal(append([]byte(nil), block[:len(block)/2]...)),
-		"flipped byte":   func() []byte { b := append([]byte(nil), block...); b[len(b)/2] ^= 0x40; return b }(),
-		"bad flags":      reseal(func() []byte { b := append([]byte(nil), block...); b[4] = 9; return b }()),
-		"trailing bytes": reseal(append(append([]byte(nil), block...), 0, 1, 2)),
+		"empty":                 {},
+		"short":                 block[:5],
+		"truncated":             resealCRC(append([]byte(nil), block[:len(block)/2]...)),
+		"flipped byte":          func() []byte { b := append([]byte(nil), block...); b[len(b)/2] ^= 0x40; return b }(),
+		"bad flags":             resealCRC(func() []byte { b := append([]byte(nil), block...); b[4] = 9; return b }()),
+		"trailing bytes":        resealCRC(append(append([]byte(nil), block...), 0, 1, 2)),
+		"legacy trailing bytes": resealCRC(append(append([]byte(nil), legacy...), 0, 1, 2)),
+		"column tag 4":          withColumnTag(block, 4),
+		"column tag 4|lz4":      withColumnTag(block, 4|colLZ4),
 	}
 	for name, b := range cases {
-		buf := &Chunk{}
-		if err := DecodeBlockInto(b, 600, buf); err == nil {
-			t.Errorf("%s: decode succeeded on forged input", name)
+		if err := DecodeBlockInto(b, n, &Chunk{}); err == nil {
+			t.Errorf("%s: DecodeBlockInto accepted forged input", name)
+		}
+		if _, err := BlockZoneMap(b); err == nil {
+			t.Errorf("%s: BlockZoneMap accepted forged input", name)
+		}
+		for _, st := range []*MemStore{NewMemStoreCompressed(n), NewMemStoreChunked(n)} {
+			if err := st.RestoreChunk(b, make([]Class, n)); err == nil {
+				t.Errorf("%s: RestoreChunk (compressed=%v) accepted forged input", name, st.Compressed())
+			}
+		}
+		if !projectedReadPanics(rows, b) {
+			t.Errorf("%s: projected column read did not panic", name)
 		}
 	}
 	// Row-count mismatch against the store's expectation.
-	buf := &Chunk{}
-	if err := DecodeBlockInto(block, 601, buf); err == nil {
+	if err := DecodeBlockInto(block, n+1, &Chunk{}); err == nil {
 		t.Error("decode accepted a block with the wrong row count")
 	}
+	if err := NewMemStoreCompressed(n+1).RestoreChunk(block, make([]Class, n+1)); err == nil {
+		t.Error("restore accepted a block with the wrong row count")
+	}
+	// The unforged blocks pass every reader.
+	for _, b := range [][]byte{block, legacy} {
+		if err := NewMemStoreCompressed(n).RestoreChunk(b, make([]Class, n)); err != nil {
+			t.Errorf("restore of a valid block: %v", err)
+		}
+		if projectedReadPanics(rows, b) {
+			t.Error("projected read of a valid block panicked")
+		}
+	}
+}
+
+// projectedReadPanics reports whether reading one projected column of
+// a compressed store whose sealed block is swapped for block panics.
+func projectedReadPanics(rows []Row, block []byte) (panicked bool) {
+	st := NewMemStoreCompressed(len(rows))
+	for _, r := range rows {
+		st.Append(r)
+	}
+	st.blocks[0] = block
+	pc := ProjChunkAt(st, 0, Cols(ColIP), GetProj())
+	defer PutProj(pc)
+	defer func() { panicked = recover() != nil }()
+	pc.Col(ColIP)
+	return false
 }
 
 func TestLZ4RoundTrip(t *testing.T) {

@@ -2,7 +2,6 @@ package classify
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -10,7 +9,7 @@ import (
 // FuzzDecodeChunk hardens the chunk-block decoder: any byte string
 // must either decode cleanly or return an error — never panic, and
 // never allocate beyond what the validated row count justifies (forged
-// lengths, dictionary sizes, Huffman tables and LZ4 streams are all
+// lengths, dictionary sizes, column tags and LZ4 streams are all
 // checked before memory moves). Anything that decodes must survive a
 // re-encode/re-decode round trip with identical columns.
 //
@@ -41,16 +40,16 @@ func FuzzDecodeChunk(f *testing.F) {
 		valid[:len(valid)/2],
 	}
 	// Canonical corruptions: flipped payload byte (checksum), forged row
-	// count and forged column length (declared-size guards), resealed so
-	// validation proceeds past the checksum.
+	// count (declared-size guards) and a column tag rewritten to the
+	// retired tag 4 (unknown-tag guard), resealed so validation proceeds
+	// past the checksum.
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x10
 	seeds = append(seeds, flip)
 	forged := append([]byte(nil), valid[:5]...)
 	forged = binary.AppendUvarint(forged, 1<<40)
 	forged = append(forged, valid[5:]...)
-	binary.LittleEndian.PutUint32(forged, crc32.Checksum(forged[4:], castagnoli))
-	seeds = append(seeds, forged)
+	seeds = append(seeds, resealCRC(forged), withColumnTag(valid, 4))
 	PutCodec(cc)
 	for _, s := range seeds {
 		f.Add(s)

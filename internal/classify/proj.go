@@ -1,9 +1,7 @@
 package classify
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 )
@@ -94,6 +92,31 @@ func (v *ColView) wideBuf(n int) []uint64 {
 	return v.Vals
 }
 
+// widen returns the column as plain per-row values over n rows,
+// expanding runs or dictionary ids into Vals when the held form is not
+// already wide.
+func (v *ColView) widen(n int) []uint64 {
+	if v.Form == ViewWide {
+		return v.Vals
+	}
+	vals := v.wideBuf(n)
+	switch v.Form {
+	case ViewRuns:
+		i := 0
+		for _, r := range v.Runs {
+			for j := 0; j < r.Len; j++ {
+				vals[i+j] = r.Value
+			}
+			i += r.Len
+		}
+	case ViewDict:
+		for i, k := range v.Idx {
+			vals[i] = v.Dict[k]
+		}
+	}
+	return vals
+}
+
 // BlockReader is the optional Store interface behind the projection
 // fast path: stores that keep chunks as framed codec blocks expose the
 // raw block so ProjChunk can decode single columns out of it. Chunks
@@ -159,10 +182,8 @@ type ProjChunk struct {
 	widened ColSet // columns with a materialized Wide() expansion
 	fetched bool
 	block   []byte // non-nil: framed block; nil after fetch: wide chunk
-	tags    [numCols]byte
-	pays    [numCols][]byte
+	fr      frame
 	views   [numCols]ColView
-	zoneBuf ZoneMap
 	wide    *Chunk // wide fallback (resident or decoded full-width)
 	buf     *Chunk
 	scratch []byte
@@ -182,8 +203,8 @@ func PutProj(pc *ProjChunk) {
 	pc.st, pc.br = nil, nil
 	pc.block = nil
 	pc.wide = nil
-	for i := range pc.pays {
-		pc.pays[i] = nil
+	for i := range pc.fr.pays {
+		pc.fr.pays[i] = nil
 	}
 	projPool.Put(pc)
 }
@@ -227,8 +248,9 @@ func (pc *ProjChunk) codec() *ChunkCodec {
 }
 
 // fetch pulls the chunk's backing: the framed block for block-backed
-// stores (parsing the frame headers and, if none is resident, the
-// zone-map section), or the wide chunk for everything else.
+// stores (parsed by parseFrame; its zone map fills in when none is
+// resident), or the wide chunk for everything else. Payloads stay
+// encoded until a column is asked for.
 func (pc *ProjChunk) fetch() {
 	pc.fetched = true
 	if pc.br != nil {
@@ -237,8 +259,11 @@ func (pc *ProjChunk) fetch() {
 			panic(fmt.Sprintf("classify: read block %d: %v", pc.ci, err))
 		}
 		if block != nil {
-			if err := pc.loadFrame(block); err != nil {
+			if err := parseFrame(block, pc.rows, &pc.fr); err != nil {
 				panic(fmt.Sprintf("classify: project chunk %d: %v", pc.ci, err))
+			}
+			if pc.Zone == nil && pc.fr.hasZone {
+				pc.Zone = &pc.fr.zone
 			}
 			pc.block = block
 			return
@@ -248,64 +273,6 @@ func (pc *ProjChunk) fetch() {
 		pc.buf = &Chunk{}
 	}
 	pc.wide = MustChunk(pc.st, pc.ci, pc.buf)
-}
-
-// loadFrame validates the block frame exactly as DecodeBlock does and
-// records each column's tag and payload location; payloads themselves
-// stay encoded until a column is asked for.
-func (pc *ProjChunk) loadFrame(block []byte) error {
-	if len(block) < 6 {
-		return fmt.Errorf("%w: %d-byte block", errCorrupt, len(block))
-	}
-	if got, want := crc32.Checksum(block[4:], castagnoli), binary.LittleEndian.Uint32(block); got != want {
-		return fmt.Errorf("%w: checksum mismatch (%08x != %08x)", errCorrupt, got, want)
-	}
-	flags := block[4]
-	if flags&^byte(frameHasSections) != 0 {
-		return fmt.Errorf("%w: unknown format flags 0x%02x", errCorrupt, flags)
-	}
-	rest := block[5:]
-	rows64, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return fmt.Errorf("%w: bad row count", errCorrupt)
-	}
-	rest = rest[k:]
-	if int(rows64) != pc.rows {
-		return fmt.Errorf("%w: block declares %d rows, store expects %d", errCorrupt, rows64, pc.rows)
-	}
-	for col := 0; col < numCols; col++ {
-		if len(rest) < 1 {
-			return fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
-		}
-		pc.tags[col] = rest[0]
-		plen64, k := binary.Uvarint(rest[1:])
-		if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-			return fmt.Errorf("%w: bad payload length for column %d", errCorrupt, col)
-		}
-		pc.pays[col] = rest[1+k : 1+k+int(plen64)]
-		rest = rest[1+k+int(plen64):]
-	}
-	if flags&frameHasSections != 0 {
-		for len(rest) > 0 {
-			tag := rest[0]
-			if tag == 0 {
-				return fmt.Errorf("%w: reserved section tag", errCorrupt)
-			}
-			plen64, k := binary.Uvarint(rest[1:])
-			if k <= 0 || plen64 > uint64(len(rest)-1-k) {
-				return fmt.Errorf("%w: bad section length", errCorrupt)
-			}
-			payload := rest[1+k : 1+k+int(plen64)]
-			rest = rest[1+k+int(plen64):]
-			if tag == secZoneMap && pc.Zone == nil {
-				if err := parseZoneSection(payload, pc.rows, &pc.zoneBuf); err != nil {
-					return err
-				}
-				pc.Zone = &pc.zoneBuf
-			}
-		}
-	}
-	return nil
 }
 
 // Col returns column c's view, materializing it on first access: a
@@ -320,7 +287,7 @@ func (pc *ProjChunk) Col(c ColID) *ColView {
 		pc.fetch()
 	}
 	if pc.block != nil {
-		if err := pc.codec().decodeColumnView(pc.pays[c], pc.tags[c], pc.rows, colWidths[c], v); err != nil {
+		if err := pc.codec().decodeColumnView(&pc.fr, int(c), v); err != nil {
 			panic(fmt.Sprintf("classify: decode chunk %d column %d: %v", pc.ci, c, err))
 		}
 	} else {
@@ -381,26 +348,11 @@ func (pc *ProjChunk) viewFromWide(c ColID, v *ColView) {
 // already wide — the late-materialization escape hatch.
 func (pc *ProjChunk) Wide(c ColID) []uint64 {
 	v := pc.Col(c)
-	if v.Form == ViewWide || pc.widened.Has(c) {
-		return v.Vals
+	if !pc.widened.Has(c) {
+		v.widen(pc.rows)
+		pc.widened |= 1 << c
 	}
-	vals := v.wideBuf(pc.rows)
-	switch v.Form {
-	case ViewRuns:
-		i := 0
-		for _, r := range v.Runs {
-			for j := 0; j < r.Len; j++ {
-				vals[i+j] = r.Value
-			}
-			i += r.Len
-		}
-	case ViewDict:
-		for i, k := range v.Idx {
-			vals[i] = v.Dict[k]
-		}
-	}
-	pc.widened |= 1 << c
-	return vals
+	return v.Vals
 }
 
 // Runs returns column c as maximal (value, run) pairs, coalescing from

@@ -41,11 +41,14 @@ func NewInternerFromStrings(strs []string) (*Interner, error) {
 // plus its class column — to the store. Chunks must arrive in order on
 // a store that has seen no Append, and only the final restored chunk
 // may be partial (every checkpoint satisfies both by construction).
-// The store keeps full chunks in its native representation (block
-// reference in compressed mode, decoded wide columns otherwise); a
-// partial final chunk is decoded into the open/appendable tail either
-// way, with full chunkRows capacity so later appends never reallocate
-// column arrays out from under epoch snapshots.
+// The block is parsed and fully decoded here, so a corrupt frame, a
+// row-count mismatch or an unknown column tag is an error now rather
+// than a panic on the first scan. The store keeps full chunks in its
+// native representation (block reference in compressed mode, decoded
+// wide columns otherwise); a partial final chunk is decoded into the
+// open/appendable tail either way, with full chunkRows capacity so
+// later appends never reallocate column arrays out from under epoch
+// snapshots.
 func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	rows := len(classes)
 	if rows == 0 || rows > st.chunkRows {
@@ -54,38 +57,44 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	if st.n%st.chunkRows != 0 {
 		return fmt.Errorf("classify: restore after a partial chunk (%d rows so far)", st.n)
 	}
-	cls := make([]Class, rows, st.chunkRows)
-	copy(cls, classes)
-	if st.compress && rows == st.chunkRows {
-		st.blocks = append(st.blocks, append([]byte(nil), block...))
-		st.classes = append(st.classes, cls)
-		// Re-derive the sealed-chunk metadata from the block itself.
-		// Checkpoints written before zone maps existed yield a nil
-		// zone (pruning disabled for that chunk, reads unaffected);
-		// the validity of the frame is checked on first read as before.
-		if brows, tags, sizes, zm, zoneBytes, err := inspectBlock(block); err == nil && brows == rows {
-			st.zones = append(st.zones, zm)
-			st.breakdown.addBlock(rows, tags, sizes, zoneBytes)
-		} else {
-			st.zones = append(st.zones, nil)
-		}
-		st.n += rows
-		return nil
+	sealed := st.compress && rows == st.chunkRows
+	var c *Chunk
+	if sealed {
+		// The decode only validates; the store keeps the block.
+		c = GetChunk()
+		defer PutChunk(c)
+	} else {
+		c = &Chunk{}
+		c.grow(st.chunkRows)
 	}
-	c := &Chunk{}
-	c.grow(st.chunkRows)
 	cc := GetCodec()
 	defer PutCodec(cc)
-	if err := cc.DecodeBlock(block, rows, c); err != nil {
+	var f frame
+	err := parseFrame(block, rows, &f)
+	if err == nil {
+		err = cc.decodeFrame(&f, c)
+	}
+	if err != nil {
 		return fmt.Errorf("classify: restore chunk %d: %w", st.n/st.chunkRows, err)
 	}
-	c.Class = cls
-	if st.compress {
-		st.open = c
-	} else {
-		st.chunks = append(st.chunks, c)
-	}
+	cls := make([]Class, rows, st.chunkRows)
+	copy(cls, classes)
 	st.n += rows
+	if !sealed {
+		c.Class = cls
+		if st.compress {
+			st.open = c
+		} else {
+			st.chunks = append(st.chunks, c)
+		}
+		return nil
+	}
+	st.blocks = append(st.blocks, append([]byte(nil), block...))
+	st.classes = append(st.classes, cls)
+	// Checkpoints written before zone maps existed yield a nil zone:
+	// pruning is disabled for that chunk, reads are unaffected.
+	st.zones = append(st.zones, f.zoneMap())
+	st.breakdown.addBlock(rows, f.tags, f.sizes, f.zoneBytes)
 	return nil
 }
 

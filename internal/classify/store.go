@@ -430,8 +430,6 @@ func SchemeName(s int) string {
 		return "delta"
 	case colDict:
 		return "dict"
-	case colDictHuff:
-		return "dictHuff"
 	default:
 		return "unknown"
 	}

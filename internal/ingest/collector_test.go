@@ -26,8 +26,8 @@ const (
 	rigVisits = 8
 )
 
-func rig(t *testing.T) (*scenario.Scenario, map[int32][]Event, *scenario.Scenario) {
-	t.Helper()
+func rig(tb testing.TB) (*scenario.Scenario, map[int32][]Event, *scenario.Scenario) {
+	tb.Helper()
 	rigOnce.Do(func() {
 		p := scenario.Params{Seed: rigSeed, Scale: rigScale, VisitsPerUser: rigVisits}
 		rigWorld = scenario.BuildWorld(p)

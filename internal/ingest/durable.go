@@ -420,8 +420,9 @@ func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
 	return append(out, body...), nil
 }
 
-// errCkptCorrupt marks a checkpoint file recovery should skip in favor
-// of an older one (vs. a hard error like an identity mismatch).
+// errCkptCorrupt marks a checkpoint whose bytes fail validation (vs. an
+// identity or layout mismatch). Recover never falls back to an older
+// checkpoint on either: it fails loudly.
 var errCkptCorrupt = errors.New("ingest: corrupt checkpoint")
 
 // readCheckpoint parses and validates one checkpoint file.

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,35 +238,82 @@ func TestTornWALTailRecovered(t *testing.T) {
 	assertSameLive(t, c2.Flush(), want)
 }
 
-// TestCorruptCheckpointRefused: a checkpoint whose body no longer
-// matches its checksum must fail recovery loudly — its WAL prefix was
-// garbage-collected, so no fallback can be complete.
+// TestCorruptCheckpointRefused: a checkpoint that fails validation must
+// fail recovery loudly — its WAL prefix was garbage-collected, so no
+// fallback can be complete. The cases are a body that no longer matches
+// its checksum, and a resealed block carrying the retired column tag 4
+// in either store layout (the compressed store used to keep such a
+// block unchecked and panic on the first scan).
 func TestCorruptCheckpointRefused(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
-	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir, false))
-	sendAll(t, c1, batches)
-	if _, err := c1.FlushCheckpoint(); err != nil {
-		t.Fatal(err)
+	unknownTag := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "restore chunk 0") && strings.Contains(err.Error(), "unknown column tag")
 	}
-	cks, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-	if err != nil || len(cks) != 1 {
-		t.Fatalf("checkpoints = %v (%v), want exactly one", cks, err)
+	retire := func(b []byte) []byte { return forgeRetiredTag(t, b) }
+	cases := []struct {
+		name     string
+		compress bool
+		corrupt  func([]byte) []byte
+		want     func(error) bool
+	}{
+		{"flipped byte", false, func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+			func(err error) bool { return errors.Is(err, errCkptCorrupt) }},
+		{"retired tag wide", false, retire, unknownTag},
+		{"retired tag compressed", true, retire, unknownTag},
 	}
-	data, err := os.ReadFile(cks[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c1, _ := recoverNew(t, world, durableCfg(dir, tc.compress))
+			sendAll(t, c1, batches)
+			if _, err := c1.FlushCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			cks, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+			if err != nil || len(cks) != 1 {
+				t.Fatalf("checkpoints = %v (%v), want exactly one", cks, err)
+			}
+			data, err := os.ReadFile(cks[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cks[0], tc.corrupt(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c2 := NewCollector(world, durableCfg(dir, tc.compress))
+			defer c2.Close()
+			if _, err := c2.Recover(); !tc.want(err) {
+				t.Fatalf("recover = %v, want a corrupt-checkpoint error", err)
+			}
+		})
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(cks[0], data, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// forgeRetiredTag returns a copy of an XCKP1 payload whose first chunk
+// block has its first column tag rewritten to 4, the retired
+// entropy-coded dictionary scheme, with the block's frame checksum and
+// the checkpoint checksum both recomputed: a checkpoint as a build that
+// still wrote tag 4 could have left it.
+func forgeRetiredTag(tb testing.TB, ckpt []byte) []byte {
+	tb.Helper()
+	out := append([]byte(nil), ckpt...)
+	_, blocks, _, err := decodeCheckpoint(out) // blocks alias out
+	if err != nil || len(blocks) == 0 {
+		tb.Fatalf("decode checkpoint: %v (%d blocks)", err, len(blocks))
 	}
-	c2 := NewCollector(world, durableCfg(dir, false))
-	defer c2.Close()
-	if _, err := c2.Recover(); !errors.Is(err, errCkptCorrupt) {
-		t.Fatalf("recover = %v, want corrupt-checkpoint error", err)
-	}
+	b := blocks[0]
+	_, k := binary.Uvarint(b[5:]) // [crc32c][flags][uvarint rows][tag]...
+	b[5+k] = 4
+	binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], ckptCastagnoli))
+	return resealCheckpoint(out)
+}
+
+// resealCheckpoint recomputes an XCKP1 payload's body checksum in place.
+func resealCheckpoint(data []byte) []byte {
+	body := data[len(ckptMagic)+4:]
+	binary.LittleEndian.PutUint32(data[len(ckptMagic):], crc32.Checksum(body, ckptCastagnoli))
+	return data
 }
 
 // TestDurableGates: a durable collector rejects uploads before Recover

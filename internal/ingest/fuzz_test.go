@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"crossborder/internal/classify"
 )
 
 // FuzzDecodeBinary hardens the upload frame decoder: any byte string
@@ -93,5 +95,55 @@ func FuzzDecodeNDJSON(f *testing.F) {
 		if b.User != b2.User || b.Seq != b2.Seq || len(b.Events) != len(b2.Events) {
 			t.Fatalf("round trip changed the batch")
 		}
+	})
+}
+
+// FuzzDecodeCheckpoint hardens the checkpoint restore path end to end:
+// any byte string goes through decodeCheckpoint, every chunk it yields
+// through RestoreChunk on a compressed store, and the restored store
+// through one full projected scan. The outcome must be an error or a
+// clean scan — never a panic. The body checksum is recomputed first so
+// mutations reach the meta, chunk-table and block parsers behind it
+// (TestCorruptCheckpointRefused covers the checksum itself).
+//
+// Run with: go test -fuzz FuzzDecodeCheckpoint ./internal/ingest/
+func FuzzDecodeCheckpoint(f *testing.F) {
+	world, evs, _ := rig(f)
+	cfg := durableCfg("", true)
+	c := NewCollector(world, cfg)
+	for _, b := range batchList(evs, 137)[:4] {
+		if _, err := c.Ingest(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	c.Flush()
+	ckpt, _, err := c.EncodeSnapshot()
+	c.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	f.Add(ckpt[:len(ckpt)/2])
+	f.Add(forgeRetiredTag(f, ckpt))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= len(ckptMagic)+4 {
+			data = resealCheckpoint(append([]byte(nil), data...))
+		}
+		_, blocks, classes, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		st := classify.NewMemStoreCompressed(cfg.ChunkRows)
+		for ci := range blocks {
+			if err := st.RestoreChunk(blocks[ci], classes[ci]); err != nil {
+				return
+			}
+		}
+		st.ScanCols(classify.AllCols, func(_ int, pc *classify.ProjChunk) {
+			for col := classify.ColURLHash; col <= classify.ColFlags; col++ {
+				pc.Wide(col)
+			}
+		})
 	})
 }
