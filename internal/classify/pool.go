@@ -16,9 +16,9 @@ type workerPool struct {
 }
 
 type poolTask struct {
-	fn  func(w int)
-	w   int
-	wg  *sync.WaitGroup
+	fn func(w int)
+	w  int
+	wg *sync.WaitGroup
 }
 
 // newWorkerPool starts n pool goroutines. Close must be called to release

@@ -85,8 +85,8 @@ func (c *Client) shard(node string) *ingest.Client {
 // registry knew the node.
 func (c *Client) retarget(node string) bool {
 	var (
-		best     MemberRecord
-		found    bool
+		best  MemberRecord
+		found bool
 	)
 	for _, reg := range c.Registries {
 		recs, err := FetchMembers(c.HTTP, reg)

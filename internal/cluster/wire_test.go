@@ -64,7 +64,7 @@ func TestWireRejects(t *testing.T) {
 		t.Error("member with empty node accepted")
 	}
 	// Oversized strings are refused before allocation.
-	if _, err := DecodeHeartbeat(EncodeHeartbeat(Heartbeat{Node: strings.Repeat("n", maxWireString + 1)})); err == nil {
+	if _, err := DecodeHeartbeat(EncodeHeartbeat(Heartbeat{Node: strings.Repeat("n", maxWireString+1)})); err == nil {
 		t.Error("oversized node name accepted")
 	}
 	// Invalid state byte.

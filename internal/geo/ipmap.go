@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 
 	"crossborder/internal/geodata"
@@ -51,6 +52,10 @@ func DefaultMesh() *ProbeMesh {
 // produces a location estimate (the candidate country whose expected RTT
 // best explains the measurement, subject to the speed-of-light bound), and
 // the coordinator majority-votes the estimates (§3.4).
+//
+// NewIPMap reads Mesh once and builds its probe tables from it; mutating
+// the mesh afterwards is unsupported. The RTT model's fields are read per
+// measurement, so they may be set after construction.
 type IPMap struct {
 	World *netsim.World
 	Mesh  *ProbeMesh
@@ -64,29 +69,91 @@ type IPMap struct {
 	mu    sync.Mutex
 	cache map[netsim.IP]Location
 
-	candidates      []geodata.Country
-	probesByCountry map[geodata.Country][]int
+	// candidates are the countries a probe may estimate, indexed by
+	// geodata.Index (AllCountries order).
+	candidates []geodata.Country
+	// minPossible[r*len(candidates)+c] is the speed-of-light RTT floor
+	// from a probe in country r to candidate c. Row len(candidates)
+	// serves probes in unknown countries and is all zeros.
+	minPossible []float64
+	// byCountry lists the mesh's probe indices grouped by candidate, in
+	// mesh order within each group (int32 keeps it small on the
+	// ~11K-probe default mesh); countryStart[c] is where candidate c's
+	// group begins (countryStart[len(candidates)] == len(byCountry)).
+	byCountry    []int32
+	countryStart []int
+	// pools[c] is the refinement pool for coarse country c.
+	pools []refinePool
+}
+
+// refinePool is the set of probes IPmap refines with around one coarse
+// country: every probe in a candidate country within 2500 km, in
+// candidate order. cum[j] counts the probes of countries[0..j], so a draw
+// x in [0, cum[len-1]) lands on the same probe as indexing the pool's
+// concatenated probe list at x. A pool with no countries stands for the
+// whole mesh (the sparse-region fallback).
+type refinePool struct {
+	countries []int
+	cum       []int
 }
 
 // NewIPMap builds the active geolocator over the world's ground truth.
 func NewIPMap(w *netsim.World, mesh *ProbeMesh) *IPMap {
-	var cands []geodata.Country
+	m := &IPMap{
+		World:          w,
+		Mesh:           mesh,
+		ProbesPerQuery: 100,
+		Seed:           42,
+		cache:          make(map[netsim.IP]Location),
+	}
 	for _, c := range geodata.AllCountries() {
-		cands = append(cands, c.Code)
+		m.candidates = append(m.candidates, c.Code)
 	}
-	byCountry := make(map[geodata.Country][]int)
+	n := len(m.candidates)
+
+	// Group the probes by country with a stable counting sort.
+	m.countryStart = make([]int, n+1)
+	for _, p := range mesh.Probes {
+		if c := indexOf(p.Country); c >= 0 {
+			m.countryStart[c+1]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		m.countryStart[c+1] += m.countryStart[c]
+	}
+	m.byCountry = make([]int32, m.countryStart[n])
+	next := append([]int(nil), m.countryStart[:n]...)
 	for i, p := range mesh.Probes {
-		byCountry[p.Country] = append(byCountry[p.Country], i)
+		if c := indexOf(p.Country); c >= 0 {
+			m.byCountry[next[c]] = int32(i)
+			next[c]++
+		}
 	}
-	return &IPMap{
-		World:           w,
-		Mesh:            mesh,
-		ProbesPerQuery:  100,
-		Seed:            42,
-		cache:           make(map[netsim.IP]Location),
-		candidates:      cands,
-		probesByCountry: byCountry,
+
+	m.minPossible = make([]float64, (n+1)*n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			m.minPossible[r*n+c] = m.RTT.MinPossibleAt(r, c)
+		}
 	}
+
+	m.pools = make([]refinePool, n)
+	for coarse := range m.pools {
+		var pool refinePool
+		total := 0
+		for c := 0; c < n; c++ { // candidate order is deterministic
+			k := m.countryStart[c+1] - m.countryStart[c]
+			if k > 0 && geodata.DistanceKmAt(c, coarse) <= 2500 {
+				total += k
+				pool.countries = append(pool.countries, c)
+				pool.cum = append(pool.cum, total)
+			}
+		}
+		if total >= 20 {
+			m.pools[coarse] = pool
+		}
+	}
+	return m
 }
 
 // Name implements Service.
@@ -139,59 +206,81 @@ func (m *IPMap) MeasureVotes(ip netsim.IP) ([]Vote, bool) {
 	if !ok {
 		return nil, false
 	}
-	return m.votes(ip, truth), true
+	var votes []Vote
+	m.votes(ip, truth, func(probe int, rttMs float64, estimate int) {
+		votes = append(votes, Vote{Probe: m.Mesh.Probes[probe], RTTms: rttMs, Estimate: m.candidates[estimate]})
+	})
+	return votes, true
 }
 
-func (m *IPMap) votes(ip netsim.IP, truth geodata.Country) []Vote {
+// votes runs one IP's measurement and hands each refinement probe's
+// reply to vote: the probe's mesh index, its RTT and the candidate index
+// of its estimate.
+func (m *IPMap) votes(ip netsim.IP, truthCountry geodata.Country, vote func(probe int, rttMs float64, estimate int)) {
+	truth := indexOf(truthCountry)
 	// Per-IP deterministic RNG: same IP, same probes, same jitter.
 	rng := rand.New(rand.NewSource(m.Seed ^ int64(ip)*0x9e3779b9))
 	k := m.ProbesPerQuery
 	if k <= 0 {
 		k = 100
 	}
+	probes := len(m.Mesh.Probes)
 
 	// Phase 1 — coarse localization: a couple dozen random probes
 	// measure; the country of the minimum-RTT probe anchors the region.
 	coarse := truth // fallback, only when mesh is empty
 	bestRTT := -1.0
-	for i := 0; i < 25 && len(m.Mesh.Probes) > 0; i++ {
-		p := m.Mesh.Probes[rng.Intn(len(m.Mesh.Probes))]
-		rtt := m.minRTT(rng, p.Country, truth)
+	for i := 0; i < 25 && probes > 0; i++ {
+		from := indexOf(m.Mesh.Probes[rng.Intn(probes)].Country)
+		rtt := m.minRTT(rng, from, truth)
 		if bestRTT < 0 || rtt < bestRTT {
-			coarse, bestRTT = p.Country, rtt
+			coarse, bestRTT = from, rtt
 		}
 	}
 
 	// Phase 2 — refinement: IPmap tasks probes near the presumed
 	// location. Sample k probes from countries within 2500 km of the
-	// coarse country; fall back to the whole mesh if the region is sparse.
-	var regional []int
-	for _, c := range m.candidates { // candidate order is deterministic
-		if d := geodata.DistanceKm(c, coarse); d >= 0 && d <= 2500 {
-			regional = append(regional, m.probesByCountry[c]...)
-		}
+	// coarse country; fall back to the whole mesh if the region is sparse
+	// or the coarse country is unknown.
+	var pool refinePool
+	if coarse >= 0 {
+		pool = m.pools[coarse]
 	}
-	if len(regional) < 20 {
-		regional = regional[:0]
-		for i := range m.Mesh.Probes {
-			regional = append(regional, i)
-		}
-	}
-	votes := make([]Vote, 0, k)
 	for i := 0; i < k; i++ {
-		p := m.Mesh.Probes[regional[rng.Intn(len(regional))]]
-		rtt := m.minRTT(rng, p.Country, truth)
-		votes = append(votes, Vote{Probe: p, RTTms: rtt, Estimate: m.estimate(p, rtt)})
+		var probe, from int
+		if len(pool.countries) == 0 {
+			probe = rng.Intn(probes)
+			from = indexOf(m.Mesh.Probes[probe].Country)
+		} else {
+			x := rng.Intn(pool.cum[len(pool.cum)-1])
+			j := sort.SearchInts(pool.cum, x+1)
+			if j > 0 {
+				x -= pool.cum[j-1]
+			}
+			from = pool.countries[j]
+			probe = int(m.byCountry[m.countryStart[from]+x])
+		}
+		rtt := m.minRTT(rng, from, truth)
+		vote(probe, rtt, m.estimate(from, rtt))
 	}
-	return votes
+}
+
+// indexOf returns c's candidate index (geodata.Index), -1 for a country
+// geodata does not know.
+func indexOf(c geodata.Country) int {
+	if i, ok := geodata.Index(c); ok {
+		return i
+	}
+	return -1
 }
 
 // minRTT is a probe's measurement: the minimum of three pings, the
-// standard way active geolocation suppresses queueing jitter.
-func (m *IPMap) minRTT(rng *rand.Rand, from, to geodata.Country) float64 {
-	best := m.RTT.Measure(rng, from, to)
+// standard way active geolocation suppresses queueing jitter. Countries
+// are candidate indices, -1 for unknown.
+func (m *IPMap) minRTT(rng *rand.Rand, from, to int) float64 {
+	best := m.RTT.MeasureAt(rng, from, to)
 	for i := 0; i < 2; i++ {
-		if r := m.RTT.Measure(rng, from, to); r < best {
+		if r := m.RTT.MeasureAt(rng, from, to); r < best {
 			best = r
 		}
 	}
@@ -200,12 +289,17 @@ func (m *IPMap) minRTT(rng *rand.Rand, from, to geodata.Country) float64 {
 
 // estimate implements one probe's reasoning: among candidate countries
 // whose speed-of-light minimum does not exceed the measured RTT, pick the
-// one whose expected RTT best matches the measurement.
-func (m *IPMap) estimate(p Probe, rttMs float64) geodata.Country {
-	best := p.Country
-	bestErr := -1.0
-	for _, cand := range m.candidates {
-		minPossible := m.RTT.MinPossible(p.Country, cand)
+// one whose expected RTT best matches the measurement. from is the
+// probe's candidate index (-1 for unknown) and the result is a candidate
+// index. The probe's own country has a floor of 0 (an unknown country's
+// whole row is 0), so some candidate always passes the filter.
+func (m *IPMap) estimate(from int, rttMs float64) int {
+	n := len(m.candidates)
+	if from < 0 {
+		from = n
+	}
+	best, bestErr := 0, -1.0
+	for c, minPossible := range m.minPossible[from*n : from*n+n] {
 		if minPossible > rttMs {
 			continue // physically impossible, candidate excluded
 		}
@@ -217,24 +311,22 @@ func (m *IPMap) estimate(p Probe, rttMs float64) geodata.Country {
 			err = -err
 		}
 		if bestErr < 0 || err < bestErr {
-			best, bestErr = cand, err
+			best, bestErr = c, err
 		}
 	}
 	return best
 }
 
-// measure majority-votes the probes' estimates.
+// measure majority-votes the probes' estimates: the most votes wins, ties
+// going to the smaller country code.
 func (m *IPMap) measure(ip netsim.IP, truth geodata.Country) Location {
-	votes := m.votes(ip, truth)
-	counts := make(map[geodata.Country]int)
-	for _, v := range votes {
-		counts[v.Estimate]++
-	}
+	counts := make([]int, len(m.candidates))
+	m.votes(ip, truth, func(_ int, _ float64, estimate int) { counts[estimate]++ })
 	var winner geodata.Country
-	bestN := -1
+	bestN := 0
 	for c, n := range counts {
-		if n > bestN || (n == bestN && c < winner) {
-			winner, bestN = c, n
+		if n > bestN || (n == bestN && n > 0 && m.candidates[c] < winner) {
+			winner, bestN = m.candidates[c], n
 		}
 	}
 	return locOf(winner)

@@ -1,0 +1,282 @@
+package geo
+
+import (
+	"math/rand"
+	"testing"
+
+	"crossborder/internal/geodata"
+	"crossborder/internal/netsim"
+)
+
+// refProbesByCountry groups a mesh's probe indices by country, in mesh
+// order: the index the per-call geolocator kept.
+func refProbesByCountry(mesh *ProbeMesh) map[geodata.Country][]int {
+	by := make(map[geodata.Country][]int)
+	for i, p := range mesh.Probes {
+		by[p.Country] = append(by[p.Country], i)
+	}
+	return by
+}
+
+// refVotes is the per-call geolocator the probe tables replaced, kept as
+// the oracle: it recomputes every distance and speed-of-light floor
+// through the country-keyed geodata and netsim APIs and rebuilds the
+// refinement pool for every IP.
+func refVotes(m *IPMap, byCountry map[geodata.Country][]int, ip netsim.IP) ([]Vote, bool) {
+	truth, ok := m.truthCountry(ip)
+	if !ok {
+		return nil, false
+	}
+	var cands []geodata.Country
+	for _, c := range geodata.AllCountries() {
+		cands = append(cands, c.Code)
+	}
+	minRTT := func(rng *rand.Rand, from, to geodata.Country) float64 {
+		best := m.RTT.Measure(rng, from, to)
+		for i := 0; i < 2; i++ {
+			if r := m.RTT.Measure(rng, from, to); r < best {
+				best = r
+			}
+		}
+		return best
+	}
+	estimate := func(p Probe, rttMs float64) geodata.Country {
+		best := p.Country
+		bestErr := -1.0
+		for _, cand := range cands {
+			minPossible := m.RTT.MinPossible(p.Country, cand)
+			if minPossible > rttMs {
+				continue
+			}
+			expected := minPossible*1.3 + 5.5
+			err := expected - rttMs
+			if err < 0 {
+				err = -err
+			}
+			if bestErr < 0 || err < bestErr {
+				best, bestErr = cand, err
+			}
+		}
+		return best
+	}
+
+	rng := rand.New(rand.NewSource(m.Seed ^ int64(ip)*0x9e3779b9))
+	k := m.ProbesPerQuery
+	if k <= 0 {
+		k = 100
+	}
+	coarse := truth
+	bestRTT := -1.0
+	for i := 0; i < 25 && len(m.Mesh.Probes) > 0; i++ {
+		p := m.Mesh.Probes[rng.Intn(len(m.Mesh.Probes))]
+		rtt := minRTT(rng, p.Country, truth)
+		if bestRTT < 0 || rtt < bestRTT {
+			coarse, bestRTT = p.Country, rtt
+		}
+	}
+	var regional []int
+	for _, c := range cands {
+		if d := geodata.DistanceKm(c, coarse); d >= 0 && d <= 2500 {
+			regional = append(regional, byCountry[c]...)
+		}
+	}
+	if len(regional) < 20 {
+		regional = regional[:0]
+		for i := range m.Mesh.Probes {
+			regional = append(regional, i)
+		}
+	}
+	votes := make([]Vote, 0, k)
+	for i := 0; i < k; i++ {
+		p := m.Mesh.Probes[regional[rng.Intn(len(regional))]]
+		rtt := minRTT(rng, p.Country, truth)
+		votes = append(votes, Vote{Probe: p, RTTms: rtt, Estimate: estimate(p, rtt)})
+	}
+	return votes, true
+}
+
+// refMajority is the oracle's vote: most votes, ties to the smaller code.
+func refMajority(votes []Vote) geodata.Country {
+	counts := make(map[geodata.Country]int)
+	for _, v := range votes {
+		counts[v.Estimate]++
+	}
+	var winner geodata.Country
+	bestN := -1
+	for c, n := range counts {
+		if n > bestN || (n == bestN && c < winner) {
+			winner, bestN = c, n
+		}
+	}
+	return winner
+}
+
+// oracleWorld extends buildWorld with an eyeball block in every known
+// country and a server and eyeball block in a country geodata does not
+// know, so a truth country can be unknown.
+func oracleWorld(t testing.TB) (*netsim.World, []netsim.IP) {
+	t.Helper()
+	w, ips := buildWorld(t)
+	w.Deploy(w.Org("acme-dsp"), "XX", "", 24)
+	w.Freeze()
+	for _, d := range w.Deployments(w.Org("acme-dsp")) {
+		if d.Country == "XX" {
+			ips = append(ips, d.Block.Nth(1), d.Block.Nth(2))
+		}
+	}
+	for _, c := range geodata.AllCountries() {
+		ips = append(ips, w.EyeballBlock(c.Code).Nth(9))
+	}
+	ips = append(ips, w.EyeballBlock("XX").Nth(3))
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		ips = append(ips, netsim.IP(rng.Uint32()))
+	}
+	return w, ips
+}
+
+// assertMatchesOracle checks MeasureVotes and Locate against refVotes
+// vote for vote on every IP.
+func assertMatchesOracle(t *testing.T, m *IPMap, ips []netsim.IP) {
+	t.Helper()
+	byCountry := refProbesByCountry(m.Mesh)
+	located := 0
+	for _, ip := range ips {
+		want, wantOK := refVotes(m, byCountry, ip)
+		got, gotOK := m.MeasureVotes(ip)
+		if gotOK != wantOK {
+			t.Fatalf("%s: MeasureVotes ok=%v, oracle ok=%v", ip, gotOK, wantOK)
+		}
+		loc, locOK := m.Locate(ip)
+		if locOK != wantOK {
+			t.Fatalf("%s: Locate ok=%v, oracle ok=%v", ip, locOK, wantOK)
+		}
+		if !wantOK {
+			continue
+		}
+		located++
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d votes, oracle has %d", ip, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: vote %d = %+v, oracle %+v", ip, i, got[i], want[i])
+			}
+		}
+		if w := locOf(refMajority(want)); loc != w {
+			t.Fatalf("%s: Locate = %+v, oracle majority %+v", ip, loc, w)
+		}
+	}
+	if located == 0 {
+		t.Fatal("no IP was located")
+	}
+}
+
+func TestIPMapMatchesOracle(t *testing.T) {
+	w, ips := oracleWorld(t)
+	// Mostly probes in countries geodata does not know: the all-zero
+	// speed-of-light row, and (for targets in unknown countries, where
+	// every probe measures the same 9000 km path) an unknown coarse
+	// country, beside dense DE and US pools.
+	withUnknown := &ProbeMesh{}
+	for i := 0; i < 60; i++ {
+		withUnknown.Probes = append(withUnknown.Probes, Probe{"XX"})
+		if i%12 == 0 {
+			withUnknown.Probes = append(withUnknown.Probes, Probe{"ZZ"})
+		}
+		if i%2 == 0 {
+			withUnknown.Probes = append(withUnknown.Probes, Probe{"DE"}, Probe{"US"})
+		}
+	}
+	// Fewer than 20 probes in every region: each refinement falls back to
+	// the whole mesh.
+	sparse := &ProbeMesh{}
+	for _, c := range []geodata.Country{"US", "JP", "BR", "AU", "ZA", "DE", "XX"} {
+		sparse.Probes = append(sparse.Probes, Probe{c}, Probe{c})
+	}
+	// Both pool kinds in one mesh, at the threshold: JP's region holds
+	// exactly 20 probes (a pool), AU's 19 (the whole-mesh fallback).
+	mixed := &ProbeMesh{}
+	for i := 0; i < 30; i++ {
+		mixed.Probes = append(mixed.Probes, Probe{"DE"})
+		if i < 20 {
+			mixed.Probes = append(mixed.Probes, Probe{"JP"})
+		}
+		if i < 19 {
+			mixed.Probes = append(mixed.Probes, Probe{"AU"})
+		}
+		if i%10 == 0 {
+			mixed.Probes = append(mixed.Probes, Probe{"NL"})
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		mesh  *ProbeMesh
+		rtt   netsim.RTTModel
+		seed  int64
+		perIP int
+	}{
+		{name: "default", mesh: DefaultMesh()},
+		{name: "custom-rtt-model", mesh: DefaultMesh(),
+			rtt: netsim.RTTModel{LastMileMs: 2.5, JitterMs: 14, PathStretch: 1.7}, seed: 9, perIP: 60},
+		{name: "unknown-probe-countries", mesh: withUnknown, seed: 3},
+		{name: "sparse-fallback", mesh: sparse},
+		{name: "mixed-pools", mesh: mixed, rtt: netsim.RTTModel{JitterMs: 25}, perIP: 130},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewIPMap(w, tc.mesh)
+			m.RTT = tc.rtt
+			if tc.seed != 0 {
+				m.Seed = tc.seed
+			}
+			if tc.perIP != 0 {
+				m.ProbesPerQuery = tc.perIP
+			}
+			assertMatchesOracle(t, m, ips)
+		})
+	}
+}
+
+// BenchmarkIPMapLocateCold locates ~2,000 distinct IPs with a fresh
+// IPMap per op, so no answer comes from the cache: table is the
+// geolocator, oracle the per-call body it replaced.
+func BenchmarkIPMapLocateCold(b *testing.B) {
+	w := netsim.NewWorld()
+	org := w.AddOrg("acme", netsim.KindAdTech, "US")
+	var ips []netsim.IP
+	for i, c := range geodata.AllCountries() {
+		d := w.Deploy(org, c.Code, "", 24)
+		for j := uint32(0); j < 16; j++ {
+			ips = append(ips, d.Block.Nth(j))
+		}
+		for j := uint32(0); j < 17; j++ {
+			ips = append(ips, w.EyeballBlock(c.Code).Nth(j+uint32(i)))
+		}
+	}
+	w.Freeze()
+	mesh := DefaultMesh()
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := NewIPMap(w, mesh)
+			for _, ip := range ips {
+				if _, ok := m.Locate(ip); !ok {
+					b.Fatalf("missed %s", ip)
+				}
+			}
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := NewIPMap(w, mesh)
+			byCountry := refProbesByCountry(mesh)
+			for _, ip := range ips {
+				votes, ok := refVotes(m, byCountry, ip)
+				if !ok {
+					b.Fatalf("missed %s", ip)
+				}
+				_ = refMajority(votes)
+			}
+		}
+	})
+}

@@ -18,6 +18,22 @@ func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 	return 2 * earthRadiusKm * math.Atan2(math.Sqrt(a), math.Sqrt(1-a))
 }
 
+// distKm holds every ordered pair's great-circle distance, row-major by
+// Index: distKm[i*len(countries)+j] is HaversineKm from country i to
+// country j. Each ordered pair is computed on its own, so the table holds
+// exactly what HaversineKm returns for that argument order.
+var distKm []float64
+
+func initDistances() {
+	n := len(countries)
+	distKm = make([]float64, n*n)
+	for i, a := range countries {
+		for j, b := range countries {
+			distKm[i*n+j] = HaversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+		}
+	}
+}
+
 // DistanceKm returns the great-circle distance between two countries'
 // reference cities, or -1 if either country is unknown.
 func DistanceKm(a, b Country) float64 {
@@ -29,7 +45,12 @@ func DistanceKm(a, b Country) float64 {
 	if !ok {
 		return -1
 	}
-	return HaversineKm(ia.Lat, ia.Lon, ib.Lat, ib.Lon)
+	return DistanceKmAt(ia, ib)
+}
+
+// DistanceKmAt is DistanceKm for two countries given by Index.
+func DistanceKmAt(i, j int) float64 {
+	return distKm[i*len(countries)+j]
 }
 
 // MinRTTms returns the physically minimal round-trip time in milliseconds

@@ -148,36 +148,48 @@ var countries = []Info{
 	{"NZ", "New Zealand", Oceania, -36.85, 174.76, 10},
 }
 
-var byCode map[Country]Info
+// byCode maps a country code to its dense index: its position in
+// countries, which is also AllCountries order.
+var byCode map[Country]int
 
 func init() {
-	byCode = make(map[Country]Info, len(countries))
-	for _, c := range countries {
+	byCode = make(map[Country]int, len(countries))
+	for i, c := range countries {
 		if _, dup := byCode[c.Code]; dup {
 			panic("geodata: duplicate country " + string(c.Code))
 		}
-		byCode[c.Code] = c
+		byCode[c.Code] = i
 	}
+	initDistances()
+}
+
+// Index returns the country's dense index: its position in
+// AllCountries. ok is false for an unknown code.
+func Index(code Country) (int, bool) {
+	i, ok := byCode[code]
+	return i, ok
 }
 
 // Lookup returns the reference data for a country code.
 func Lookup(code Country) (Info, bool) {
-	info, ok := byCode[code]
-	return info, ok
+	if i, ok := byCode[code]; ok {
+		return countries[i], true
+	}
+	return Info{}, false
 }
 
 // Name returns the country's display name, or the code itself if unknown.
 func Name(code Country) string {
-	if info, ok := byCode[code]; ok {
-		return info.Name
+	if i, ok := byCode[code]; ok {
+		return countries[i].Name
 	}
 	return string(code)
 }
 
 // ContinentOf returns the region a country belongs to.
 func ContinentOf(code Country) Continent {
-	if info, ok := byCode[code]; ok {
-		return info.Continent
+	if i, ok := byCode[code]; ok {
+		return countries[i].Continent
 	}
 	return ContinentUnknown
 }
@@ -207,8 +219,8 @@ func EU28Countries() []Info {
 // InfraDensity returns the IT-infrastructure density index for a country,
 // or zero if unknown.
 func InfraDensity(code Country) int {
-	if info, ok := byCode[code]; ok {
-		return info.InfraDensity
+	if i, ok := byCode[code]; ok {
+		return countries[i].InfraDensity
 	}
 	return 0
 }

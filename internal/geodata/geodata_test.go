@@ -111,6 +111,38 @@ func TestHaversineKnownDistances(t *testing.T) {
 	}
 }
 
+// TestDistanceTableMatchesHaversine pins the distance table to the
+// formula it caches: every ordered pair, compared bit for bit, and -1
+// whenever either code is unknown.
+func TestDistanceTableMatchesHaversine(t *testing.T) {
+	all := AllCountries()
+	for i, a := range all {
+		if got, ok := Index(a.Code); !ok || got != i {
+			t.Fatalf("Index(%s) = %d, %v; want %d, true", a.Code, got, ok, i)
+		}
+		for j, b := range all {
+			want := HaversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+			if got := DistanceKm(a.Code, b.Code); got != want {
+				t.Fatalf("DistanceKm(%s, %s) = %v, HaversineKm gives %v", a.Code, b.Code, got, want)
+			}
+			if got := DistanceKmAt(i, j); got != want {
+				t.Fatalf("DistanceKmAt(%d, %d) = %v, HaversineKm gives %v", i, j, got, want)
+			}
+		}
+		for _, unknown := range []Country{"", "??", "XX", "de"} {
+			if d := DistanceKm(a.Code, unknown); d != -1 {
+				t.Fatalf("DistanceKm(%s, %q) = %v, want -1", a.Code, unknown, d)
+			}
+			if d := DistanceKm(unknown, a.Code); d != -1 {
+				t.Fatalf("DistanceKm(%q, %s) = %v, want -1", unknown, a.Code, d)
+			}
+		}
+	}
+	if _, ok := Index("XX"); ok {
+		t.Error("Index(XX) found, want missing")
+	}
+}
+
 func TestHaversineProperties(t *testing.T) {
 	// Symmetry and non-negativity over random coordinates.
 	f := func(lat1, lon1, lat2, lon2 float64) bool {

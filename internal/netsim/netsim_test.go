@@ -250,6 +250,47 @@ func TestRTTUnknownCountry(t *testing.T) {
 	}
 }
 
+// TestRTTByIndexMatchesFormula pins Measure, MeasureAt, MinPossible and
+// MinPossibleAt to the model's formula over every country pair and the
+// unknown-country rules, for the default and an explicit parameter set.
+func TestRTTByIndexMatchesFormula(t *testing.T) {
+	all := geodata.AllCountries()
+	for _, tc := range []struct {
+		m                         RTTModel
+		stretch, lastMile, jitter float64
+	}{
+		{RTTModel{}, 1.3, 4, 6},
+		{RTTModel{LastMileMs: 2.5, JitterMs: 11, PathStretch: 1.9}, 1.9, 2.5, 11},
+	} {
+		byCode, byIndex, want := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		check := func(from, to geodata.Country, i, j int, d, floor float64) {
+			t.Helper()
+			w := geodata.MinRTTms(d)*tc.stretch + tc.lastMile + want.Float64()*tc.jitter
+			if got := tc.m.Measure(byCode, from, to); got != w {
+				t.Fatalf("%+v: Measure(%q, %q) = %v, want %v", tc.m, from, to, got, w)
+			}
+			if got := tc.m.MeasureAt(byIndex, i, j); got != w {
+				t.Fatalf("%+v: MeasureAt(%d, %d) = %v, want %v", tc.m, i, j, got, w)
+			}
+			if got := tc.m.MinPossible(from, to); got != floor {
+				t.Fatalf("MinPossible(%q, %q) = %v, want %v", from, to, got, floor)
+			}
+			if got := tc.m.MinPossibleAt(i, j); got != floor {
+				t.Fatalf("MinPossibleAt(%d, %d) = %v, want %v", i, j, got, floor)
+			}
+		}
+		for i, a := range all {
+			for j, b := range all {
+				d := geodata.HaversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+				check(a.Code, b.Code, i, j, d, geodata.MinRTTms(d))
+			}
+			// Unknown countries measure as a 9000 km path with no floor.
+			check(a.Code, "??", i, -1, 9000, 0)
+			check("??", a.Code, -1, i, 9000, 0)
+		}
+	}
+}
+
 func TestOrgKindStrings(t *testing.T) {
 	kinds := []OrgKind{KindMajorAdTech, KindAdTech, KindExchange, KindCDN, KindWidget, KindHoster}
 	seen := map[string]bool{}

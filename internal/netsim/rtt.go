@@ -49,11 +49,17 @@ func (m RTTModel) stretch() float64 {
 // rng supplies the jitter; results are always >= the physical minimum for
 // the distance.
 func (m RTTModel) Measure(rng *rand.Rand, from, to geodata.Country) float64 {
-	d := geodata.DistanceKm(from, to)
-	if d < 0 {
-		// Unknown country: behave like an intercontinental path so the
-		// geolocator cannot accidentally "confirm" a bogus location.
-		d = 9000
+	return m.MeasureAt(rng, countryIndex(from), countryIndex(to))
+}
+
+// MeasureAt is Measure for countries given by geodata.Index; a negative
+// index stands for an unknown country.
+func (m RTTModel) MeasureAt(rng *rand.Rand, from, to int) float64 {
+	// Unknown country: behave like an intercontinental path so the
+	// geolocator cannot accidentally "confirm" a bogus location.
+	d := 9000.0
+	if from >= 0 && to >= 0 {
+		d = geodata.DistanceKmAt(from, to)
 	}
 	base := geodata.MinRTTms(d) * m.stretch()
 	return base + m.lastMile() + rng.Float64()*m.jitter()
@@ -62,9 +68,22 @@ func (m RTTModel) Measure(rng *rand.Rand, from, to geodata.Country) float64 {
 // MinPossible returns the physical lower bound for an RTT between the two
 // countries, used by the geolocator's speed-of-light filter.
 func (m RTTModel) MinPossible(from, to geodata.Country) float64 {
-	d := geodata.DistanceKm(from, to)
-	if d < 0 {
+	return m.MinPossibleAt(countryIndex(from), countryIndex(to))
+}
+
+// MinPossibleAt is MinPossible for countries given by geodata.Index; a
+// negative index stands for an unknown country, whose bound is 0.
+func (m RTTModel) MinPossibleAt(from, to int) float64 {
+	if from < 0 || to < 0 {
 		return 0
 	}
-	return geodata.MinRTTms(d)
+	return geodata.MinRTTms(geodata.DistanceKmAt(from, to))
+}
+
+// countryIndex returns geodata.Index(c), or -1 for an unknown code.
+func countryIndex(c geodata.Country) int {
+	if i, ok := geodata.Index(c); ok {
+		return i
+	}
+	return -1
 }
