@@ -508,8 +508,9 @@ func BenchmarkIngestThroughput(b *testing.B) {
 // with write-ahead journaling in the loop. "interval" is the default
 // deployment policy; "always" pays one fsync per upload batch and is
 // required to stay within 2x of the memory baseline; "checkpoint" adds
-// the epoch-checkpoint write (store re-encode + atomic rename + fsync)
-// a durable /v1/flush performs on top of interval journaling.
+// the epoch-checkpoint write (block segment of the newly sealed chunks
+// + checkpoint file, each atomic rename + fsync) a durable /v1/flush
+// performs on top of interval journaling.
 func BenchmarkIngestThroughputWAL(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -577,14 +578,15 @@ func BenchmarkIngestThroughputHTTP(b *testing.B) {
 // by the same consistent-hash ring collectd deployments use, WAL
 // journaling with byte-cadenced auto-checkpoints — and reports
 // aggregate events/sec. The in-epoch pipeline is incremental (O(new
-// events)), so the dataset-sized cost a cluster actually shards is the
-// checkpoint: at a fixed per-node durability budget (CheckpointBytes
-// of uncovered WAL) the single collector keeps re-encoding its whole
-// growing store, while each of eight shards re-encodes a ~1/8-size
-// store ~1/8 as often. The shards run sequentially here, so the
-// speedup is pure work reduction — one-core honest; multicore
-// deployments multiply it. shards=8 aggregate throughput is pinned at
-// >=3x shards=1 in BENCH_baseline.json.
+// events)). Checkpoints write each sealed chunk block once, so at a
+// fixed per-node durability budget (CheckpointBytes of uncovered WAL)
+// a checkpoint's cost follows the chunks sealed since the last one plus
+// the per-checkpoint state (class bytes, interner, sequence floors),
+// which a single collector carries for the whole store and each of
+// eight shards for a ~1/8 slice. The shards run sequentially here, so
+// any speedup is pure work reduction — one-core honest; multicore
+// deployments multiply it. Both sizes carry absolute pins in
+// BENCH_baseline.json.
 func BenchmarkClusterIngest(b *testing.B) {
 	world, batches, total := benchIngestCapture(b)
 	root := b.TempDir()

@@ -1,8 +1,8 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"crossborder/internal/chaos"
@@ -43,7 +43,7 @@ func TestChaosTornCheckpointLeavesOldIntact(t *testing.T) {
 	if err != nil || len(ckpts) != 1 {
 		t.Fatalf("healed publish left checkpoints %v (err %v); want exactly one", ckpts, err)
 	}
-	if _, _, _, err := readCheckpoint(chaos.OS, filepath.Join(dir, ckptName(ckpts[0]))); err != nil {
+	if _, _, _, err := readCheckpoint(chaos.OS, dir, ckptName(ckpts[0])); err != nil {
 		t.Fatalf("healed checkpoint unreadable: %v", err)
 	}
 
@@ -80,4 +80,133 @@ func TestChaosShortCheckpointWriteIsTransient(t *testing.T) {
 
 	rec, _ := recoverNew(t, world, durableCfg(dir, false))
 	assertSameLive(t, rec.Snapshot(), want)
+}
+
+// tearAfterFS passes renames to the embedded FS, except that once armed
+// it lets pass more renames through and then routes every later one to
+// torn (a FaultFS with RenameFail 1). Armed with pass 1, a checkpoint's
+// segment publish goes through and its manifest publish is torn.
+type tearAfterFS struct {
+	chaos.FS
+	torn  chaos.FS
+	armed bool
+	pass  int
+}
+
+func (f *tearAfterFS) Rename(oldpath, newpath string) error {
+	if f.armed {
+		if f.pass == 0 {
+			return f.torn.Rename(oldpath, newpath)
+		}
+		f.pass--
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// tornManifestFlush checkpoints the first third of the stream cleanly,
+// then flushes the second third with the manifest rename torn: the new
+// block segment publishes, the checkpoint naming it does not. It
+// returns the collector, the injector (heal it to end the fault), the
+// segments the surviving checkpoint names, and the orphan's name.
+func tornManifestFlush(t *testing.T, dir string, batches []Batch) (*Collector, *chaos.Injector, map[string][]byte, string) {
+	t.Helper()
+	world, _, _ := rig(t)
+	inj := chaos.New(0x5E6)
+	fs := &tearAfterFS{FS: chaos.OS, torn: chaos.NewFaultFS(inj, "ckpt", chaos.FSFaults{RenameFail: 1}, nil)}
+	cfg := durableCfg(dir, false)
+	cfg.FS = fs
+	c, _ := recoverNew(t, world, cfg)
+	third := len(batches) / 3
+	sendAll(t, c, batches[:third])
+	if _, err := c.FlushCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := listCheckpoints(chaos.OS, dir)
+	if err != nil || len(before) != 1 {
+		t.Fatalf("checkpoints = %v (%v), want exactly one", before, err)
+	}
+	named := segmentFiles(t, dir)
+	if len(named) == 0 {
+		t.Fatal("the first checkpoint sealed no chunk")
+	}
+
+	sendAll(t, c, batches[third:2*third])
+	fs.armed, fs.pass = true, 1
+	if _, err := c.FlushCheckpoint(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("flush under a torn manifest rename = %v, want injected failure", err)
+	}
+	if after, err := listCheckpoints(chaos.OS, dir); err != nil || len(after) != 1 || after[0] != before[0] {
+		t.Fatalf("checkpoints after the torn publish = %v (%v), want the previous %v still newest", after, err, before)
+	}
+	var orphan string
+	for name, b := range segmentFiles(t, dir) {
+		if old, ok := named[name]; !ok {
+			orphan = name
+		} else if !bytes.Equal(old, b) {
+			t.Fatalf("named segment %s rewritten by the torn flush", name)
+		}
+	}
+	if orphan == "" {
+		t.Fatal("the torn flush published no segment")
+	}
+	return c, inj, named, orphan
+}
+
+// TestChaosTornManifestPublish: a checkpoint whose segment publishes but
+// whose manifest rename is torn fails the flush and leaves the previous
+// checkpoint newest; a healed flush succeeds, and recovery from it
+// equals the live snapshot.
+func TestChaosTornManifestPublish(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	dir := t.TempDir()
+	c, inj, _, _ := tornManifestFlush(t, dir, batches)
+
+	sendAll(t, c, batches[2*(len(batches)/3):])
+	inj.Heal()
+	if _, err := c.FlushCheckpoint(); err != nil {
+		t.Fatalf("healed flush: %v", err)
+	}
+	if ckpts, err := listCheckpoints(chaos.OS, dir); err != nil || len(ckpts) != 1 {
+		t.Fatalf("healed publish left checkpoints %v (err %v); want exactly one", ckpts, err)
+	}
+	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	assertSameLive(t, rec.Snapshot(), c.Snapshot())
+}
+
+// TestRecoverRemovesOrphanSegments: a crash right after a torn manifest
+// publish leaves a segment no checkpoint names. Recover deletes it,
+// keeps the named segments byte for byte, and ends in the same state as
+// a collector that crashed at the same point without the torn flush.
+func TestRecoverRemovesOrphanSegments(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	third := len(batches) / 3
+	dir := t.TempDir()
+	_, _, named, orphan := tornManifestFlush(t, dir, batches)
+	// Crash: the torn collector is abandoned.
+
+	refDir := t.TempDir()
+	ref, _ := recoverNew(t, world, durableCfg(refDir, false))
+	sendAll(t, ref, batches[:third])
+	if _, err := ref.FlushCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sendAll(t, ref, batches[third:2*third])
+	refRec, _ := recoverNew(t, world, durableCfg(refDir, false))
+
+	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	files := segmentFiles(t, dir)
+	if _, ok := files[orphan]; ok {
+		t.Fatalf("orphan segment %s survived recovery", orphan)
+	}
+	if len(files) != len(named) {
+		t.Fatalf("segments after recovery = %d, want the %d named", len(files), len(named))
+	}
+	for name, b := range named {
+		if !bytes.Equal(files[name], b) {
+			t.Fatalf("named segment %s changed by recovery", name)
+		}
+	}
+	assertSameLive(t, rec.Snapshot(), refRec.Snapshot())
 }

@@ -55,10 +55,12 @@ var clientFaults = chaos.TransportFaults{
 }
 
 // The fan-in link sees far fewer requests than the upload link (one
-// poll per shard every 400ms), so its 503 rate is much higher to keep
-// the site hot within a run's draw budget.
+// poll per shard every 400ms, a few dozen in a run), so its latency and
+// 503 rates are much higher to keep those sites hot within a run's draw
+// budget: at 0.05, seed 0x0DECAF's latency stream first fires on its
+// 29th draw, which a fast run does not reach.
 var faninFaults = chaos.TransportFaults{
-	Latency: 0.05, MaxLatency: 5 * time.Millisecond,
+	Latency: 0.15, MaxLatency: 5 * time.Millisecond,
 	Reset: 0.06, LostResponse: 0.06,
 	Truncate: 0.06, Corrupt: 0.06,
 	Err503: 0.15, BurstLen: 2,

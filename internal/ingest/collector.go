@@ -154,11 +154,17 @@ type Collector struct {
 	// the journal can no longer deliver.
 	wal    *wal.WAL
 	walErr error
+	// segs lists the block segments the newest published (or restored)
+	// checkpoint names; the next checkpoint names these plus one new
+	// segment for the chunks sealed since.
+	segs []ckptSeg
 	// walSinceCkpt counts journaled record bytes not yet covered by a
 	// checkpoint (reset when one is written); Config.CheckpointBytes
-	// triggers auto-checkpoints off it. lastCkptBytes and lastCkptErr
-	// describe the most recent checkpoint attempt. All three are written
-	// under mu but read atomically by the lock-free /v1/stats path.
+	// triggers auto-checkpoints off it. lastCkptBytes (the bytes the
+	// most recent checkpoint wrote: checkpoint file plus new block
+	// segment) and lastCkptErr describe the most recent checkpoint
+	// attempt. All three are written under mu but read atomically by
+	// the lock-free /v1/stats path.
 	walSinceCkpt  atomic.Int64
 	lastCkptBytes atomic.Int64
 	lastCkptErr   atomic.Pointer[string]

@@ -33,6 +33,16 @@ import (
 //     checkpoint and garbage-collected after the checkpoint is
 //     durable. Checkpoints are written temp + rename, so a crash
 //     mid-write leaves the previous checkpoint intact.
+//   - Full chunks are written once. Each checkpoint writes the chunks
+//     sealed since the previous one as one block segment
+//     (blocks-%08d.blk, named by its first chunk index) and names every
+//     segment in its manifest; the checkpoint itself carries only their
+//     class bytes plus the inline mutable tail chunk. A segment is
+//     immutable: it is durable (temp + fsync + rename) before any
+//     checkpoint names it, never rewritten while a published checkpoint
+//     names it, and never garbage-collected while named — later
+//     checkpoints name a superset. A crash between the segment and the
+//     checkpoint publish leaves an orphan segment, which Recover removes.
 //   - Recovery replays every WAL segment still on disk through the
 //     normal ingest path with journaling disabled. Replay is
 //     idempotent because the checkpointed per-user sequence floors
@@ -65,9 +75,32 @@ var ckptMagic = [5]byte{'X', 'C', 'K', 'P', '1'}
 
 var ckptCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-const ckptPattern = "checkpoint-%08d.ckpt"
+const (
+	ckptPattern = "checkpoint-%08d.ckpt"
+	segPattern  = "blocks-%08d.blk"
+)
 
 func ckptName(epoch int) string { return fmt.Sprintf(ckptPattern, epoch) }
+
+func segName(first int) string { return fmt.Sprintf(segPattern, first) }
+
+// ckptSeg names one immutable block segment: the codec blocks of chunks
+// [First, First+Count), stored as [uvarint len][block] entries, with a
+// CRC32C over the whole file.
+type ckptSeg struct {
+	First  int    `json:"first"`
+	Count  int    `json:"count"`
+	CRC32C uint32 `json:"crc32c"`
+}
+
+// segsEnd returns the first chunk index no segment in segs covers.
+func segsEnd(segs []ckptSeg) int {
+	if len(segs) == 0 {
+		return 0
+	}
+	last := segs[len(segs)-1]
+	return last.First + last.Count
+}
 
 // seqFloor persists one user's next expected sequence number.
 type seqFloor struct {
@@ -112,6 +145,12 @@ type ckptMeta struct {
 	Truth   analysisState `json:"truth"`
 	IPMap   analysisState `json:"ipmap"`
 	MaxMind analysisState `json:"maxmind"`
+
+	// Segs lists the block segments holding chunks [0, segsEnd(Segs)),
+	// contiguous from chunk 0; the body carries only those chunks'
+	// class bytes. Empty in exports and in checkpoints that predate
+	// segments, whose every chunk is inline.
+	Segs []ckptSeg `json:"segs,omitempty"`
 
 	// WALSeg is the first WAL segment NOT covered by this checkpoint:
 	// the segment rotated in immediately before the checkpoint was
@@ -238,7 +277,7 @@ func (c *Collector) Recover() (RecoveryStats, error) {
 	}
 	if len(epochs) > 0 {
 		name := ckptName(epochs[len(epochs)-1])
-		meta, blocks, classes, err := readCheckpoint(c.cfg.fs(), filepath.Join(c.cfg.DataDir, name))
+		meta, blocks, classes, err := readCheckpoint(c.cfg.fs(), c.cfg.DataDir, name)
 		if err != nil {
 			return stats, fmt.Errorf("ingest: %s: %w", name, err)
 		}
@@ -247,6 +286,9 @@ func (c *Collector) Recover() (RecoveryStats, error) {
 		}
 		stats.CheckpointEpoch = len(meta.Epochs)
 		c.recCkptEpoch.Store(int64(stats.CheckpointEpoch))
+	}
+	if err := c.removeOrphanSegments(); err != nil {
+		return stats, err
 	}
 
 	opts, err := c.cfg.walOptions()
@@ -323,7 +365,11 @@ func (c *Collector) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	body, err := c.encodeCheckpoint(seg)
+	segs, segBytes, err := c.writeSegment()
+	if err != nil {
+		return err
+	}
+	body, err := c.encodeCheckpoint(seg, segs)
 	if err != nil {
 		return err
 	}
@@ -331,6 +377,7 @@ func (c *Collector) checkpointLocked() error {
 	if err := writeFileAtomic(c.cfg.fs(), c.cfg.DataDir, ckptName(epoch), body); err != nil {
 		return err
 	}
+	c.segs = segs
 	// The checkpoint is durable: reclaim everything it covers. GC
 	// failures are non-fatal (stale files replay as duplicates or are
 	// skipped as older checkpoints) but surface as errors so operators
@@ -347,16 +394,43 @@ func (c *Collector) checkpointLocked() error {
 		}
 	}
 	// The checkpoint now covers every journaled byte: reset the
-	// auto-checkpoint accumulator and record the size for /v1/stats.
+	// auto-checkpoint accumulator and record the bytes it wrote for
+	// /v1/stats.
 	c.walSinceCkpt.Store(0)
-	c.lastCkptBytes.Store(int64(len(body)))
+	c.lastCkptBytes.Store(int64(segBytes + len(body)))
 	c.lastCkptErr.Store(nil)
 	return c.wal.RemoveBefore(seg)
 }
 
-// encodeCheckpoint serializes the committed state: meta JSON, then one
-// framed codec block + raw class column per chunk.
-func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
+// writeSegment writes the full chunks no published checkpoint names
+// yet as one block segment and returns the segment list the next
+// checkpoint names, plus the bytes written. With no newly sealed chunk
+// it writes nothing and returns c.segs. A segment left by a failed
+// publish is named by no checkpoint, so the retry may overwrite it.
+func (c *Collector) writeSegment() ([]ckptSeg, int, error) {
+	first, full := segsEnd(c.segs), c.store.Len()/c.store.ChunkRows()
+	if full == first {
+		return c.segs, 0, nil
+	}
+	var body []byte
+	for ci := first; ci < full; ci++ {
+		var err error
+		if body, err = appendBlock(body, c.store, ci); err != nil {
+			return nil, 0, err
+		}
+	}
+	if err := writeFileAtomic(c.cfg.fs(), c.cfg.DataDir, segName(first), body); err != nil {
+		return nil, 0, err
+	}
+	seg := ckptSeg{First: first, Count: full - first, CRC32C: crc32.Checksum(body, ckptCastagnoli)}
+	return append(c.segs[:len(c.segs):len(c.segs)], seg), len(body), nil
+}
+
+// encodeCheckpoint serializes the committed state: meta JSON, then per
+// chunk its framed codec block (omitted for chunks segs covers) and raw
+// class column. Exports pass no segments and get a self-contained
+// payload.
+func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error) {
 	ds := c.merger.Dataset()
 	st := c.store
 	meta := ckptMeta{
@@ -369,6 +443,7 @@ func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
 		Visits:      ds.Visits,
 		Epochs:      c.epochs,
 		SettledRows: c.semi.SettledRows(),
+		Segs:        segs,
 		WALSeg:      walSeg,
 	}
 	meta.LTF, meta.Cand = c.semi.Frontier()
@@ -405,12 +480,11 @@ func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
 	body := binary.AppendUvarint(nil, uint64(len(head)))
 	body = append(body, head...)
 	for ci := 0; ci < st.NumChunks(); ci++ {
-		block, err := classify.EncodeChunk(st, ci)
-		if err != nil {
-			return nil, err
+		if ci >= segsEnd(segs) {
+			if body, err = appendBlock(body, st, ci); err != nil {
+				return nil, err
+			}
 		}
-		body = binary.AppendUvarint(body, uint64(len(block)))
-		body = append(body, block...)
 		for _, cls := range st.Classes(ci) {
 			body = append(body, byte(cls))
 		}
@@ -420,23 +494,48 @@ func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
 	return append(out, body...), nil
 }
 
+// appendBlock appends chunk ci of st as a [uvarint len][codec block]
+// entry, the framing of inline chunks and segment entries alike.
+func appendBlock(dst []byte, st classify.Store, ci int) ([]byte, error) {
+	block, err := classify.EncodeChunk(st, ci)
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(block)))
+	return append(dst, block...), nil
+}
+
+// cutBlock splits one [uvarint len][codec block] entry off data.
+func cutBlock(data []byte) (block, rest []byte, ok bool) {
+	blen, n := binary.Uvarint(data)
+	if n <= 0 || blen > uint64(len(data)-n) {
+		return nil, nil, false
+	}
+	return data[n : n+int(blen)], data[n+int(blen):], true
+}
+
 // errCkptCorrupt marks a checkpoint whose bytes fail validation (vs. an
 // identity or layout mismatch). Recover never falls back to an older
 // checkpoint on either: it fails loudly.
 var errCkptCorrupt = errors.New("ingest: corrupt checkpoint")
 
-// readCheckpoint parses and validates one checkpoint file.
-func readCheckpoint(fs chaos.FS, path string) (*ckptMeta, [][]byte, [][]classify.Class, error) {
-	data, err := fs.ReadFile(path)
+// readCheckpoint parses and validates the checkpoint file name under
+// dir, loading the block segments its manifest names from dir.
+func readCheckpoint(fs chaos.FS, dir, name string) (*ckptMeta, [][]byte, [][]classify.Class, error) {
+	data, err := fs.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return decodeCheckpoint(data)
+	return decodeCheckpoint(data, func(s ckptSeg) ([]byte, error) {
+		return fs.ReadFile(filepath.Join(dir, segName(s.First)))
+	})
 }
 
 // decodeCheckpoint parses one XCKP1 payload (a checkpoint file or a
-// /v1/snapshot export body).
-func decodeCheckpoint(data []byte) (*ckptMeta, [][]byte, [][]classify.Class, error) {
+// /v1/snapshot export body). loadSeg reads the bytes of a block segment
+// the manifest names; nil means the payload must be self-contained, and
+// a manifest naming segments is refused.
+func decodeCheckpoint(data []byte, loadSeg func(ckptSeg) ([]byte, error)) (*ckptMeta, [][]byte, [][]classify.Class, error) {
 	if len(data) < len(ckptMagic)+4 || string(data[:len(ckptMagic)]) != string(ckptMagic[:]) {
 		return nil, nil, nil, fmt.Errorf("%w: bad header", errCkptCorrupt)
 	}
@@ -453,20 +552,49 @@ func decodeCheckpoint(data []byte) (*ckptMeta, [][]byte, [][]classify.Class, err
 	if err := json.Unmarshal(body[n:n+int(headLen)], &meta); err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: meta: %v", errCkptCorrupt, err)
 	}
-	rest := body[n+int(headLen):]
-	total := 0
-	blocks := make([][]byte, 0, len(meta.ChunkLens))
-	classes := make([][]classify.Class, 0, len(meta.ChunkLens))
+	if len(meta.Segs) > 0 && loadSeg == nil {
+		return nil, nil, nil, fmt.Errorf("%w: payload names %d block segments, want a self-contained one", errCkptCorrupt, len(meta.Segs))
+	}
+	// Validate the whole manifest before reading any segment.
+	covered := 0
+	for i, s := range meta.Segs {
+		if s.First != covered || s.Count <= 0 || s.Count > len(meta.ChunkLens)-covered {
+			return nil, nil, nil, fmt.Errorf("%w: segment %d covers chunks [%d,+%d), want contiguous from %d within %d chunks",
+				errCkptCorrupt, i, s.First, s.Count, covered, len(meta.ChunkLens))
+		}
+		covered += s.Count
+	}
 	for ci, rows := range meta.ChunkLens {
 		if rows <= 0 || rows > meta.ChunkRows {
 			return nil, nil, nil, fmt.Errorf("%w: chunk %d declares %d rows", errCkptCorrupt, ci, rows)
 		}
-		blen, n := binary.Uvarint(rest)
-		if n <= 0 || blen > uint64(len(rest)-n) {
-			return nil, nil, nil, fmt.Errorf("%w: chunk %d block length", errCkptCorrupt, ci)
+		if ci < covered && rows != meta.ChunkRows {
+			return nil, nil, nil, fmt.Errorf("%w: segment chunk %d holds %d rows, want a full %d", errCkptCorrupt, ci, rows, meta.ChunkRows)
 		}
-		blocks = append(blocks, rest[n:n+int(blen)])
-		rest = rest[n+int(blen):]
+	}
+	blocks := make([][]byte, len(meta.ChunkLens))
+	for _, s := range meta.Segs {
+		seg, err := loadSeg(s)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("segment %s: %w", segName(s.First), err)
+		}
+		sb, err := parseSegment(seg, s)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("segment %s: %w", segName(s.First), err)
+		}
+		copy(blocks[s.First:], sb)
+	}
+
+	rest := body[n+int(headLen):]
+	total := 0
+	classes := make([][]classify.Class, 0, len(meta.ChunkLens))
+	for ci, rows := range meta.ChunkLens {
+		if ci >= covered {
+			var ok bool
+			if blocks[ci], rest, ok = cutBlock(rest); !ok {
+				return nil, nil, nil, fmt.Errorf("%w: chunk %d block length", errCkptCorrupt, ci)
+			}
+		}
 		if len(rest) < rows {
 			return nil, nil, nil, fmt.Errorf("%w: chunk %d classes truncated", errCkptCorrupt, ci)
 		}
@@ -485,6 +613,29 @@ func decodeCheckpoint(data []byte) (*ckptMeta, [][]byte, [][]classify.Class, err
 		return nil, nil, nil, fmt.Errorf("%w: chunk lengths sum to %d, meta says %d rows", errCkptCorrupt, total, meta.Rows)
 	}
 	return &meta, blocks, classes, nil
+}
+
+// parseSegment splits one block segment's bytes into its s.Count
+// blocks, which alias data. The bytes must match the manifest's CRC32C
+// and hold exactly s.Count [uvarint len][block] entries; the blocks
+// themselves are validated by RestoreChunk.
+func parseSegment(data []byte, s ckptSeg) ([][]byte, error) {
+	if crc32.Checksum(data, ckptCastagnoli) != s.CRC32C {
+		return nil, fmt.Errorf("%w: segment checksum mismatch", errCkptCorrupt)
+	}
+	blocks := make([][]byte, 0, s.Count)
+	for len(data) > 0 && len(blocks) < s.Count {
+		block, rest, ok := cutBlock(data)
+		if !ok {
+			return nil, fmt.Errorf("%w: segment block %d length", errCkptCorrupt, len(blocks))
+		}
+		blocks, data = append(blocks, block), rest
+	}
+	if len(blocks) != s.Count || len(data) != 0 {
+		return nil, fmt.Errorf("%w: segment holds %d blocks and %d trailing bytes, manifest says %d blocks",
+			errCkptCorrupt, len(blocks), len(data), s.Count)
+	}
+	return blocks, nil
 }
 
 // restoreCheckpoint rebuilds the collector's committed state from a
@@ -563,6 +714,7 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	c.ipmapA = core.RestoreAnalysis(meta.IPMap.Flows, meta.IPMap.Unknown)
 	c.maxmindA = core.RestoreAnalysis(meta.MaxMind.Flows, meta.MaxMind.Unknown)
 	c.epochs = append([]EpochStat(nil), meta.Epochs...)
+	c.segs = meta.Segs
 	c.internClone, c.internCloneLen = nil, 0
 	c.snap.Store(c.buildSnapshot(nil, 0, nil))
 	return nil
@@ -587,6 +739,31 @@ func listCheckpoints(fs chaos.FS, dir string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
+}
+
+// removeOrphanSegments deletes the block segments under DataDir that
+// the loaded checkpoint does not name: leftovers of a crash between a
+// segment's publish and its checkpoint's. Called by Recover with c.mu
+// held, after the newest checkpoint restored.
+func (c *Collector) removeOrphanSegments() error {
+	named := make(map[string]bool, len(c.segs))
+	for _, s := range c.segs {
+		named[segName(s.First)] = true
+	}
+	entries, err := c.cfg.fs().ReadDir(c.cfg.DataDir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		var first int
+		if _, err := fmt.Sscanf(e.Name(), segPattern, &first); err != nil || e.Name() != segName(first) || named[e.Name()] {
+			continue
+		}
+		if err := c.cfg.fs().Remove(filepath.Join(c.cfg.DataDir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFileAtomic writes name under dir via temp + rename + dir sync,

@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"crossborder/internal/chaos"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/scenario"
 )
@@ -240,27 +243,47 @@ func TestTornWALTailRecovered(t *testing.T) {
 
 // TestCorruptCheckpointRefused: a checkpoint that fails validation must
 // fail recovery loudly — its WAL prefix was garbage-collected, so no
-// fallback can be complete. The cases are a body that no longer matches
-// its checksum, and a resealed block carrying the retired column tag 4
-// in either store layout (the compressed store used to keep such a
-// block unchecked and panic on the first scan).
+// fallback can be complete. The checkpoint-file cases are a body that no
+// longer matches its checksum and a segment manifest that is not
+// contiguous from chunk 0, overlaps itself, or covers a partial chunk.
+// The segment cases are a flipped byte (CRC), a truncation and a missing
+// file. The block cases reseal chunk 0 — which now lives in segment 0 —
+// with the retired column tag 4 in either store layout (the compressed
+// store used to keep such a block unchecked and panic on the first
+// scan).
 func TestCorruptCheckpointRefused(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
+	corrupt := func(err error) bool { return errors.Is(err, errCkptCorrupt) }
 	unknownTag := func(err error) bool {
 		return err != nil && strings.Contains(err.Error(), "restore chunk 0") && strings.Contains(err.Error(), "unknown column tag")
 	}
-	retire := func(b []byte) []byte { return forgeRetiredTag(t, b) }
+	retire := func(tb testing.TB, f *ckptFiles) { f.ckpt, f.seg0 = forgeRetiredTag(tb, f.ckpt, f.seg0) }
+	manifest := func(edit func(testing.TB, *ckptMeta)) func(testing.TB, *ckptFiles) {
+		return func(tb testing.TB, f *ckptFiles) {
+			f.ckpt = rewriteMeta(f.ckpt, func(m *ckptMeta) { edit(tb, m) })
+		}
+	}
 	cases := []struct {
 		name     string
 		compress bool
-		corrupt  func([]byte) []byte
+		corrupt  func(testing.TB, *ckptFiles)
 		want     func(error) bool
 	}{
-		{"flipped byte", false, func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
-			func(err error) bool { return errors.Is(err, errCkptCorrupt) }},
+		{"flipped byte", false, func(_ testing.TB, f *ckptFiles) { f.ckpt[len(f.ckpt)/2] ^= 0xff }, corrupt},
 		{"retired tag wide", false, retire, unknownTag},
 		{"retired tag compressed", true, retire, unknownTag},
+		{"flipped segment byte", false, func(_ testing.TB, f *ckptFiles) { f.seg0[len(f.seg0)/2] ^= 0xff }, corrupt},
+		{"truncated segment", true, func(_ testing.TB, f *ckptFiles) { f.seg0 = f.seg0[:len(f.seg0)-3] }, corrupt},
+		{"missing segment", false, func(_ testing.TB, f *ckptFiles) { f.seg0 = nil },
+			func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
+		{"non-contiguous segments", false, manifest(func(_ testing.TB, m *ckptMeta) { m.Segs[0].First = 1 }), corrupt},
+		{"overlapping segments", true, manifest(func(_ testing.TB, m *ckptMeta) { m.Segs = append(m.Segs, m.Segs[0]) }), corrupt},
+		{"segment chunk not full", false, func(tb testing.TB, f *ckptFiles) {
+			// Chunk 0 (in segment 0) declares one row fewer, with its
+			// first class byte dropped so every length still adds up.
+			f.ckpt = dropClassByte(tb, rewriteMeta(f.ckpt, func(m *ckptMeta) { m.ChunkLens[0]--; m.Rows-- }))
+		}, corrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,43 +293,87 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 			if _, err := c1.FlushCheckpoint(); err != nil {
 				t.Fatal(err)
 			}
-			cks, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-			if err != nil || len(cks) != 1 {
-				t.Fatalf("checkpoints = %v (%v), want exactly one", cks, err)
-			}
-			data, err := os.ReadFile(cks[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(cks[0], tc.corrupt(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			f := loadCkptFiles(t, dir)
+			tc.corrupt(t, f)
+			f.store(t)
 			c2 := NewCollector(world, durableCfg(dir, tc.compress))
 			defer c2.Close()
 			if _, err := c2.Recover(); !tc.want(err) {
 				t.Fatalf("recover = %v, want a corrupt-checkpoint error", err)
 			}
+			if c2.Ready() {
+				t.Fatal("collector turned ready after a refused checkpoint")
+			}
 		})
 	}
 }
 
-// forgeRetiredTag returns a copy of an XCKP1 payload whose first chunk
+// ckptFiles is a data dir's single checkpoint and its first block
+// segment, loaded for a test to corrupt and store back. A nil seg0 is
+// stored as a deleted file.
+type ckptFiles struct {
+	ckptPath, seg0Path string
+	ckpt, seg0         []byte
+}
+
+func loadCkptFiles(tb testing.TB, dir string) *ckptFiles {
+	tb.Helper()
+	cks, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil || len(cks) != 1 {
+		tb.Fatalf("checkpoints = %v (%v), want exactly one", cks, err)
+	}
+	f := &ckptFiles{ckptPath: cks[0], seg0Path: filepath.Join(dir, segName(0))}
+	if f.ckpt, err = os.ReadFile(f.ckptPath); err != nil {
+		tb.Fatal(err)
+	}
+	if f.seg0, err = os.ReadFile(f.seg0Path); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+func (f *ckptFiles) store(tb testing.TB) {
+	tb.Helper()
+	if err := os.WriteFile(f.ckptPath, f.ckpt, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	var err error
+	if f.seg0 == nil {
+		err = os.Remove(f.seg0Path)
+	} else {
+		err = os.WriteFile(f.seg0Path, f.seg0, 0o644)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// forgeRetiredTag returns copies of an XCKP1 payload and its first
+// block segment (nil for a self-contained payload) in which chunk 0's
 // block has its first column tag rewritten to 4, the retired
-// entropy-coded dictionary scheme, with the block's frame checksum and
-// the checkpoint checksum both recomputed: a checkpoint as a build that
-// still wrote tag 4 could have left it.
-func forgeRetiredTag(tb testing.TB, ckpt []byte) []byte {
+// entropy-coded dictionary scheme. The block's frame checksum, the
+// segment's manifest CRC and the checkpoint checksum are all
+// recomputed: a checkpoint as a build that still wrote tag 4 could have
+// left it.
+func forgeRetiredTag(tb testing.TB, ckpt, seg []byte) ([]byte, []byte) {
 	tb.Helper()
 	out := append([]byte(nil), ckpt...)
-	_, blocks, _, err := decodeCheckpoint(out) // blocks alias out
+	if seg != nil {
+		seg = append([]byte(nil), seg...)
+	}
+	meta, blocks, _, err := decodeCheckpoint(out, func(ckptSeg) ([]byte, error) { return seg, nil })
 	if err != nil || len(blocks) == 0 {
 		tb.Fatalf("decode checkpoint: %v (%d blocks)", err, len(blocks))
 	}
+	// b aliases seg if a segment holds chunk 0, else out.
 	b := blocks[0]
 	_, k := binary.Uvarint(b[5:]) // [crc32c][flags][uvarint rows][tag]...
 	b[5+k] = 4
 	binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], ckptCastagnoli))
-	return resealCheckpoint(out)
+	if len(meta.Segs) == 0 {
+		return resealCheckpoint(out), nil
+	}
+	return rewriteMeta(out, func(m *ckptMeta) { m.Segs[0].CRC32C = crc32.Checksum(seg, ckptCastagnoli) }), seg
 }
 
 // resealCheckpoint recomputes an XCKP1 payload's body checksum in place.
@@ -314,6 +381,231 @@ func resealCheckpoint(data []byte) []byte {
 	body := data[len(ckptMagic)+4:]
 	binary.LittleEndian.PutUint32(data[len(ckptMagic):], crc32.Checksum(body, ckptCastagnoli))
 	return data
+}
+
+// rewriteMeta returns a copy of an XCKP1 payload with its meta JSON
+// edited and the body checksum recomputed, or nil when the payload has
+// no parseable meta.
+func rewriteMeta(data []byte, edit func(*ckptMeta)) []byte {
+	if len(data) < len(ckptMagic)+4 {
+		return nil
+	}
+	body := data[len(ckptMagic)+4:]
+	headLen, n := binary.Uvarint(body)
+	if n <= 0 || headLen > uint64(len(body)-n) {
+		return nil
+	}
+	var meta ckptMeta
+	if json.Unmarshal(body[n:n+int(headLen)], &meta) != nil {
+		return nil
+	}
+	edit(&meta)
+	head, err := json.Marshal(&meta)
+	if err != nil {
+		return nil
+	}
+	out := append([]byte(nil), data[:len(ckptMagic)+4]...)
+	out = binary.AppendUvarint(out, uint64(len(head)))
+	out = append(out, head...)
+	return resealCheckpoint(append(out, body[n+int(headLen):]...))
+}
+
+// dropClassByte removes the first body byte after an XCKP1 payload's
+// meta — chunk 0's first class byte when a segment holds chunk 0 — and
+// recomputes the body checksum.
+func dropClassByte(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	off := len(ckptMagic) + 4
+	headLen, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		tb.Fatal("bad meta length")
+	}
+	at := off + n + int(headLen)
+	return resealCheckpoint(append(data[:at:at], data[at+1:]...))
+}
+
+// TestCheckpointWritesEachBlockOnce pins the write-once discipline in
+// both store layouts: a checkpoint with no newly sealed chunk writes no
+// segment, one after sealing k chunks writes exactly one segment of k
+// blocks starting at the first uncovered chunk, earlier segments stay
+// byte-identical, and /v1/stats' last_checkpoint_bytes counts exactly
+// the checkpoint file plus the new segment.
+func TestCheckpointWritesEachBlockOnce(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir, compress)
+			c, _ := recoverNew(t, world, cfg)
+			seen := map[string][]byte{}
+			covered, sawNone := 0, false
+			checkpoint := func() {
+				t.Helper()
+				if _, err := c.FlushCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+				full := c.Snapshot().Dataset().Len() / cfg.ChunkRows
+				files := segmentFiles(t, dir)
+				for name, b := range seen {
+					if !bytes.Equal(files[name], b) {
+						t.Fatalf("segment %s changed after a later checkpoint", name)
+					}
+				}
+				var fresh []string
+				for name := range files {
+					if _, ok := seen[name]; !ok {
+						fresh = append(fresh, name)
+					}
+				}
+				ckpts, err := listCheckpoints(chaos.OS, dir)
+				if err != nil || len(ckpts) != 1 {
+					t.Fatalf("checkpoints = %v (%v), want exactly one", ckpts, err)
+				}
+				name := ckptName(ckpts[0])
+				meta, _, _, err := readCheckpoint(chaos.OS, dir, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := os.Stat(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrote := st.Size()
+				if k := full - covered; k == 0 {
+					if len(fresh) != 0 {
+						t.Fatalf("no chunk sealed, yet the checkpoint wrote segments %v", fresh)
+					}
+					sawNone = true
+				} else {
+					if len(fresh) != 1 || fresh[0] != segName(covered) {
+						t.Fatalf("sealed chunks [%d,%d) wrote segments %v, want just %s", covered, full, fresh, segName(covered))
+					}
+					last := meta.Segs[len(meta.Segs)-1]
+					if last.First != covered || last.Count != k {
+						t.Fatalf("manifest's newest segment = %+v, want %d blocks from chunk %d", last, k, covered)
+					}
+					blocks, err := parseSegment(files[fresh[0]], last)
+					if err != nil || len(blocks) != k {
+						t.Fatalf("segment %s: %d blocks, err %v; want %d", fresh[0], len(blocks), err, k)
+					}
+					wrote += int64(len(files[fresh[0]]))
+				}
+				if got := c.lastCkptBytes.Load(); got != wrote {
+					t.Fatalf("last_checkpoint_bytes = %d, want %d (checkpoint file + new segment)", got, wrote)
+				}
+				if segsEnd(meta.Segs) != full {
+					t.Fatalf("manifest covers %d chunks, store has %d full", segsEnd(meta.Segs), full)
+				}
+				seen, covered = files, full
+			}
+			step := len(batches)/5 + 1
+			for off := 0; off < len(batches); off += step {
+				sendAll(t, c, batches[off:min(off+step, len(batches))])
+				checkpoint()
+				checkpoint() // nothing new sealed
+			}
+			if len(seen) < 2 || !sawNone {
+				t.Fatalf("wrote %d segments and saw a segment-free checkpoint %v; want several and one", len(seen), sawNone)
+			}
+			rec, _ := recoverNew(t, world, durableCfg(dir, compress))
+			assertSameLive(t, rec.Snapshot(), c.Snapshot())
+		})
+	}
+}
+
+// segmentFiles reads every block segment under dir, by file name.
+func segmentFiles(tb testing.TB, dir string) map[string][]byte {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "blocks-*.blk"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[filepath.Base(p)] = b
+	}
+	return out
+}
+
+// TestAllInlineCheckpointMigrates: a checkpoint with every chunk inline
+// (the format written before block segments, byte-identical to an
+// export) recovers, and the next checkpoint moves every sealed chunk
+// into segment 0.
+func TestAllInlineCheckpointMigrates(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	half := len(batches) / 2
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			src := NewCollector(world, durableCfg("", compress))
+			defer src.Close()
+			sendAll(t, src, batches[:half])
+			src.Flush()
+			inline, epoch, err := src.EncodeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, ckptName(epoch)), inline, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			c, _ := recoverNew(t, world, durableCfg(dir, compress))
+			assertSameLive(t, c.Snapshot(), src.Snapshot())
+			if files := segmentFiles(t, dir); len(files) != 0 {
+				t.Fatalf("recovery wrote segments %v", files)
+			}
+			sendAll(t, c, batches[half:])
+			if _, err := c.FlushCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			files := segmentFiles(t, dir)
+			full := c.Snapshot().Dataset().Len() / durableCfg("", compress).ChunkRows
+			ckpts, err := listCheckpoints(chaos.OS, dir)
+			if err != nil || len(ckpts) != 1 {
+				t.Fatalf("checkpoints = %v (%v), want exactly one", ckpts, err)
+			}
+			meta, _, _, err := readCheckpoint(chaos.OS, dir, ckptName(ckpts[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != 1 || files[segName(0)] == nil || len(meta.Segs) != 1 || meta.Segs[0] != (ckptSeg{0, full, meta.Segs[0].CRC32C}) {
+				t.Fatalf("migrating checkpoint wrote %d segments, manifest %+v; want segment 0 of all %d full chunks", len(files), meta.Segs, full)
+			}
+			rec, _ := recoverNew(t, world, durableCfg(dir, compress))
+			assertSameLive(t, rec.Snapshot(), c.Snapshot())
+		})
+	}
+}
+
+// TestShardExportSelfContained: exports carry every block inline; a
+// payload whose manifest names block segments — a checkpoint file
+// served as an export — is refused instead of handing MergeExports nil
+// blocks.
+func TestShardExportSelfContained(t *testing.T) {
+	world, evs, _ := rig(t)
+	dir := t.TempDir()
+	c, _ := recoverNew(t, world, durableCfg(dir, false))
+	sendAll(t, c, batchList(evs, 137))
+	if _, err := c.FlushCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	exp, _, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeShardExport(exp); err != nil {
+		t.Fatalf("export refused: %v", err)
+	}
+	f := loadCkptFiles(t, dir)
+	if _, err := DecodeShardExport(f.ckpt); !errors.Is(err, errCkptCorrupt) {
+		t.Fatalf("segment-bearing payload as export = %v, want a corrupt-checkpoint error", err)
+	}
 }
 
 // TestDurableGates: a durable collector rejects uploads before Recover

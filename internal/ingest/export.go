@@ -26,7 +26,7 @@ import (
 func (c *Collector) EncodeSnapshot() (data []byte, epoch int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, err = c.encodeCheckpoint(0)
+	data, err = c.encodeCheckpoint(0, nil)
 	return data, len(c.epochs), err
 }
 
@@ -41,9 +41,10 @@ type ShardExport struct {
 
 // DecodeShardExport parses a /v1/snapshot payload through the
 // checkpoint decoder (magic, checksum, and every declared length
-// validated).
+// validated). An export is self-contained: a payload whose manifest
+// names block segments is refused.
 func DecodeShardExport(data []byte) (*ShardExport, error) {
-	meta, blocks, classes, err := decodeCheckpoint(data)
+	meta, blocks, classes, err := decodeCheckpoint(data, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: shard export: %w", err)
 	}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -99,51 +100,120 @@ func FuzzDecodeNDJSON(f *testing.F) {
 }
 
 // FuzzDecodeCheckpoint hardens the checkpoint restore path end to end:
-// any byte string goes through decodeCheckpoint, every chunk it yields
-// through RestoreChunk on a compressed store, and the restored store
-// through one full projected scan. The outcome must be an error or a
-// clean scan — never a panic. The body checksum is recomputed first so
-// mutations reach the meta, chunk-table and block parsers behind it
-// (TestCorruptCheckpointRefused covers the checksum itself).
+// any pair of checkpoint and block-segment bytes goes through
+// decodeCheckpoint (every segment the manifest names reads as seg, so
+// parseSegment runs on it), every chunk it yields through RestoreChunk
+// on a compressed store, and the restored store through one full
+// projected scan. The outcome must be an error or a clean scan — never
+// a panic. The body checksum and every manifest segment CRC are
+// recomputed first so mutations reach the meta, chunk-table, segment
+// and block parsers behind them (TestCorruptCheckpointRefused covers
+// the checksums themselves).
 //
 // Run with: go test -fuzz FuzzDecodeCheckpoint ./internal/ingest/
 func FuzzDecodeCheckpoint(f *testing.F) {
-	world, evs, _ := rig(f)
-	cfg := durableCfg("", true)
-	c := NewCollector(world, cfg)
-	for _, b := range batchList(evs, 137)[:4] {
-		if _, err := c.Ingest(b); err != nil {
-			f.Fatal(err)
-		}
-	}
-	c.Flush()
-	ckpt, _, err := c.EncodeSnapshot()
-	c.Close()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ckpt)
-	f.Add(ckpt[:len(ckpt)/2])
-	f.Add(forgeRetiredTag(f, ckpt))
+	inline, files := fuzzCheckpoints(f)
+	f.Add(inline, []byte(nil))
+	f.Add(inline[:len(inline)/2], []byte(nil))
+	forged, _ := forgeRetiredTag(f, inline, nil)
+	f.Add(forged, []byte(nil))
+	f.Add(files.ckpt, files.seg0)
+	f.Add(files.ckpt, files.seg0[:len(files.seg0)/2])
+	forgedCkpt, forgedSeg := forgeRetiredTag(f, files.ckpt, files.seg0)
+	f.Add(forgedCkpt, forgedSeg)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, seg []byte) {
 		if len(data) >= len(ckptMagic)+4 {
 			data = resealCheckpoint(append([]byte(nil), data...))
+			segCRC := crc32.Checksum(seg, ckptCastagnoli)
+			if resealed := rewriteMeta(data, func(m *ckptMeta) {
+				for i := range m.Segs {
+					m.Segs[i].CRC32C = segCRC
+				}
+			}); resealed != nil {
+				data = resealed
+			}
 		}
-		_, blocks, classes, err := decodeCheckpoint(data)
+		_, blocks, classes, err := decodeCheckpoint(data, func(ckptSeg) ([]byte, error) { return seg, nil })
 		if err != nil {
 			return
 		}
-		st := classify.NewMemStoreCompressed(cfg.ChunkRows)
+		st := classify.NewMemStoreCompressed(durableCfg("", true).ChunkRows)
 		for ci := range blocks {
 			if err := st.RestoreChunk(blocks[ci], classes[ci]); err != nil {
 				return
 			}
 		}
-		st.ScanCols(classify.AllCols, func(_ int, pc *classify.ProjChunk) {
-			for col := classify.ColURLHash; col <= classify.ColFlags; col++ {
-				pc.Wide(col)
-			}
-		})
+		scanAll(st)
+	})
+}
+
+// FuzzDecodeShardExport hardens the fan-in's intake, which mergerd runs
+// on whatever a shard serves: any byte string goes through
+// DecodeShardExport, MergeExports and one full projected scan of the
+// merged store. The outcome must be an error or a clean scan — never a
+// panic. The body checksum is recomputed first so mutations reach the
+// parsers and the merge behind it. Seeds include a segment-bearing
+// checkpoint, which an export must never be.
+//
+// Run with: go test -fuzz FuzzDecodeShardExport ./internal/ingest/
+func FuzzDecodeShardExport(f *testing.F) {
+	world, _, _ := rig(f)
+	exp, files := fuzzCheckpoints(f)
+	f.Add(exp)
+	f.Add(exp[:len(exp)/2])
+	forged, _ := forgeRetiredTag(f, exp, nil)
+	f.Add(forged)
+	f.Add(files.ckpt)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= len(ckptMagic)+4 {
+			data = resealCheckpoint(append([]byte(nil), data...))
+		}
+		ex, err := DecodeShardExport(data)
+		if err != nil {
+			return
+		}
+		snap, err := MergeExports(world, []*ShardExport{ex}, 1)
+		if err != nil {
+			return
+		}
+		scanAll(snap.Dataset().Store)
+	})
+}
+
+// fuzzCheckpoints returns the seed payloads of the checkpoint fuzzers:
+// a durable compressed collector fed four uploads and checkpointed
+// yields its self-contained export and its on-disk checkpoint plus
+// segment 0.
+func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles) {
+	world, evs, _ := rig(f)
+	dir := f.TempDir()
+	c := NewCollector(world, durableCfg(dir, true))
+	defer c.Close()
+	if _, err := c.Recover(); err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range batchList(evs, 137)[:4] {
+		if _, err := c.Ingest(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := c.FlushCheckpoint(); err != nil {
+		f.Fatal(err)
+	}
+	exp, _, err := c.EncodeSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return exp, loadCkptFiles(f, dir)
+}
+
+// scanAll runs one projected scan over every column of st.
+func scanAll(st classify.Store) {
+	st.ScanCols(classify.AllCols, func(_ int, pc *classify.ProjChunk) {
+		for col := classify.ColURLHash; col <= classify.ColFlags; col++ {
+			pc.Wide(col)
+		}
 	})
 }

@@ -116,7 +116,10 @@ type Snapshot struct {
 // memory the row store occupies (resident wide columns vs compressed
 // sealed blocks) against the raw-equivalent size of the same rows, plus
 // the durability gauges — journal bytes not yet covered by a checkpoint
-// and the size/outcome of the most recent checkpoint. Per-epoch row
+// and the outcome of the most recent checkpoint, with the bytes it
+// wrote in LastCheckpointBytes: its checkpoint file plus the block
+// segment of the chunks sealed since the checkpoint before (earlier
+// segments are never rewritten). Per-epoch row
 // counts live in the epochs history alongside it. The WAL fields are
 // zero on a snapshot from a memory-only collector or a merged fan-in
 // view; the HTTP layer overlays them live for durable collectors.
