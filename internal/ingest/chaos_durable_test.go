@@ -3,6 +3,8 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"crossborder/internal/chaos"
@@ -82,25 +84,67 @@ func TestChaosShortCheckpointWriteIsTransient(t *testing.T) {
 	assertSameLive(t, rec.Snapshot(), want)
 }
 
-// tearAfterFS passes renames to the embedded FS, except that once armed
-// it lets pass more renames through and then routes every later one to
-// torn (a FaultFS with RenameFail 1). Armed with pass 1, a checkpoint's
-// segment publish goes through and its manifest publish is torn.
-type tearAfterFS struct {
+// ckptFaultFS passes every call to the embedded FS except a checkpoint
+// file's publish: with tearRename its rename goes to torn (a FaultFS
+// that fails every rename and sync until healed), and with failSync the
+// directory sync right after its rename does, so the checkpoint lands
+// but the publish reports failure. Block segments always publish.
+type ckptFaultFS struct {
 	chaos.FS
-	torn  chaos.FS
-	armed bool
-	pass  int
+	torn                 chaos.FS
+	tearRename, failSync bool
+	ckptRenamed          bool // the last rename published a checkpoint
 }
 
-func (f *tearAfterFS) Rename(oldpath, newpath string) error {
-	if f.armed {
-		if f.pass == 0 {
-			return f.torn.Rename(oldpath, newpath)
-		}
-		f.pass--
+func (f *ckptFaultFS) Rename(oldpath, newpath string) error {
+	var epoch int
+	_, err := fmt.Sscanf(filepath.Base(newpath), ckptPattern, &epoch)
+	f.ckptRenamed = err == nil
+	if f.ckptRenamed && f.tearRename {
+		return f.torn.Rename(oldpath, newpath)
 	}
 	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *ckptFaultFS) SyncDir(dir string) error {
+	renamed := f.ckptRenamed
+	f.ckptRenamed = false
+	if renamed && f.failSync {
+		return f.torn.SyncDir(dir)
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// newCkptFaultCollector opens a durable collector on dir whose
+// checkpoint publishes can be faulted through the returned FS; heal the
+// injector to end the faults.
+func newCkptFaultCollector(t *testing.T, dir string) (*Collector, *ckptFaultFS, *chaos.Injector) {
+	t.Helper()
+	world, _, _ := rig(t)
+	inj := chaos.New(0x5E6)
+	fs := &ckptFaultFS{FS: chaos.OS, torn: chaos.NewFaultFS(inj, "ckpt", chaos.FSFaults{RenameFail: 1, SyncFail: 1}, nil)}
+	cfg := durableCfg(dir, false)
+	cfg.FS = fs
+	c, _ := recoverNew(t, world, cfg)
+	return c, fs, inj
+}
+
+// crashedAfter is the state a fault-free collector recovers to after it
+// checkpointed batches[:third] and crashed with batches[third:2*third]
+// journaled but uncheckpointed.
+func crashedAfter(t *testing.T, batches []Batch) *Snapshot {
+	t.Helper()
+	world, _, _ := rig(t)
+	third := len(batches) / 3
+	dir := t.TempDir()
+	ref, _ := recoverNew(t, world, durableCfg(dir, false))
+	sendAll(t, ref, batches[:third])
+	if _, err := ref.FlushCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sendAll(t, ref, batches[third:2*third])
+	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	return rec.Snapshot()
 }
 
 // tornManifestFlush checkpoints the first third of the stream cleanly,
@@ -110,12 +154,7 @@ func (f *tearAfterFS) Rename(oldpath, newpath string) error {
 // segments the surviving checkpoint names, and the orphan's name.
 func tornManifestFlush(t *testing.T, dir string, batches []Batch) (*Collector, *chaos.Injector, map[string][]byte, string) {
 	t.Helper()
-	world, _, _ := rig(t)
-	inj := chaos.New(0x5E6)
-	fs := &tearAfterFS{FS: chaos.OS, torn: chaos.NewFaultFS(inj, "ckpt", chaos.FSFaults{RenameFail: 1}, nil)}
-	cfg := durableCfg(dir, false)
-	cfg.FS = fs
-	c, _ := recoverNew(t, world, cfg)
+	c, fs, inj := newCkptFaultCollector(t, dir)
 	third := len(batches) / 3
 	sendAll(t, c, batches[:third])
 	if _, err := c.FlushCheckpoint(); err != nil {
@@ -131,7 +170,7 @@ func tornManifestFlush(t *testing.T, dir string, batches []Batch) (*Collector, *
 	}
 
 	sendAll(t, c, batches[third:2*third])
-	fs.armed, fs.pass = true, 1
+	fs.tearRename = true
 	if _, err := c.FlushCheckpoint(); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("flush under a torn manifest rename = %v, want injected failure", err)
 	}
@@ -181,19 +220,10 @@ func TestChaosTornManifestPublish(t *testing.T) {
 func TestRecoverRemovesOrphanSegments(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
-	third := len(batches) / 3
 	dir := t.TempDir()
 	_, _, named, orphan := tornManifestFlush(t, dir, batches)
 	// Crash: the torn collector is abandoned.
-
-	refDir := t.TempDir()
-	ref, _ := recoverNew(t, world, durableCfg(refDir, false))
-	sendAll(t, ref, batches[:third])
-	if _, err := ref.FlushCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	sendAll(t, ref, batches[third:2*third])
-	refRec, _ := recoverNew(t, world, durableCfg(refDir, false))
+	want := crashedAfter(t, batches)
 
 	rec, _ := recoverNew(t, world, durableCfg(dir, false))
 	files := segmentFiles(t, dir)
@@ -208,5 +238,55 @@ func TestRecoverRemovesOrphanSegments(t *testing.T) {
 			t.Fatalf("named segment %s changed by recovery", name)
 		}
 	}
-	assertSameLive(t, rec.Snapshot(), refRec.Snapshot())
+	assertSameLive(t, rec.Snapshot(), want)
+}
+
+// TestChaosManifestSyncFailKeepsSegment: a checkpoint whose rename lands
+// but whose directory sync fails reports failure yet is the newest
+// checkpoint on disk, so the segment it names is published for good.
+// The next flush, whose own manifest rename is torn, must write the
+// newly sealed chunks to a new segment rather than rewrite that one, and
+// a crash right after recovers from the landed checkpoint.
+func TestChaosManifestSyncFailKeepsSegment(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	third := len(batches) / 3
+	dir := t.TempDir()
+	c, fs, _ := newCkptFaultCollector(t, dir)
+
+	sendAll(t, c, batches[:third])
+	fs.failSync = true
+	if _, err := c.FlushCheckpoint(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("flush under a failed manifest dir sync = %v, want injected failure", err)
+	}
+	landed, err := listCheckpoints(chaos.OS, dir)
+	if err != nil || len(landed) != 1 {
+		t.Fatalf("checkpoints = %v (%v), want the landed one", landed, err)
+	}
+	named := segmentFiles(t, dir)
+	if len(named) == 0 {
+		t.Fatal("the landed checkpoint sealed no chunk")
+	}
+
+	sendAll(t, c, batches[third:2*third])
+	fs.failSync, fs.tearRename = false, true
+	if _, err := c.FlushCheckpoint(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("flush under a torn manifest rename = %v, want injected failure", err)
+	}
+	if after, err := listCheckpoints(chaos.OS, dir); err != nil || len(after) != 1 || after[0] != landed[0] {
+		t.Fatalf("checkpoints after the torn publish = %v (%v), want the landed %v still newest", after, err, landed)
+	}
+	files := segmentFiles(t, dir)
+	if len(files) != len(named)+1 {
+		t.Fatalf("segments after the torn flush = %d, want the %d named plus one", len(files), len(named))
+	}
+	for name, b := range named {
+		if !bytes.Equal(files[name], b) {
+			t.Fatalf("segment %s named by the landed checkpoint was rewritten", name)
+		}
+	}
+
+	// Crash: the collector is abandoned.
+	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	assertSameLive(t, rec.Snapshot(), crashedAfter(t, batches))
 }

@@ -154,9 +154,10 @@ type Collector struct {
 	// the journal can no longer deliver.
 	wal    *wal.WAL
 	walErr error
-	// segs lists the block segments the newest published (or restored)
-	// checkpoint names; the next checkpoint names these plus one new
-	// segment for the chunks sealed since.
+	// segs lists every published block segment in chunk order: those
+	// the newest checkpoint names plus any whose checkpoint failed to
+	// publish. The next checkpoint names these plus one new segment for
+	// the chunks sealed since.
 	segs []ckptSeg
 	// walSinceCkpt counts journaled record bytes not yet covered by a
 	// checkpoint (reset when one is written); Config.CheckpointBytes

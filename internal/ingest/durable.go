@@ -39,10 +39,12 @@ import (
 //     segment in its manifest; the checkpoint itself carries only their
 //     class bytes plus the inline mutable tail chunk. A segment is
 //     immutable: it is durable (temp + fsync + rename) before any
-//     checkpoint names it, never rewritten while a published checkpoint
-//     names it, and never garbage-collected while named — later
-//     checkpoints name a superset. A crash between the segment and the
-//     checkpoint publish leaves an orphan segment, which Recover removes.
+//     checkpoint names it, never rewritten once its publish returns
+//     (even if the checkpoint naming it then reports a failed publish,
+//     it may have landed), and never garbage-collected while named —
+//     later checkpoints name a superset. A crash between the segment and
+//     the checkpoint publish leaves an orphan segment, which Recover
+//     removes.
 //   - Recovery replays every WAL segment still on disk through the
 //     normal ingest path with journaling disabled. Replay is
 //     idempotent because the checkpointed per-user sequence floors
@@ -365,11 +367,11 @@ func (c *Collector) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	segs, segBytes, err := c.writeSegment()
+	segBytes, err := c.writeSegment()
 	if err != nil {
 		return err
 	}
-	body, err := c.encodeCheckpoint(seg, segs)
+	body, err := c.encodeCheckpoint(seg, c.segs)
 	if err != nil {
 		return err
 	}
@@ -377,7 +379,6 @@ func (c *Collector) checkpointLocked() error {
 	if err := writeFileAtomic(c.cfg.fs(), c.cfg.DataDir, ckptName(epoch), body); err != nil {
 		return err
 	}
-	c.segs = segs
 	// The checkpoint is durable: reclaim everything it covers. GC
 	// failures are non-fatal (stale files replay as duplicates or are
 	// skipped as older checkpoints) but surface as errors so operators
@@ -402,28 +403,31 @@ func (c *Collector) checkpointLocked() error {
 	return c.wal.RemoveBefore(seg)
 }
 
-// writeSegment writes the full chunks no published checkpoint names
-// yet as one block segment and returns the segment list the next
-// checkpoint names, plus the bytes written. With no newly sealed chunk
-// it writes nothing and returns c.segs. A segment left by a failed
-// publish is named by no checkpoint, so the retry may overwrite it.
-func (c *Collector) writeSegment() ([]ckptSeg, int, error) {
+// writeSegment writes the full chunks no segment covers yet as one
+// block segment, appends it to c.segs once its publish returns, and
+// returns the bytes written. With no newly sealed chunk it writes
+// nothing. The segment joins c.segs whether or not the checkpoint
+// naming it then publishes: that checkpoint may have landed even though
+// its publish failed (a failed directory sync after the rename), so a
+// retry must never rewrite the segment. A segment whose own publish
+// failed is in no list, and the retry overwrites it.
+func (c *Collector) writeSegment() (int, error) {
 	first, full := segsEnd(c.segs), c.store.Len()/c.store.ChunkRows()
 	if full == first {
-		return c.segs, 0, nil
+		return 0, nil
 	}
 	var body []byte
 	for ci := first; ci < full; ci++ {
 		var err error
 		if body, err = appendBlock(body, c.store, ci); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	if err := writeFileAtomic(c.cfg.fs(), c.cfg.DataDir, segName(first), body); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	seg := ckptSeg{First: first, Count: full - first, CRC32C: crc32.Checksum(body, ckptCastagnoli)}
-	return append(c.segs[:len(c.segs):len(c.segs)], seg), len(body), nil
+	c.segs = append(c.segs, ckptSeg{First: first, Count: full - first, CRC32C: crc32.Checksum(body, ckptCastagnoli)})
+	return len(body), nil
 }
 
 // encodeCheckpoint serializes the committed state: meta JSON, then per
