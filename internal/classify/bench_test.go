@@ -229,3 +229,25 @@ func BenchmarkScanCols(b *testing.B) {
 	})
 	_ = blackhole
 }
+
+// table2Sink keeps the benchmarked kernels' results alive.
+var table2Sink Table2
+
+// BenchmarkComputeTable2 times the Table 2 kernel against its hash-set
+// oracle over the same classified wide store, so CI can gate the
+// method-mask index as a same-run ratio.
+func BenchmarkComputeTable2(b *testing.B) {
+	ds, _ := semiBenchDataset(b, DefaultChunkRows)
+	runSemiStages(ds, 1)
+	for _, k := range []struct {
+		name   string
+		kernel func(*Dataset) Table2
+	}{{"index", ComputeTable2}, {"oracle", setTable2}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportMetric(float64(ds.Len()), "rows")
+			for i := 0; i < b.N; i++ {
+				table2Sink = k.kernel(ds)
+			}
+		})
+	}
+}

@@ -52,6 +52,71 @@ func rowTable2(ds *Dataset) Table2 {
 	return Table2{ABP: stats(abp), Semi: stats(semi), Total: stats(tot)}
 }
 
+// setTable2 is ComputeTable2's hash-set oracle: the kernel before the
+// method masks, over the same projection scan, with one set insert per
+// method per row and a cached eTLD+1 per FQDN.
+func setTable2(ds *Dataset) Table2 {
+	type agg struct {
+		fqdns map[uint32]struct{}
+		tlds  map[string]struct{}
+		urls  map[uint64]struct{}
+		total int64
+	}
+	newAgg := func() *agg {
+		return &agg{
+			fqdns: make(map[uint32]struct{}),
+			tlds:  make(map[string]struct{}),
+			urls:  make(map[uint64]struct{}),
+		}
+	}
+	abp, semi, tot := newAgg(), newAgg(), newAgg()
+	add := func(a *agg, fqdn uint32, urlHash uint64, tld string) {
+		a.fqdns[fqdn] = struct{}{}
+		a.tlds[tld] = struct{}{}
+		a.urls[urlHash] = struct{}{}
+		a.total++
+	}
+	tldOf := make(map[uint32]string)
+	tld := func(f uint32) string {
+		t, ok := tldOf[f]
+		if !ok {
+			t = webgraph.ETLDPlusOne(ds.FQDNs.Str(f))
+			tldOf[f] = t
+		}
+		return t
+	}
+	ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
+		cls := pc.Class
+		if !AnyTracking(cls) {
+			return
+		}
+		urls := pc.Wide(ColURLHash)
+		fqdns := pc.Wide(ColFQDN)
+		for i, c := range cls {
+			if !c.IsTracking() {
+				continue
+			}
+			f := uint32(fqdns[i])
+			t := tld(f)
+			add(tot, f, urls[i], t)
+			if c == ClassABP {
+				add(abp, f, urls[i], t)
+			} else {
+				add(semi, f, urls[i], t)
+			}
+		}
+	})
+	toStats := func(a *agg) MethodStats {
+		return MethodStats{
+			FQDNs:          len(a.fqdns),
+			TLDs:           len(a.tlds),
+			UniqueRequests: int64(len(a.urls)),
+			TotalRequests:  a.total,
+		}
+	}
+	return Table2{ABP: toStats(abp), Semi: toStats(semi), Total: toStats(tot)}
+}
+
 // rowPerSiteCounts is PerSiteCounts' row oracle.
 func rowPerSiteCounts(ds *Dataset) []SiteCounts {
 	clean := make([]int64, len(ds.Publishers))
@@ -272,6 +337,58 @@ func TestKernelsMatchRowOracle(t *testing.T) {
 					(r.Class == ClassABP) != (want[i].Class == ClassABP) {
 					t.Fatalf("seed %d %s LiveSemi: row %d class %v, batch %v", seed, name, i, r.Class, want[i].Class)
 				}
+			}
+		}
+	}
+}
+
+// TestTable2MatchesSetOracle is the Table 2 index property: over
+// random datasets the method-mask kernel equals the hash-set oracle
+// field for field on every sealed backend (wide, compressed, raw and
+// compressed spill), and after every epoch of a live append stream
+// whose fixpoint flips clean rows to semi. Interners carry ids no row
+// uses, as merged interners do.
+func TestTable2MatchesSetOracle(t *testing.T) {
+	const chunkRows = 256
+	check := func(where string, ds *Dataset) {
+		t.Helper()
+		if got, want := ComputeTable2(ds), setTable2(ds); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", where, got, want)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		frame, rows := oracleDataset(rng, 1000+rng.Intn(3000), true)
+		for i := 0; i < 50; i++ {
+			frame.FQDNs.ID(fmt.Sprintf("unused%d.u%d.example", i, i%3))
+		}
+		for name, st := range projVariants(t, rows, chunkRows) {
+			ds := *frame
+			ds.Store = st
+			check(fmt.Sprintf("seed %d %s", seed, name), &ds)
+		}
+
+		frame, rows = oracleDataset(rng, 1000+rng.Intn(3000), false)
+		for name, st := range map[string]*MemStore{
+			"live/wide":       NewMemStoreChunked(chunkRows),
+			"live/compressed": NewMemStoreCompressed(chunkRows),
+		} {
+			live := *frame
+			live.Store = st
+			ls := NewLiveSemi(&live, 2)
+			flips := 0
+			for off, epoch := 0, 0; off < len(rows); epoch++ {
+				end := min(off+1+rng.Intn(len(rows)/4), len(rows))
+				for _, r := range rows[off:end] {
+					st.Append(r)
+				}
+				off = end
+				flips += len(ls.Extend())
+				check(fmt.Sprintf("seed %d %s epoch %d", seed, name, epoch), &live)
+			}
+			ls.Close()
+			if flips == 0 {
+				t.Fatalf("seed %d %s: the live stream never flipped a row", seed, name)
 			}
 		}
 	}

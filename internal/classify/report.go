@@ -24,48 +24,36 @@ type Table2 struct {
 	Total MethodStats
 }
 
-// ComputeTable2 aggregates the classified dataset.
+// Method bits of the Table 2 masks: which classification methods
+// caught a tracking row of a given FQDN, eTLD+1 or URL.
+const (
+	methodABP uint8 = 1 << iota
+	methodSemi
+)
+
+// ComputeTable2 aggregates the classified dataset. The scan keeps one
+// method mask per FQDN interner id and one per URL hash, so a tracking
+// row costs an index, one map update and a counter; eTLD+1s derive
+// once per distinct tracking FQDN after the scan, a TLD's mask being
+// the OR of its FQDNs' masks.
 func ComputeTable2(ds *Dataset) Table2 {
-	type agg struct {
-		fqdns map[uint32]struct{}
-		tlds  map[string]struct{}
-		urls  map[uint64]struct{}
-		total int64
+	if ds.Store == nil {
+		return Table2{}
 	}
-	newAgg := func() *agg {
-		return &agg{
-			fqdns: make(map[uint32]struct{}),
-			tlds:  make(map[string]struct{}),
-			urls:  make(map[uint64]struct{}),
+	// Size the URL map from the resident class columns up front: a
+	// map grown one insert at a time spends a third of the kernel in
+	// rehashing.
+	tracking := 0
+	for ci := 0; ci < ds.Store.NumChunks(); ci++ {
+		for _, c := range ds.Store.Classes(ci) {
+			if c.IsTracking() {
+				tracking++
+			}
 		}
 	}
-	abp, semi, tot := newAgg(), newAgg(), newAgg()
-	add := func(a *agg, fqdn uint32, urlHash uint64, tld string) {
-		a.fqdns[fqdn] = struct{}{}
-		a.tlds[tld] = struct{}{}
-		a.urls[urlHash] = struct{}{}
-		a.total++
-	}
-	// tldOf caches the per-FQDN eTLD+1 so the scan does one suffix parse
-	// per hostname, not per row.
-	tldOf := make(map[uint32]string)
-	tld := func(f uint32) string {
-		t, ok := tldOf[f]
-		if !ok {
-			t = webgraph.ETLDPlusOne(ds.FQDNs.Str(f))
-			tldOf[f] = t
-		}
-		return t
-	}
-	addRow := func(cls Class, fqdn uint32, urlHash uint64) {
-		t := tld(fqdn)
-		add(tot, fqdn, urlHash, t)
-		if cls == ClassABP {
-			add(abp, fqdn, urlHash, t)
-		} else {
-			add(semi, fqdn, urlHash, t)
-		}
-	}
+	fqdnMask := make([]uint8, ds.FQDNs.Len())
+	urlMask := make(map[uint64]uint8, tracking)
+	var abpRows, semiRows int64
 	// Only URLHash and FQDN leave the block; chunks with no tracking
 	// rows load nothing at all.
 	ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
@@ -79,18 +67,58 @@ func ComputeTable2(ds *Dataset) Table2 {
 			if !c.IsTracking() {
 				continue
 			}
-			addRow(c, uint32(fqdns[i]), urls[i])
+			bit := methodSemi
+			if c == ClassABP {
+				bit = methodABP
+				abpRows++
+			} else {
+				semiRows++
+			}
+			f := fqdns[i]
+			if f >= uint64(len(fqdnMask)) {
+				fqdnMask = append(fqdnMask, make([]uint8, int(f)+1-len(fqdnMask))...)
+			}
+			fqdnMask[f] |= bit
+			urlMask[urls[i]] |= bit
 		}
 	})
-	toStats := func(a *agg) MethodStats {
-		return MethodStats{
-			FQDNs:          len(a.fqdns),
-			TLDs:           len(a.tlds),
-			UniqueRequests: int64(len(a.urls)),
-			TotalRequests:  a.total,
+	// Tally distinct keys by mask (index 0 stays empty); a method's
+	// count is the sum over the masks carrying its bit.
+	var fq, tl, ur [4]int
+	tldMask := make(map[string]uint8)
+	for f, m := range fqdnMask {
+		if m != 0 {
+			fq[m]++
+			tldMask[webgraph.ETLDPlusOne(ds.FQDNs.Str(uint32(f)))] |= m
 		}
 	}
-	return Table2{ABP: toStats(abp), Semi: toStats(semi), Total: toStats(tot)}
+	for _, m := range tldMask {
+		tl[m]++
+	}
+	for _, m := range urlMask {
+		ur[m]++
+	}
+	count := func(n *[4]int, bits uint8) (c int) {
+		for m := uint8(1); m < 4; m++ {
+			if m&bits != 0 {
+				c += n[m]
+			}
+		}
+		return c
+	}
+	stats := func(bits uint8, rows int64) MethodStats {
+		return MethodStats{
+			FQDNs:          count(&fq, bits),
+			TLDs:           count(&tl, bits),
+			UniqueRequests: int64(count(&ur, bits)),
+			TotalRequests:  rows,
+		}
+	}
+	return Table2{
+		ABP:   stats(methodABP, abpRows),
+		Semi:  stats(methodSemi, semiRows),
+		Total: stats(methodABP|methodSemi, abpRows+semiRows),
+	}
 }
 
 // SiteCounts is the per-website request tally behind Fig 2.

@@ -242,18 +242,102 @@ func (s *Server) Resolve(rng *rand.Rand, fqdn string, userCountry geodata.Countr
 		return 0, ErrNoActiveServer
 	}
 	policy := e.policy
-	if policy == PolicyNearest && s.Spill > 0 && rng.Float64() < s.Spill {
+	if policy == PolicyNearest && spills(rng, s.Spill) {
 		policy = PolicyContinent
 	}
 	localOK := true
 	if policy == PolicyNearest && s.GeoMapping != nil {
 		localOK = s.GeoMapping(fqdn, userCountry, t)
 	}
-	ip := pick(rng, policy, active, userCountry, localOK)
+	sel := selectFrom(policy, active, userCountry, localOK)
+	ip := sel.draw(rng, active)
 	if s.log != nil {
 		s.log(Resolution{FQDN: fqdn, IP: ip, At: t})
 	}
 	return ip, nil
+}
+
+// spills draws whether a PolicyNearest answer spills to
+// PolicyContinent: one Float64, and only when spill is positive.
+func spills(rng *rand.Rand, spill float64) bool {
+	return spill > 0 && rng.Float64() < spill
+}
+
+// Plan is one query — (fqdn, user country, time) — compiled against
+// the frozen zones: the zone lookup, the activity-window filter, the
+// GeoMapping verdict and each candidate policy's deterministic part
+// are done once, leaving only the draws for Pick. A Plan is immutable
+// and safe for concurrent Picks (each goroutine with its own rng).
+type Plan struct {
+	err    error
+	active []ServerIP
+	// spill is the server's Spill for a PolicyNearest zone, zero
+	// otherwise; alt is the PolicyContinent selection a spill serves.
+	spill     float64
+	main, alt selection
+	fqdn      string
+	at        time.Time
+	log       func(Resolution)
+}
+
+// Plan compiles a query. It reads Spill and GeoMapping as they are
+// now, so set both before planning.
+func (s *Server) Plan(fqdn string, userCountry geodata.Country, t time.Time) *Plan {
+	p := &Plan{fqdn: fqdn, at: t, log: s.log}
+	e, ok := s.zones[fqdn]
+	if !ok {
+		p.err = ErrNXDomain
+		return p
+	}
+	p.active = e.servers
+	if n := countActive(e.servers, t); n < len(e.servers) {
+		// Zones are immutable after Register, so a plan shares the
+		// binding list whenever every binding is active.
+		p.active = appendActive(make([]ServerIP, 0, n), e.servers, t)
+	}
+	if len(p.active) == 0 {
+		p.err = ErrNoActiveServer
+		return p
+	}
+	localOK := true
+	if e.policy == PolicyNearest {
+		if s.GeoMapping != nil {
+			localOK = s.GeoMapping(fqdn, userCountry, t)
+		}
+		p.spill = s.Spill
+		p.alt = selectFrom(PolicyContinent, p.active, userCountry, localOK)
+	}
+	p.main = selectFrom(e.policy, p.active, userCountry, localOK)
+	return p
+}
+
+// Pick answers the planned query. It returns what Resolve would for
+// the same query and rng state, and consumes exactly the draws Resolve
+// does: a Float64 for the spill when the zone can spill, then the
+// selected policy's Intn, if any.
+func (p *Plan) Pick(rng *rand.Rand) (netsim.IP, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	sel := &p.main
+	if spills(rng, p.spill) {
+		sel = &p.alt
+	}
+	ip := sel.draw(rng, p.active)
+	if p.log != nil {
+		p.log(Resolution{FQDN: p.fqdn, IP: ip, At: p.at})
+	}
+	return ip, nil
+}
+
+func countActive(servers []ServerIP, t time.Time) int {
+	n := 0
+	for i := range servers {
+		if servers[i].ActiveAt(t) {
+			n++
+		}
+	}
+	return n
 }
 
 func appendActive(out, servers []ServerIP, t time.Time) []ServerIP {
@@ -265,18 +349,78 @@ func appendActive(out, servers []ServerIP, t time.Time) []ServerIP {
 	return out
 }
 
-// pick applies the selection policy over the active bindings. localOK
-// gates PolicyNearest's in-country preference (see Server.GeoMapping).
-func pick(rng *rand.Rand, policy Policy, active []ServerIP, user geodata.Country, localOK bool) netsim.IP {
-	switch policy {
-	case PolicyRandom:
-		return active[rng.Intn(len(active))].IP
-	case PolicyWeighted:
-		total := 0
-		for i := range active {
-			total += weightOf(&active[i])
+// selection is a policy applied to an active set, up to its random
+// draw: a fixed answer, Intn(n) over the bindings m accepts, or
+// Intn(total weight) over all of them.
+type selection struct {
+	kind selKind
+	ip   netsim.IP // selFixed
+	m    matcher   // selUniform
+	n    int       // selUniform: bindings m accepts; selWeighted: total weight
+}
+
+type selKind uint8
+
+const (
+	selFixed selKind = iota
+	selUniform
+	selWeighted
+)
+
+// matcher is the candidate filter of a uniform draw.
+type matcher struct {
+	by      matchBy
+	country geodata.Country   // matchCountry
+	cont    geodata.Continent // matchContinent (Europe counts as one)
+}
+
+type matchBy uint8
+
+const (
+	matchAll matchBy = iota
+	matchCountry
+	matchContinent
+)
+
+func (m matcher) ok(sv *ServerIP) bool {
+	switch m.by {
+	case matchCountry:
+		return sv.Country == m.country
+	case matchContinent:
+		return sameEurope(geodata.ContinentOf(sv.Country), m.cont)
+	}
+	return true
+}
+
+// count returns how many bindings m accepts.
+func (m matcher) count(active []ServerIP) int {
+	n := 0
+	for i := range active {
+		if m.ok(&active[i]) {
+			n++
 		}
-		x := rng.Intn(total)
+	}
+	return n
+}
+
+// draw completes the selection over the active set it was made from.
+// Count-then-select keeps a uniform draw identical to collecting the
+// matches into a slice, without allocating one per query.
+func (sel *selection) draw(rng *rand.Rand, active []ServerIP) netsim.IP {
+	switch sel.kind {
+	case selUniform:
+		n := rng.Intn(sel.n)
+		for i := range active {
+			if sel.m.ok(&active[i]) {
+				if n == 0 {
+					return active[i].IP
+				}
+				n--
+			}
+		}
+		panic("dns: uniform draw out of range")
+	case selWeighted:
+		x := rng.Intn(sel.n)
 		for i := range active {
 			x -= weightOf(&active[i])
 			if x < 0 {
@@ -284,6 +428,29 @@ func pick(rng *rand.Rand, policy Policy, active []ServerIP, user geodata.Country
 			}
 		}
 		panic("dns: weighted draw out of range")
+	}
+	return sel.ip
+}
+
+// selectFrom applies the selection policy over the active bindings: it
+// is the one statement of each policy's rule. localOK gates
+// PolicyNearest's in-country preference (see Server.GeoMapping).
+func selectFrom(policy Policy, active []ServerIP, user geodata.Country, localOK bool) selection {
+	fixed := func(ip netsim.IP) selection { return selection{kind: selFixed, ip: ip} }
+	uniform := func(m matcher) (selection, bool) {
+		n := m.count(active)
+		return selection{kind: selUniform, m: m, n: n}, n > 0
+	}
+	switch policy {
+	case PolicyRandom:
+		sel, _ := uniform(matcher{by: matchAll})
+		return sel
+	case PolicyWeighted:
+		total := 0
+		for i := range active {
+			total += weightOf(&active[i])
+		}
+		return selection{kind: selWeighted, n: total}
 	case PolicyLatency:
 		best, bestRTT := 0, -1.0
 		for i, sv := range active {
@@ -296,7 +463,7 @@ func pick(rng *rand.Rand, policy Policy, active []ServerIP, user geodata.Country
 				best, bestRTT = i, rtt
 			}
 		}
-		return active[best].IP
+		return fixed(active[best].IP)
 	case PolicyFailover:
 		best := 0
 		for i := 1; i < len(active); i++ {
@@ -304,44 +471,25 @@ func pick(rng *rand.Rand, policy Policy, active []ServerIP, user geodata.Country
 				best = i
 			}
 		}
-		return active[best].IP
+		return fixed(active[best].IP)
 	case PolicyHQ:
 		// HQ policy still has only the org's deployments to choose from;
 		// prefer the first (registration order puts HQ blocks first in
 		// practice) — deterministically the lowest IP.
-		return active[0].IP
+		return fixed(active[0].IP)
 	case PolicyContinent:
-		cont := geodata.ContinentOf(user)
-		// Count-then-select keeps the draw identical to collecting the
-		// matches into a slice, without allocating one per query.
-		n := 0
-		for i := range active {
-			if sameEurope(geodata.ContinentOf(active[i].Country), cont) {
-				n++
-			}
-		}
-		if n > 0 {
-			return nthMatch(active, rng.Intn(n), func(sv *ServerIP) bool {
-				return sameEurope(geodata.ContinentOf(sv.Country), cont)
-			})
+		if sel, ok := uniform(matcher{by: matchContinent, cont: geodata.ContinentOf(user)}); ok {
+			return sel
 		}
 		// No server on the user's continent: serve from the nearest
 		// region (a South American user of a US/EU service lands in the
 		// US, not on a random European PoP).
-		return nearestServer(active, user)
+		return fixed(nearestServer(active, user))
 	default: // PolicyNearest
 		// 1. Same country, when the geo mapping for it is active.
 		if localOK {
-			n := 0
-			for i := range active {
-				if active[i].Country == user {
-					n++
-				}
-			}
-			if n > 0 {
-				return nthMatch(active, rng.Intn(n), func(sv *ServerIP) bool {
-					return sv.Country == user
-				})
+			if sel, ok := uniform(matcher{by: matchCountry, country: user}); ok {
+				return sel
 			}
 		}
 		// 2. Nearest within the user's continent (Europe is treated as
@@ -366,10 +514,10 @@ func pick(rng *rand.Rand, policy Policy, active []ServerIP, user geodata.Country
 			}
 		}
 		if best >= 0 {
-			return active[best].IP
+			return fixed(active[best].IP)
 		}
 		// 3. Globally nearest.
-		return nearestServer(active, user)
+		return fixed(nearestServer(active, user))
 	}
 }
 
@@ -379,20 +527,6 @@ func weightOf(sv *ServerIP) int {
 		return 1
 	}
 	return sv.Weight
-}
-
-// nthMatch returns the IP of the n-th (0-based) server satisfying ok.
-// The caller guarantees at least n+1 matches exist.
-func nthMatch(active []ServerIP, n int, ok func(*ServerIP) bool) netsim.IP {
-	for i := range active {
-		if ok(&active[i]) {
-			if n == 0 {
-				return active[i].IP
-			}
-			n--
-		}
-	}
-	panic("dns: nthMatch out of range")
 }
 
 // nearestServer returns the active server geographically closest to the

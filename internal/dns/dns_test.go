@@ -276,8 +276,10 @@ func TestRegisterAfterFreezePanics(t *testing.T) {
 
 // TestResolveConcurrentReadOnly drives the frozen resolver from many
 // goroutines, each with a private rng, and checks every goroutine gets
-// exactly the answers a lone goroutine with the same rng seed gets. Run
-// under -race this also proves the resolve path performs no writes.
+// exactly the answers a lone goroutine with the same rng seed gets
+// from Resolve, every other goroutine answering through one set of
+// shared Plans instead. Run under -race this also proves the resolve path and Pick
+// perform no writes.
 func TestResolveConcurrentReadOnly(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Spill = 0.1
@@ -302,12 +304,24 @@ func TestResolveConcurrentReadOnly(t *testing.T) {
 	srv.Freeze()
 
 	day := from.AddDate(0, 1, 0)
-	resolveAll := func(seed int64) []netsim.IP {
+	plans := make([][]*Plan, 4)
+	for round := range plans {
+		for _, z := range zones {
+			plans[round] = append(plans[round], srv.Plan(z, countries[round%len(countries)], day))
+		}
+	}
+	resolveAll := func(seed int64, usePlans bool) []netsim.IP {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]netsim.IP, 0, 4*len(zones))
 		for round := 0; round < 4; round++ {
-			for _, z := range zones {
-				ip, err := srv.Resolve(rng, z, countries[round%len(countries)], day)
+			for zi, z := range zones {
+				var ip netsim.IP
+				var err error
+				if usePlans {
+					ip, err = plans[round][zi].Pick(rng)
+				} else {
+					ip, err = srv.Resolve(rng, z, countries[round%len(countries)], day)
+				}
 				if err != nil {
 					t.Errorf("resolve %s: %v", z, err)
 				}
@@ -320,7 +334,7 @@ func TestResolveConcurrentReadOnly(t *testing.T) {
 	const goroutines = 8
 	want := make([][]netsim.IP, goroutines)
 	for gi := range want {
-		want[gi] = resolveAll(int64(gi + 1))
+		want[gi] = resolveAll(int64(gi+1), false)
 	}
 	got := make([][]netsim.IP, goroutines)
 	var wg sync.WaitGroup
@@ -328,7 +342,7 @@ func TestResolveConcurrentReadOnly(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			got[gi] = resolveAll(int64(gi + 1))
+			got[gi] = resolveAll(int64(gi+1), gi%2 == 0)
 		}(gi)
 	}
 	wg.Wait()

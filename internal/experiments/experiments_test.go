@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -507,5 +508,38 @@ func TestTable9Transcription(t *testing.T) {
 	}
 	if !strings.Contains(RenderTable9(), "RIPE IPmap") {
 		t.Error("render missing IPmap cell")
+	}
+}
+
+// TestLocalityTablesShareOneEngine: a Suite builds one locality engine
+// for Tables 5 and 6, even when both are first asked for concurrently
+// (as RunAll does), and its answers equal two independently built
+// engines'. Callers get their own rows.
+func TestLocalityTablesShareOneEngine(t *testing.T) {
+	s := testSuite(t).S
+	e5 := locality.NewEngine(s.Dataset, s.IPMap, s.OrgClouds)
+	e6 := locality.NewEngine(s.Dataset, s.IPMap, s.OrgClouds)
+	rows := e5.Table5()
+	want5 := Table5Result{Flows: e5.TotalFlows(), Rows: rows, Default: rows[0]}
+	want6 := Table6Result{Rows: e6.Table6(table6Countries)}
+
+	su := NewSuite(s)
+	var got5 Table5Result
+	var got6 Table6Result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); got5 = su.Table5() }()
+	go func() { defer wg.Done(); got6 = su.Table6() }()
+	wg.Wait()
+	if !reflect.DeepEqual(got5, want5) {
+		t.Errorf("shared-engine Table5 %+v, fresh engine %+v", got5, want5)
+	}
+	if !reflect.DeepEqual(got6, want6) {
+		t.Errorf("shared-engine Table6 %+v, fresh engine %+v", got6, want6)
+	}
+	got5.Rows[0].InCountry = -1
+	got6.Rows[0].Requests = -1
+	if !reflect.DeepEqual(su.Table5(), want5) || !reflect.DeepEqual(su.Table6(), want6) {
+		t.Error("a caller's edit to its rows reached the Suite's cached tables")
 	}
 }

@@ -89,13 +89,14 @@ func (su *Suite) Table8() Table8Result {
 	return r
 }
 
-// Table8Context is Table8 with cancellation and progress: the sixteen
-// per-ISP-day NetFlow syntheses dominate the registry's wall-clock at
-// full scale, so the loop polls ctx before each day and returns
-// ctx.Err() promptly, and reports each finished ISP-day through
-// Suite.Progress under the phase name "table8". This is what lets
-// `reproduce -only table8` honour ctrl-C mid-run and `-progress` show
-// the heaviest runner advancing.
+// Table8Context is Table8 with cancellation and progress: even with
+// memoized DNS plans the sixteen per-ISP-day NetFlow syntheses are the
+// registry's heaviest runner, so the loop polls ctx before each day
+// and returns ctx.Err() promptly, and reports each finished ISP-day
+// through Suite.Progress under the phase name "table8". This is what
+// lets `reproduce -only table8` honour ctrl-C mid-run and `-progress`
+// show the heaviest runner advancing. One Synthesizer serves all
+// sixteen days, so its plan memo lives exactly as long as this call.
 func (su *Suite) Table8Context(ctx context.Context) (Table8Result, error) {
 	synth := &netflow.Synthesizer{Resolver: su.S.DNS}
 	fqdns := su.S.FQDNWeights()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"crossborder/internal/geodata"
 	"crossborder/internal/locality"
@@ -26,16 +27,25 @@ func (r Table5Result) Row(s locality.Scenario) locality.Result {
 	return locality.Result{}
 }
 
-// localityEngine builds the §5 engine (IPmap geolocation, like the paper).
-func (su *Suite) localityEngine() *locality.Engine {
-	return locality.NewEngine(su.S.Dataset, su.S.IPMap, su.S.OrgClouds)
+// locality builds the §5 engine (IPmap geolocation, like the paper)
+// once per Suite and evaluates both of its tables at once. Only the
+// small results stay on the Suite: the engine's per-FQDN tables are
+// dropped as soon as both tables exist.
+func (su *Suite) locality() {
+	su.once.locality.Do(func() {
+		e := locality.NewEngine(su.S.Dataset, su.S.IPMap, su.S.OrgClouds)
+		rows := e.Table5()
+		su.table5 = Table5Result{Flows: e.TotalFlows(), Rows: rows, Default: rows[0]}
+		su.table6 = Table6Result{Rows: e.Table6(table6Countries)}
+	})
 }
 
 // Table5 evaluates the five scenarios.
 func (su *Suite) Table5() Table5Result {
-	e := su.localityEngine()
-	rows := e.Table5()
-	return Table5Result{Flows: e.TotalFlows(), Rows: rows, Default: rows[0]}
+	su.locality()
+	r := su.table5
+	r.Rows = slices.Clone(r.Rows)
+	return r
 }
 
 // Render formats the table with improvement columns.
@@ -61,8 +71,8 @@ var table6Countries = []geodata.Country{"GB", "ES", "GR", "IT", "RO", "CY", "DK"
 
 // Table6 evaluates the per-country what-ifs.
 func (su *Suite) Table6() Table6Result {
-	e := su.localityEngine()
-	return Table6Result{Rows: e.Table6(table6Countries)}
+	su.locality()
+	return Table6Result{Rows: slices.Clone(su.table6.Rows)}
 }
 
 // Row returns the improvement row for one country.

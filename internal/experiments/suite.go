@@ -27,9 +27,12 @@ type Suite struct {
 	Progress func(scenario.PhaseEvent)
 
 	once struct {
-		truth, ipmap, maxmind sync.Once
+		truth, ipmap, maxmind, locality sync.Once
 	}
 	truthA, ipmapA, maxmindA *core.Analysis
+	// table5 and table6 share one locality engine (see locality.go).
+	table5 Table5Result
+	table6 Table6Result
 
 	cellsMu sync.Mutex
 	cells   map[string]*artifactCell

@@ -86,7 +86,7 @@ var cloudPoPs = map[CloudProvider][]Country{
 func CloudPoPCountries(p CloudProvider) []Country {
 	var out []Country
 	for _, c := range cloudPoPs[p] {
-		if _, ok := byCode[c]; ok {
+		if _, ok := Index(c); ok {
 			out = append(out, c)
 		}
 	}

@@ -37,11 +37,11 @@ func initDistances() {
 // DistanceKm returns the great-circle distance between two countries'
 // reference cities, or -1 if either country is unknown.
 func DistanceKm(a, b Country) float64 {
-	ia, ok := byCode[a]
+	ia, ok := Index(a)
 	if !ok {
 		return -1
 	}
-	ib, ok := byCode[b]
+	ib, ok := Index(b)
 	if !ok {
 		return -1
 	}

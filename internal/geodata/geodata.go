@@ -149,30 +149,57 @@ var countries = []Info{
 }
 
 // byCode maps a country code to its dense index: its position in
-// countries, which is also AllCountries order.
-var byCode map[Country]int
+// countries, which is also AllCountries order. byPair holds the same
+// for two-letter upper-case codes without hashing: the index plus one
+// at pairSlot(code), zero for a code not in the table.
+var (
+	byCode map[Country]int
+	byPair [26 * 26]uint8
+)
 
 func init() {
 	byCode = make(map[Country]int, len(countries))
+	if len(countries) >= 255 {
+		panic("geodata: country table outgrows byPair")
+	}
 	for i, c := range countries {
 		if _, dup := byCode[c.Code]; dup {
 			panic("geodata: duplicate country " + string(c.Code))
 		}
 		byCode[c.Code] = i
+		if s, ok := pairSlot(c.Code); ok {
+			byPair[s] = uint8(i + 1)
+		}
 	}
 	initDistances()
 }
 
+func pairSlot(code Country) (int, bool) {
+	if len(code) != 2 {
+		return 0, false
+	}
+	a, b := code[0]-'A', code[1]-'A'
+	if a >= 26 || b >= 26 {
+		return 0, false
+	}
+	return int(a)*26 + int(b), true
+}
+
 // Index returns the country's dense index: its position in
-// AllCountries. ok is false for an unknown code.
+// AllCountries. ok is false for an unknown code. Every lookup by code
+// in this package goes through it; ISO codes never hash.
 func Index(code Country) (int, bool) {
+	if s, ok := pairSlot(code); ok {
+		i := byPair[s]
+		return int(i) - 1, i != 0
+	}
 	i, ok := byCode[code]
 	return i, ok
 }
 
 // Lookup returns the reference data for a country code.
 func Lookup(code Country) (Info, bool) {
-	if i, ok := byCode[code]; ok {
+	if i, ok := Index(code); ok {
 		return countries[i], true
 	}
 	return Info{}, false
@@ -180,7 +207,7 @@ func Lookup(code Country) (Info, bool) {
 
 // Name returns the country's display name, or the code itself if unknown.
 func Name(code Country) string {
-	if i, ok := byCode[code]; ok {
+	if i, ok := Index(code); ok {
 		return countries[i].Name
 	}
 	return string(code)
@@ -188,7 +215,7 @@ func Name(code Country) string {
 
 // ContinentOf returns the region a country belongs to.
 func ContinentOf(code Country) Continent {
-	if i, ok := byCode[code]; ok {
+	if i, ok := Index(code); ok {
 		return countries[i].Continent
 	}
 	return ContinentUnknown
@@ -219,7 +246,7 @@ func EU28Countries() []Info {
 // InfraDensity returns the IT-infrastructure density index for a country,
 // or zero if unknown.
 func InfraDensity(code Country) int {
-	if i, ok := byCode[code]; ok {
+	if i, ok := Index(code); ok {
 		return countries[i].InfraDensity
 	}
 	return 0

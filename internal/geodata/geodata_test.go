@@ -226,3 +226,19 @@ func TestEveryEUCountryReachableByMigration(t *testing.T) {
 		t.Errorf("%d EU28 countries lack any of the nine clouds; footprint too sparse", missing)
 	}
 }
+
+// TestIndexTableMatchesMap: the two-letter table answers exactly what
+// the code map does, for every country and for codes it must miss.
+func TestIndexTableMatchesMap(t *testing.T) {
+	codes := []Country{"", "A", "ZZ", "zz", "de", "DEU", "D1", "[A", "@Z"}
+	for _, c := range AllCountries() {
+		codes = append(codes, c.Code)
+	}
+	for _, c := range codes {
+		want, wantOK := byCode[c]
+		got, ok := Index(c)
+		if ok != wantOK || (ok && got != want) {
+			t.Errorf("Index(%q) = %d, %v; map says %d, %v", c, got, ok, want, wantOK)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"crossborder/internal/classify"
 	"crossborder/internal/geo"
 	"crossborder/internal/geodata"
+	"crossborder/internal/netsim"
 	"crossborder/internal/webgraph"
 )
 
@@ -62,93 +63,191 @@ func (s Scenario) String() string {
 // world; tests can stub it.
 type OrgClouds func(fqdn string) []geodata.CloudProvider
 
-// flowKey aggregates identical observations.
-type flowKey struct {
-	src  geodata.Country
-	fqdn uint32
-	dst  geodata.Country
+// place is a country as the what-ifs see it: its slot among the EU28
+// member states (0–27), restOfEurope, or elsewhere. Every source is an
+// EU28 slot, and outcome only ever asks whether a destination is the
+// source country or somewhere in Europe.
+type place uint8
+
+const (
+	restOfEurope place = 28 + iota
+	elsewhere
+)
+
+// eu28 lists the member states in slot order; eu28Slot inverts it.
+var (
+	eu28     []geodata.Country
+	eu28Slot = make(map[geodata.Country]place)
+)
+
+func init() {
+	for i, c := range geodata.EU28Countries() {
+		eu28 = append(eu28, c.Code)
+		eu28Slot[c.Code] = place(i)
+	}
+	if len(eu28) != int(restOfEurope) {
+		panic("locality: EU28 has a member count the place slots do not fit")
+	}
+}
+
+func placeOf(c geodata.Country) place {
+	switch geodata.ContinentOf(c) {
+	case geodata.EU28:
+		return eu28Slot[c]
+	case geodata.RestOfEurope:
+		return restOfEurope
+	}
+	return elsewhere
+}
+
+// reach is a set of destination countries reduced to what outcome
+// reads: which EU28 members it holds, and whether it holds any country
+// in Europe.
+type reach struct {
+	eu     uint32
+	europe bool
+}
+
+func (r *reach) add(p place) {
+	if p < restOfEurope {
+		r.eu |= 1 << p
+	}
+	r.europe = r.europe || p <= restOfEurope
+}
+
+func (r *reach) union(o reach) {
+	r.eu |= o.eu
+	r.europe = r.europe || o.europe
+}
+
+func (r reach) has(p place) bool { return p < restOfEurope && r.eu&(1<<p) != 0 }
+
+// reachOf returns the reach of a country list.
+func reachOf(cs []geodata.Country) reach {
+	var r reach
+	for _, c := range cs {
+		r.add(placeOf(c))
+	}
+	return r
+}
+
+// flow aggregates identical observations: n tracking requests from an
+// EU28 user in src to hostname fqdn (an interner id) served from dst.
+type flow struct {
+	src, dst place
+	fqdn     uint32
+	n        int64
 }
 
 // Engine evaluates what-if scenarios over the observed tracking flows of
-// EU28 users (the population of Table 5).
+// EU28 users (the population of Table 5). It is immutable once
+// NewEngine returns, so concurrent Evaluate/Table5/Table6 calls are
+// safe.
 type Engine struct {
-	flows map[flowKey]int64
+	flows []flow
 	total int64
-
-	fqdns *classify.Interner
-	// byFQDN / byTLD: the set of destination countries observed for a
-	// hostname / registrable domain across the whole dataset.
-	byFQDN map[uint32]map[geodata.Country]struct{}
-	byTLD  map[string]map[geodata.Country]struct{}
-	// tldOf caches the registrable domain per FQDN id.
-	tldOf map[uint32]string
-
-	orgClouds OrgClouds
-	// allCloudCountries caches the union of the nine providers' PoPs.
-	allCloudCountries map[geodata.Country]struct{}
+	// byFQDN, byTLD and cloud are indexed by FQDN interner id: the
+	// destinations observed for the hostname, for its registrable
+	// domain, and the PoPs of the clouds its organization leases from.
+	byFQDN, byTLD, cloud []reach
+	// allClouds is the union of the nine providers' PoPs.
+	allClouds reach
 }
 
 // NewEngine builds the engine from the classified dataset: it geolocates
 // every tracking flow of every EU28 user with svc (the paper uses RIPE
-// IPmap here) and indexes the observed alternatives.
+// IPmap here) and indexes the observed alternatives. Each distinct IP
+// is located once, and each distinct tracked FQDN resolves its eTLD+1
+// and organization clouds once.
 func NewEngine(ds *classify.Dataset, svc geo.Service, orgClouds OrgClouds) *Engine {
-	e := &Engine{
-		flows:             make(map[flowKey]int64),
-		fqdns:             ds.FQDNs,
-		byFQDN:            make(map[uint32]map[geodata.Country]struct{}),
-		byTLD:             make(map[string]map[geodata.Country]struct{}),
-		tldOf:             make(map[uint32]string),
-		orgClouds:         orgClouds,
-		allCloudCountries: make(map[geodata.Country]struct{}),
-	}
+	e := &Engine{}
+	clouds := make(map[geodata.CloudProvider]reach)
 	for _, p := range geodata.AllCloudProviders() {
-		for _, c := range geodata.CloudPoPCountries(p) {
-			e.allCloudCountries[c] = struct{}{}
-		}
+		clouds[p] = reachOf(geodata.CloudPoPCountries(p))
+		e.allClouds.union(clouds[p])
 	}
-	ds.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
-			if !cls.IsTracking() {
+	srcOf := make([]place, len(ds.Countries))
+	for i, c := range ds.Countries {
+		srcOf[i] = placeOf(c)
+	}
+	// unlocated marks an IP svc has no answer for.
+	const unlocated = place(255)
+	dstOf := make(map[uint64]place)
+	counts := make(map[uint64]int64) // src<<40 | dst<<32 | fqdn
+	ds.ScanCols(classify.Cols(classify.ColCountry, classify.ColIP, classify.ColFQDN), func(_ int, pc *classify.ProjChunk) {
+		cls := pc.Class
+		if !classify.AnyTracking(cls) {
+			return
+		}
+		var ips, fqdns []uint64
+		row := 0
+		for _, r := range pc.Runs(classify.ColCountry) {
+			lo := row
+			row += r.Len
+			src := srcOf[r.Value]
+			if src >= restOfEurope {
 				continue
 			}
-			src := ds.Countries[c.Country[i]]
-			if !geodata.IsEU28(src) {
-				continue
+			if ips == nil {
+				ips, fqdns = pc.Wide(classify.ColIP), pc.Wide(classify.ColFQDN)
 			}
-			loc, ok := svc.Locate(c.IP[i])
-			if !ok {
-				continue
+			for i := lo; i < row; i++ {
+				if !cls[i].IsTracking() {
+					continue
+				}
+				dst, ok := dstOf[ips[i]]
+				if !ok {
+					dst = unlocated
+					if loc, ok := svc.Locate(netsim.IP(ips[i])); ok {
+						dst = placeOf(loc.Country)
+					}
+					dstOf[ips[i]] = dst
+				}
+				if dst != unlocated {
+					counts[uint64(src)<<40|uint64(dst)<<32|fqdns[i]]++
+				}
 			}
-			e.add(src, c.FQDN[i], loc.Country)
 		}
 	})
+
+	n := ds.FQDNs.Len()
+	e.flows = make([]flow, 0, len(counts))
+	for k, c := range counts {
+		f := flow{src: place(k >> 40), dst: place(k >> 32), fqdn: uint32(k), n: c}
+		e.flows = append(e.flows, f)
+		e.total += c
+		n = max(n, int(f.fqdn)+1)
+	}
+	e.byFQDN = make([]reach, n)
+	for _, f := range e.flows {
+		e.byFQDN[f.fqdn].add(f.dst)
+	}
+	// Per distinct tracked FQDN: its registrable domain's reach (the
+	// union over the domain's hostnames) and its organization's clouds.
+	e.byTLD = make([]reach, n)
+	e.cloud = make([]reach, n)
+	tldOf := make(map[uint32]string)
+	byTLD := make(map[string]reach)
+	for _, f := range e.flows {
+		if _, done := tldOf[f.fqdn]; done {
+			continue
+		}
+		host := ds.FQDNs.Str(f.fqdn)
+		tld := webgraph.ETLDPlusOne(host)
+		tldOf[f.fqdn] = tld
+		r := byTLD[tld]
+		r.union(e.byFQDN[f.fqdn])
+		byTLD[tld] = r
+		if orgClouds != nil {
+			for _, p := range orgClouds(host) {
+				e.cloud[f.fqdn].union(clouds[p])
+			}
+		}
+	}
+	for f, tld := range tldOf {
+		e.byTLD[f] = byTLD[tld]
+	}
 	return e
-}
-
-// add records one observed flow and indexes the destination as an
-// available alternative for its FQDN and TLD.
-func (e *Engine) add(src geodata.Country, fqdnID uint32, dst geodata.Country) {
-	e.flows[flowKey{src, fqdnID, dst}]++
-	e.total++
-
-	set := e.byFQDN[fqdnID]
-	if set == nil {
-		set = make(map[geodata.Country]struct{})
-		e.byFQDN[fqdnID] = set
-	}
-	set[dst] = struct{}{}
-
-	tld, ok := e.tldOf[fqdnID]
-	if !ok {
-		tld = webgraph.ETLDPlusOne(e.fqdns.Str(fqdnID))
-		e.tldOf[fqdnID] = tld
-	}
-	tset := e.byTLD[tld]
-	if tset == nil {
-		tset = make(map[geodata.Country]struct{})
-		e.byTLD[tld] = tset
-	}
-	tset[dst] = struct{}{}
 }
 
 // TotalFlows returns the number of EU28 tracking flows under analysis
@@ -168,13 +267,13 @@ type Result struct {
 // (preferring country over continent, as a GDPR-friendly operator would).
 func (e *Engine) Evaluate(s Scenario) Result {
 	var inCountry, inEurope int64
-	for k, n := range e.flows {
-		country, europe := e.outcome(s, k)
+	for _, f := range e.flows {
+		country, europe := e.outcome(s, f)
 		if country {
-			inCountry += n
+			inCountry += f.n
 		}
 		if europe {
-			inEurope += n
+			inEurope += f.n
 		}
 	}
 	r := Result{Scenario: s}
@@ -185,73 +284,36 @@ func (e *Engine) Evaluate(s Scenario) Result {
 	return r
 }
 
-func isEurope(c geodata.Country) bool {
-	cc := geodata.ContinentOf(c)
-	return cc == geodata.EU28 || cc == geodata.RestOfEurope
-}
-
-// outcome decides whether flow k can terminate in the user's country and
+// outcome decides whether flow f can terminate in the user's country and
 // whether it can terminate in Europe under scenario s.
-func (e *Engine) outcome(s Scenario, k flowKey) (inCountry, inEurope bool) {
+func (e *Engine) outcome(s Scenario, f flow) (inCountry, inEurope bool) {
 	// The observed destination always remains available.
-	if k.dst == k.src {
-		inCountry = true
-	}
-	if isEurope(k.dst) {
-		inEurope = true
-	}
-	check := func(set map[geodata.Country]struct{}) {
-		if _, ok := set[k.src]; ok {
-			inCountry = true
-			inEurope = true
-			return
+	inCountry = f.dst == f.src
+	inEurope = f.dst <= restOfEurope
+	check := func(r reach) {
+		if r.has(f.src) {
+			inCountry, inEurope = true, true
 		}
-		if !inEurope {
-			for c := range set {
-				if isEurope(c) {
-					inEurope = true
-					break
-				}
-			}
-		}
+		inEurope = inEurope || r.europe
 	}
 	switch s {
 	case Default:
 		// nothing more
 	case RedirectFQDN:
-		check(e.byFQDN[k.fqdn])
+		check(e.byFQDN[f.fqdn])
 	case RedirectTLD:
-		check(e.byTLD[e.tldOf[k.fqdn]])
+		check(e.byTLD[f.fqdn])
 	case PoPMirror:
-		check(e.cloudSet(k.fqdn))
+		check(e.cloud[f.fqdn])
 	case RedirectTLDPlusPoP:
-		check(e.byTLD[e.tldOf[k.fqdn]])
+		check(e.byTLD[f.fqdn])
 		if !inCountry {
-			check(e.cloudSet(k.fqdn))
+			check(e.cloud[f.fqdn])
 		}
 	case CloudMigration:
-		check(e.allCloudCountries)
+		check(e.allClouds)
 	}
 	return inCountry, inEurope
-}
-
-// cloudSet returns the PoP countries available to the org owning fqdn via
-// the clouds it already uses.
-func (e *Engine) cloudSet(fqdnID uint32) map[geodata.Country]struct{} {
-	if e.orgClouds == nil {
-		return nil
-	}
-	providers := e.orgClouds(e.fqdns.Str(fqdnID))
-	if len(providers) == 0 {
-		return nil
-	}
-	set := make(map[geodata.Country]struct{})
-	for _, p := range providers {
-		for _, c := range geodata.CloudPoPCountries(p) {
-			set[c] = struct{}{}
-		}
-	}
-	return set
 }
 
 // Table5 evaluates the five scenarios of Table 5 in the paper's order.
@@ -281,46 +343,44 @@ type CountryImprovement struct {
 // Table6 computes per-country improvements for the given origin countries
 // (the paper lists UK, Spain, Greece, Italy, Romania, Cyprus, Denmark).
 func (e *Engine) Table6(countries []geodata.Country) []CountryImprovement {
-	want := make(map[geodata.Country]bool, len(countries))
+	var want [restOfEurope]bool
 	for _, c := range countries {
-		want[c] = true
+		if p := placeOf(c); p < restOfEurope {
+			want[p] = true
+		}
 	}
 	type acc struct {
 		total, tld, tldPoP, migr int64
 	}
-	accs := make(map[geodata.Country]*acc)
-	for k, n := range e.flows {
-		if !want[k.src] {
+	var accs [restOfEurope]acc
+	for _, f := range e.flows {
+		if !want[f.src] {
 			continue
 		}
-		x := accs[k.src]
-		if x == nil {
-			x = &acc{}
-			accs[k.src] = x
+		x := &accs[f.src]
+		x.total += f.n
+		if c, _ := e.outcome(RedirectTLD, f); c {
+			x.tld += f.n
 		}
-		x.total += n
-		if c, _ := e.outcome(RedirectTLD, k); c {
-			x.tld += n
-		}
-		if c, _ := e.outcome(RedirectTLDPlusPoP, k); c {
-			x.tldPoP += n
+		if c, _ := e.outcome(RedirectTLDPlusPoP, f); c {
+			x.tldPoP += f.n
 		}
 		// Migration is evaluated on top of TLD redirection: either the
 		// TLD alternatives or any cloud PoP in the country will do.
-		cm, _ := e.outcome(CloudMigration, k)
-		ct, _ := e.outcome(RedirectTLD, k)
+		cm, _ := e.outcome(CloudMigration, f)
+		ct, _ := e.outcome(RedirectTLD, f)
 		if cm || ct {
-			x.migr += n
+			x.migr += f.n
 		}
 	}
-	out := make([]CountryImprovement, 0, len(accs))
-	for c, x := range accs {
+	out := make([]CountryImprovement, 0, len(countries))
+	for p, x := range accs {
 		if x.total == 0 {
 			continue
 		}
 		pct := func(v int64) float64 { return 100 * float64(v) / float64(x.total) }
 		out = append(out, CountryImprovement{
-			Country:          c,
+			Country:          eu28[p],
 			Requests:         x.total,
 			PoPOverTLD:       pct(x.tldPoP) - pct(x.tld),
 			MigrationOverTLD: pct(x.migr) - pct(x.tld),

@@ -61,17 +61,52 @@ type DaySynthesis struct {
 
 // Synthesizer produces ISP-day aggregates by replaying the DNS behaviour
 // of the ISP's subscriber base over the tracking FQDN popularity profile.
+// It memoizes one compiled DNS query (dns.Plan) per FQDN, vantage
+// country and date for its own lifetime, so a Synthesizer must not be
+// shared between goroutines, and should not outlive a change to its
+// Resolver's Spill or GeoMapping.
 type Synthesizer struct {
 	Resolver *dns.Server
 	// ResolutionSamples is how many resolutions approximate one FQDN's
 	// destination distribution (default 24).
 	ResolutionSamples int
+
+	// plans holds each FQDN's compiled queries, keyed by name so the
+	// memo is independent of the weight slice's order.
+	plans map[string]*fqdnPlans
+}
+
+// fqdnPlans holds one FQDN's compiled queries, one per (vantage
+// country, date).
+type fqdnPlans struct {
+	fqdn    string
+	queries []plannedQuery
+}
+
+type plannedQuery struct {
+	country geodata.Country
+	date    time.Time
+	plan    *dns.Plan
+}
+
+// plan returns the FQDN's plan for a vantage, compiling it on first use.
+func (fp *fqdnPlans) plan(r *dns.Server, country geodata.Country, date time.Time) *dns.Plan {
+	for _, q := range fp.queries {
+		if q.country == country && q.date.Equal(date) {
+			return q.plan
+		}
+	}
+	p := r.Plan(fp.fqdn, country, date)
+	fp.queries = append(fp.queries, plannedQuery{country, date, p})
+	return p
 }
 
 // Synthesize generates one ISP-day. The per-FQDN flow budget is
 // distributed over the destination IPs the ISP's users would actually be
 // handed: mostly geo-aware answers for the ISP's country, mixed with
 // location-blind answers for the third-party-DNS share of subscribers.
+// Answers come from memoized dns.Plans, whose Picks equal Resolve's
+// answers draw for draw.
 func (s *Synthesizer) Synthesize(rng *rand.Rand, isp ISPProfile, date time.Time, fqdns []FQDNWeight) DaySynthesis {
 	out := DaySynthesis{ISP: isp, Date: date, PerIP: make(map[netsim.IP]int64)}
 	total := int64(isp.DailySampledFlowsM * 1e6)
@@ -89,6 +124,9 @@ func (s *Synthesizer) Synthesize(rng *rand.Rand, isp ISPProfile, date time.Time,
 	if samples <= 0 {
 		samples = 24
 	}
+	if s.plans == nil {
+		s.plans = make(map[string]*fqdnPlans)
+	}
 
 	var assigned int64
 	for _, f := range fqdns {
@@ -96,22 +134,32 @@ func (s *Synthesizer) Synthesize(rng *rand.Rand, isp ISPProfile, date time.Time,
 		if budget == 0 {
 			continue
 		}
+		fp := s.plans[f.FQDN]
+		if fp == nil {
+			fp = &fqdnPlans{fqdn: f.FQDN}
+			s.plans[f.FQDN] = fp
+		}
 		// Approximate the destination distribution with repeated
 		// resolutions: carrier-resolver users (geo-aware) and
 		// third-party-DNS users (location-blind).
 		nThird := int(float64(samples) * isp.ThirdPartyDNSShare)
 		nLocal := samples - nThird
 		dests := make([]netsim.IP, 0, samples)
+		local := fp.plan(s.Resolver, isp.Country, date)
 		for i := 0; i < nLocal; i++ {
-			if ip, err := s.Resolver.Resolve(rng, f.FQDN, isp.Country, date); err == nil {
+			if ip, err := local.Pick(rng); err == nil {
 				dests = append(dests, ip)
 			}
 		}
+		var vantage [len(thirdPartyVantages)]*dns.Plan
 		for i := 0; i < nThird; i++ {
 			// A third-party resolver's vantage hides the user: model as
 			// resolution from a random large market.
-			vantage := thirdPartyVantages[rng.Intn(len(thirdPartyVantages))]
-			if ip, err := s.Resolver.Resolve(rng, f.FQDN, vantage, date); err == nil {
+			v := rng.Intn(len(thirdPartyVantages))
+			if vantage[v] == nil {
+				vantage[v] = fp.plan(s.Resolver, thirdPartyVantages[v], date)
+			}
+			if ip, err := vantage[v].Pick(rng); err == nil {
 				dests = append(dests, ip)
 			}
 		}
@@ -137,7 +185,7 @@ func (s *Synthesizer) Synthesize(rng *rand.Rand, isp ISPProfile, date time.Time,
 
 // thirdPartyVantages approximates where public resolvers' queries appear
 // to originate from (EDNS client subnet is rarely passed through).
-var thirdPartyVantages = []geodata.Country{"US", "US", "IE", "NL", "DE", "GB", "FR"}
+var thirdPartyVantages = [...]geodata.Country{"US", "US", "IE", "NL", "DE", "GB", "FR"}
 
 // TopIPs returns the n busiest destination IPs of the day.
 func (d DaySynthesis) TopIPs(n int) []netsim.IP {

@@ -441,10 +441,14 @@ func (s *Scenario) OrgClouds(fqdn string) []geodata.CloudProvider {
 // cluster-merged dataset holding the very same rows.
 func (s *Scenario) FQDNWeights() []netflow.FQDNWeight {
 	counts := make([]int64, s.Dataset.FQDNs.Len())
-	s.Dataset.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
+	s.Dataset.ScanCols(classify.Cols(classify.ColFQDN), func(_ int, pc *classify.ProjChunk) {
+		if !classify.AnyTracking(pc.Class) {
+			return
+		}
+		fqdns := pc.Wide(classify.ColFQDN)
+		for i, cls := range pc.Class {
 			if cls.IsTracking() {
-				counts[c.FQDN[i]]++
+				counts[fqdns[i]]++
 			}
 		}
 	})
