@@ -38,7 +38,6 @@ func main() {
 	}
 	s := study.Scenario()
 	fqdns := s.FQDNWeights()
-	synth := &netflow.Synthesizer{Resolver: s.DNS}
 
 	gdprDay := time.Date(2018, 5, 25, 0, 0, 0, 0, time.UTC)
 	start := gdprDay.AddDate(0, 0, -7*(*weeks)/2)
@@ -56,6 +55,9 @@ func main() {
 			marker = "*" // GDPR implementation falls in this week
 		}
 		fmt.Printf("%-11s%s", day.Format("2006-01-02"), marker)
+		// Weeks share no dates, hence no plans: one Synthesizer per week
+		// keeps its plan memo from growing with -weeks.
+		synth := &netflow.Synthesizer{Resolver: s.DNS}
 		for i, isp := range netflow.DefaultISPs() {
 			rng := rand.New(rand.NewSource(int64(w*10 + i)))
 			snap := synth.Synthesize(rng, isp, day, fqdns)

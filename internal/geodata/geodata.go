@@ -148,28 +148,25 @@ var countries = []Info{
 	{"NZ", "New Zealand", Oceania, -36.85, 174.76, 10},
 }
 
-// byCode maps a country code to its dense index: its position in
-// countries, which is also AllCountries order. byPair holds the same
-// for two-letter upper-case codes without hashing: the index plus one
-// at pairSlot(code), zero for a code not in the table.
-var (
-	byCode map[Country]int
-	byPair [26 * 26]uint8
-)
+// byPair maps a country code to its dense index, its position in
+// countries (which is also AllCountries order), without hashing: the
+// index plus one at pairSlot(code), zero for a code not in the table.
+// Every code in the table is two upper-case letters; init enforces it.
+var byPair [26 * 26]uint8
 
 func init() {
-	byCode = make(map[Country]int, len(countries))
 	if len(countries) >= 255 {
 		panic("geodata: country table outgrows byPair")
 	}
 	for i, c := range countries {
-		if _, dup := byCode[c.Code]; dup {
+		s, ok := pairSlot(c.Code)
+		if !ok {
+			panic("geodata: country code is not two upper-case letters: " + string(c.Code))
+		}
+		if byPair[s] != 0 {
 			panic("geodata: duplicate country " + string(c.Code))
 		}
-		byCode[c.Code] = i
-		if s, ok := pairSlot(c.Code); ok {
-			byPair[s] = uint8(i + 1)
-		}
+		byPair[s] = uint8(i + 1)
 	}
 	initDistances()
 }
@@ -187,14 +184,14 @@ func pairSlot(code Country) (int, bool) {
 
 // Index returns the country's dense index: its position in
 // AllCountries. ok is false for an unknown code. Every lookup by code
-// in this package goes through it; ISO codes never hash.
+// in this package goes through it.
 func Index(code Country) (int, bool) {
-	if s, ok := pairSlot(code); ok {
-		i := byPair[s]
-		return int(i) - 1, i != 0
+	s, ok := pairSlot(code)
+	if !ok {
+		return -1, false
 	}
-	i, ok := byCode[code]
-	return i, ok
+	i := byPair[s]
+	return int(i) - 1, i != 0
 }
 
 // Lookup returns the reference data for a country code.

@@ -227,18 +227,25 @@ func TestEveryEUCountryReachableByMigration(t *testing.T) {
 	}
 }
 
-// TestIndexTableMatchesMap: the two-letter table answers exactly what
-// the code map does, for every country and for codes it must miss.
-func TestIndexTableMatchesMap(t *testing.T) {
+// TestIndexMatchesTableScan: Index answers each code's position in
+// AllCountries, found by a linear scan, and misses codes not in it.
+func TestIndexMatchesTableScan(t *testing.T) {
+	all := AllCountries()
 	codes := []Country{"", "A", "ZZ", "zz", "de", "DEU", "D1", "[A", "@Z"}
-	for _, c := range AllCountries() {
+	for _, c := range all {
 		codes = append(codes, c.Code)
 	}
 	for _, c := range codes {
-		want, wantOK := byCode[c]
+		want, wantOK := -1, false
+		for i, info := range all {
+			if info.Code == c {
+				want, wantOK = i, true
+				break
+			}
+		}
 		got, ok := Index(c)
 		if ok != wantOK || (ok && got != want) {
-			t.Errorf("Index(%q) = %d, %v; map says %d, %v", c, got, ok, want, wantOK)
+			t.Errorf("Index(%q) = %d, %v; table scan says %d, %v", c, got, ok, want, wantOK)
 		}
 	}
 }
