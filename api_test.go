@@ -12,61 +12,6 @@ import (
 
 var updateExperimentsMD = flag.Bool("update", false, "rewrite EXPERIMENTS.md from the experiment registry")
 
-// legacyRenderAll reproduces the pre-registry RenderAll byte for byte:
-// the hand-wired sequential composition over the Suite's typed methods.
-// The golden test holds the registry to this output.
-func legacyRenderAll(su *experiments.Suite) []string {
-	su.Precompute()
-	t8 := su.Table8()
-	return []string{
-		su.Table1().Render(),
-		su.Table2().Render(),
-		su.Fig2().Render(),
-		su.Fig3().Render(),
-		su.Fig4().Render(),
-		su.Fig5().Render(),
-		su.Table3().Render(),
-		su.Table4().Render(),
-		su.Fig6().Render(),
-		su.Fig7().Render(),
-		su.Fig8().Render(),
-		su.Table5().Render(),
-		su.Table6().Render(),
-		su.Fig9().Render(),
-		su.Fig10().Render(),
-		su.Fig11().Render(),
-		su.Table7().Render(),
-		t8.Render(),
-		su.Fig12(t8).Render(),
-		experiments.RenderTable9(),
-	}
-}
-
-// TestGoldenRenderAllMatchesLegacy pins the redesign's contract: for
-// seed 1 / scale 0.05, the registry-backed RenderAll is byte-identical
-// to the pre-redesign sequential rendering.
-func TestGoldenRenderAllMatchesLegacy(t *testing.T) {
-	study, err := crossborder.New(context.Background(),
-		crossborder.WithSeed(1),
-		crossborder.WithScale(0.05),
-		crossborder.WithVisitsPerUser(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := legacyRenderAll(study.Suite)
-	got := study.RenderAll()
-	if len(got) != len(want) {
-		t.Fatalf("RenderAll returned %d artifacts, legacy rendering has %d", len(got), len(want))
-	}
-	ids := crossborder.ExperimentIDs()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("artifact %d (%s) differs from the legacy rendering:\n--- registry ---\n%s\n--- legacy ---\n%s",
-				i, ids[i], got[i], want[i])
-		}
-	}
-}
-
 // TestNewCancelled: a dead context must abort New before any work.
 func TestNewCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

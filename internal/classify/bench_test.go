@@ -51,11 +51,11 @@ func rewindClasses(ds *Dataset, pristine [][]Class) {
 	}
 }
 
-// BenchmarkSemiStages measures the sharded semi-stage fixpoint at the
-// worker count the pipeline would use (GOMAXPROCS), over a multi-chunk
-// store. On a single-core runner this degenerates to the sequential
-// engine; BenchmarkSemiStagesSequential pins that baseline explicitly
-// so multicore runs can report the speedup.
+// BenchmarkSemiStages times the one semi-stage engine, a one-shot
+// LiveSemi (RunSemiStages) built, extended over every row and closed
+// each iteration, at the worker count the pipeline would use
+// (GOMAXPROCS), over a multi-chunk store. CI gates it as a same-run
+// ratio against BenchmarkSemiStagesSequential.
 func BenchmarkSemiStages(b *testing.B) {
 	ds, pristine := semiBenchDataset(b, 2048)
 	workers := runtime.GOMAXPROCS(0)
@@ -63,18 +63,18 @@ func BenchmarkSemiStages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rewindClasses(ds, pristine)
-		runSemiStages(ds, workers)
+		RunSemiStages(ds, workers)
 	}
 }
 
-// BenchmarkSemiStagesSequential is the one-worker reference engine over
-// the same store.
+// BenchmarkSemiStagesSequential times the sequential test oracle
+// (runSemiStagesSequential) over the same store.
 func BenchmarkSemiStagesSequential(b *testing.B) {
 	ds, pristine := semiBenchDataset(b, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rewindClasses(ds, pristine)
-		runSemiStages(ds, 1)
+		runSemiStagesSequential(ds)
 	}
 }
 
@@ -238,7 +238,7 @@ var table2Sink Table2
 // method-mask index as a same-run ratio.
 func BenchmarkComputeTable2(b *testing.B) {
 	ds, _ := semiBenchDataset(b, DefaultChunkRows)
-	runSemiStages(ds, 1)
+	RunSemiStages(ds, 1)
 	for _, k := range []struct {
 		name   string
 		kernel func(*Dataset) Table2

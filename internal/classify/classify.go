@@ -42,10 +42,14 @@ const (
 	ClassClean Class = iota
 	// ClassABP was matched by the easylist/easyprivacy lists (stage 1).
 	ClassABP
-	// ClassSemiReferrer was recovered by referrer propagation (stage 2).
+	// ClassSemiReferrer was recovered by referrer propagation (stage 2)
+	// and does not qualify under stage 3.
 	ClassSemiReferrer
 	// ClassSemiKeyword was recovered by the URL keyword + arguments
-	// heuristic (stage 3).
+	// heuristic (stage 3). A row that qualifies under both heuristics
+	// takes this label: stage 3 is a per-row test, so the tie-break
+	// depends on neither row order nor how rows were split into epochs,
+	// and every route (batch, live, merged) labels the row the same.
 	ClassSemiKeyword
 )
 

@@ -165,29 +165,48 @@ func TestMemStoreCompressedMatchesWide(t *testing.T) {
 	}
 }
 
+// TestSemiStagesOverCompressedStore: the fixpoint mutates Class through
+// decoded chunk views, so over a compressed store it must label every
+// row exactly as one one-shot run over a wide store does, at every
+// worker count, whether the rows arrive at once or in random epochs.
 func TestSemiStagesOverCompressedStore(t *testing.T) {
-	// The fixpoint mutates Class through decoded chunk views; the
-	// labels must match the wide store's run exactly.
 	rng := rand.New(rand.NewSource(5))
 	numFQDN := 40
 	rows := randomRows(rng, 2500, numFQDN)
 	in := internerOfSize(numFQDN)
+	want := semiReference(t, &Dataset{FQDNs: in}, rows)
 
-	ref := &Dataset{Store: StoreOf(rows...), FQDNs: in}
-	runSemiStagesSequential(ref)
-	want := ref.Rows()
-
-	for _, workers := range []int{1, 4} {
-		st := NewMemStoreCompressed(512)
-		for _, r := range rows {
-			st.Append(r)
-		}
-		ds := &Dataset{Store: st, FQDNs: in}
-		runSemiStages(ds, workers)
-		got := ds.Rows()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers %d row %d: compressed %+v != wide %+v", workers, i, got[i], want[i])
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, store := range []struct {
+			name string
+			mk   func() *MemStore
+		}{
+			{"wide", func() *MemStore { return NewMemStoreChunked(512) }},
+			{"compressed", func() *MemStore { return NewMemStoreCompressed(512) }},
+		} {
+			for _, epochs := range []bool{false, true} {
+				st := store.mk()
+				ds := &Dataset{Store: st, FQDNs: in}
+				ls := NewLiveSemi(ds, workers)
+				for off := 0; off < len(rows); {
+					end := len(rows)
+					if epochs {
+						end = min(off+1+rng.Intn(len(rows)/3), len(rows))
+					}
+					for _, r := range rows[off:end] {
+						st.Append(r)
+					}
+					off = end
+					ls.Extend()
+				}
+				ls.Close()
+				got := ds.Rows()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers %d %s epochs=%v row %d: %+v != one-shot %+v",
+							workers, store.name, epochs, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

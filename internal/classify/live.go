@@ -14,9 +14,11 @@ import (
 // id-assignment state (interner, country and publisher indexes) that
 // the one-shot merge used to keep in locals, so replaying captures into
 // it in the same order produces byte-for-byte the same Dataset. LiveSemi
-// is the incremental form of the semi-stage fixpoint: it carries the LTF
-// membership across epochs and, per epoch, classifies only the appended
-// rows plus whatever older rows the new tracking FQDNs admit.
+// is the semi-stage fixpoint, the one engine for classification stages
+// 2 and 3 on every route: it carries the LTF membership across epochs
+// and, per epoch, classifies only the appended rows plus whatever older
+// rows the new tracking FQDNs admit. The batch merge and the fan-in run
+// it once over a whole dataset (RunSemiStages).
 
 // Merger incrementally merges per-worker capture shards into one growing
 // Dataset, re-interning strings and remapping publisher/country ids
@@ -134,14 +136,12 @@ func (in *Interner) Clone() *Interner {
 // back through the settled rows, carrying the LTF membership across
 // calls so no epoch ever rescans from scratch needlessly.
 //
-// The final classification is set-identical to running the batch
-// fixpoint once over the complete dataset: stage 1 is per-row, stage 3
-// (keyword + arguments) converts unconditionally, and stage 2 is a
-// monotone closure over referrer edges, so the least fixpoint does not
-// depend on how the rows were split into epochs. The SemiReferrer /
-// SemiKeyword label split can differ from the batch engine's
-// order-sensitive first pass for rows that qualify under both rules;
-// no aggregate distinguishes the two (both are IsSemi and IsTracking).
+// The final classification is row-for-row identical to one Extend over
+// the complete dataset: stage 1 is per-row, stage 3 (keyword +
+// arguments) converts unconditionally and takes precedence, and stage 2
+// is a monotone closure over referrer edges, so neither the least
+// fixpoint nor any row's label depends on how the rows were split into
+// epochs or on the worker count.
 type LiveSemi struct {
 	ds      *Dataset
 	workers int
@@ -174,6 +174,16 @@ func NewLiveSemi(ds *Dataset, workers int) *LiveSemi {
 // Close releases the worker pool. The LiveSemi must not be used
 // afterwards.
 func (ls *LiveSemi) Close() { ls.pool.Close() }
+
+// RunSemiStages runs classification stages 2 and 3 to the fixpoint over
+// every row of ds in one shot: referrer propagation (stage 2) and the
+// keyword + arguments heuristic (stage 3). It is the batch merge's and
+// the fan-in merge's form of LiveSemi; workers sizes its pool.
+func RunSemiStages(ds *Dataset, workers int) {
+	ls := NewLiveSemi(ds, workers)
+	ls.Extend()
+	ls.Close()
+}
 
 // Extend classifies the rows appended since the previous call and
 // returns the global indices of previously-settled rows (index < the
@@ -229,17 +239,17 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 
 	// Propagation rounds over the candidate frontier: label-uniform
 	// referrer propagation against a per-round LTF snapshot, until a
-	// round admits no new FQDN. Identical closure to the batch engine's
-	// snapshot rounds (worker count cannot change the outcome because
-	// each round reads a frozen inLTF); scanning only candidates keeps
-	// each round O(frontier) instead of O(store), which is what bounds
-	// epoch-commit latency on a long-lived collector. The candidate
-	// list is ascending, so it partitions into per-chunk runs; workers
-	// take whole runs round-robin and project each chunk once into a
-	// persistent per-worker buffer. Only the FQDN and RefFQDN columns
-	// leave the chunk (the resident class column is mutated in place),
-	// so a round decodes 2 of 9 columns per touched chunk even when the
-	// live store keeps sealed chunks compressed.
+	// round admits no new FQDN. The worker count cannot change the
+	// outcome because each round reads a frozen inLTF; scanning only
+	// candidates keeps each round O(frontier) instead of O(store),
+	// which is what bounds epoch-commit latency on a long-lived
+	// collector. The candidate list is ascending, so it partitions into
+	// per-chunk runs; workers take whole runs round-robin and project
+	// each chunk once into a persistent per-worker buffer. Only the
+	// FQDN and RefFQDN columns leave the chunk (the resident class
+	// column is mutated in place), so a round decodes 2 of 9 columns
+	// per touched chunk even when the store keeps sealed chunks
+	// compressed.
 	type roundOut struct {
 		newLTF  []uint32
 		flipped []int

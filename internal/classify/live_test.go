@@ -32,72 +32,73 @@ func liveRigDataset(t *testing.T, seed int64) *Dataset {
 }
 
 // TestLiveSemiMatchesBatchFixpoint: appending the rows in random epoch
-// splits and extending the incremental fixpoint after each must yield
-// the same classification as the one-shot batch fixpoint, at the level
-// every aggregate reads: the tracking set and the ABP label (the
-// SemiReferrer/SemiKeyword split of rows recovered by both heuristics
-// may differ; it is observable nowhere). Old-row flips must be reported
+// splits and extending the incremental fixpoint after each must label
+// every row exactly as the one-shot batch run does (semiReference, which
+// holds that run to the sequential oracle), at every worker count and
+// over wide and compressed stores. Old-row flips must be reported
 // exactly: every settled row whose tracking bit changes, nothing else.
 func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 	for _, seed := range []int64{3, 17, 92} {
 		ref := liveRigDataset(t, seed)
 		rows := ref.Rows() // pre-fixpoint snapshot of the merged rows
-		runSemiStages(ref, 4)
-		want := ref.Rows()
+		want := semiReference(t, ref, rows)
 
 		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 3; trial++ {
-			st := NewMemStoreChunked(96)
-			// The incremental engine reads only ds.FQDNs.Len(); sharing
-			// the reference interner (read-only here) keeps ids aligned.
-			live := &Dataset{FQDNs: ref.FQDNs, Start: start, Store: st}
-			ls := NewLiveSemi(live, 1+rng.Intn(4))
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, compress := range []bool{false, true} {
+				st := NewMemStoreChunked(96)
+				if compress {
+					st = NewMemStoreCompressed(96)
+				}
+				// The incremental engine reads only ds.FQDNs.Len(); sharing
+				// the reference interner (read-only here) keeps ids aligned.
+				live := &Dataset{FQDNs: ref.FQDNs, Start: start, Store: st}
+				ls := NewLiveSemi(live, workers)
 
-			off := 0
-			var settledTracking []bool
-			for off < len(rows) {
-				n := 1 + rng.Intn(len(rows)/2+1)
-				if off+n > len(rows) {
-					n = len(rows) - off
-				}
-				for _, r := range rows[off : off+n] {
-					st.Append(r)
-				}
-				prevSettled := off
-				off += n
-				flips := ls.Extend()
-				// Reported flips must be exactly the settled rows whose
-				// tracking bit changed this epoch.
-				flipSet := make(map[int]bool, len(flips))
-				for _, g := range flips {
-					if g >= prevSettled {
-						t.Fatalf("seed %d: flip %d inside the new epoch [%d, %d)", seed, g, prevSettled, off)
+				off := 0
+				var settledTracking []bool
+				for off < len(rows) {
+					n := 1 + rng.Intn(len(rows)/2+1)
+					if off+n > len(rows) {
+						n = len(rows) - off
 					}
-					flipSet[g] = true
-				}
-				for i := 0; i < prevSettled; i++ {
-					now := trackingAt(st, i)
-					if now != settledTracking[i] && !flipSet[i] {
-						t.Fatalf("seed %d: row %d flipped silently", seed, i)
+					for _, r := range rows[off : off+n] {
+						st.Append(r)
 					}
-					if settledTracking[i] && flipSet[i] {
-						t.Fatalf("seed %d: row %d reported as flip but was already tracking", seed, i)
+					prevSettled := off
+					off += n
+					flips := ls.Extend()
+					// Reported flips must be exactly the settled rows whose
+					// tracking bit changed this epoch.
+					flipSet := make(map[int]bool, len(flips))
+					for _, g := range flips {
+						if g >= prevSettled {
+							t.Fatalf("seed %d: flip %d inside the new epoch [%d, %d)", seed, g, prevSettled, off)
+						}
+						flipSet[g] = true
+					}
+					for i := 0; i < prevSettled; i++ {
+						now := trackingAt(st, i)
+						if now != settledTracking[i] && !flipSet[i] {
+							t.Fatalf("seed %d: row %d flipped silently", seed, i)
+						}
+						if settledTracking[i] && flipSet[i] {
+							t.Fatalf("seed %d: row %d reported as flip but was already tracking", seed, i)
+						}
+					}
+					settledTracking = settledTracking[:0]
+					for i := 0; i < off; i++ {
+						settledTracking = append(settledTracking, trackingAt(st, i))
 					}
 				}
-				settledTracking = settledTracking[:0]
-				for i := 0; i < off; i++ {
-					settledTracking = append(settledTracking, trackingAt(st, i))
-				}
-			}
-			ls.Close()
+				ls.Close()
 
-			// Final parity with the batch fixpoint.
-			got := live.Rows()
-			for i := range want {
-				if got[i].Class.IsTracking() != want[i].Class.IsTracking() ||
-					(got[i].Class == ClassABP) != (want[i].Class == ClassABP) {
-					t.Fatalf("seed %d trial %d: row %d class %v, batch %v",
-						seed, trial, i, got[i].Class, want[i].Class)
+				got := live.Rows()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d workers %d compressed=%v: row %d class %v, one-shot %v",
+							seed, workers, compress, i, got[i].Class, want[i].Class)
+					}
 				}
 			}
 		}

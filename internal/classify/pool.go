@@ -5,11 +5,9 @@ import "sync"
 // workerPool is a persistent pool of n goroutines executing barrier-style
 // passes: run(fn) hands fn exactly one index in [0, n) per worker slot
 // and returns when all n invocations have finished. The semi-stage
-// fixpoint makes a dozen or more passes over the chunks (seed, relax
-// rounds, mark, propagation rounds); reusing one pool across them avoids
-// re-spawning n goroutines per pass, which at small scales was a visible
-// slice of the fixpoint's cost (ROADMAP open item). The live ingestion
-// collector keeps one pool alive across epochs for the same reason.
+// fixpoint (LiveSemi) makes one pass per propagation round; reusing one
+// pool across rounds, and across epochs on a live collector, avoids
+// re-spawning n goroutines per pass.
 type workerPool struct {
 	n    int
 	work chan poolTask

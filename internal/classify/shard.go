@@ -293,7 +293,7 @@ func (c *ShardedCollector) mergeInto(order []capRef, sink RowSink, runSemi bool)
 	ds := m.Dataset()
 	ds.Store = store
 	if runSemi {
-		runSemiStages(ds, len(c.shards))
+		RunSemiStages(ds, len(c.shards))
 	}
 	return ds, nil
 }

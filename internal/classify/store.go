@@ -123,8 +123,8 @@ func (c *Chunk) reset(n int) {
 
 // chunkPool recycles decode buffers across scans so chunk-wise readers
 // of compressed or spilled stores stay allocation-flat: Dataset.Scan,
-// EachRow, core.Analyze workers and the fixpoint shards all draw their
-// scratch from here.
+// EachRow, core.Analyze workers and the semi-stage fixpoint all draw
+// their scratch from here.
 var chunkPool = sync.Pool{New: func() any { return new(Chunk) }}
 
 // GetChunk borrows a reusable chunk decode buffer from the pool.

@@ -106,40 +106,6 @@ func TestSpillStoreMatchesMemStore(t *testing.T) {
 	}
 }
 
-// TestShardedSemiStagesMatchSequential is the sharded fixpoint's
-// contract: on randomized cascade structures and across worker counts,
-// the sharded engine must label every row exactly as the sequential
-// reference does — including the order-sensitive SemiReferrer-vs-
-// SemiKeyword split of the first pass.
-func TestShardedSemiStagesMatchSequential(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		numFQDN := 10 + rng.Intn(60)
-		rows := randomRows(rng, 500+rng.Intn(3000), numFQDN)
-		in := internerOfSize(numFQDN)
-
-		ref := &Dataset{Store: StoreOf(rows...), FQDNs: in}
-		runSemiStagesSequential(ref)
-		want := ref.Rows()
-
-		for _, workers := range []int{2, 3, 8} {
-			st := NewMemStoreChunked(256)
-			for _, r := range rows {
-				st.Append(r)
-			}
-			ds := &Dataset{Store: st, FQDNs: in}
-			runSemiStagesSharded(ds, workers)
-			got := ds.Rows()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d workers %d row %d: sharded %+v != sequential %+v",
-						trial, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestFinalizeIntoSpillMatchesMem runs the same simulated capture
 // through both sinks: the sealed datasets must agree row for row, and
 // the semi stages must behave identically over the spilled store.

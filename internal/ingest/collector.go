@@ -410,8 +410,7 @@ func (c *Collector) Epochs() []EpochStat {
 // only on the event streams, never on upload interleaving inside the
 // epoch or on Workers. A client that replays a batch simulation's
 // events in stream order therefore reconstructs the batch dataset
-// byte for byte (modulo the SemiReferrer/SemiKeyword label split; see
-// classify.LiveSemi).
+// byte for byte, class labels included.
 func (c *Collector) commitEpoch() {
 	userIDs := make([]int32, 0, len(c.pending))
 	for u := range c.pending {

@@ -69,9 +69,8 @@ func ingestAll(t *testing.T, c *Collector, evs map[int32][]Event, batchSize int)
 
 // TestReplayReconstructsBatchDataset: replaying the simulation's event
 // stream through the collector — any epoch size, any worker count —
-// reproduces the batch pipeline's dataset: identical rows, interner,
-// publishers, countries and visits, and a classification identical at
-// the level every aggregate reads (tracking set + ABP/semi split).
+// reproduces the batch pipeline's dataset: identical rows, class labels
+// included, interner, publishers, countries and visits.
 func TestReplayReconstructsBatchDataset(t *testing.T) {
 	world, evs, batch := rig(t)
 	want := batch.Dataset
@@ -114,14 +113,11 @@ func TestReplayReconstructsBatchDataset(t *testing.T) {
 		gotRows := got.Rows()
 		for i := range wantRows {
 			w, g := wantRows[i], gotRows[i]
-			w2, g2 := w, g
-			w2.Class, g2.Class = 0, 0
-			if w2 != g2 {
-				t.Fatalf("cfg %+v: row %d = %+v, want %+v", cfg, i, g, w)
+			if g.Class != w.Class {
+				t.Fatalf("cfg %+v: row %d class = %v, want %v", cfg, i, g.Class, w.Class)
 			}
-			if g.Class.IsTracking() != w.Class.IsTracking() ||
-				(g.Class == classify.ClassABP) != (w.Class == classify.ClassABP) {
-				t.Fatalf("cfg %+v: row %d class = %v, want %v (set-equivalent)", cfg, i, g.Class, w.Class)
+			if g != w {
+				t.Fatalf("cfg %+v: row %d = %+v, want %+v", cfg, i, g, w)
 			}
 		}
 		c.Close()

@@ -29,7 +29,7 @@ import (
 // that owns only its partition under-classifies — a clean row whose
 // referrer only tracks on another shard's rows converts globally but
 // not shard-locally. The merge therefore demotes every semi label back
-// to clean and re-runs the incremental fixpoint over the union. The
+// to clean and re-runs the batch merge's fixpoint over the union. The
 // closure is monotone (shard-LTF is a subset of global-LTF), so every
 // shard-side conversion re-converts, plus exactly the cross-shard ones
 // the shards could not see.
@@ -163,13 +163,11 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 		epoch += len(m.Epochs)
 	}
 
-	// Global stage-2/3 fixpoint over the union. Every row is "new" to
-	// this LiveSemi, so pass 1 re-seeds the LTF from the ABP rows,
-	// re-converts the keyword rows, and the propagation rounds close
-	// the referrer chains across shard boundaries.
-	ls := classify.NewLiveSemi(ds, workers)
-	ls.Extend()
-	ls.Close()
+	// Global stage-2/3 fixpoint over the union, exactly as the batch
+	// merge runs it: the ABP rows re-seed the LTF, the keyword rows
+	// re-convert, and the propagation rounds close the referrer chains
+	// across shard boundaries.
+	classify.RunSemiStages(ds, workers)
 
 	// Aggregate delta: rows tracking now but not at export time (the
 	// cross-shard conversions) join the flow maps, exactly like the
