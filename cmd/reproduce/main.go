@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reproduce [-scale 0.25] [-seed 1] [-visits 219] [-workers 0]
-//	          [-diskstore] [-compress auto|on|off] [-pack routing]
+//	          [-diskstore] [-compress] [-pack routing]
 //	          [-only fig7,table8] [-json|-csv] [-progress]
 //	reproduce -list
 //	reproduce -list-packs
@@ -16,10 +16,10 @@
 // the output to the machine-readable artifact encodings. -diskstore
 // spills the dataset's column chunks to a temp file instead of holding
 // them in memory — the backend for scales far beyond 1.0 — and changes
-// no output byte. -compress overrides the per-chunk column codec
-// (default: on for the disk store, off in memory); like the store
-// choice it never changes the output. Ctrl-C cancels the build cleanly
-// mid-phase.
+// no output byte; the disk store always compresses its chunks.
+// -compress keeps the in-memory store's sealed chunks as compressed
+// codec blocks; like the store choice it never changes the output.
+// Ctrl-C cancels the build cleanly mid-phase.
 //
 // At -scale 1 the run simulates the paper's full 7M-request study and
 // takes on the order of a minute; smaller scales keep every shape and
@@ -45,7 +45,7 @@ func main() {
 	visits := flag.Int("visits", 0, "mean page visits per user (0 = the paper's 219)")
 	workers := flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS; output is identical at any value)")
 	diskStore := flag.Bool("diskstore", false, "spill the dataset's row store to a temp file (identical output; bounds memory at large -scale)")
-	compress := flag.String("compress", "auto", "row-store chunk codec: auto (on for -diskstore, off in memory), on, or off; identical output either way")
+	compress := flag.Bool("compress", false, "keep the in-memory row store's sealed chunks compressed (-diskstore always compresses); identical output either way")
 	only := flag.String("only", "", "comma-separated experiment ids to render (e.g. fig7,table8; case-insensitive); empty = all")
 	packName := flag.String("pack", "", "scenario pack to apply (see -list-packs; empty or \"default\" = the unmodified study)")
 	listPacks := flag.Bool("list-packs", false, "print the registered scenario packs and exit")
@@ -118,15 +118,8 @@ func main() {
 	if *diskStore {
 		opts = append(opts, crossborder.WithRowStore(crossborder.DiskRowStore("")))
 	}
-	switch *compress {
-	case "auto":
-	case "on":
+	if *compress {
 		opts = append(opts, crossborder.WithCompression(true))
-	case "off":
-		opts = append(opts, crossborder.WithCompression(false))
-	default:
-		fmt.Fprintf(os.Stderr, "-compress must be auto, on or off (got %q)\n", *compress)
-		os.Exit(2)
 	}
 	if *progress {
 		opts = append(opts, crossborder.WithProgress(func(ev crossborder.PhaseEvent) {

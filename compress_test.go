@@ -10,10 +10,10 @@ import (
 
 // TestCompressedStoresMatchGolden is the codec's study-level contract:
 // at the golden configuration (seed 1 / scale 0.05) the compressed
-// in-memory store, the compressed spill store and the uncompressed
-// spill store must render all 20 experiment artifacts byte-identically
-// to the wide in-memory study, and the compressed spill file must be at
-// least 3x smaller than the raw fixed-width column layout.
+// in-memory store and the spill store must render all 20 experiment
+// artifacts byte-identically to the wide in-memory study, and the
+// spill file must be at least 3x smaller than the raw fixed-width
+// column layout.
 func TestCompressedStoresMatchGolden(t *testing.T) {
 	build := func(opts ...crossborder.Option) *crossborder.Study {
 		t.Helper()
@@ -39,8 +39,6 @@ func TestCompressedStoresMatchGolden(t *testing.T) {
 	}{
 		{"mem-compressed", []crossborder.Option{crossborder.WithCompression(true)}},
 		{"spill-compressed", []crossborder.Option{crossborder.WithRowStore(crossborder.DiskRowStore(""))}},
-		{"spill-raw", []crossborder.Option{
-			crossborder.WithRowStore(crossborder.DiskRowStore("")), crossborder.WithCompression(false)}},
 	} {
 		st := build(variant.opts...)
 		got := st.RenderAll()
@@ -66,32 +64,5 @@ func TestCompressedStoresMatchGolden(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Errorf("%s: Close: %v", variant.name, err)
 		}
-	}
-}
-
-// TestCompressionOffForcesRawSpill pins the override direction the
-// golden test does not cover: WithCompression(false) on a disk store
-// keeps the byte-transparent layout (file size equals the raw
-// reference) and still renders the same study.
-func TestCompressionOffForcesRawSpill(t *testing.T) {
-	st, err := crossborder.New(context.Background(),
-		crossborder.WithSeed(2),
-		crossborder.WithScale(0.02),
-		crossborder.WithVisitsPerUser(8),
-		crossborder.WithRowStore(crossborder.DiskRowStore("")),
-		crossborder.WithCompression(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	sp, ok := st.Scenario().Dataset.Store.(*classify.SpillStore)
-	if !ok {
-		t.Fatalf("disk study is backed by %T, want *classify.SpillStore", st.Scenario().Dataset.Store)
-	}
-	// The raw layout adds a few framing bytes per chunk but stays
-	// within a fraction of a percent of the fixed-width reference.
-	if sp.Size() < sp.RawSize() {
-		t.Fatalf("uncompressed spill (%d bytes) is smaller than the raw reference (%d): codec ran despite the override",
-			sp.Size(), sp.RawSize())
 	}
 }

@@ -98,10 +98,10 @@
 // and keeps only the one-byte class column resident. Sealed chunks run
 // through a per-column codec (dictionary with bit-packed indices,
 // run-length and delta encodings, plus an LZ4-style block pass) that
-// cuts the spill file about 3.40x versus the raw layout;
-// WithCompression overrides the default (on for disk, off in memory —
-// turning it on in memory keeps sealed chunks compressed, which is
-// what long-running collectors want). The codec is lossless and
+// cuts the spill file about 3.40x versus the raw fixed-width layout.
+// The disk store always compresses; WithCompression(true) makes the
+// in-memory store keep its sealed chunks compressed as well, which is
+// what long-running collectors want. The codec is lossless and
 // checksummed, so backend and compression choices never change a
 // rendered artifact.
 //

@@ -79,46 +79,37 @@ func BenchmarkSemiStagesSequential(b *testing.B) {
 }
 
 // BenchmarkSpillScan measures a full-dataset Dataset.Scan over the
-// spill store with the chunk codec on and off. Bytes/op is the raw
-// fixed-width reference, so MB/s is comparable across the two; the
-// size-ratio metric reports compressed/raw on disk. -benchmem pins the
-// allocation flatness contract: the scan draws its decode buffer and
-// codec scratch from the pools, so allocs/op stays a small constant
-// regardless of chunk count.
+// compressed spill store. Bytes/op is the raw fixed-width reference;
+// the size-ratio metric reports compressed/raw on disk. -benchmem pins
+// the allocation flatness contract: the scan draws its decode buffer
+// and codec scratch from the pools, so allocs/op stays a small
+// constant regardless of chunk count.
 func BenchmarkSpillScan(b *testing.B) {
 	sc, order := benchCollector(b)
-	for _, mode := range []struct {
-		name string
-		mk   func(dir string) (RowSink, error)
-	}{
-		{"compressed", func(dir string) (RowSink, error) { return NewSpillSink(dir, 4096) }},
-		{"raw", func(dir string) (RowSink, error) { return NewSpillSinkUncompressed(dir, 4096) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink, err := mode.mk(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ds, err := sc.mergeInto(order, sink, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ds.Close()
-			sp := ds.Store.(*SpillStore)
-			b.SetBytes(sp.RawSize())
-			b.ReportMetric(float64(sp.Size())/float64(sp.RawSize()), "size-ratio")
-			b.ResetTimer()
-			var blackhole uint64
-			for i := 0; i < b.N; i++ {
-				ds.Scan(func(_ int, c *Chunk) {
-					for j := range c.URLHash {
-						blackhole += c.URLHash[j] ^ uint64(c.IP[j]) ^ uint64(c.FQDN[j]) ^ uint64(c.Day[j])
-					}
-				})
-			}
-			_ = blackhole
-		})
-	}
+	b.Run("compressed", func(b *testing.B) {
+		sink, err := NewSpillSink(b.TempDir(), 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := sc.mergeInto(order, sink, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ds.Close()
+		sp := ds.Store.(*SpillStore)
+		b.SetBytes(sp.RawSize())
+		b.ReportMetric(float64(sp.Size())/float64(sp.RawSize()), "size-ratio")
+		b.ResetTimer()
+		var blackhole uint64
+		for i := 0; i < b.N; i++ {
+			ds.Scan(func(_ int, c *Chunk) {
+				for j := range c.URLHash {
+					blackhole += c.URLHash[j] ^ uint64(c.IP[j]) ^ uint64(c.FQDN[j]) ^ uint64(c.Day[j])
+				}
+			})
+		}
+		_ = blackhole
+	})
 }
 
 // BenchmarkChunkCodec measures the codec itself — encode and decode of
@@ -137,13 +128,13 @@ func BenchmarkChunkCodec(b *testing.B) {
 	rawBytes := int64(c.Len() * spillRowBytes)
 	cc := GetCodec()
 	defer PutCodec(cc)
-	block := cc.EncodeBlock(c, true, nil)
+	block := cc.EncodeBlock(c, nil)
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(rawBytes)
 		b.ReportMetric(float64(len(block))/float64(rawBytes), "size-ratio")
 		var enc []byte
 		for i := 0; i < b.N; i++ {
-			enc = cc.EncodeBlock(c, true, enc[:0])
+			enc = cc.EncodeBlock(c, enc[:0])
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
@@ -180,7 +171,7 @@ func BenchmarkScanCols(b *testing.B) {
 	b.Run("proj", func(b *testing.B) {
 		b.SetBytes(sp.RawSize())
 		for i := 0; i < b.N; i++ {
-			sp.ScanCols(Cols(ColIP, ColCountry), func(_ int, pc *ProjChunk) {
+			ScanStoreCols(sp, Cols(ColIP, ColCountry), func(_ int, pc *ProjChunk) {
 				for _, r := range pc.Runs(ColCountry) {
 					blackhole += r.Value * uint64(r.Len)
 				}
@@ -212,7 +203,7 @@ func BenchmarkScanCols(b *testing.B) {
 		// refutes it, so the scan touches metadata only.
 		before := ReadScanStats()
 		for i := 0; i < b.N; i++ {
-			sp.ScanCols(Cols(ColDay), func(_ int, pc *ProjChunk) {
+			ScanStoreCols(sp, Cols(ColDay), func(_ int, pc *ProjChunk) {
 				if pc.Zone != nil && pc.Zone.Max[ColDay] < 1<<15 {
 					return
 				}

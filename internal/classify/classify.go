@@ -14,7 +14,7 @@
 // full 7.2M-request study fits comfortably in memory.
 //
 // Reads are columnar. Store serves full-width chunks for row-at-a-time
-// scans, and ScanCols serves projected chunks for query pushdown: a
+// scans, and ScanStoreCols serves projected chunks for query pushdown: a
 // kernel names the columns it needs and receives each one in the form
 // the codec stored it — RLE runs, dictionary ids over a sorted
 // dictionary, or decoded fixed-width values — plus a per-chunk zone map
@@ -225,12 +225,12 @@ func (d *Dataset) Scan(fn func(base int, c *Chunk)) {
 }
 
 // ScanCols walks the store through the projection path (see
-// Store.ScanCols), the scan every experiment kernel runs on.
+// ScanStoreCols), the scan every experiment kernel runs on.
 func (d *Dataset) ScanCols(cols ColSet, fn func(base int, pc *ProjChunk)) {
 	if d.Store == nil {
 		return
 	}
-	d.Store.ScanCols(cols, fn)
+	ScanStoreCols(d.Store, cols, fn)
 }
 
 // EachRow calls fn for every row in order, gathering each back into

@@ -115,7 +115,7 @@ var errCorrupt = errors.New("classify: corrupt chunk block")
 type ZoneMap struct {
 	Min       [numCols]uint64
 	Max       [numCols]uint64
-	Distinct  [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
+	Distinct  [numCols]uint32 // 0 = not computed (empty chunk)
 	ClassBits uint8
 }
 
@@ -299,8 +299,9 @@ type ChunkCodec struct {
 
 	// Statistics of the most recent EncodeBlock call: the zone map and
 	// the winning tag + framed size per column plus the zone-map
-	// section size. Stores fold them into their Footprint breakdown and
-	// retain the zone map resident for the projection scan path.
+	// section size. sealedCols.seal folds them into the store's
+	// Footprint breakdown and retains the zone map resident for the
+	// projection scan path.
 	encZone      ZoneMap
 	encTags      [numCols]byte
 	encSizes     [numCols]int
@@ -309,17 +310,6 @@ type ChunkCodec struct {
 	// noSections forces the legacy flags==0 frame without the zone-map
 	// section; tests use it to prove old blocks still decode.
 	noSections bool
-}
-
-// EncodedZone returns a copy of the zone map computed by the most
-// recent EncodeBlock call.
-func (cc *ChunkCodec) EncodedZone() ZoneMap { return cc.encZone }
-
-// EncodedColStats returns the winning tag and framed byte size of each
-// column plus the zone-map section size from the most recent
-// EncodeBlock call.
-func (cc *ChunkCodec) EncodedColStats() (tags [numCols]byte, sizes [numCols]int, zoneBytes int) {
-	return cc.encTags, cc.encSizes, cc.encZoneBytes
 }
 
 var codecPool = sync.Pool{New: func() any { return new(ChunkCodec) }}
@@ -341,9 +331,8 @@ func (c *Chunk) codec() *ChunkCodec {
 }
 
 // DecodeBlockInto decodes a framed codec block into buf through buf's
-// attached codec scratch. It is the entry point for stores outside
-// this package that hold codec blocks (the live collector's epoch
-// snapshots share the compressed MemStore's sealed blocks).
+// attached codec scratch. It is the entry point for code outside this
+// package that holds codec blocks (the fan-in decodes shard exports).
 func DecodeBlockInto(block []byte, rows int, buf *Chunk) error {
 	return buf.codec().DecodeBlock(block, rows, buf)
 }
@@ -476,11 +465,9 @@ func appendRawVals(dst []byte, vals []uint64, width int) []byte {
 }
 
 // EncodeBlock appends the framed, encoded form of the chunk's nine
-// spilled columns to dst and returns the extended slice. With compress
-// false every column is stored raw (the byte-transparent layout, still
-// framed and checksummed); with compress true each column gets the
-// smallest applicable encoding.
-func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
+// spilled columns to dst and returns the extended slice. Each column
+// gets the smallest applicable encoding, raw included.
+func (cc *ChunkCodec) EncodeBlock(c *Chunk, dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // crc placeholder
 	flags := byte(frameHasSections)
@@ -501,7 +488,7 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
 			}
 		}
 		before := len(dst)
-		dst = cc.encodeColumn(dst, col, compress)
+		dst = cc.encodeColumn(dst, col)
 		cc.encTags[col] = dst[before]
 		cc.encSizes[col] = len(dst) - before
 	}
@@ -520,12 +507,12 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
 
 // encodeColumn appends [tag][uvarint len][payload] for the staged
 // column, choosing the smallest candidate encoding.
-func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
+func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 	width := colWidths[col]
 	vals := cc.vals
 	n := len(vals)
 	rawSize := n * width
-	if !compress || n == 0 {
+	if n == 0 {
 		dst = append(dst, colRaw)
 		dst = binary.AppendUvarint(dst, uint64(rawSize))
 		return appendRawVals(dst, vals, width)

@@ -73,17 +73,15 @@ func TestCodecBlockRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(3000)
 		rows := codecRows(rng, n)
 		c := chunkOf(rows)
-		for _, compress := range []bool{true, false} {
-			cc := GetCodec()
-			block := cc.EncodeBlock(c, compress, nil)
-			PutCodec(cc)
-			buf := &Chunk{}
-			if err := DecodeBlockInto(block, n, buf); err != nil {
-				t.Fatalf("trial %d compress=%v: decode: %v", trial, compress, err)
-			}
-			buf.Class = make([]Class, n)
-			chunksEqual(t, buf, c, n)
+		cc := GetCodec()
+		block := cc.EncodeBlock(c, nil)
+		PutCodec(cc)
+		buf := &Chunk{}
+		if err := DecodeBlockInto(block, n, buf); err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
+		buf.Class = make([]Class, n)
+		chunksEqual(t, buf, c, n)
 	}
 }
 
@@ -111,7 +109,7 @@ func TestCodecCompressesGoldenShapedChunks(t *testing.T) {
 	c := chunkOf(rows)
 	cc := GetCodec()
 	defer PutCodec(cc)
-	block := cc.EncodeBlock(c, true, nil)
+	block := cc.EncodeBlock(c, nil)
 	raw := len(rows) * spillRowBytes
 	if len(block)*2 > raw {
 		t.Fatalf("compressed block is %d bytes for %d raw (%.2fx); expected well over 2x",
@@ -146,7 +144,7 @@ func TestMemStoreCompressedMatchesWide(t *testing.T) {
 		t.Fatalf("shape mismatch: compressed %d rows/%d chunks, wide %d/%d",
 			comp.Len(), comp.NumChunks(), wide.Len(), wide.NumChunks())
 	}
-	if !comp.Compressed() || comp.SealedBlocks() == 0 {
+	if !comp.Compressed() || comp.Footprint().SealedChunks == 0 {
 		t.Fatal("compressed store did not seal any blocks")
 	}
 	a := (&Dataset{Store: wide}).Rows()
@@ -307,9 +305,9 @@ func TestDecodeBlockRejectsForgedInput(t *testing.T) {
 	c := chunkOf(rows)
 	cc := GetCodec()
 	defer PutCodec(cc)
-	block := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	block := append([]byte(nil), cc.EncodeBlock(c, nil)...)
 	cc.noSections = true
-	legacy := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	legacy := append([]byte(nil), cc.EncodeBlock(c, nil)...)
 	cc.noSections = false
 
 	cases := map[string][]byte{

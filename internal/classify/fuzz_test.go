@@ -17,23 +17,23 @@ import (
 func FuzzDecodeChunk(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	cc := GetCodec()
-	mk := func(n int, compress bool) []byte {
-		return cc.EncodeBlock(chunkOf(codecRows(rng, n)), compress, nil)
+	mk := func(n int) []byte {
+		return cc.EncodeBlock(chunkOf(codecRows(rng, n)), nil)
 	}
-	valid := mk(700, true)
+	valid := mk(700)
 	// The same chunk in the pre-section legacy frame (flags==0, no zone
 	// map): old blocks must keep decoding, and the fuzzer should mutate
 	// around both frame shapes.
 	cc.noSections = true
-	legacy := cc.EncodeBlock(chunkOf(codecRows(rng, 300)), true, nil)
+	legacy := cc.EncodeBlock(chunkOf(codecRows(rng, 300)), nil)
 	legacy = append([]byte(nil), legacy...)
 	cc.noSections = false
 	seeds := [][]byte{
 		valid,
-		mk(700, false),
-		mk(1, true),
-		mk(64, true),
-		cc.EncodeBlock(chunkOf(make([]Row, 128)), true, nil), // all-constant columns
+		cc.EncodeBlock(chunkOf(randomRows(rng, 700, 60)), nil), // high-entropy columns fall back to raw
+		mk(1),
+		mk(64),
+		cc.EncodeBlock(chunkOf(make([]Row, 128)), nil), // all-constant columns
 		legacy,
 		{},
 		valid[:5],
@@ -64,18 +64,16 @@ func FuzzDecodeChunk(f *testing.F) {
 		buf.Class = make([]Class, n)
 		cc := GetCodec()
 		defer PutCodec(cc)
-		for _, compress := range []bool{true, false} {
-			enc := cc.EncodeBlock(buf, compress, nil)
-			re := &Chunk{}
-			if err := DecodeBlockInto(enc, n, re); err != nil {
-				t.Fatalf("re-decode of re-encoded chunk failed (compress=%v): %v", compress, err)
-			}
-			re.Class = make([]Class, n)
-			for i := 0; i < n; i++ {
-				a, b := buf.Row(i), re.Row(i)
-				if a != b {
-					t.Fatalf("round trip changed row %d (compress=%v): %+v vs %+v", i, compress, a, b)
-				}
+		enc := cc.EncodeBlock(buf, nil)
+		re := &Chunk{}
+		if err := DecodeBlockInto(enc, n, re); err != nil {
+			t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
+		}
+		re.Class = make([]Class, n)
+		for i := 0; i < n; i++ {
+			a, b := buf.Row(i), re.Row(i)
+			if a != b {
+				t.Fatalf("round trip changed row %d: %+v vs %+v", i, a, b)
 			}
 		}
 	})

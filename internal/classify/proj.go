@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the column-projection scan path: Store.ScanCols
+// This file implements the column-projection scan path: ScanStoreCols
 // hands kernels a ProjChunk that exposes only the columns they ask
 // for, in encoded form where that is profitable — RLE columns as
 // (value, run) pairs that aggregate arithmetically, dictionary columns
@@ -33,8 +33,8 @@ const (
 )
 
 // ColSet is a bitmask of ColIDs — the projection a kernel declares to
-// ScanCols. The set is a planning hint (stores may use it to prefetch);
-// ProjChunk serves any column on demand regardless.
+// ScanStoreCols. The set is a planning hint (stores may use it to
+// prefetch); ProjChunk serves any column on demand regardless.
 type ColSet uint16
 
 // Cols builds a ColSet from column ids.
@@ -117,28 +117,6 @@ func (v *ColView) widen(n int) []uint64 {
 	return vals
 }
 
-// BlockReader is the optional Store interface behind the projection
-// fast path: stores that keep chunks as framed codec blocks expose the
-// raw block so ProjChunk can decode single columns out of it. Chunks
-// it reports as resident wide are projected by copying the requested
-// columns out of the wide chunk.
-type BlockReader interface {
-	// BlockBytes returns chunk i's framed codec block, reading into
-	// *scratch (grown as needed) for disk-backed stores or returning
-	// the resident block directly. A nil block with nil error means
-	// chunk i is resident wide (e.g. the open tail chunk) and must be
-	// loaded through Store.Chunk.
-	BlockBytes(i int, scratch *[]byte) ([]byte, error)
-}
-
-// ZoneMapped is the optional Store interface for resident zone maps.
-// A nil result for a chunk (open tail, block restored from a
-// checkpoint written before zone maps existed) just disables pruning
-// for that chunk.
-type ZoneMapped interface {
-	ZoneMap(i int) *ZoneMap
-}
-
 // Scan-path counters, exposed on the daemons' /metrics endpoints.
 var (
 	statChunksScanned atomic.Int64
@@ -174,7 +152,6 @@ type ProjChunk struct {
 	Class []Class
 
 	st      Store
-	br      BlockReader
 	ci      int
 	rows    int
 	want    ColSet
@@ -200,7 +177,7 @@ func GetProj() *ProjChunk { return projPool.Get().(*ProjChunk) }
 func PutProj(pc *ProjChunk) {
 	pc.Class = nil
 	pc.Zone = nil
-	pc.st, pc.br = nil, nil
+	pc.st = nil
 	pc.block = nil
 	pc.wide = nil
 	for i := range pc.fr.pays {
@@ -213,24 +190,15 @@ func PutProj(pc *ProjChunk) {
 // mirroring MustChunk for parallel workers that stripe chunk ranges
 // themselves. Nothing is read until the first column access.
 func ProjChunkAt(st Store, i int, cols ColSet, pc *ProjChunk) *ProjChunk {
-	br, _ := st.(BlockReader)
-	zs, _ := st.(ZoneMapped)
-	pc.begin(st, br, zs, i, cols)
-	return pc
-}
-
-func (pc *ProjChunk) begin(st Store, br BlockReader, zs ZoneMapped, ci int, want ColSet) {
-	pc.st, pc.br, pc.ci, pc.want = st, br, ci, want
-	pc.Class = st.Classes(ci)
+	pc.st, pc.ci, pc.want = st, i, cols
+	pc.Class = st.Classes(i)
 	pc.rows = len(pc.Class)
-	pc.Zone = nil
-	if zs != nil {
-		pc.Zone = zs.ZoneMap(ci)
-	}
+	pc.Zone = st.ZoneMap(i)
 	pc.loaded, pc.widened = 0, 0
 	pc.fetched = false
 	pc.block = nil
 	pc.wide = nil
+	return pc
 }
 
 // Len returns the chunk's row count.
@@ -247,27 +215,25 @@ func (pc *ProjChunk) codec() *ChunkCodec {
 	return pc.cc
 }
 
-// fetch pulls the chunk's backing: the framed block for block-backed
-// stores (parsed by parseFrame; its zone map fills in when none is
-// resident), or the wide chunk for everything else. Payloads stay
-// encoded until a column is asked for.
+// fetch pulls the chunk's backing: the framed block for sealed chunks
+// (parsed by parseFrame; its zone map fills in when none is resident),
+// or the wide chunk for everything else. Payloads stay encoded until a
+// column is asked for.
 func (pc *ProjChunk) fetch() {
 	pc.fetched = true
-	if pc.br != nil {
-		block, err := pc.br.BlockBytes(pc.ci, &pc.scratch)
-		if err != nil {
-			panic(fmt.Sprintf("classify: read block %d: %v", pc.ci, err))
+	block, err := pc.st.BlockBytes(pc.ci, &pc.scratch)
+	if err != nil {
+		panic(fmt.Sprintf("classify: read block %d: %v", pc.ci, err))
+	}
+	if block != nil {
+		if err := parseFrame(block, pc.rows, &pc.fr); err != nil {
+			panic(fmt.Sprintf("classify: project chunk %d: %v", pc.ci, err))
 		}
-		if block != nil {
-			if err := parseFrame(block, pc.rows, &pc.fr); err != nil {
-				panic(fmt.Sprintf("classify: project chunk %d: %v", pc.ci, err))
-			}
-			if pc.Zone == nil && pc.fr.hasZone {
-				pc.Zone = &pc.fr.zone
-			}
-			pc.block = block
-			return
+		if pc.Zone == nil && pc.fr.hasZone {
+			pc.Zone = &pc.fr.zone
 		}
+		pc.block = block
+		return
 	}
 	if pc.buf == nil {
 		pc.buf = &Chunk{}
@@ -402,17 +368,17 @@ func AnyTracking(cls []Class) bool {
 	return false
 }
 
-// ScanStoreCols drives fn over every chunk of st through one pooled
-// ProjChunk — the shared body of every Store.ScanCols implementation
-// (exported so stores outside this package reuse it).
+// ScanStoreCols walks st chunk by chunk through the projection path,
+// driving fn over every chunk through one pooled ProjChunk: the zone
+// map and resident class column are available immediately, the other
+// columns load lazily, in encoded form where profitable. cols declares
+// the projection the kernel intends to touch.
 func ScanStoreCols(st Store, cols ColSet, fn func(base int, pc *ProjChunk)) {
-	br, _ := st.(BlockReader)
-	zs, _ := st.(ZoneMapped)
 	pc := GetProj()
 	defer PutProj(pc)
 	base := 0
 	for i := 0; i < st.NumChunks(); i++ {
-		pc.begin(st, br, zs, i, cols)
+		ProjChunkAt(st, i, cols, pc)
 		fn(base, pc)
 		statChunksScanned.Add(1)
 		if !pc.fetched {

@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// projVariants builds the four store backends over the same rows: the
-// wide and compressed in-memory stores, and the raw and compressed
-// spill stores.
+// projVariants builds the three store layouts over the same rows: the
+// wide and compressed in-memory stores, and the spill store.
 func projVariants(t *testing.T, rows []Row, chunkRows int) map[string]Store {
 	t.Helper()
 	out := make(map[string]Store)
 	for name, mk := range map[string]func() (RowSink, error){
 		"mem/wide":       func() (RowSink, error) { return NewMemStoreChunked(chunkRows), nil },
 		"mem/compressed": func() (RowSink, error) { return NewMemStoreCompressed(chunkRows), nil },
-		"spill/raw":      func() (RowSink, error) { return NewSpillSinkUncompressed(t.TempDir(), chunkRows) },
 		"spill/compressed": func() (RowSink, error) {
 			return NewSpillSink(t.TempDir(), chunkRows)
 		},
@@ -80,7 +78,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 		for cols := ColSet(0); cols <= AllCols; cols++ {
 			base := 0
 			chunkIdx := 0
-			st.ScanCols(cols, func(gotBase int, pc *ProjChunk) {
+			ScanStoreCols(st, cols, func(gotBase int, pc *ProjChunk) {
 				if gotBase != base {
 					t.Fatalf("%s cols=%09b: base %d, want %d", name, cols, gotBase, base)
 				}
@@ -115,7 +113,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 		// Encoded-form consistency on the full projection: runs expand to
 		// the wide values, dictionaries index to them.
 		ci := 0
-		st.ScanCols(AllCols, func(_ int, pc *ProjChunk) {
+		ScanStoreCols(st, AllCols, func(_ int, pc *ProjChunk) {
 			w := ref[ci]
 			for col := ColID(0); col < numCols; col++ {
 				row := 0
@@ -159,15 +157,10 @@ func TestZoneMapsBoundColumns(t *testing.T) {
 	rows := codecRows(rng, 2000)
 	const chunkRows = 512
 	for name, st := range projVariants(t, rows, chunkRows) {
-		zs, ok := st.(ZoneMapped)
-		if !ok {
-			t.Fatalf("%s: store does not expose zone maps", name)
-		}
-		br := st.(BlockReader)
 		var scratch []byte
 		for ci := 0; ci < st.NumChunks(); ci++ {
-			zm := zs.ZoneMap(ci)
-			block, err := br.BlockBytes(ci, &scratch)
+			zm := st.ZoneMap(ci)
+			block, err := st.BlockBytes(ci, &scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +226,7 @@ func TestScanColsSkipAccounting(t *testing.T) {
 
 	before := ReadScanStats()
 	loaded := 0
-	st.ScanCols(Cols(ColIP), func(_ int, pc *ProjChunk) {
+	ScanStoreCols(st, Cols(ColIP), func(_ int, pc *ProjChunk) {
 		if !AnyTracking(pc.Class) {
 			return // prune: no column touched
 		}
@@ -261,7 +254,7 @@ func TestLegacyBlocksDecode(t *testing.T) {
 	c := chunkOf(rows)
 	cc := GetCodec()
 	cc.noSections = true
-	legacy := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	legacy := append([]byte(nil), cc.EncodeBlock(c, nil)...)
 	cc.noSections = false
 	PutCodec(cc)
 
@@ -290,7 +283,7 @@ func TestLegacyBlocksDecode(t *testing.T) {
 	if st.ZoneMap(0) != nil {
 		t.Fatal("restored legacy chunk grew a zone map")
 	}
-	st.ScanCols(Cols(ColIP), func(_ int, pc *ProjChunk) {
+	ScanStoreCols(st, Cols(ColIP), func(_ int, pc *ProjChunk) {
 		if pc.Zone != nil {
 			t.Fatal("projected scan reports a zone map on a legacy chunk")
 		}

@@ -98,13 +98,14 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	return nil
 }
 
-// EncodeChunk renders chunk i of any store as a framed codec block
-// (always through the compressing encoder), the checkpoint
-// representation of a chunk. Stores already holding the chunk as a
-// sealed block return that block by reference instead of re-encoding.
+// EncodeChunk renders chunk i of any store as a framed codec block,
+// the checkpoint representation of a chunk. A chunk the store already
+// holds as a sealed block is returned through Store.BlockBytes instead
+// of being re-encoded.
 func EncodeChunk(st Store, i int) ([]byte, error) {
-	if ms, ok := st.(*MemStore); ok && ms.compress && i < len(ms.blocks) {
-		return ms.blocks[i], nil
+	var scratch []byte
+	if block, err := st.BlockBytes(i, &scratch); block != nil || err != nil {
+		return block, err
 	}
 	buf := GetChunk()
 	defer PutChunk(buf)
@@ -114,7 +115,7 @@ func EncodeChunk(st Store, i int) ([]byte, error) {
 	}
 	cc := GetCodec()
 	defer PutCodec(cc)
-	return cc.EncodeBlock(c, true, nil), nil
+	return cc.EncodeBlock(c, nil), nil
 }
 
 // NewMergerOver resumes a merger over a restored dataset: the country

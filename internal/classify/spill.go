@@ -10,7 +10,7 @@ import (
 // spillRowBytes is the fixed-width encoded size of the nine spilled
 // columns of one row (the Class column stays resident: the semi-stage
 // fixpoint mutates it after sealing, and at one byte per row it is
-// cheap to keep). It is the raw-layout reference the codec's
+// cheap to keep). It is the fixed-width reference the codec's
 // compression ratio is measured against.
 const spillRowBytes = 8 + 4 + 4 + 4 + 4 + 4 + 2 + 1 + 1
 
@@ -18,28 +18,24 @@ const spillRowBytes = 8 + 4 + 4 + 4 + 4 + 4 + 2 + 1 + 1
 // full chunk to a temporary file as one framed codec block (checksum,
 // declared sizes, per-column encodings — see codec.go), so Scale >> 1
 // datasets never hold more than one open chunk in memory on the write
-// path. Compression is on by default and cuts the spill file
-// severalfold; NewSpillSinkUncompressed keeps the byte-transparent raw
-// column layout inside the same frame. Seal returns the read-side
-// SpillStore, which serves chunks with plain sequential pread calls —
-// no mmap — and keeps only the class column resident.
+// path. The codec cuts the spill file severalfold against the
+// fixed-width column layout. Seal returns the read-side SpillStore,
+// which serves chunks with plain sequential pread calls — no mmap —
+// and keeps only the class column resident.
 type SpillSink struct {
 	chunkRows int
-	compress  bool
 	f         *os.File
 	removed   bool // file already unlinked (unix: cleaned up on close)
 	w         *bufio.Writer
 	cur       *Chunk
 	enc       []byte
-	classes   [][]Class
-	zones     []*ZoneMap
-	breakdown EncBreakdown
-	offsets   []int64
-	lens      []int
-	dlens     []int
-	off       int64
-	n         int
-	err       error
+	sealedCols
+	offsets []int64
+	lens    []int
+	dlens   []int
+	off     int64
+	n       int
+	err     error
 }
 
 // NewSpillSink creates a compressing spill-to-disk sink backed by a
@@ -47,17 +43,6 @@ type SpillSink struct {
 // selects DefaultChunkRows. The caller owns the sealed store and must
 // Close it to release the file.
 func NewSpillSink(dir string, chunkRows int) (*SpillSink, error) {
-	return newSpillSink(dir, chunkRows, true)
-}
-
-// NewSpillSinkUncompressed is NewSpillSink with the per-chunk codec
-// forced to the raw column layout — the benchmark and equivalence
-// baseline.
-func NewSpillSinkUncompressed(dir string, chunkRows int) (*SpillSink, error) {
-	return newSpillSink(dir, chunkRows, false)
-}
-
-func newSpillSink(dir string, chunkRows int, compress bool) (*SpillSink, error) {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
@@ -72,7 +57,6 @@ func newSpillSink(dir string, chunkRows int, compress bool) (*SpillSink, error) 
 	removed := os.Remove(f.Name()) == nil
 	sk := &SpillSink{
 		chunkRows: chunkRows,
-		compress:  compress,
 		f:         f,
 		removed:   removed,
 		w:         bufio.NewWriterSize(f, 1<<20),
@@ -99,18 +83,10 @@ func (sk *SpillSink) flush() {
 	if n == 0 || sk.err != nil {
 		return
 	}
-	cc := sk.cur.codec()
-	sk.enc = cc.EncodeBlock(sk.cur, sk.compress, sk.enc[:0])
-	zm := cc.EncodedZone()
-	sk.zones = append(sk.zones, &zm)
-	tags, sizes, zoneBytes := cc.EncodedColStats()
-	sk.breakdown.addBlock(n, tags, sizes, zoneBytes)
+	sk.enc = sk.seal(sk.cur, append([]Class(nil), sk.cur.Class...), sk.enc[:0])
 	if _, err := sk.w.Write(sk.enc); err != nil && sk.err == nil {
 		sk.err = fmt.Errorf("classify: write spill chunk: %w", err)
 	}
-	cls := make([]Class, n)
-	copy(cls, sk.cur.Class)
-	sk.classes = append(sk.classes, cls)
 	sk.offsets = append(sk.offsets, sk.off)
 	sk.lens = append(sk.lens, n)
 	sk.dlens = append(sk.dlens, len(sk.enc))
@@ -136,16 +112,14 @@ func (sk *SpillSink) Seal() (Store, error) {
 		return nil, sk.err
 	}
 	return &SpillStore{
-		chunkRows: sk.chunkRows,
-		f:         sk.f,
-		removed:   sk.removed,
-		classes:   sk.classes,
-		zones:     sk.zones,
-		breakdown: sk.breakdown,
-		offsets:   sk.offsets,
-		lens:      sk.lens,
-		dlens:     sk.dlens,
-		n:         sk.n,
+		chunkRows:  sk.chunkRows,
+		f:          sk.f,
+		removed:    sk.removed,
+		sealedCols: sk.sealedCols,
+		offsets:    sk.offsets,
+		lens:       sk.lens,
+		dlens:      sk.dlens,
+		n:          sk.n,
 	}, nil
 }
 
@@ -157,13 +131,11 @@ type SpillStore struct {
 	chunkRows int
 	f         *os.File
 	removed   bool
-	classes   [][]Class
-	zones     []*ZoneMap
-	breakdown EncBreakdown
-	offsets   []int64
-	lens      []int
-	dlens     []int
-	n         int
+	sealedCols
+	offsets []int64
+	lens    []int
+	dlens   []int
+	n       int
 }
 
 // Len implements Store.
@@ -191,26 +163,19 @@ func (st *SpillStore) Size() int64 {
 // occupy for the same rows: the reference for the compression ratio.
 func (st *SpillStore) RawSize() int64 { return int64(st.n) * spillRowBytes }
 
-// Chunk implements Store: it preads chunk i's framed block into buf's
-// scratch (allocating a buffer when buf is nil), verifies and decodes
-// it, and points the Class column at the resident slice. A short read,
-// checksum mismatch or malformed block returns an error — truncation
-// and corruption of the spill file must surface to the caller rather
-// than crash the process or balloon memory.
+// Chunk implements Store: it reads chunk i's framed block into buf's
+// scratch through BlockBytes (allocating a buffer when buf is nil),
+// verifies and decodes it, and points the Class column at the resident
+// slice. A short read, checksum mismatch or malformed block returns an
+// error — truncation and corruption of the spill file must surface to
+// the caller rather than crash the process or balloon memory.
 func (st *SpillStore) Chunk(i int, buf *Chunk) (*Chunk, error) {
 	if buf == nil {
 		buf = &Chunk{}
 	}
-	need := st.dlens[i]
-	if cap(buf.raw) < need {
-		buf.raw = make([]byte, need)
-	}
-	raw := buf.raw[:need]
-	if _, err := st.f.ReadAt(raw, st.offsets[i]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("spill file truncated")
-		}
-		return nil, fmt.Errorf("classify: read spill chunk %d: %w", i, err)
+	raw, err := st.BlockBytes(i, &buf.raw)
+	if err != nil {
+		return nil, err
 	}
 	if err := buf.codec().DecodeBlock(raw, st.lens[i], buf); err != nil {
 		return nil, fmt.Errorf("classify: decode spill chunk %d: %w", i, err)
@@ -219,13 +184,8 @@ func (st *SpillStore) Chunk(i int, buf *Chunk) (*Chunk, error) {
 	return buf, nil
 }
 
-// ScanCols implements Store.
-func (st *SpillStore) ScanCols(cols ColSet, fn func(base int, pc *ProjChunk)) {
-	ScanStoreCols(st, cols, fn)
-}
-
-// BlockBytes implements BlockReader: it preads chunk i's framed block
-// into *scratch, growing it as needed. Concurrent calls are safe with
+// BlockBytes implements Store: it preads chunk i's framed block into
+// *scratch, growing it as needed. Concurrent calls are safe with
 // distinct scratch buffers (positioned reads).
 func (st *SpillStore) BlockBytes(i int, scratch *[]byte) ([]byte, error) {
 	need := st.dlens[i]
@@ -240,14 +200,6 @@ func (st *SpillStore) BlockBytes(i int, scratch *[]byte) ([]byte, error) {
 		return nil, fmt.Errorf("classify: read spill chunk %d: %w", i, err)
 	}
 	return raw, nil
-}
-
-// ZoneMap implements ZoneMapped.
-func (st *SpillStore) ZoneMap(i int) *ZoneMap {
-	if i < len(st.zones) {
-		return st.zones[i]
-	}
-	return nil
 }
 
 // Footprint implements Store: spilled blocks count as compressed

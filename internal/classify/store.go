@@ -95,6 +95,24 @@ func (c *Chunk) grow(n int) {
 	c.Class = make([]Class, 0, n)
 }
 
+// capped returns a view of c's columns capped at their current length,
+// with cls as its class column: appends to c never write through it.
+func (c *Chunk) capped(cls []Class) Chunk {
+	n := c.Len()
+	return Chunk{
+		URLHash:   c.URLHash[:n:n],
+		IP:        c.IP[:n:n],
+		FQDN:      c.FQDN[:n:n],
+		RefFQDN:   c.RefFQDN[:n:n],
+		Publisher: c.Publisher[:n:n],
+		User:      c.User[:n:n],
+		Day:       c.Day[:n:n],
+		Country:   c.Country[:n:n],
+		Flags:     c.Flags[:n:n],
+		Class:     cls,
+	}
+}
+
 // reset truncates every column to length n (capacity preserved),
 // leaving the Class alias to be set by the loader.
 func (c *Chunk) reset(n int) {
@@ -138,11 +156,12 @@ func PutChunk(c *Chunk) {
 }
 
 // Store is the read side of a sealed row store: a sequence of columnar
-// chunks. Implementations must support concurrent Chunk calls with
-// distinct bufs (the parallel scans in core.Analyze and the sharded
-// semi-stage fixpoint rely on this). The Class column returned by both
-// Chunk and Classes is resident and shared: a write through one view is
-// seen by every other.
+// chunks. Implementations must support concurrent Chunk and BlockBytes
+// calls with distinct bufs (the parallel scans in core.Analyze rely on
+// this). The Class column returned by both Chunk and Classes is
+// resident and shared: a write through one view is seen by every
+// other. MemStore and SpillStore are the two implementations; every
+// kernel reads either one through ScanStoreCols.
 type Store interface {
 	// Len returns the total number of rows.
 	Len() int
@@ -160,12 +179,16 @@ type Store interface {
 	// Classes returns the resident, mutable class column of chunk i
 	// without loading the spilled columns.
 	Classes(i int) []Class
-	// ScanCols walks the store chunk by chunk through the projection
-	// path: fn receives a ProjChunk whose zone map and resident class
-	// column are available immediately and whose spilled columns load
-	// lazily, in encoded form where profitable. cols declares the
-	// projection the kernel intends to touch.
-	ScanCols(cols ColSet, fn func(base int, pc *ProjChunk))
+	// BlockBytes returns chunk i's framed codec block, reading into
+	// *scratch (grown as needed) for disk-backed stores or returning
+	// the resident block directly. A nil block with nil error means
+	// chunk i is resident wide (a wide store's chunks, the open tail
+	// chunk) and must be loaded through Chunk.
+	BlockBytes(i int, scratch *[]byte) ([]byte, error)
+	// ZoneMap returns chunk i's resident zone map. A nil result (wide
+	// chunks, the open tail, blocks restored from checkpoints written
+	// before zone maps existed) just disables pruning for that chunk.
+	ZoneMap(i int) *ZoneMap
 	// Footprint reports the store's memory and encoding accounting.
 	Footprint() Footprint
 	// Close releases any resources backing the store (spill files).
@@ -203,8 +226,9 @@ type RowSink interface {
 // fills is immediately encoded through the chunk codec and kept only
 // as a compressed block plus its resident class column; the open tail
 // chunk stays wide. Reads decode into the caller's buffer. Sealed
-// blocks are immutable, which is what lets the live collector's epoch
-// snapshots share them by reference instead of copying column slices.
+// blocks are immutable and wide columns are append-only, which is what
+// lets Freeze share them by reference instead of copying column
+// slices.
 type MemStore struct {
 	chunkRows int
 	compress  bool
@@ -213,16 +237,45 @@ type MemStore struct {
 	// Wide mode: all chunks resident.
 	chunks []*Chunk
 
-	// Compressed mode: sealed blocks + resident classes, plus the open
-	// tail chunk (nil until the first append after a seal). zones holds
-	// each sealed block's zone map resident (nil entries for blocks
-	// restored from checkpoints that predate zone maps); breakdown
-	// accumulates the per-scheme encoding census.
-	blocks    [][]byte
+	// Compressed mode: sealed blocks with their resident classes, zone
+	// maps and census, plus the open tail chunk (nil until the first
+	// append after a seal).
+	blocks [][]byte
+	sealedCols
+	open *Chunk
+}
+
+// sealedCols is the resident side of a block-backed store's sealed
+// chunks: each chunk's class column and zone map (nil entries for
+// blocks restored from checkpoints that predate zone maps), plus the
+// per-scheme encoding census over all of them.
+type sealedCols struct {
 	classes   [][]Class
 	zones     []*ZoneMap
 	breakdown EncBreakdown
-	open      *Chunk
+}
+
+// seal is the one seal routine of both block-backed stores: it appends
+// chunk c's framed codec block to dst, then records the block's zone
+// map, folds its column stats into the census, and retains cls as the
+// chunk's resident class column.
+func (s *sealedCols) seal(c *Chunk, cls []Class, dst []byte) []byte {
+	cc := GetCodec()
+	defer PutCodec(cc)
+	dst = cc.EncodeBlock(c, dst)
+	zm := cc.encZone
+	s.zones = append(s.zones, &zm)
+	s.breakdown.addBlock(c.Len(), cc.encTags, cc.encSizes, cc.encZoneBytes)
+	s.classes = append(s.classes, cls)
+	return dst
+}
+
+// ZoneMap implements Store.
+func (s *sealedCols) ZoneMap(i int) *ZoneMap {
+	if i < len(s.zones) {
+		return s.zones[i]
+	}
+	return nil
 }
 
 // NewMemStore returns an empty in-memory columnar store with the
@@ -288,18 +341,11 @@ func (st *MemStore) Append(r Row) {
 
 // sealOpen encodes the full open chunk into a compressed block,
 // retains its class column, and drops the wide columns. The open
-// chunk buffer is not reused: epoch snapshots may still hold capped
+// chunk buffer is not reused: frozen stores may still hold capped
 // views of it, so a fresh buffer is allocated for the next chunk and
 // the sealed one is left to the GC once unreferenced.
 func (st *MemStore) sealOpen() {
-	cc := GetCodec()
-	st.blocks = append(st.blocks, cc.EncodeBlock(st.open, true, nil))
-	zm := cc.EncodedZone()
-	st.zones = append(st.zones, &zm)
-	tags, sizes, zoneBytes := cc.EncodedColStats()
-	st.breakdown.addBlock(st.open.Len(), tags, sizes, zoneBytes)
-	PutCodec(cc)
-	st.classes = append(st.classes, st.open.Class)
+	st.blocks = append(st.blocks, st.seal(st.open, st.open.Class, nil))
 	st.open = nil
 }
 
@@ -323,15 +369,6 @@ func (st *MemStore) NumChunks() int {
 
 // ChunkRows implements Store.
 func (st *MemStore) ChunkRows() int { return st.chunkRows }
-
-// SealedBlocks returns the number of compressed sealed chunks (0 in
-// wide mode). The epoch snapshot builder shares those blocks by
-// reference.
-func (st *MemStore) SealedBlocks() int { return len(st.blocks) }
-
-// Block returns sealed compressed block i. The returned slice is
-// immutable; callers may retain it indefinitely.
-func (st *MemStore) Block(i int) []byte { return st.blocks[i] }
 
 // Chunk implements Store. Wide chunks are returned resident (buf
 // ignored); compressed sealed chunks decode into buf, allocating one
@@ -367,29 +404,56 @@ func (st *MemStore) Classes(i int) []Class {
 // Close implements Store; in-memory stores hold no external resources.
 func (st *MemStore) Close() error { return nil }
 
-// ScanCols implements Store.
-func (st *MemStore) ScanCols(cols ColSet, fn func(base int, pc *ProjChunk)) {
-	ScanStoreCols(st, cols, fn)
-}
-
-// BlockBytes implements BlockReader: sealed compressed blocks are
-// returned resident (scratch unused); wide chunks and the open tail
-// report nil so the projection path loads them through Chunk.
+// BlockBytes implements Store: sealed compressed blocks are returned
+// resident (scratch unused); wide chunks and the open tail report nil.
 func (st *MemStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
-	if st.compress && i < len(st.blocks) {
+	if i < len(st.blocks) {
 		return st.blocks[i], nil
 	}
 	return nil, nil
 }
 
-// ZoneMap implements ZoneMapped. Wide stores and the open tail chunk
-// have none; blocks restored from pre-zone-map checkpoints may yield
-// nil entries.
-func (st *MemStore) ZoneMap(i int) *ZoneMap {
-	if i < len(st.zones) {
-		return st.zones[i]
+// Freeze returns a read-only MemStore holding st's rows and classes as
+// of now, which later appends and class writes on st never change: the
+// live collector's epoch snapshots. Sealed blocks and zone maps are
+// shared by reference; wide chunks and the open tail become column
+// views capped at their current length, so appends never write through
+// them. Class columns are copied, except that a chunk below
+// prevRows/ChunkRows and absent from dirty reuses prev's copy: prev
+// must be st's previous Freeze (or nil), taken when st held prevRows
+// rows, and dirty must name every chunk whose classes changed since.
+func (st *MemStore) Freeze(prev *MemStore, prevRows int, dirty map[int]struct{}) *MemStore {
+	numChunks := st.NumChunks()
+	firstDirty := prevRows / st.chunkRows
+	classes := make([][]Class, numChunks)
+	for ci := range classes {
+		_, flipped := dirty[ci]
+		if prev != nil && ci < firstDirty && !flipped {
+			classes[ci] = prev.Classes(ci)
+		} else {
+			classes[ci] = append([]Class(nil), st.Classes(ci)...)
+		}
 	}
-	return nil
+	fr := &MemStore{chunkRows: st.chunkRows, compress: st.compress, n: st.n}
+	if !st.compress {
+		views := make([]Chunk, numChunks)
+		fr.chunks = make([]*Chunk, numChunks)
+		for ci, c := range st.chunks {
+			views[ci] = c.capped(classes[ci])
+			fr.chunks[ci] = &views[ci]
+		}
+		return fr
+	}
+	sealed := len(st.blocks)
+	fr.blocks = st.blocks[:sealed:sealed]
+	fr.zones = st.zones[:sealed:sealed]
+	fr.classes = classes[:sealed:sealed]
+	fr.breakdown = st.breakdown
+	if sealed < numChunks {
+		tail := st.open.capped(classes[sealed])
+		fr.open = &tail
+	}
+	return fr
 }
 
 // Footprint is the memory accounting of a store: how many bytes of row
@@ -449,16 +513,6 @@ func (b *EncBreakdown) addBlock(rows int, tags [numCols]byte, sizes [numCols]int
 		}
 	}
 	b.ZoneMapBytes += int64(zoneBytes)
-}
-
-// add merges another census into b (snapshot aggregation).
-func (b *EncBreakdown) add(o EncBreakdown) {
-	for i := 0; i < numSchemes; i++ {
-		b.SchemeRows[i] += o.SchemeRows[i]
-		b.SchemeBytes[i] += o.SchemeBytes[i]
-	}
-	b.LZ4Rows += o.LZ4Rows
-	b.ZoneMapBytes += o.ZoneMapBytes
 }
 
 // RawEquivalentBytes returns the fully-wide size of the stored rows.

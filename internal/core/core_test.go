@@ -293,16 +293,10 @@ func BenchmarkAnalyze(b *testing.B) {
 // analyzeBenchSpill is analyzeBenchDataset's disk-backed sibling: the
 // same 200k-row shape streamed into a spill sink, so the benchmark
 // exercises the real pread + decode path the pushdown targets.
-func analyzeBenchSpill(b *testing.B, rows int, compress bool) (*classify.Dataset, geo.Service) {
+func analyzeBenchSpill(b *testing.B, rows int) (*classify.Dataset, geo.Service) {
 	b.Helper()
 	ds, svc := analyzeBenchDataset(rows)
-	var sink classify.RowSink
-	var err error
-	if compress {
-		sink, err = classify.NewSpillSink(b.TempDir(), 0)
-	} else {
-		sink, err = classify.NewSpillSinkUncompressed(b.TempDir(), 0)
-	}
+	sink, err := classify.NewSpillSink(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,27 +318,18 @@ func analyzeBenchSpill(b *testing.B, rows int, compress bool) (*classify.Dataset
 	return ds, svc
 }
 
-// BenchmarkPushdownAnalyze measures the decode-free join over spill
-// stores: pushdown runs the projection kernel (zone/class pruning,
-// per-run country resolution, per-distinct-IP geolocation) over the
-// compressed spill file, raw runs the same kernel over the
-// uncompressed one, where every projected column is a raw copy.
+// BenchmarkPushdownAnalyze measures the decode-free join over the
+// spill store: pushdown runs the projection kernel (zone/class
+// pruning, per-run country resolution, per-distinct-IP geolocation)
+// over the compressed spill file.
 func BenchmarkPushdownAnalyze(b *testing.B) {
-	const rows = 200_000
-	run := func(b *testing.B, ds *classify.Dataset, svc geo.Service) {
+	b.Run("pushdown", func(b *testing.B) {
+		ds, svc := analyzeBenchSpill(b, 200_000)
 		b.ResetTimer()
 		var a *Analysis
 		for i := 0; i < b.N; i++ {
 			a = Analyze(ds, svc)
 		}
 		b.ReportMetric(float64(a.Total()), "flows")
-	}
-	b.Run("pushdown", func(b *testing.B) {
-		ds, svc := analyzeBenchSpill(b, rows, true)
-		run(b, ds, svc)
-	})
-	b.Run("raw", func(b *testing.B) {
-		ds, svc := analyzeBenchSpill(b, rows, false)
-		run(b, ds, svc)
 	})
 }

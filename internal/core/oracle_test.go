@@ -28,15 +28,14 @@ func rowAnalyze(ds *classify.Dataset, svc geo.Service, keep func(classify.Row) b
 	return a
 }
 
-// oracleBackends streams rows into the four store backends: wide and
-// compressed memory, raw and compressed spill.
+// oracleBackends streams rows into the three store layouts: wide and
+// compressed memory, and spill.
 func oracleBackends(t *testing.T, rows []classify.Row, chunkRows int) map[string]classify.Store {
 	t.Helper()
 	out := make(map[string]classify.Store)
 	for name, mk := range map[string]func() (classify.RowSink, error){
 		"mem/wide":         func() (classify.RowSink, error) { return classify.NewMemStoreChunked(chunkRows), nil },
 		"mem/compressed":   func() (classify.RowSink, error) { return classify.NewMemStoreCompressed(chunkRows), nil },
-		"spill/raw":        func() (classify.RowSink, error) { return classify.NewSpillSinkUncompressed(t.TempDir(), chunkRows) },
 		"spill/compressed": func() (classify.RowSink, error) { return classify.NewSpillSink(t.TempDir(), chunkRows) },
 	} {
 		sink, err := mk()

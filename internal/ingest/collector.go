@@ -13,6 +13,7 @@ import (
 	"crossborder/internal/chaos"
 	"crossborder/internal/classify"
 	"crossborder/internal/core"
+	"crossborder/internal/geodata"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/netsim"
 	"crossborder/internal/rtb"
@@ -507,23 +508,7 @@ func (c *Collector) applyDeltas(prevRows int, flips []int) {
 	chunkRows := st.ChunkRows()
 	dTruth, dIPMap, dMaxMind := core.NewAnalysis(), core.NewAnalysis(), core.NewAnalysis()
 	addRow := func(ch *classify.Chunk, i int) {
-		src := ds.Countries[ch.Country[i]]
-		ip := ch.IP[i]
-		if loc, ok := c.world.Truth.Locate(ip); ok {
-			dTruth.Add(src, loc.Country, 1)
-		} else {
-			dTruth.AddUnknown(1)
-		}
-		if loc, ok := c.world.IPMap.Locate(ip); ok {
-			dIPMap.Add(src, loc.Country, 1)
-		} else {
-			dIPMap.AddUnknown(1)
-		}
-		if loc, ok := c.world.MaxMind.Locate(ip); ok {
-			dMaxMind.Add(src, loc.Country, 1)
-		} else {
-			dMaxMind.AddUnknown(1)
-		}
+		addTrackingFlow(c.world, ds.Countries[ch.Country[i]], ch.IP[i], dTruth, dIPMap, dMaxMind)
 	}
 
 	buf := classify.GetChunk()
@@ -556,6 +541,28 @@ func (c *Collector) applyDeltas(prevRows int, flips []int) {
 	c.truthA.Merge(dTruth)
 	c.ipmapA.Merge(dIPMap)
 	c.maxmindA.Merge(dMaxMind)
+}
+
+// addTrackingFlow counts one tracking request from src to ip in the
+// flow map of each geolocation service: the per-row delta both the
+// collector's epoch commit (applyDeltas) and the fan-in merge
+// (MergeExports) fold into their running analyses.
+func addTrackingFlow(w *scenario.Scenario, src geodata.Country, ip netsim.IP, truth, ipmap, maxmind *core.Analysis) {
+	if loc, ok := w.Truth.Locate(ip); ok {
+		truth.Add(src, loc.Country, 1)
+	} else {
+		truth.AddUnknown(1)
+	}
+	if loc, ok := w.IPMap.Locate(ip); ok {
+		ipmap.Add(src, loc.Country, 1)
+	} else {
+		ipmap.AddUnknown(1)
+	}
+	if loc, ok := w.MaxMind.Locate(ip); ok {
+		maxmind.Add(src, loc.Country, 1)
+	} else {
+		maxmind.AddUnknown(1)
+	}
 }
 
 // flips2chunks maps flipped global row indices to their chunk indices.

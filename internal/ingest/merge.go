@@ -36,9 +36,10 @@ import (
 //
 // Aggregates follow the same shape: the shard flow maps merge
 // (counter addition commutes), then the rows that became tracking only
-// under the global fixpoint contribute a delta — the identical
-// recipe the collector's applyDeltas uses per epoch. The result equals
-// a full core.Analyze rescan (TestMergeExportsMatchesRescan).
+// under the global fixpoint contribute a delta through the same
+// addTrackingFlow the collector's applyDeltas uses per epoch. The
+// result equals a full core.Analyze rescan
+// (TestMergeExportsMatchesRescan).
 
 // MergeExports merges per-shard snapshot exports into one global
 // Snapshot over the shared world. Exports must come from collectors
@@ -178,25 +179,8 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 		ch := classify.MustChunk(st, ci, buf)
 		base := ci * chunkRows
 		for i := 0; i < ch.Len(); i++ {
-			if !ch.Class[i].IsTracking() || wasTracking[base+i] {
-				continue
-			}
-			src := ds.Countries[ch.Country[i]]
-			ip := ch.IP[i]
-			if loc, ok := world.Truth.Locate(ip); ok {
-				truth.Add(src, loc.Country, 1)
-			} else {
-				truth.AddUnknown(1)
-			}
-			if loc, ok := world.IPMap.Locate(ip); ok {
-				ipmap.Add(src, loc.Country, 1)
-			} else {
-				ipmap.AddUnknown(1)
-			}
-			if loc, ok := world.MaxMind.Locate(ip); ok {
-				maxmind.Add(src, loc.Country, 1)
-			} else {
-				maxmind.AddUnknown(1)
+			if ch.Class[i].IsTracking() && !wasTracking[base+i] {
+				addTrackingFlow(world, ds.Countries[ch.Country[i]], ch.IP[i], truth, ipmap, maxmind)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"fmt"
 	"sync"
 
 	"crossborder/internal/classify"
@@ -11,87 +10,6 @@ import (
 	"crossborder/internal/scenario"
 	"crossborder/internal/trackerdb"
 )
-
-// snapStore is the frozen read side of the live store at one epoch
-// boundary. Wide chunks are per-chunk column views capped at the
-// epoch's row count, sharing the live store's append-only columns;
-// when the live store runs in compressed-resident mode, sealed chunks
-// are instead shared as references to its immutable codec blocks and
-// decode on read. Either way the mutable class column is replaced by
-// frozen copies, and chunks untouched by an epoch reuse the previous
-// snapshot's class slices (copy-on-write), so the per-epoch snapshot
-// cost is proportional to what the epoch changed, not to the dataset
-// size — and a compressed store's cold epochs stay compressed in every
-// snapshot that references them.
-type snapChunk struct {
-	wide  classify.Chunk // resident view; used when block is nil
-	block []byte         // compressed sealed block shared with the live store
-	rows  int
-}
-
-type snapStore struct {
-	chunks    []snapChunk
-	classes   [][]classify.Class
-	zones     []*classify.ZoneMap
-	fp        classify.Footprint
-	chunkRows int
-	n         int
-}
-
-var _ classify.Store = (*snapStore)(nil)
-var _ classify.BlockReader = (*snapStore)(nil)
-var _ classify.ZoneMapped = (*snapStore)(nil)
-
-func (st *snapStore) Len() int       { return st.n }
-func (st *snapStore) NumChunks() int { return len(st.chunks) }
-func (st *snapStore) ChunkRows() int { return st.chunkRows }
-
-// Chunk returns the resident view for wide chunks (buf ignored, like
-// the in-memory store) and decodes shared compressed blocks into buf,
-// patching in the snapshot's frozen class column.
-func (st *snapStore) Chunk(i int, buf *classify.Chunk) (*classify.Chunk, error) {
-	sc := &st.chunks[i]
-	if sc.block == nil {
-		return &sc.wide, nil
-	}
-	if buf == nil {
-		buf = &classify.Chunk{}
-	}
-	if err := classify.DecodeBlockInto(sc.block, sc.rows, buf); err != nil {
-		return nil, fmt.Errorf("ingest: decode snapshot chunk %d: %w", i, err)
-	}
-	buf.Class = st.classes[i]
-	return buf, nil
-}
-
-func (st *snapStore) Classes(i int) []classify.Class { return st.classes[i] }
-
-// ScanCols implements classify.Store through the shared projection
-// driver, so snapshot queries run the decode-free kernels over the
-// very blocks the live store sealed.
-func (st *snapStore) ScanCols(cols classify.ColSet, fn func(base int, pc *classify.ProjChunk)) {
-	classify.ScanStoreCols(st, cols, fn)
-}
-
-// BlockBytes implements classify.BlockReader: sealed chunks share the
-// live store's immutable blocks; wide epoch-tail chunks report nil.
-func (st *snapStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
-	return st.chunks[i].block, nil
-}
-
-// ZoneMap implements classify.ZoneMapped.
-func (st *snapStore) ZoneMap(i int) *classify.ZoneMap {
-	if i < len(st.zones) {
-		return st.zones[i]
-	}
-	return nil
-}
-
-// Footprint implements classify.Store (captured at snapshot build).
-func (st *snapStore) Footprint() classify.Footprint { return st.fp }
-
-// Close is a no-op: the snapshot borrows the live store's columns.
-func (st *snapStore) Close() error { return nil }
 
 // Snapshot is one immutable epoch boundary of the live dataset: the
 // frozen row store, the interner/index tables as of the epoch, the
@@ -220,76 +138,16 @@ func (s *Snapshot) Suite() *experiments.Suite {
 	return s.suite
 }
 
-// freezeStore captures the live store's rows as a snapStore. prev
-// supplies class slices for chunks this epoch did not touch; chunks at
-// or after prevRows/ChunkRows (appended rows) and chunks listed in
-// dirty (flipped rows) get fresh copies.
-func freezeStore(st *classify.MemStore, prev *snapStore, prevRows int, dirty map[int]struct{}) *snapStore {
-	numChunks := st.NumChunks()
-	chunkRows := st.ChunkRows()
-	firstDirty := prevRows / chunkRows
-	sealed := 0
-	if st.Compressed() {
-		sealed = st.SealedBlocks()
-	}
-	chunks := make([]snapChunk, numChunks)
-	classes := make([][]classify.Class, numChunks)
-	zones := make([]*classify.ZoneMap, numChunks)
-	for ci := 0; ci < numChunks; ci++ {
-		changed := ci >= firstDirty
-		if !changed && dirty != nil {
-			_, changed = dirty[ci]
-		}
-		if !changed && prev != nil && ci < len(prev.classes) {
-			classes[ci] = prev.classes[ci]
-		} else {
-			src := st.Classes(ci)
-			cp := make([]classify.Class, len(src))
-			copy(cp, src)
-			classes[ci] = cp
-		}
-		if ci < sealed {
-			// Sealed compressed chunk: share the immutable block (and
-			// its zone map); the snapshot never pays wide-column memory
-			// for it.
-			chunks[ci] = snapChunk{block: st.Block(ci), rows: len(classes[ci])}
-			zones[ci] = st.ZoneMap(ci)
-			continue
-		}
-		// Wide chunk (every chunk of a wide store; the open tail of a
-		// compressed one): the columns are append-only, so capped
-		// slices shared with the live store stay frozen.
-		lc := classify.MustChunk(st, ci, nil)
-		rows := lc.Len()
-		chunks[ci] = snapChunk{rows: rows, wide: classify.Chunk{
-			URLHash:   lc.URLHash[:rows:rows],
-			IP:        lc.IP[:rows:rows],
-			FQDN:      lc.FQDN[:rows:rows],
-			RefFQDN:   lc.RefFQDN[:rows:rows],
-			Publisher: lc.Publisher[:rows:rows],
-			User:      lc.User[:rows:rows],
-			Day:       lc.Day[:rows:rows],
-			Country:   lc.Country[:rows:rows],
-			Flags:     lc.Flags[:rows:rows],
-			Class:     classes[ci],
-		}}
-	}
-	return &snapStore{
-		chunks: chunks, classes: classes, zones: zones,
-		fp: st.Footprint(), chunkRows: chunkRows, n: st.Len(),
-	}
-}
-
 // buildSnapshot freezes the live state into a Snapshot. Called with
 // c.mu held (and once from NewCollector before the collector is
 // shared). prevRows and dirty say which chunks changed since prev (see
-// freezeStore).
+// classify.MemStore.Freeze).
 func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]struct{}) *Snapshot {
 	st := c.store
 	live := c.merger.Dataset()
-	var prevStore *snapStore
+	var prevStore *classify.MemStore
 	if prev != nil {
-		prevStore, _ = prev.ds.Store.(*snapStore)
+		prevStore, _ = prev.ds.Store.(*classify.MemStore)
 	}
 
 	// The interner clone is cached: most steady-state epochs intern no
@@ -302,7 +160,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 	}
 	nPubs := len(live.Publishers)
 	ds := &classify.Dataset{
-		Store:      freezeStore(st, prevStore, prevRows, dirty),
+		Store:      st.Freeze(prevStore, prevRows, dirty),
 		FQDNs:      c.internClone,
 		Countries:  append([]geodata.Country(nil), live.Countries...),
 		Publishers: live.Publishers[:nPubs:nPubs],

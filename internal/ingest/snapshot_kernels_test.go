@@ -18,8 +18,8 @@ import (
 )
 
 // TestSnapshotStoreKernels runs every projection kernel over the
-// snapshot store, the fifth backend the experiments read: a frozen mix
-// of shared compressed blocks and capped wide tails with copied class
+// epoch snapshot store (classify.MemStore.Freeze): a frozen mix of
+// shared compressed blocks and capped wide tails with copied class
 // columns. At each epoch of a random append stream, the kernels over
 // the snapshot must equal the same kernels over the live store it
 // froze — which the packages' row-oracle properties pin for both
@@ -49,7 +49,7 @@ func TestSnapshotStoreKernels(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		live := frame
 		live.Store = st
-		var prev *snapStore
+		var prev *classify.MemStore
 		for epoch := 0; epoch < 4; epoch++ {
 			prevRows := st.Len()
 			country := uint8(0)
@@ -69,7 +69,7 @@ func TestSnapshotStoreKernels(t *testing.T) {
 				st.Append(r)
 			}
 			live.Visits = st.Len() / 10
-			prev = freezeStore(st, prev, prevRows, nil)
+			prev = st.Freeze(prev, prevRows, nil)
 			snap := live
 			snap.Store = prev
 			for _, k := range []struct {
@@ -96,7 +96,7 @@ func TestSnapshotStoreKernels(t *testing.T) {
 				}
 			}
 		}
-		if st.Compressed() && st.SealedBlocks() == 0 {
+		if st.Compressed() && st.Footprint().SealedChunks == 0 {
 			t.Fatalf("%s: the snapshots never shared a sealed block", mode)
 		}
 	}

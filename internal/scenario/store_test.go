@@ -10,8 +10,8 @@ import (
 
 // TestRowStoreEquivalence is the sink-equivalence property at the
 // pipeline level: the same world built into the in-memory store, the
-// compressed-resident store, and the spill-to-disk store with the
-// codec on and off (small chunk sizes, forcing many chunks) must
+// compressed-resident store, and the spill-to-disk store (small chunk
+// sizes, forcing many chunks) must
 // produce identical dataset statistics and identical core.Analyze flow
 // maps under every geolocation service — neither the storage backend
 // nor the chunk codec may be visible to any analysis.
@@ -25,7 +25,6 @@ func TestRowStoreEquivalence(t *testing.T) {
 		sink func() (classify.RowSink, error)
 	}{
 		{"spill-compressed", func() (classify.RowSink, error) { return classify.NewSpillSink(dir, 300) }},
-		{"spill-raw", func() (classify.RowSink, error) { return classify.NewSpillSinkUncompressed(dir, 300) }},
 		{"mem-compressed", func() (classify.RowSink, error) { return classify.NewMemStoreCompressed(300), nil }},
 	}
 	for _, v := range variants {

@@ -65,38 +65,15 @@ func WithProgress(fn func(PhaseEvent)) Option {
 	return func(o *Options) { o.Progress = fn }
 }
 
-// Compression is the tri-state row-store codec selector; see
-// WithCompression. The zero value (CompressionAuto) enables the codec
-// exactly where it pays by default: on for disk-backed stores, off for
-// the in-memory default.
-type Compression int
-
-const (
-	// CompressionAuto compresses disk row stores and keeps memory row
-	// stores wide (the default).
-	CompressionAuto Compression = iota
-	// CompressionOn forces the per-chunk codec for either backend; the
-	// in-memory store keeps sealed chunks as compressed blocks.
-	CompressionOn
-	// CompressionOff forces the byte-transparent raw chunk layout.
-	CompressionOff
-)
-
-// WithCompression forces the row store's per-chunk column codec on or
-// off (the default is on for DiskRowStore, off for MemoryRowStore).
-// The codec is lossless and invisible to every analysis: a compressed
-// study renders byte-identically to an uncompressed one. On a disk
-// store it cuts the spill file severalfold; on the in-memory store it
-// trades a decode per chunk scan for keeping sealed chunks compressed,
-// which is what long-running collectors want for cold epochs.
+// WithCompression chooses the in-memory row store's layout: on keeps
+// every sealed chunk as a compressed codec block, off (the default)
+// keeps all columns wide. DiskRowStore always compresses and ignores
+// it. The codec is lossless and invisible to every analysis: a
+// compressed study renders byte-identically to a wide one. It trades
+// a decode per chunk scan for keeping sealed chunks compressed, which
+// is what long-running collectors want for cold epochs.
 func WithCompression(on bool) Option {
-	return func(o *Options) {
-		if on {
-			o.Compression = CompressionOn
-		} else {
-			o.Compression = CompressionOff
-		}
-	}
+	return func(o *Options) { o.Compress = on }
 }
 
 // RowStore selects the storage backend of the classified dataset's row

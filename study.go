@@ -31,10 +31,10 @@ type Options struct {
 	// RowStore selects the dataset row storage backend (the zero value
 	// is the in-memory columnar store; see DiskRowStore).
 	RowStore RowStore
-	// Compression overrides the row store's per-chunk codec (the zero
-	// value compresses disk stores and keeps memory stores wide; see
-	// WithCompression).
-	Compression Compression
+	// Compress keeps the in-memory row store's sealed chunks as
+	// compressed codec blocks (see WithCompression). Disk row stores
+	// always compress.
+	Compress bool
 	// Pack names the scenario pack to apply ("" or "default" builds the
 	// unmodified study; see WithPack and Packs).
 	Pack string
@@ -101,24 +101,13 @@ func New(ctx context.Context, opts ...Option) (*Study, error) {
 			return nil, err
 		}
 	}
-	compress := o.RowStore.disk // codec default: on for spill, off for memory
-	switch o.Compression {
-	case CompressionOn:
-		compress = true
-	case CompressionOff:
-		compress = false
-	}
 	rs := o.RowStore
 	switch {
-	case rs.disk && compress:
+	case rs.disk:
 		params.RowSink = func() (classify.RowSink, error) {
 			return classify.NewSpillSink(rs.dir, rs.chunkRows)
 		}
-	case rs.disk:
-		params.RowSink = func() (classify.RowSink, error) {
-			return classify.NewSpillSinkUncompressed(rs.dir, rs.chunkRows)
-		}
-	case compress:
+	case o.Compress:
 		params.RowSink = func() (classify.RowSink, error) {
 			return classify.NewMemStoreCompressed(rs.chunkRows), nil
 		}
