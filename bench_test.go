@@ -45,8 +45,8 @@ func benchSuiteGet(b *testing.B) *experiments.Suite {
 		benchVal = experiments.NewSuite(scenario.Build(scenario.Params{
 			Seed: 1, Scale: 0.1, VisitsPerUser: 60,
 		}))
-		// The three geolocation joins run concurrently in setup so each
-		// benchmark measures its aggregation, not the first join.
+		// The three geolocation joins run in setup so each benchmark
+		// measures its aggregation, not the first join.
 		benchVal.Precompute()
 	})
 	return benchVal
@@ -675,6 +675,33 @@ func BenchmarkCoreAnalyze(b *testing.B) {
 		core.Analyze(su.S.Dataset, su.S.Truth)
 	}
 	b.ReportMetric(float64(su.S.Dataset.Len()), "rows")
+}
+
+// BenchmarkFlowJoin times the three flow maps (truth, IPmap, MaxMind)
+// over the wide bench store two ways: one shared core.Join, and three
+// concurrent single-service Analyze calls. CI gates shared against
+// per-service as a same-run ratio. The IPmap cache is warm on both.
+func BenchmarkFlowJoin(b *testing.B) {
+	su := benchSuiteGet(b)
+	ds, svcs := su.S.Dataset, su.S.FlowServices()
+	b.Run("shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.Join(ds, svcs, 0, nil)
+		}
+	})
+	b.Run("per-service", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for _, svc := range svcs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					core.Analyze(ds, svc)
+				}()
+			}
+			wg.Wait()
+		}
+	})
 }
 
 // BenchmarkSweepCell measures one cell of a scenario-pack sweep grid:

@@ -79,9 +79,12 @@
 //     synthesizer memoizes plans (per FQDN name, for one Table 8 call)
 //     without moving a single sampled flow.
 //
-// Downstream, core.Analyze shards its projected chunk scan over
-// GOMAXPROCS workers and merges the per-shard flow maps (commutative
-// counter addition), and the registry's RunAll computes independent
+// Downstream, core.Join builds the truth, IPmap and MaxMind flow maps
+// from one projected (Country, IP) scan, sharded over GOMAXPROCS
+// workers whose per-shard flow maps merge by commutative counter
+// addition; each worker locates each distinct IP once per service. The
+// batch Suite, the live collector's epoch deltas and the fan-in merge
+// all call it, and the registry's RunAll computes independent
 // experiments concurrently over the precomputed geolocation joins.
 // Tables 5 and 6 share one locality engine per Suite, built once
 // behind a sync.Once and immutable afterwards; the Suite keeps only

@@ -171,7 +171,7 @@ func BenchmarkScanCols(b *testing.B) {
 	b.Run("proj", func(b *testing.B) {
 		b.SetBytes(sp.RawSize())
 		for i := 0; i < b.N; i++ {
-			ScanStoreCols(sp, Cols(ColIP, ColCountry), func(_ int, pc *ProjChunk) {
+			ScanStoreCols(sp, func(_ int, pc *ProjChunk) {
 				for _, r := range pc.Runs(ColCountry) {
 					blackhole += r.Value * uint64(r.Len)
 				}
@@ -203,7 +203,7 @@ func BenchmarkScanCols(b *testing.B) {
 		// refutes it, so the scan touches metadata only.
 		before := ReadScanStats()
 		for i := 0; i < b.N; i++ {
-			ScanStoreCols(sp, Cols(ColDay), func(_ int, pc *ProjChunk) {
+			ScanStoreCols(sp, func(_ int, pc *ProjChunk) {
 				if pc.Zone != nil && pc.Zone.Max[ColDay] < 1<<15 {
 					return
 				}

@@ -15,8 +15,8 @@
 //
 // Reads are columnar. Store serves full-width chunks for row-at-a-time
 // scans, and ScanStoreCols serves projected chunks for query pushdown: a
-// kernel names the columns it needs and receives each one in the form
-// the codec stored it — RLE runs, dictionary ids over a sorted
+// kernel reads only the columns it touches and receives each one in the
+// form the codec stored it — RLE runs, dictionary ids over a sorted
 // dictionary, or decoded fixed-width values — plus a per-chunk zone map
 // (min/max, class bitmap, distinct counts) computed at seal time and
 // persisted in the block frame, so scans prune chunks before reading a
@@ -226,11 +226,11 @@ func (d *Dataset) Scan(fn func(base int, c *Chunk)) {
 
 // ScanCols walks the store through the projection path (see
 // ScanStoreCols), the scan every experiment kernel runs on.
-func (d *Dataset) ScanCols(cols ColSet, fn func(base int, pc *ProjChunk)) {
+func (d *Dataset) ScanCols(fn func(base int, pc *ProjChunk)) {
 	if d.Store == nil {
 		return
 	}
-	ScanStoreCols(d.Store, cols, fn)
+	ScanStoreCols(d.Store, fn)
 }
 
 // EachRow calls fn for every row in order, gathering each back into

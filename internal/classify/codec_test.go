@@ -363,7 +363,7 @@ func projectedReadPanics(rows []Row, block []byte) (panicked bool) {
 		st.Append(r)
 	}
 	st.blocks[0] = block
-	pc := ProjChunkAt(st, 0, Cols(ColIP), GetProj())
+	pc := ProjChunkAt(st, 0, GetProj())
 	defer PutProj(pc)
 	defer func() { panicked = recover() != nil }()
 	pc.Col(ColIP)

@@ -256,7 +256,6 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 	}
 	type candRun struct{ chunk, lo, hi int }
 	var runs []candRun
-	projCols := Cols(ColFQDN, ColRefFQDN)
 	for {
 		runs = runs[:0]
 		for lo := 0; lo < len(ls.cand); {
@@ -273,7 +272,7 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 			out := &outs[w]
 			for r := w; r < len(runs); r += ls.workers {
 				run := runs[r]
-				pc := ProjChunkAt(st, run.chunk, projCols, ls.pcs[w])
+				pc := ProjChunkAt(st, run.chunk, ls.pcs[w])
 				cls := pc.Class
 				fq := pc.Wide(ColFQDN)
 				rf := pc.Wide(ColRefFQDN)

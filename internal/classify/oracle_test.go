@@ -85,7 +85,7 @@ func setTable2(ds *Dataset) Table2 {
 		}
 		return t
 	}
-	ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		cls := pc.Class
 		if !AnyTracking(cls) {
 			return

@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the column-projection scan path: ScanStoreCols
-// hands kernels a ProjChunk that exposes only the columns they ask
-// for, in encoded form where that is profitable — RLE columns as
+// hands kernels a ProjChunk that loads only the columns they access,
+// in encoded form where that is profitable — RLE columns as
 // (value, run) pairs that aggregate arithmetically, dictionary columns
 // as the sorted dictionary plus the per-row id stream so predicates
 // translate once per chunk into id sets, wide values only for raw and
@@ -32,25 +32,11 @@ const (
 	ColFlags
 )
 
-// ColSet is a bitmask of ColIDs — the projection a kernel declares to
-// ScanStoreCols. The set is a planning hint (stores may use it to
-// prefetch); ProjChunk serves any column on demand regardless.
+// ColSet is a bitmask of ColIDs.
 type ColSet uint16
-
-// Cols builds a ColSet from column ids.
-func Cols(ids ...ColID) ColSet {
-	var s ColSet
-	for _, id := range ids {
-		s |= 1 << id
-	}
-	return s
-}
 
 // Has reports whether the set contains c.
 func (s ColSet) Has(c ColID) bool { return s&(1<<c) != 0 }
-
-// AllCols is the full-width projection.
-const AllCols = ColSet(1<<numCols - 1)
 
 // ViewForm says how a ColView holds its column.
 type ViewForm uint8
@@ -154,7 +140,6 @@ type ProjChunk struct {
 	st      Store
 	ci      int
 	rows    int
-	want    ColSet
 	loaded  ColSet // columns with a materialized view
 	widened ColSet // columns with a materialized Wide() expansion
 	fetched bool
@@ -186,11 +171,11 @@ func PutProj(pc *ProjChunk) {
 	projPool.Put(pc)
 }
 
-// ProjChunkAt binds pc to chunk i of st for the given projection,
-// mirroring MustChunk for parallel workers that stripe chunk ranges
-// themselves. Nothing is read until the first column access.
-func ProjChunkAt(st Store, i int, cols ColSet, pc *ProjChunk) *ProjChunk {
-	pc.st, pc.ci, pc.want = st, i, cols
+// ProjChunkAt binds pc to chunk i of st, mirroring MustChunk for
+// parallel workers that stripe chunk ranges themselves. Nothing is read
+// until the first column access.
+func ProjChunkAt(st Store, i int, pc *ProjChunk) *ProjChunk {
+	pc.st, pc.ci = st, i
 	pc.Class = st.Classes(i)
 	pc.rows = len(pc.Class)
 	pc.Zone = st.ZoneMap(i)
@@ -371,14 +356,14 @@ func AnyTracking(cls []Class) bool {
 // ScanStoreCols walks st chunk by chunk through the projection path,
 // driving fn over every chunk through one pooled ProjChunk: the zone
 // map and resident class column are available immediately, the other
-// columns load lazily, in encoded form where profitable. cols declares
-// the projection the kernel intends to touch.
-func ScanStoreCols(st Store, cols ColSet, fn func(base int, pc *ProjChunk)) {
+// columns load lazily, in encoded form where profitable, on the
+// kernel's first access.
+func ScanStoreCols(st Store, fn func(base int, pc *ProjChunk)) {
 	pc := GetProj()
 	defer PutProj(pc)
 	base := 0
 	for i := 0; i < st.NumChunks(); i++ {
-		ProjChunkAt(st, i, cols, pc)
+		ProjChunkAt(st, i, pc)
 		fn(base, pc)
 		statChunksScanned.Add(1)
 		if !pc.fetched {

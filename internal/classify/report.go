@@ -56,7 +56,7 @@ func ComputeTable2(ds *Dataset) Table2 {
 	var abpRows, semiRows int64
 	// Only URLHash and FQDN leave the block; chunks with no tracking
 	// rows load nothing at all.
-	ds.ScanCols(Cols(ColURLHash, ColFQDN), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		cls := pc.Class
 		if !AnyTracking(cls) {
 			return
@@ -138,7 +138,7 @@ func PerSiteCounts(ds *Dataset) []SiteCounts {
 	// Rows land in publisher order, so the Publisher column is run
 	// heavy: tally tracking rows per run and derive the clean count
 	// arithmetically from the run length.
-	ds.ScanCols(Cols(ColPublisher), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		cls := pc.Class
 		row := 0
 		for _, r := range pc.Runs(ColPublisher) {
@@ -196,7 +196,7 @@ func TopTrackingTLDs(ds *Dataset, n int) []TLDSplit {
 			semi[tld]++
 		}
 	}
-	ds.ScanCols(Cols(ColFQDN), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		cls := pc.Class
 		if !AnyTracking(cls) {
 			return
@@ -271,7 +271,7 @@ func Score(ds *Dataset) Accuracy {
 			a.TrueNegatives++
 		}
 	}
-	ds.ScanCols(Cols(ColFlags), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		flags := pc.Wide(ColFlags)
 		for i, cls := range pc.Class {
 			score(cls, uint8(flags[i]))
@@ -307,7 +307,7 @@ func ComputeStats(ds *Dataset) DatasetStats {
 			f(r.Value)
 		}
 	}
-	ds.ScanCols(Cols(ColUser, ColFQDN), func(_ int, pc *ProjChunk) {
+	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		distinct(pc, ColUser, func(v uint64) { users[int32(v)] = struct{}{} })
 		distinct(pc, ColFQDN, func(v uint64) { fqdns[uint32(v)] = struct{}{} })
 	})

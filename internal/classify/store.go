@@ -141,8 +141,7 @@ func (c *Chunk) reset(n int) {
 
 // chunkPool recycles decode buffers across scans so chunk-wise readers
 // of compressed or spilled stores stay allocation-flat: Dataset.Scan,
-// EachRow, core.Analyze workers and the semi-stage fixpoint all draw
-// their scratch from here.
+// EachRow and the semi-stage fixpoint all draw their scratch from here.
 var chunkPool = sync.Pool{New: func() any { return new(Chunk) }}
 
 // GetChunk borrows a reusable chunk decode buffer from the pool.
@@ -157,7 +156,7 @@ func PutChunk(c *Chunk) {
 
 // Store is the read side of a sealed row store: a sequence of columnar
 // chunks. Implementations must support concurrent Chunk and BlockBytes
-// calls with distinct bufs (the parallel scans in core.Analyze rely on
+// calls with distinct bufs (the parallel scans in core.Join rely on
 // this). The Class column returned by both Chunk and Classes is
 // resident and shared: a write through one view is seen by every
 // other. MemStore and SpillStore are the two implementations; every

@@ -143,199 +143,227 @@ func (a *Analysis) Equal(b *Analysis) bool {
 const analyzeRowsPerShard = 1 << 16
 
 // Analyze joins the classified dataset's tracking rows with a geolocation
-// service.
-//
-// The scan is chunk-wise over the dataset's columnar store: workers take
-// contiguous chunk ranges, each with a private projection buffer and a
-// private Analysis, merged at the end. The service must be safe for
-// concurrent Locate calls (all geo implementations are). The result is
-// identical to the sequential scan, for any worker count and any store
-// backend.
+// service: the full Join for one service.
 func Analyze(ds *classify.Dataset, svc geo.Service) *Analysis {
-	return analyze(ds, svc, -1)
+	return Join(ds, []geo.Service{svc}, 0, nil)[0]
 }
 
-// Predicate narrows Analyze to a subset of rows in a form the scan
-// planner can understand. EqCountry, when non-empty, declares the
-// predicate to be "user country equals EqCountry": chunk zone maps
-// prune whole chunks whose country range excludes the value and the
-// Country column's RLE runs skip non-matching spans without visiting a
-// row.
-type Predicate struct {
-	EqCountry geodata.Country
-}
-
-// CountryEquals is the Predicate selecting one origin country.
-func CountryEquals(c geodata.Country) Predicate {
-	return Predicate{EqCountry: c}
-}
-
-// AnalyzeWhere is Analyze restricted to the rows p selects; the zero
-// Predicate selects every row.
-func AnalyzeWhere(ds *classify.Dataset, svc geo.Service, p Predicate) *Analysis {
-	if p.EqCountry == "" {
-		return analyze(ds, svc, -1)
-	}
-	for i, c := range ds.Countries {
-		if c == p.EqCountry {
-			return analyze(ds, svc, i)
-		}
-	}
-	// The dataset never saw a user from that country.
-	return NewAnalysis()
-}
-
-// analyze is the shared scan driver. eqID >= 0 restricts the scan to
-// rows whose Country column holds that Countries index.
-func analyze(ds *classify.Dataset, svc geo.Service, eqID int) *Analysis {
+// Join joins tracking rows with several geolocation services in one
+// projected scan and returns one Analysis per service, in svcs order.
+// It covers the tracking rows at index >= from plus the tracking rows
+// listed in rows, which must be sorted ascending and below from.
+// Join(ds, svcs, 0, nil) is the full join. The live collector passes
+// an epoch's first new row and the settled rows that flipped to
+// tracking; the fan-in merge passes the store length and the rows the
+// global fixpoint converted.
+//
+// Workers take contiguous ranges of the chunks that hold selected rows,
+// each with a private projection buffer, a private memo and private
+// analyses merged at the end. The services must be safe for concurrent
+// Locate calls (all geo implementations are). The result is identical to
+// a row-by-row join for any worker count and any store backend.
+func Join(ds *classify.Dataset, svcs []geo.Service, from int, rows []int) []*Analysis {
 	st := ds.Store
 	if st == nil {
-		return NewAnalysis()
+		return newAnalyses(len(svcs))
 	}
-	chunks := st.NumChunks()
-	workers := runtime.GOMAXPROCS(0)
-	if max := 1 + st.Len()/analyzeRowsPerShard; workers > max {
-		workers = max
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		return analyzeChunks(ds, svc, eqID, 0, chunks)
-	}
-	parts := make([]*Analysis, workers)
-	var wg sync.WaitGroup
-	per := (chunks + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > chunks {
-			hi = chunks
+	chunkRows := st.ChunkRows()
+	var tasks []joinChunk
+	for k := 0; k < len(rows); {
+		ci := rows[k] / chunkRows
+		j := k + 1
+		for j < len(rows) && rows[j]/chunkRows == ci {
+			j++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = analyzeChunks(ds, svc, eqID, lo, hi)
-		}(w, lo, hi)
+		tasks = append(tasks, joinChunk{ci: ci, lo: chunkRows, sel: rows[k:j]})
+		k = j
 	}
-	wg.Wait()
-	a := parts[0]
-	for _, p := range parts[1:] {
-		a.Merge(p)
-	}
-	return a
-}
-
-// analyzeChunks is the decode-free projection kernel over chunks
-// [lo, hi): it reads only the Country and IP columns in their encoded
-// forms. Chunks with no tracking rows load nothing (the resident class
-// column decides — the zone map's class bitmap can go stale after the
-// semi-stage fixpoint). Country arrives as RLE runs, so the origin
-// country resolves once per run rather than once per row; IP usually
-// arrives as a dictionary, so Locate runs once per distinct address and
-// per-run counts fold into one Add per (origin, destination) pair.
-// Counter addition commutes, so folding rows by run and by dictionary
-// id changes the order of Adds but not any total.
-//
-// eqID >= 0 restricts the scan to rows whose Country column holds that
-// id: the chunk's zone map (min/max over the immutable Country column,
-// authoritative) drops whole chunks before any block fetch, and
-// non-matching RLE runs skip without touching the IP column.
-func analyzeChunks(ds *classify.Dataset, svc geo.Service, eqID int, lo, hi int) *Analysis {
-	a := NewAnalysis()
-	pc := classify.GetProj()
-	defer classify.PutProj(pc)
-	cols := classify.Cols(classify.ColIP, classify.ColCountry)
-	var (
-		locs    []geodata.Country // memoized Locate result per dict id
-		locSt   []uint8           // 0 unresolved, 1 located, 2 unknown
-		cnt     []int64           // per-run count per dict id
-		touched []uint32          // dict ids with cnt != 0 this run
-	)
-	for ci := lo; ci < hi; ci++ {
-		classify.ProjChunkAt(ds.Store, ci, cols, pc)
-		if eqID >= 0 {
-			if z := pc.Zone; z != nil &&
-				(uint64(eqID) < z.Min[classify.ColCountry] || uint64(eqID) > z.Max[classify.ColCountry]) {
-				continue
-			}
-		}
-		cls := pc.Class
-		if !classify.AnyTracking(cls) {
+	for ci := from / chunkRows; ci < st.NumChunks(); ci++ {
+		lo := max(from-ci*chunkRows, 0)
+		if n := len(tasks); n > 0 && tasks[n-1].ci == ci {
+			tasks[n-1].lo = lo
 			continue
 		}
-		runs := pc.Runs(classify.ColCountry)
-		dict, idx, haveDict := pc.DictView(classify.ColIP)
-		if haveDict {
-			if cap(locs) < len(dict) {
-				locs = make([]geodata.Country, len(dict))
-				locSt = make([]uint8, len(dict))
-				cnt = make([]int64, len(dict))
-			}
-			locs = locs[:len(dict)]
-			locSt = locSt[:len(dict)]
-			cnt = cnt[:len(dict)]
-			for i := range locSt {
-				locSt[i] = 0
-			}
+		tasks = append(tasks, joinChunk{ci: ci, lo: lo})
+	}
+
+	workers := min(runtime.GOMAXPROCS(0), 1+(len(rows)+st.Len()-from)/analyzeRowsPerShard, len(tasks))
+	workers = max(workers, 1)
+	parts := make([][]*Analysis, workers)
+	per := (len(tasks) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := range parts {
+		part := tasks[min(w*per, len(tasks)):min((w+1)*per, len(tasks))]
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			parts[w] = joinChunks(ds, svcs, part)
+		}(w)
+	}
+	wg.Wait()
+	out := parts[0]
+	for _, p := range parts[1:] {
+		for s, a := range p {
+			out[s].Merge(a)
 		}
-		var ips []uint64
-		if !haveDict {
-			ips = pc.Wide(classify.ColIP)
+	}
+	return out
+}
+
+func newAnalyses(n int) []*Analysis {
+	out := make([]*Analysis, n)
+	for i := range out {
+		out[i] = NewAnalysis()
+	}
+	return out
+}
+
+// joinChunk is the selection Join makes in chunk ci: the listed global
+// rows sel, then the chunk-local rows from lo on (lo >= the chunk's
+// length selects none).
+type joinChunk struct {
+	ci, lo int
+	sel    []int
+}
+
+// located is one service's answer for one IP.
+type located struct {
+	country geodata.Country
+	ok      bool
+}
+
+// joinWorker is one Join worker's state. The memo maps each IP the
+// worker has seen to a slot of located answers, one per service, so the
+// worker locates each distinct IP once per service.
+type joinWorker struct {
+	svcs []geo.Service
+	out  []*Analysis
+	memo map[netsim.IP]uint32
+	locs []located // slot*len(svcs) + service index
+
+	// The current chunk: its classes, and its IP column either as a
+	// dictionary plus id stream or as wide values.
+	cls      []classify.Class
+	haveDict bool
+	dict     []uint64
+	idx      []uint32
+	ips      []uint64
+
+	// Per-run count folds: by dictionary id on dictionary chunks, by
+	// memo slot on wide ones. touched lists the keys counted this run.
+	dictCnt []int64
+	slotCnt []int64
+	touched []uint32
+}
+
+// joinChunks is the decode-free projection kernel over the selected
+// chunks: it reads only the Country and IP columns in their encoded
+// forms. Chunks with no tracking rows load nothing (the resident class
+// column decides; the zone map's class bitmap can go stale after the
+// semi-stage fixpoint). Country arrives as RLE runs, so the origin
+// country resolves once per run; each run folds its tracking rows into
+// one count per IP and emits one Add per (origin, IP, service).
+// Counter addition commutes, so folding rows changes the order of Adds
+// but not any total.
+func joinChunks(ds *classify.Dataset, svcs []geo.Service, tasks []joinChunk) []*Analysis {
+	w := &joinWorker{svcs: svcs, out: newAnalyses(len(svcs)), memo: make(map[netsim.IP]uint32)}
+	pc := classify.GetProj()
+	defer classify.PutProj(pc)
+	chunkRows := ds.Store.ChunkRows()
+	for _, t := range tasks {
+		classify.ProjChunkAt(ds.Store, t.ci, pc)
+		w.cls = pc.Class
+		if !classify.AnyTracking(w.cls) {
+			continue
 		}
-		row := 0
-		for _, r := range runs {
+		w.dict, w.idx, w.haveDict = pc.DictView(classify.ColIP)
+		if w.haveDict {
+			if len(w.dictCnt) < len(w.dict) {
+				w.dictCnt = make([]int64, len(w.dict))
+			}
+		} else {
+			w.ips = pc.Wide(classify.ColIP)
+		}
+		base := t.ci * chunkRows
+		k, row := 0, 0
+		for _, r := range pc.Runs(classify.ColCountry) {
 			end := row + r.Len
-			if eqID >= 0 && r.Value != uint64(eqID) {
-				row = end
-				continue
+			for ; k < len(t.sel) && t.sel[k]-base < end; k++ {
+				w.count(t.sel[k]-base, t.sel[k]-base+1)
 			}
-			src := ds.Countries[r.Value]
-			if haveDict {
-				touched = touched[:0]
-				for i := row; i < end; i++ {
-					if !cls[i].IsTracking() {
-						continue
-					}
-					k := idx[i]
-					if cnt[k] == 0 {
-						touched = append(touched, k)
-					}
-					cnt[k]++
-				}
-				for _, k := range touched {
-					if locSt[k] == 0 {
-						if loc, ok := svc.Locate(netsim.IP(dict[k])); ok {
-							locs[k] = loc.Country
-							locSt[k] = 1
-						} else {
-							locSt[k] = 2
-						}
-					}
-					if locSt[k] == 1 {
-						a.Add(src, locs[k], cnt[k])
-					} else {
-						a.AddUnknown(cnt[k])
-					}
-					cnt[k] = 0
-				}
-			} else {
-				for i := row; i < end; i++ {
-					if !cls[i].IsTracking() {
-						continue
-					}
-					loc, ok := svc.Locate(netsim.IP(ips[i]))
-					if !ok {
-						a.AddUnknown(1)
-						continue
-					}
-					a.Add(src, loc.Country, 1)
-				}
-			}
+			w.count(max(row, t.lo), end)
+			w.flush(ds.Countries[r.Value])
 			row = end
 		}
 	}
-	return a
+	return w.out
+}
+
+// count folds the tracking rows in [lo, hi) of the current chunk into
+// the run's counts.
+func (w *joinWorker) count(lo, hi int) {
+	cls := w.cls
+	if w.haveDict {
+		idx, cnt := w.idx, w.dictCnt
+		for i := lo; i < hi; i++ {
+			if !cls[i].IsTracking() {
+				continue
+			}
+			k := idx[i]
+			if cnt[k] == 0 {
+				w.touched = append(w.touched, k)
+			}
+			cnt[k]++
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if !cls[i].IsTracking() {
+			continue
+		}
+		k := w.slot(netsim.IP(w.ips[i]))
+		if w.slotCnt[k] == 0 {
+			w.touched = append(w.touched, k)
+		}
+		w.slotCnt[k]++
+	}
+}
+
+// flush emits the run's counts as flows from src and clears them.
+func (w *joinWorker) flush(src geodata.Country) {
+	for _, k := range w.touched {
+		var n int64
+		if w.haveDict {
+			n, w.dictCnt[k] = w.dictCnt[k], 0
+			k = w.slot(netsim.IP(w.dict[k]))
+		} else {
+			n, w.slotCnt[k] = w.slotCnt[k], 0
+		}
+		for s, a := range w.out {
+			if l := w.locs[int(k)*len(w.svcs)+s]; l.ok {
+				a.Add(src, l.country, n)
+			} else {
+				a.AddUnknown(n)
+			}
+		}
+	}
+	w.touched = w.touched[:0]
+}
+
+// slot returns ip's memo slot, locating ip under every service on first
+// sight.
+func (w *joinWorker) slot(ip netsim.IP) uint32 {
+	if k, ok := w.memo[ip]; ok {
+		return k
+	}
+	k := uint32(len(w.memo))
+	w.memo[ip] = k
+	for _, svc := range w.svcs {
+		loc, ok := svc.Locate(ip)
+		w.locs = append(w.locs, located{loc.Country, ok})
+	}
+	w.slotCnt = append(w.slotCnt, 0)
+	return k
 }
 
 // Edge is one aggregated origin→destination cell.

@@ -10,12 +10,13 @@ import (
 	"crossborder/internal/netsim"
 )
 
-// rowAnalyze is Analyze's row oracle: it walks full-width rows, keeps
-// the tracking rows keep accepts, and locates each one individually.
-func rowAnalyze(ds *classify.Dataset, svc geo.Service, keep func(classify.Row) bool) *Analysis {
+// rowAnalyze is Join's row oracle: it walks full-width rows, keeps the
+// tracking rows whose index keep accepts, and locates each one
+// individually.
+func rowAnalyze(ds *classify.Dataset, svc geo.Service, keep func(i int) bool) *Analysis {
 	a := NewAnalysis()
-	ds.EachRow(func(_ int, r classify.Row) {
-		if !r.Class.IsTracking() || !keep(r) {
+	ds.EachRow(func(i int, r classify.Row) {
+		if !r.Class.IsTracking() || !keep(i) {
 			return
 		}
 		loc, ok := svc.Locate(r.IP)
@@ -80,31 +81,52 @@ func oracleRows(rng *rand.Rand, n, numCountries int) []classify.Row {
 
 // TestKernelsMatchRowOracle is the kernel-equivalence property for the
 // geolocation join: over random datasets on every store backend,
-// Analyze and AnalyzeWhere(CountryEquals) for every country — including
-// one the dataset never saw — agree with the row oracle. The largest
-// dataset spans enough rows to run the parallel scan.
+// Analyze, and Join with two services whose unlocatable sets differ
+// over a random from and a random sorted row list below it, agree with
+// the row oracle over exactly the selected rows. The largest dataset
+// spans enough rows to run the parallel scan.
 func TestKernelsMatchRowOracle(t *testing.T) {
 	countries := []geodata.Country{"DE", "ES", "GR", "US", "BR"}
-	locs := make(map[netsim.IP]geo.Location)
-	for ip := netsim.IP(0); ip < 64; ip += 2 { // odd addresses stay unlocatable
-		locs[ip] = geo.Location{Country: countries[int(ip)%len(countries)]}
+	even := make(map[netsim.IP]geo.Location) // odd addresses stay unlocatable
+	low := make(map[netsim.IP]geo.Location)  // addresses >= 40 stay unlocatable
+	for ip := netsim.IP(0); ip < 64; ip++ {
+		loc := geo.Location{Country: countries[int(ip)%len(countries)]}
+		if ip%2 == 0 {
+			even[ip] = loc
+		}
+		if ip < 40 {
+			low[ip] = loc
+		}
 	}
-	svc := geo.Static{ServiceName: "oracle", Locations: locs}
+	svcs := []geo.Service{
+		geo.Static{ServiceName: "even", Locations: even},
+		geo.Static{ServiceName: "low", Locations: low},
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 2000, 5000, 3 * analyzeRowsPerShard} {
 		rows := oracleRows(rng, n, len(countries)-1) // "BR" never occurs
 		for name, st := range oracleBackends(t, rows, 256) {
 			ds := &classify.Dataset{Store: st, Countries: countries[:len(countries)-1]}
-			all := func(classify.Row) bool { return true }
-			if got, want := Analyze(ds, svc), rowAnalyze(ds, svc, all); !got.Equal(want) {
+			all := func(int) bool { return true }
+			if got, want := Analyze(ds, svcs[0]), rowAnalyze(ds, svcs[0], all); !got.Equal(want) {
 				t.Errorf("n=%d %s Analyze: %d flows (%d unknown), oracle %d (%d)",
 					n, name, got.Total(), got.Unknown(), want.Total(), want.Unknown())
 			}
-			for _, c := range countries {
-				got := AnalyzeWhere(ds, svc, CountryEquals(c))
-				want := rowAnalyze(ds, svc, func(r classify.Row) bool { return ds.Countries[r.Country] == c })
-				if !got.Equal(want) {
-					t.Errorf("n=%d %s AnalyzeWhere(%s): %d flows, oracle %d", n, name, c, got.Total(), want.Total())
+			from := rng.Intn(n + 1)
+			listed := make(map[int]bool)
+			var sel []int
+			density := rng.Float64()
+			for i := 0; i < from; i++ {
+				if rng.Float64() < density {
+					sel = append(sel, i)
+					listed[i] = true
+				}
+			}
+			keep := func(i int) bool { return i >= from || listed[i] }
+			for s, got := range Join(ds, svcs, from, sel) {
+				if want := rowAnalyze(ds, svcs[s], keep); !got.Equal(want) {
+					t.Errorf("n=%d %s Join(from=%d, %d rows) %s: %d flows (%d unknown), oracle %d (%d)",
+						n, name, from, len(sel), svcs[s].Name(), got.Total(), got.Unknown(), want.Total(), want.Unknown())
 				}
 			}
 		}

@@ -54,7 +54,7 @@ func TestTable8Progress(t *testing.T) {
 }
 
 // TestNewSuiteSeeded: pre-seeded geolocation joins short-circuit the
-// lazy Analyze and are returned verbatim.
+// lazy join and are returned verbatim.
 func TestNewSuiteSeeded(t *testing.T) {
 	su := testSuite(t)
 	truth := su.TruthAnalysis()
@@ -64,14 +64,5 @@ func TestNewSuiteSeeded(t *testing.T) {
 	seeded := NewSuiteSeeded(su.S, truth, ipmap, maxmind)
 	if seeded.TruthAnalysis() != truth || seeded.IPMapAnalysis() != ipmap || seeded.MaxMindAnalysis() != maxmind {
 		t.Fatal("seeded suite recomputed a pre-filled analysis")
-	}
-
-	// Partially seeded: the nil join computes lazily and matches.
-	partial := NewSuiteSeeded(su.S, truth, nil, nil)
-	if partial.TruthAnalysis() != truth {
-		t.Fatal("partially seeded suite recomputed truth")
-	}
-	if !partial.IPMapAnalysis().Equal(ipmap) {
-		t.Fatal("lazy ipmap join diverges")
 	}
 }

@@ -27,7 +27,7 @@ type Suite struct {
 	Progress func(scenario.PhaseEvent)
 
 	once struct {
-		truth, ipmap, maxmind, locality sync.Once
+		flows, locality sync.Once
 	}
 	truthA, ipmapA, maxmindA *core.Analysis
 	// table5 and table6 share one locality engine (see locality.go).
@@ -46,68 +46,43 @@ func NewSuite(s *scenario.Scenario) *Suite {
 // NewSuiteSeeded wraps a scenario with the three geolocation joins
 // pre-filled from analyses computed elsewhere — the live collector's
 // incrementally merged per-epoch deltas. The seeded analyses must equal
-// what core.Analyze would return over s.Dataset (the delta-merge
-// property test and the replay golden test pin this); a nil seed leaves
-// that join lazy.
+// what core.Analyze would return over s.Dataset for each service (the
+// delta-merge property test and the replay golden test pin this).
 func NewSuiteSeeded(s *scenario.Scenario, truth, ipmap, maxmind *core.Analysis) *Suite {
 	su := NewSuite(s)
-	if truth != nil {
-		su.truthA = truth
-		su.once.truth.Do(func() {})
-	}
-	if ipmap != nil {
-		su.ipmapA = ipmap
-		su.once.ipmap.Do(func() {})
-	}
-	if maxmind != nil {
-		su.maxmindA = maxmind
-		su.once.maxmind.Do(func() {})
-	}
+	su.truthA, su.ipmapA, su.maxmindA = truth, ipmap, maxmind
+	su.once.flows.Do(func() {})
 	return su
 }
 
 // Precompute runs the three geolocation joins (truth, IPmap, MaxMind)
-// concurrently instead of letting the first caller of each pay for it
-// serially. Each join also shards its row scan internally (core.Analyze),
-// so this saturates the machine once rather than three times in
-// sequence. Safe to call multiple times and concurrently with the lazy
-// accessors — the per-analysis sync.Once still guards each computation.
+// as one core.Join: a single projected scan that shards over chunks
+// internally and locates each distinct IP once per service. Safe to
+// call multiple times and concurrently with the accessors below, which
+// all wait on the same sync.Once.
 func (su *Suite) Precompute() {
-	var wg sync.WaitGroup
-	for _, f := range []func() *core.Analysis{
-		su.TruthAnalysis, su.IPMapAnalysis, su.MaxMindAnalysis,
-	} {
-		wg.Add(1)
-		go func(f func() *core.Analysis) {
-			defer wg.Done()
-			f()
-		}(f)
-	}
-	wg.Wait()
+	su.once.flows.Do(func() {
+		a := core.Join(su.S.Dataset, su.S.FlowServices(), 0, nil)
+		su.truthA, su.ipmapA, su.maxmindA = a[0], a[1], a[2]
+	})
 }
 
 // TruthAnalysis joins all tracking flows with ground-truth geolocation.
 func (su *Suite) TruthAnalysis() *core.Analysis {
-	su.once.truth.Do(func() {
-		su.truthA = core.Analyze(su.S.Dataset, su.S.Truth)
-	})
+	su.Precompute()
 	return su.truthA
 }
 
 // IPMapAnalysis joins all tracking flows with RIPE IPmap-style
 // geolocation — the paper's headline configuration.
 func (su *Suite) IPMapAnalysis() *core.Analysis {
-	su.once.ipmap.Do(func() {
-		su.ipmapA = core.Analyze(su.S.Dataset, su.S.IPMap)
-	})
+	su.Precompute()
 	return su.ipmapA
 }
 
 // MaxMindAnalysis joins all tracking flows with the commercial database —
 // the Fig 7(a) counterfactual.
 func (su *Suite) MaxMindAnalysis() *core.Analysis {
-	su.once.maxmind.Do(func() {
-		su.maxmindA = core.Analyze(su.S.Dataset, su.S.MaxMind)
-	})
+	su.Precompute()
 	return su.maxmindA
 }

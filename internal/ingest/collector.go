@@ -13,7 +13,6 @@ import (
 	"crossborder/internal/chaos"
 	"crossborder/internal/classify"
 	"crossborder/internal/core"
-	"crossborder/internal/geodata"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/netsim"
 	"crossborder/internal/rtb"
@@ -497,72 +496,34 @@ func (c *Collector) feedUser(sh *classify.Shard, uid int32, events []Event) {
 }
 
 // applyDeltas folds the epoch into the running aggregates: the
-// dataset-stats distinct sets over the appended rows, and one flow-map
-// delta per geolocation service over exactly the rows that became
-// tracking this epoch. Merging deltas is exact — counter addition
-// commutes — so the running analyses always equal a full core.Analyze
-// rescan of the live dataset (TestIncrementalAggregatesMatchRescan).
+// dataset-stats distinct sets over the appended rows' User and FQDN
+// columns, and one flow-map delta per geolocation service from a single
+// core.Join over exactly the rows that became tracking this epoch: the
+// appended ones and the flips, which LiveSemi.Extend returns ascending
+// and below prevRows, as Join requires. Merging deltas is exact —
+// counter addition commutes — so the running analyses always equal a
+// full core.Analyze rescan of the live dataset
+// (TestIncrementalAggregatesMatchRescan).
 func (c *Collector) applyDeltas(prevRows int, flips []int) {
 	ds := c.merger.Dataset()
 	st := c.store
 	chunkRows := st.ChunkRows()
-	dTruth, dIPMap, dMaxMind := core.NewAnalysis(), core.NewAnalysis(), core.NewAnalysis()
-	addRow := func(ch *classify.Chunk, i int) {
-		addTrackingFlow(c.world, ds.Countries[ch.Country[i]], ch.IP[i], dTruth, dIPMap, dMaxMind)
-	}
-
-	buf := classify.GetChunk()
-	defer classify.PutChunk(buf)
-	firstChunk := prevRows / chunkRows
-	for ci := firstChunk; ci < st.NumChunks(); ci++ {
-		ch := classify.MustChunk(st, ci, buf)
-		base := ci * chunkRows
-		lo := 0
-		if base < prevRows {
-			lo = prevRows - base
+	pc := classify.GetProj()
+	defer classify.PutProj(pc)
+	for ci := prevRows / chunkRows; ci < st.NumChunks(); ci++ {
+		classify.ProjChunkAt(st, ci, pc)
+		lo := max(prevRows-ci*chunkRows, 0)
+		for _, u := range pc.Wide(classify.ColUser)[lo:] {
+			c.userSet[int32(u)] = struct{}{}
 		}
-		for i := lo; i < ch.Len(); i++ {
-			c.userSet[ch.User[i]] = struct{}{}
-			c.fqdnSet[ch.FQDN[i]] = struct{}{}
-			if ch.Class[i].IsTracking() {
-				addRow(ch, i)
-			}
+		for _, f := range pc.Wide(classify.ColFQDN)[lo:] {
+			c.fqdnSet[uint32(f)] = struct{}{}
 		}
 	}
-	// flips arrive sorted (LiveSemi.Extend), so the flipped rows group
-	// into per-chunk runs and each touched chunk decodes once.
-	for k := 0; k < len(flips); {
-		ci := flips[k] / chunkRows
-		ch := classify.MustChunk(st, ci, buf)
-		for ; k < len(flips) && flips[k]/chunkRows == ci; k++ {
-			addRow(ch, flips[k]%chunkRows)
-		}
-	}
-	c.truthA.Merge(dTruth)
-	c.ipmapA.Merge(dIPMap)
-	c.maxmindA.Merge(dMaxMind)
-}
-
-// addTrackingFlow counts one tracking request from src to ip in the
-// flow map of each geolocation service: the per-row delta both the
-// collector's epoch commit (applyDeltas) and the fan-in merge
-// (MergeExports) fold into their running analyses.
-func addTrackingFlow(w *scenario.Scenario, src geodata.Country, ip netsim.IP, truth, ipmap, maxmind *core.Analysis) {
-	if loc, ok := w.Truth.Locate(ip); ok {
-		truth.Add(src, loc.Country, 1)
-	} else {
-		truth.AddUnknown(1)
-	}
-	if loc, ok := w.IPMap.Locate(ip); ok {
-		ipmap.Add(src, loc.Country, 1)
-	} else {
-		ipmap.AddUnknown(1)
-	}
-	if loc, ok := w.MaxMind.Locate(ip); ok {
-		maxmind.Add(src, loc.Country, 1)
-	} else {
-		maxmind.AddUnknown(1)
-	}
+	d := core.Join(ds, c.world.FlowServices(), prevRows, flips)
+	c.truthA.Merge(d[0])
+	c.ipmapA.Merge(d[1])
+	c.maxmindA.Merge(d[2])
 }
 
 // flips2chunks maps flipped global row indices to their chunk indices.

@@ -211,7 +211,7 @@ func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles) {
 
 // scanAll runs one projected scan over every column of st.
 func scanAll(st classify.Store) {
-	classify.ScanStoreCols(st, classify.AllCols, func(_ int, pc *classify.ProjChunk) {
+	classify.ScanStoreCols(st, func(_ int, pc *classify.ProjChunk) {
 		for col := classify.ColURLHash; col <= classify.ColFlags; col++ {
 			pc.Wide(col)
 		}

@@ -37,9 +37,8 @@ import (
 // Aggregates follow the same shape: the shard flow maps merge
 // (counter addition commutes), then the rows that became tracking only
 // under the global fixpoint contribute a delta through the same
-// addTrackingFlow the collector's applyDeltas uses per epoch. The
-// result equals a full core.Analyze rescan
-// (TestMergeExportsMatchesRescan).
+// core.Join the collector's applyDeltas runs per epoch. The result
+// equals a full core.Analyze rescan (TestMergeExportsMatchesRescan).
 
 // MergeExports merges per-shard snapshot exports into one global
 // Snapshot over the shared world. Exports must come from collectors
@@ -174,16 +173,19 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	// cross-shard conversions) join the flow maps, exactly like the
 	// collector's per-epoch applyDeltas. Demoted rows that re-converted
 	// are already counted in the merged shard analyses.
-	chunkRows := st.ChunkRows()
+	var converted []int
 	for ci := 0; ci < st.NumChunks(); ci++ {
-		ch := classify.MustChunk(st, ci, buf)
-		base := ci * chunkRows
-		for i := 0; i < ch.Len(); i++ {
-			if ch.Class[i].IsTracking() && !wasTracking[base+i] {
-				addTrackingFlow(world, ds.Countries[ch.Country[i]], ch.IP[i], truth, ipmap, maxmind)
+		base := ci * st.ChunkRows()
+		for i, cls := range st.Classes(ci) {
+			if cls.IsTracking() && !wasTracking[base+i] {
+				converted = append(converted, base+i)
 			}
 		}
 	}
+	d := core.Join(ds, world.FlowServices(), st.Len(), converted)
+	truth.Merge(d[0])
+	ipmap.Merge(d[1])
+	maxmind.Merge(d[2])
 
 	return &Snapshot{
 		epoch:     epoch,

@@ -82,13 +82,6 @@ func TestSnapshotStoreKernels(t *testing.T) {
 				{"Score", func(ds *classify.Dataset) any { return classify.Score(ds) }},
 				{"ComputeStats", func(ds *classify.Dataset) any { return classify.ComputeStats(ds) }},
 				{"Analyze", func(ds *classify.Dataset) any { return core.Analyze(ds, svc) }},
-				{"AnalyzeWhere", func(ds *classify.Dataset) any {
-					var out []*core.Analysis
-					for _, c := range countries {
-						out = append(out, core.AnalyzeWhere(ds, svc, core.CountryEquals(c)))
-					}
-					return out
-				}},
 				{"Compile", func(ds *classify.Dataset) any { return trackerdb.Compile(ds, db) }},
 			} {
 				if got, want := k.run(&snap), k.run(&live); !reflect.DeepEqual(got, want) {

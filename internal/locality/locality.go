@@ -174,7 +174,7 @@ func NewEngine(ds *classify.Dataset, svc geo.Service, orgClouds OrgClouds) *Engi
 	const unlocated = place(255)
 	dstOf := make(map[uint64]place)
 	counts := make(map[uint64]int64) // src<<40 | dst<<32 | fqdn
-	ds.ScanCols(classify.Cols(classify.ColCountry, classify.ColIP, classify.ColFQDN), func(_ int, pc *classify.ProjChunk) {
+	ds.ScanCols(func(_ int, pc *classify.ProjChunk) {
 		cls := pc.Class
 		if !classify.AnyTracking(cls) {
 			return

@@ -115,6 +115,13 @@ type Scenario struct {
 	orgClouds map[string][]geodata.CloudProvider
 }
 
+// FlowServices returns the three geolocation services every flow map is
+// joined with, in the order truth, IPmap, MaxMind: the order of the
+// analyses core.Join returns for them.
+func (s *Scenario) FlowServices() []geo.Service {
+	return []geo.Service{s.Truth, s.IPMap, s.MaxMind}
+}
+
 // Study period constants.
 var (
 	studyStart = time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -441,7 +448,7 @@ func (s *Scenario) OrgClouds(fqdn string) []geodata.CloudProvider {
 // cluster-merged dataset holding the very same rows.
 func (s *Scenario) FQDNWeights() []netflow.FQDNWeight {
 	counts := make([]int64, s.Dataset.FQDNs.Len())
-	s.Dataset.ScanCols(classify.Cols(classify.ColFQDN), func(_ int, pc *classify.ProjChunk) {
+	s.Dataset.ScanCols(func(_ int, pc *classify.ProjChunk) {
 		if !classify.AnyTracking(pc.Class) {
 			return
 		}

@@ -25,7 +25,7 @@ type Summary struct {
 	Accuracy classify.Accuracy     `json:"accuracy"`
 
 	// Flows/UnknownFlows come from the ground-truth geolocation join
-	// over tracking rows (core.Analyze with a nil filter).
+	// over tracking rows (core.Analyze).
 	Flows        int64 `json:"flows"`
 	UnknownFlows int64 `json:"unknown_flows"`
 
@@ -38,9 +38,9 @@ type Summary struct {
 	ObservedIPs   int `json:"observed_ips"`
 	TrackingFQDNs int `json:"tracking_fqdns"`
 
-	// CountryFlows counts truth-joined tracking flows per origin
-	// country, computed with the zone-map-pruned country-equality
-	// pushdown (core.AnalyzeWhere) — one pruned scan per country.
+	// CountryFlows counts tracking flows per origin country, located
+	// or not, so it needs no geolocation: one scan counts tracking rows
+	// per Country run. Countries without flows are left out.
 	CountryFlows map[geodata.Country]int64 `json:"country_flows"`
 }
 
@@ -59,19 +59,39 @@ func Summarize(s *Scenario) Summary {
 		TrackerIPs:    s.Inventory.NumIPs(),
 		ObservedIPs:   s.Inventory.NumObserved(),
 		TrackingFQDNs: s.Inventory.NumTrackingFQDNs(),
-		CountryFlows:  make(map[geodata.Country]int64),
+		CountryFlows:  countryFlows(s.Dataset),
 	}
 	a := core.Analyze(s.Dataset, s.Truth)
 	sum.Flows = a.Total()
 	sum.UnknownFlows = a.Unknown()
 	sum.InCountry, sum.InEU28, sum.InEurope, _ = a.RegionConfinement(core.EU28Origin)
-	for _, c := range s.Dataset.Countries {
-		per := core.AnalyzeWhere(s.Dataset, s.Truth, core.CountryEquals(c))
-		if n := per.Total(); n > 0 {
-			sum.CountryFlows[c] = n
+	return sum
+}
+
+// countryFlows counts ds's tracking rows per origin country.
+func countryFlows(ds *classify.Dataset) map[geodata.Country]int64 {
+	counts := make([]int64, len(ds.Countries))
+	ds.ScanCols(func(_ int, pc *classify.ProjChunk) {
+		if !classify.AnyTracking(pc.Class) {
+			return
+		}
+		row := 0
+		for _, r := range pc.Runs(classify.ColCountry) {
+			for _, c := range pc.Class[row : row+r.Len] {
+				if c.IsTracking() {
+					counts[r.Value]++
+				}
+			}
+			row += r.Len
+		}
+	})
+	out := make(map[geodata.Country]int64)
+	for id, n := range counts {
+		if n > 0 {
+			out[ds.Countries[id]] = n
 		}
 	}
-	return sum
+	return out
 }
 
 // Countries returns the origin countries with at least one flow, in

@@ -90,7 +90,7 @@ func Compile(ds *classify.Dataset, db *pdns.DB) *Inventory {
 	// IP, instead of one per row.
 	var fseen []bool
 	var icnt []int64
-	ds.ScanCols(classify.Cols(classify.ColFQDN, classify.ColIP), func(_ int, pc *classify.ProjChunk) {
+	ds.ScanCols(func(_ int, pc *classify.ProjChunk) {
 		cls := pc.Class
 		if !classify.AnyTracking(cls) {
 			return
