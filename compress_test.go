@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"crossborder"
-	"crossborder/internal/classify"
 )
 
 // TestCompressedStoresMatchGolden is the codec's study-level contract:
@@ -49,11 +48,8 @@ func TestCompressedStoresMatchGolden(t *testing.T) {
 			}
 		}
 		if variant.name == "spill-compressed" {
-			sp, ok := st.Scenario().Dataset.Store.(*classify.SpillStore)
-			if !ok {
-				t.Fatalf("disk study is backed by %T, want *classify.SpillStore", st.Scenario().Dataset.Store)
-			}
-			raw, size := sp.RawSize(), sp.Size()
+			sp := st.Scenario().Dataset.Store
+			raw, size := sp.RawSize(), sp.Footprint().CompressedBytes
 			t.Logf("spill file: %d bytes for %d raw (%.2fx, %.2f B/row over %d rows)",
 				size, raw, float64(raw)/float64(size), float64(size)/float64(sp.Len()), sp.Len())
 			if size*3 > raw {

@@ -95,18 +95,17 @@
 //
 // # Row storage and compression
 //
-// The classified dataset lives column-wise in fixed-size chunks behind
-// a pluggable store. WithRowStore selects the backend — the in-memory
-// default, or DiskRowStore, which spills chunks to a temporary file
-// and keeps only the one-byte class column resident. Sealed chunks run
-// through a per-column codec (dictionary with bit-packed indices,
-// run-length and delta encodings, plus an LZ4-style block pass) that
-// cuts the spill file about 3.40x versus the raw fixed-width layout.
-// The disk store always compresses; WithCompression(true) makes the
-// in-memory store keep its sealed chunks compressed as well, which is
-// what long-running collectors want. The codec is lossless and
-// checksummed, so backend and compression choices never change a
-// rendered artifact.
+// The classified dataset lives column-wise in fixed-size chunks in one
+// row store: a prefix of sealed codec blocks followed by wide chunks.
+// By default no chunk seals and every column stays wide in memory.
+// WithCompression(true) seals each chunk into a compressed block as it
+// fills, which is what long-running collectors want; DiskRowStore seals
+// the same way but writes the blocks to a temporary file, keeping only
+// the one-byte class column resident. Sealed chunks run through a
+// per-column codec (dictionary with bit-packed indices, run-length,
+// raw, plus an LZ4-style block pass) that cuts the spill file about
+// 3.40x versus the raw fixed-width layout. The codec is lossless and
+// checksummed, so the storage choice never changes a rendered artifact.
 //
 // # Scenario packs and sweeps
 //

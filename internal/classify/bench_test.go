@@ -87,18 +87,17 @@ func BenchmarkSemiStagesSequential(b *testing.B) {
 func BenchmarkSpillScan(b *testing.B) {
 	sc, order := benchCollector(b)
 	b.Run("compressed", func(b *testing.B) {
-		sink, err := NewSpillSink(b.TempDir(), 4096)
+		sp, err := NewMemStoreSpilled(b.TempDir(), 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ds, err := sc.mergeInto(order, sink, false)
+		ds, err := sc.mergeInto(order, sp, false)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ds.Close()
-		sp := ds.Store.(*SpillStore)
 		b.SetBytes(sp.RawSize())
-		b.ReportMetric(float64(sp.Size())/float64(sp.RawSize()), "size-ratio")
+		b.ReportMetric(float64(sp.Footprint().CompressedBytes)/float64(sp.RawSize()), "size-ratio")
 		b.ResetTimer()
 		var blackhole uint64
 		for i := 0; i < b.N; i++ {
@@ -157,16 +156,15 @@ func BenchmarkChunkCodec(b *testing.B) {
 // reference in all three, so MB/s is directly comparable.
 func BenchmarkScanCols(b *testing.B) {
 	sc, order := benchCollector(b)
-	sink, err := NewSpillSink(b.TempDir(), 4096)
+	sp, err := NewMemStoreSpilled(b.TempDir(), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds, err := sc.mergeInto(order, sink, false)
+	ds, err := sc.mergeInto(order, sp, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer ds.Close()
-	sp := ds.Store.(*SpillStore)
 	var blackhole uint64
 	b.Run("proj", func(b *testing.B) {
 		b.SetBytes(sp.RawSize())

@@ -13,15 +13,15 @@
 // capture stream and stores each request as a compact interned row, so the
 // full 7.2M-request study fits comfortably in memory.
 //
-// Reads are columnar. Store serves full-width chunks for row-at-a-time
-// scans, and ScanStoreCols serves projected chunks for query pushdown: a
+// Reads are columnar. MemStore serves full-width chunks for
+// row-at-a-time scans, and ScanStoreCols serves projected chunks for query pushdown: a
 // kernel reads only the columns it touches and receives each one in the
 // form the codec stored it — RLE runs, dictionary ids over a sorted
 // dictionary, or decoded fixed-width values — plus a per-chunk zone map
 // (min/max, class bitmap, distinct counts) computed at seal time and
 // persisted in the block frame, so scans prune chunks before reading a
 // byte of them. Every experiment kernel runs on the projected path, on
-// every store backend.
+// every store layout.
 package classify
 
 import (
@@ -178,12 +178,12 @@ func (in *Interner) Str(id uint32) string {
 func (in *Interner) Len() int { return len(in.strs) }
 
 // Dataset is the collected, classified request log. Rows live in a
-// columnar Store (in-memory by default, spill-to-disk for Scale >> 1
-// runs); consumers scan it chunk-wise via Scan/EachRow or directly
+// columnar MemStore (wide by default, compressed or spilled to disk on
+// request); consumers scan it chunk-wise via Scan/EachRow or directly
 // through Store for parallel scans.
 type Dataset struct {
 	// Store holds the rows column-wise in fixed-size chunks.
-	Store Store
+	Store *MemStore
 	// FQDNs interns every third-party hostname (and referrer hostnames).
 	FQDNs *Interner
 	// Countries indexes Row.Country.

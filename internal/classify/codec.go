@@ -11,8 +11,8 @@ import (
 	"crossborder/internal/netsim"
 )
 
-// This file implements the per-chunk column codec behind the
-// compressed spill store and the compressed-resident MemStore mode.
+// This file implements the per-chunk column codec behind compressed
+// MemStores, whose sealed blocks stay resident or spill to disk.
 // One encoded block holds the nine spilled columns of one chunk
 // (Class stays resident — the semi-stage fixpoint mutates it after
 // sealing), each column independently encoded with whichever scheme
@@ -22,7 +22,6 @@ import (
 //   - rle        (run length, value) pairs — the Publisher/User/Day/
 //                Country columns are long runs because the merge emits
 //                rows in user then visit order
-//   - delta      zigzag deltas, uvarint-coded — monotone id columns
 //   - dict       sorted distinct values (delta-uvarint) + bit-packed
 //                indices — the interned-id and IP columns have a few
 //                hundred distinct values per 16Ki-row chunk
@@ -31,11 +30,11 @@ import (
 // block compressor from lz4.go when that shrinks it further (templated
 // RTB cascades repeat multi-byte patterns that per-value schemes miss).
 // Every scheme decodes straight into a form the projection scan path
-// runs on (wide values, runs, or dictionary + index stream); tag 4, a
-// retired entropy-coded dictionary scheme, is an unknown tag.
+// runs on (wide values, runs, or dictionary + index stream). Tags 2
+// and 4 belonged to retired schemes (zigzag delta, entropy-coded
+// dictionary) and are unknown tags.
 //
-// Block frame (what SpillSink writes per chunk and the compressed
-// MemStore keeps resident):
+// Block frame (what a compressed MemStore seals each chunk into):
 //
 //	[4B crc32c over the rest] [1B format flags] [uvarint row count]
 //	9 × ( [1B tag] [uvarint payload length] [payload] )
@@ -61,20 +60,22 @@ import (
 
 // Column encoding schemes (low 7 bits of the column tag).
 const (
-	colRaw   = 0
-	colRLE   = 1
-	colDelta = 2
-	colDict  = 3
+	colRaw  = 0
+	colRLE  = 1
+	colDict = 3
 
 	// colLZ4 marks the payload as LZ4-wrapped: [uvarint inner length]
 	// [lz4 stream], with the inner stream encoded per the scheme bits.
 	colLZ4 = 0x80
 )
 
-// numSchemes is the number of base column encoding schemes
-// (colRaw..colDict), the index space of EncBreakdown. Base tags at or
-// above it are rejected by parseFrame.
+// numSchemes bounds the base column tags (colRaw..colDict), the index
+// space of EncBreakdown.
 const numSchemes = 4
+
+// knownScheme reports whether base tag t names a live scheme; parseFrame
+// rejects every other tag.
+func knownScheme(t byte) bool { return t == colRaw || t == colRLE || t == colDict }
 
 // Format-flag bits of the frame's fifth byte.
 const (
@@ -242,7 +243,7 @@ func parseFrame(block []byte, wantRows int, f *frame) error {
 			return fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
 		}
 		tag := rest[0]
-		if tag&^colLZ4 >= numSchemes {
+		if !knownScheme(tag &^ colLZ4) {
 			return fmt.Errorf("%w: unknown column tag 0x%02x in column %d", errCorrupt, tag, col)
 		}
 		plen64, k := binary.Uvarint(rest[1:])
@@ -299,7 +300,7 @@ type ChunkCodec struct {
 
 	// Statistics of the most recent EncodeBlock call: the zone map and
 	// the winning tag + framed size per column plus the zone-map
-	// section size. sealedCols.seal folds them into the store's
+	// section size. MemStore.sealOpen folds them into the store's
 	// Footprint breakdown and retains the zone map resident for the
 	// projection scan path.
 	encZone      ZoneMap
@@ -344,14 +345,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-func zigzag(d uint64) uint64 {
-	return uint64(int64(d)<<1) ^ uint64(int64(d)>>63)
-}
-
-func unzigzag(z uint64) uint64 {
-	return (z >> 1) ^ uint64(-int64(z&1))
 }
 
 // stage gathers column col of c into cc.vals.
@@ -528,10 +521,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 		rleSize += uvarintLen(uint64(j-i)) + uvarintLen(vals[i])
 		i = j
 	}
-	deltaSize := uvarintLen(zigzag(vals[0]))
-	for i := 1; i < n; i++ {
-		deltaSize += uvarintLen(zigzag(vals[i] - vals[i-1]))
-	}
 
 	// Dictionary: sorted distinct values, stored as uvarint deltas.
 	cc.dict = append(cc.dict[:0], vals...)
@@ -557,9 +546,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 	if rleSize < best {
 		tag, best = colRLE, rleSize
 	}
-	if deltaSize < best {
-		tag, best = colDelta, deltaSize
-	}
 	if packSize < best {
 		tag, best = colDict, packSize
 	}
@@ -576,11 +562,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 			cc.winner = binary.AppendUvarint(cc.winner, uint64(j-i))
 			cc.winner = binary.AppendUvarint(cc.winner, vals[i])
 			i = j
-		}
-	case colDelta:
-		cc.winner = binary.AppendUvarint(cc.winner, zigzag(vals[0]))
-		for i := 1; i < n; i++ {
-			cc.winner = binary.AppendUvarint(cc.winner, zigzag(vals[i]-vals[i-1]))
 		}
 	case colDict:
 		cc.winner = cc.appendDict(cc.winner)
@@ -724,7 +705,7 @@ func readDict(payload []byte, n int, maxVal uint64, v *ColView) ([]byte, error) 
 // decodeColumnView is the one column decoder: it decodes column col of
 // a parsed frame into v in its cheapest faithful form — RLE stays
 // (value, run) pairs, dict stays the sorted dictionary plus per-row
-// index stream, raw and delta decode to wide values. The outputs are
+// index stream, raw decodes to wide values. The outputs are
 // backed by v's own arrays so several columns can be live at once;
 // (*ColView).widen turns any form into plain per-row values.
 func (cc *ChunkCodec) decodeColumnView(f *frame, col int, v *ColView) error {
@@ -794,25 +775,6 @@ func (cc *ChunkCodec) decodeColumnView(f *frame, col int, v *ColView) error {
 			return fmt.Errorf("%w: trailing rle bytes", errCorrupt)
 		}
 		v.Form = ViewRuns
-	case colDelta:
-		vals := v.wideBuf(n)
-		var prev uint64
-		for i := range vals {
-			z, k := binary.Uvarint(payload)
-			if k <= 0 {
-				return fmt.Errorf("%w: truncated delta stream", errCorrupt)
-			}
-			payload = payload[k:]
-			prev += unzigzag(z)
-			if prev > maxVal {
-				return fmt.Errorf("%w: delta value overflows column width", errCorrupt)
-			}
-			vals[i] = prev
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing delta bytes", errCorrupt)
-		}
-		v.Form = ViewWide
 	case colDict:
 		var err error
 		if payload, err = readDict(payload, n, maxVal, v); err != nil {

@@ -212,29 +212,27 @@ func TestSemiStagesOverCompressedStore(t *testing.T) {
 
 // corruptSpill builds a small compressed spill store and returns it
 // with its first block's framing for corruption tests.
-func corruptSpillStore(t *testing.T) *SpillStore {
+func corruptSpillStore(t *testing.T) *MemStore {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
 	rows := randomRows(rng, 1000, 50)
-	sink, err := NewSpillSink(t.TempDir(), 256)
+	sp, err := NewMemStoreSpilled(t.TempDir(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		sink.Append(r)
+		sp.Append(r)
 	}
-	st, err := sink.Seal()
-	if err != nil {
+	if err := sp.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	sp := st.(*SpillStore)
 	t.Cleanup(func() { sp.Close() })
 	return sp
 }
 
 func TestSpillChunkErrorsOnTruncation(t *testing.T) {
 	sp := corruptSpillStore(t)
-	if err := sp.f.Truncate(sp.offsets[len(sp.offsets)-1] + 3); err != nil {
+	if err := sp.file.f.Truncate(sp.blockStart(len(sp.ends)-1) + 3); err != nil {
 		t.Fatal(err)
 	}
 	last := sp.NumChunks() - 1
@@ -246,7 +244,7 @@ func TestSpillChunkErrorsOnTruncation(t *testing.T) {
 func TestSpillChunkErrorsOnBadChecksum(t *testing.T) {
 	sp := corruptSpillStore(t)
 	// Flip one payload byte mid-block; the frame checksum must catch it.
-	if _, err := sp.f.WriteAt([]byte{0xA5}, sp.offsets[1]+int64(sp.dlens[1])/2); err != nil {
+	if _, err := sp.file.f.WriteAt([]byte{0xA5}, sp.blockStart(1)+(sp.ends[1]-sp.blockStart(1))/2); err != nil {
 		t.Fatal(err)
 	}
 	_, err := sp.Chunk(1, nil)
@@ -261,15 +259,15 @@ func TestSpillChunkErrorsOnForgedSizes(t *testing.T) {
 	// the checksum so validation proceeds past it: an over-large row
 	// count (and the over-large payload lengths it implies) must be
 	// rejected before any allocation happens.
-	raw := make([]byte, sp.dlens[0])
-	if _, err := sp.f.ReadAt(raw, sp.offsets[0]); err != nil {
+	raw := make([]byte, sp.ends[0])
+	if _, err := sp.file.f.ReadAt(raw, 0); err != nil {
 		t.Fatal(err)
 	}
 	forged := append([]byte(nil), raw[:5]...)
 	forged = binary.AppendUvarint(forged, 1<<50) // declared rows
 	forged = append(forged, raw[5:]...)
 	forged = resealCRC(forged[:len(raw)]) // keep the on-disk block length
-	if _, err := sp.f.WriteAt(forged, sp.offsets[0]); err != nil {
+	if _, err := sp.file.f.WriteAt(forged, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := sp.Chunk(0, nil)
@@ -318,6 +316,8 @@ func TestDecodeBlockRejectsForgedInput(t *testing.T) {
 		"bad flags":             resealCRC(func() []byte { b := append([]byte(nil), block...); b[4] = 9; return b }()),
 		"trailing bytes":        resealCRC(append(append([]byte(nil), block...), 0, 1, 2)),
 		"legacy trailing bytes": resealCRC(append(append([]byte(nil), legacy...), 0, 1, 2)),
+		"column tag 2":          withColumnTag(block, 2),
+		"column tag 2|lz4":      withColumnTag(block, 2|colLZ4),
 		"column tag 4":          withColumnTag(block, 4),
 		"column tag 4|lz4":      withColumnTag(block, 4|colLZ4),
 	}

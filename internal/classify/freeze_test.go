@@ -18,12 +18,18 @@ import (
 //     slice, and no frozen class slice aliases the live one.
 func TestFreezeIsolatesLaterWrites(t *testing.T) {
 	const chunkRows = 64
+	spilled, err := NewMemStoreSpilled(t.TempDir(), chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spilled.Close()
 	for _, mode := range []struct {
 		name string
 		st   *MemStore
 	}{
 		{"wide", NewMemStoreChunked(chunkRows)},
 		{"compressed", NewMemStoreCompressed(chunkRows)},
+		{"spilled", spilled},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			st := mode.st

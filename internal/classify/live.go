@@ -32,27 +32,19 @@ import (
 // at a time.
 type Merger struct {
 	ds         *Dataset
-	sink       RowSink
 	countryIdx map[geodata.Country]uint8
 	pubIdx     map[*webgraph.Publisher]int32
 }
 
-// NewMerger returns a merger streaming rows into sink. internHint
-// pre-sizes the dataset interner (0 is fine for incremental use). When
-// the sink is also a Store (the in-memory columnar store), the dataset
-// is readable at any time between appends; otherwise the caller seals
-// the sink and assigns ds.Store itself.
-func NewMerger(start time.Time, sink RowSink, internHint int) *Merger {
-	m := &Merger{
-		ds:         &Dataset{FQDNs: NewInternerSized(internHint), Start: start},
-		sink:       sink,
+// NewMerger returns a merger streaming rows into sink, the store of
+// the dataset it builds. internHint pre-sizes the dataset interner (0
+// is fine for incremental use).
+func NewMerger(start time.Time, sink *MemStore, internHint int) *Merger {
+	return &Merger{
+		ds:         &Dataset{Store: sink, FQDNs: NewInternerSized(internHint), Start: start},
 		countryIdx: make(map[geodata.Country]uint8),
 		pubIdx:     make(map[*webgraph.Publisher]int32),
 	}
-	if st, ok := sink.(Store); ok {
-		m.ds.Store = st
-	}
-	return m
 }
 
 // Dataset returns the growing dataset. The pointer is stable across
@@ -97,7 +89,7 @@ func (m *Merger) AppendCapture(sh *Shard, idx int) {
 			ds.Countries = append(ds.Countries, cc)
 		}
 		r.Country = cID
-		m.sink.Append(r)
+		m.ds.Store.Append(r)
 	}
 }
 

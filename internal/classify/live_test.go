@@ -107,6 +107,6 @@ func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 
 // trackingAt reads one row's tracking bit from the resident class
 // column.
-func trackingAt(st Store, global int) bool {
+func trackingAt(st *MemStore, global int) bool {
 	return st.Classes(global / st.ChunkRows())[global%st.ChunkRows()].IsTracking()
 }

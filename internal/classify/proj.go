@@ -11,8 +11,8 @@ import (
 // in encoded form where that is profitable — RLE columns as
 // (value, run) pairs that aggregate arithmetically, dictionary columns
 // as the sorted dictionary plus the per-row id stream so predicates
-// translate once per chunk into id sets, wide values only for raw and
-// delta columns. Nothing is read or decoded until the first column
+// translate once per chunk into id sets, wide values only for raw
+// columns. Nothing is read or decoded until the first column
 // access, so a kernel that inspects the zone map or the resident class
 // column and declines the chunk skips the block fetch and every decode
 // entirely.
@@ -137,7 +137,7 @@ type ProjChunk struct {
 	Zone  *ZoneMap
 	Class []Class
 
-	st      Store
+	st      *MemStore
 	ci      int
 	rows    int
 	loaded  ColSet // columns with a materialized view
@@ -146,8 +146,7 @@ type ProjChunk struct {
 	block   []byte // non-nil: framed block; nil after fetch: wide chunk
 	fr      frame
 	views   [numCols]ColView
-	wide    *Chunk // wide fallback (resident or decoded full-width)
-	buf     *Chunk
+	wide    *Chunk // the resident wide chunk, when the chunk is not sealed
 	scratch []byte
 	cc      *ChunkCodec
 }
@@ -174,7 +173,7 @@ func PutProj(pc *ProjChunk) {
 // ProjChunkAt binds pc to chunk i of st, mirroring MustChunk for
 // parallel workers that stripe chunk ranges themselves. Nothing is read
 // until the first column access.
-func ProjChunkAt(st Store, i int, pc *ProjChunk) *ProjChunk {
+func ProjChunkAt(st *MemStore, i int, pc *ProjChunk) *ProjChunk {
 	pc.st, pc.ci = st, i
 	pc.Class = st.Classes(i)
 	pc.rows = len(pc.Class)
@@ -220,10 +219,7 @@ func (pc *ProjChunk) fetch() {
 		pc.block = block
 		return
 	}
-	if pc.buf == nil {
-		pc.buf = &Chunk{}
-	}
-	pc.wide = MustChunk(pc.st, pc.ci, pc.buf)
+	pc.wide = MustChunk(pc.st, pc.ci, nil) // wide chunks load resident
 }
 
 // Col returns column c's view, materializing it on first access: a
@@ -358,7 +354,7 @@ func AnyTracking(cls []Class) bool {
 // map and resident class column are available immediately, the other
 // columns load lazily, in encoded form where profitable, on the
 // kernel's first access.
-func ScanStoreCols(st Store, fn func(base int, pc *ProjChunk)) {
+func ScanStoreCols(st *MemStore, fn func(base int, pc *ProjChunk)) {
 	pc := GetProj()
 	defer PutProj(pc)
 	base := 0

@@ -6,26 +6,25 @@ import (
 )
 
 // projVariants builds the three store layouts over the same rows: the
-// wide and compressed in-memory stores, and the spill store.
-func projVariants(t *testing.T, rows []Row, chunkRows int) map[string]Store {
+// wide and compressed in-memory stores, and the spilled store.
+func projVariants(t *testing.T, rows []Row, chunkRows int) map[string]*MemStore {
 	t.Helper()
-	out := make(map[string]Store)
-	for name, mk := range map[string]func() (RowSink, error){
-		"mem/wide":       func() (RowSink, error) { return NewMemStoreChunked(chunkRows), nil },
-		"mem/compressed": func() (RowSink, error) { return NewMemStoreCompressed(chunkRows), nil },
-		"spill/compressed": func() (RowSink, error) {
-			return NewSpillSink(t.TempDir(), chunkRows)
+	out := make(map[string]*MemStore)
+	for name, mk := range map[string]func() (*MemStore, error){
+		"mem/wide":       func() (*MemStore, error) { return NewMemStoreChunked(chunkRows), nil },
+		"mem/compressed": func() (*MemStore, error) { return NewMemStoreCompressed(chunkRows), nil },
+		"spill/compressed": func() (*MemStore, error) {
+			return NewMemStoreSpilled(t.TempDir(), chunkRows)
 		},
 	} {
-		sink, err := mk()
+		st, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			sink.Append(r)
+			st.Append(r)
 		}
-		st, err := sink.Seal()
-		if err != nil {
+		if err := st.Seal(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
@@ -209,15 +208,15 @@ func TestZoneMapsBoundColumns(t *testing.T) {
 func TestScanColsSkipAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := randomRows(rng, 1500, 40)
-	st, err := func() (Store, error) {
-		sink, err := NewSpillSink(t.TempDir(), 256)
+	st, err := func() (*MemStore, error) {
+		st, err := NewMemStoreSpilled(t.TempDir(), 256)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range rows {
-			sink.Append(r)
+			st.Append(r)
 		}
-		return sink.Seal()
+		return st, st.Seal()
 	}()
 	if err != nil {
 		t.Fatal(err)

@@ -43,12 +43,11 @@ func NewInternerFromStrings(strs []string) (*Interner, error) {
 // may be partial (every checkpoint satisfies both by construction).
 // The block is parsed and fully decoded here, so a corrupt frame, a
 // row-count mismatch or an unknown column tag is an error now rather
-// than a panic on the first scan. The store keeps full chunks in its
-// native representation (block reference in compressed mode, decoded
-// wide columns otherwise); a partial final chunk is decoded into the
-// open/appendable tail either way, with full chunkRows capacity so
-// later appends never reallocate column arrays out from under epoch
-// snapshots.
+// than a panic on the first scan. A full chunk on a compressed store
+// joins the sealed prefix as the block itself; any other chunk is
+// decoded into a wide chunk with full chunkRows capacity, so later
+// appends to a partial tail never reallocate column arrays out from
+// under epoch snapshots.
 func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	rows := len(classes)
 	if rows == 0 || rows > st.chunkRows {
@@ -82,50 +81,36 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	st.n += rows
 	if !sealed {
 		c.Class = cls
-		if st.compress {
-			st.open = c
-		} else {
-			st.chunks = append(st.chunks, c)
-		}
+		st.wide = append(st.wide, c)
 		return nil
 	}
-	st.blocks = append(st.blocks, append([]byte(nil), block...))
-	st.classes = append(st.classes, cls)
 	// Checkpoints written before zone maps existed yield a nil zone:
 	// pruning is disabled for that chunk, reads are unaffected.
-	st.zones = append(st.zones, f.zoneMap())
 	st.breakdown.addBlock(rows, f.tags, f.sizes, f.zoneBytes)
+	st.addBlock(append([]byte(nil), block...), cls, f.zoneMap())
 	return nil
 }
 
-// EncodeChunk renders chunk i of any store as a framed codec block,
-// the checkpoint representation of a chunk. A chunk the store already
-// holds as a sealed block is returned through Store.BlockBytes instead
-// of being re-encoded.
-func EncodeChunk(st Store, i int) ([]byte, error) {
+// EncodeChunk renders chunk i of st as a framed codec block, the
+// checkpoint representation of a chunk. A sealed chunk is returned
+// through BlockBytes instead of being re-encoded.
+func EncodeChunk(st *MemStore, i int) ([]byte, error) {
 	var scratch []byte
 	if block, err := st.BlockBytes(i, &scratch); block != nil || err != nil {
 		return block, err
 	}
-	buf := GetChunk()
-	defer PutChunk(buf)
-	c, err := st.Chunk(i, buf)
-	if err != nil {
-		return nil, err
-	}
 	cc := GetCodec()
 	defer PutCodec(cc)
-	return cc.EncodeBlock(c, nil), nil
+	return cc.EncodeBlock(st.wide[i-len(st.classes)], nil), nil
 }
 
-// NewMergerOver resumes a merger over a restored dataset: the country
-// and publisher id assignments replay from the dataset's own tables,
-// so the next appended row receives exactly the id it would have
-// received had the original merger never stopped.
-func NewMergerOver(ds *Dataset, sink RowSink) *Merger {
+// NewMergerOver resumes a merger over a restored dataset, appending to
+// its store: the country and publisher id assignments replay from the
+// dataset's own tables, so the next appended row receives exactly the
+// id it would have received had the original merger never stopped.
+func NewMergerOver(ds *Dataset) *Merger {
 	m := &Merger{
 		ds:         ds,
-		sink:       sink,
 		countryIdx: make(map[geodata.Country]uint8, len(ds.Countries)),
 		pubIdx:     make(map[*webgraph.Publisher]int32, len(ds.Publishers)),
 	}

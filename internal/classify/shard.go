@@ -245,11 +245,11 @@ func (c *ShardedCollector) Finalize(users []*browser.User) *Dataset {
 	return ds
 }
 
-// FinalizeInto is Finalize with a caller-chosen row sink (e.g. a
-// spill-to-disk store for Scale >> 1 runs). The merged stream entering
-// the sink is identical for every sink choice; only the storage layout
+// FinalizeInto is Finalize with a caller-chosen row store (e.g. a
+// spilled store for Scale >> 1 runs). The merged stream entering the
+// store is identical for every choice; only the storage layout
 // differs.
-func (c *ShardedCollector) FinalizeInto(users []*browser.User, sink RowSink) (*Dataset, error) {
+func (c *ShardedCollector) FinalizeInto(users []*browser.User, sink *MemStore) (*Dataset, error) {
 	// A user normally has exactly one capture; if a caller interleaved a
 	// user's stream (which capture() tolerates by reopening them), all
 	// their captures merge, in shard then arrival order.
@@ -273,7 +273,7 @@ func (c *ShardedCollector) FinalizeInto(users []*browser.User, sink RowSink) (*D
 // (publishers register on first visit), then rows in emit order.
 // runSemi gates stages 2 and 3 (benchmarks disable them to measure the
 // fixpoint in isolation).
-func (c *ShardedCollector) mergeInto(order []capRef, sink RowSink, runSemi bool) (*Dataset, error) {
+func (c *ShardedCollector) mergeInto(order []capRef, sink *MemStore, runSemi bool) (*Dataset, error) {
 	// Pre-size the merged interner from the shard interners: their
 	// combined length bounds the distinct strings the merge can see, so
 	// the map never rehashes mid-merge. (Shards sharing hostnames make
@@ -286,12 +286,10 @@ func (c *ShardedCollector) mergeInto(order []capRef, sink RowSink, runSemi bool)
 	for _, cr := range order {
 		m.AppendCapture(cr.sh, cr.idx)
 	}
-	store, err := sink.Seal()
-	if err != nil {
+	if err := sink.Seal(); err != nil {
 		return nil, err
 	}
 	ds := m.Dataset()
-	ds.Store = store
 	if runSemi {
 		RunSemiStages(ds, len(c.shards))
 	}

@@ -39,7 +39,7 @@ type Chunk struct {
 	Flags     []uint8
 	Class     []Class
 
-	// raw is the spill store's block-read scratch, reused across loads
+	// raw is the spill file's block-read scratch, reused across loads
 	// into this buffer so a chunk-wise scan reads the whole file with a
 	// handful of persistent allocations.
 	raw []byte
@@ -154,53 +154,12 @@ func PutChunk(c *Chunk) {
 	chunkPool.Put(c)
 }
 
-// Store is the read side of a sealed row store: a sequence of columnar
-// chunks. Implementations must support concurrent Chunk and BlockBytes
-// calls with distinct bufs (the parallel scans in core.Join rely on
-// this). The Class column returned by both Chunk and Classes is
-// resident and shared: a write through one view is seen by every
-// other. MemStore and SpillStore are the two implementations; every
-// kernel reads either one through ScanStoreCols.
-type Store interface {
-	// Len returns the total number of rows.
-	Len() int
-	// NumChunks returns the number of chunks. Every chunk except the
-	// last holds exactly ChunkRows rows.
-	NumChunks() int
-	// ChunkRows returns the fixed per-chunk row capacity.
-	ChunkRows() int
-	// Chunk returns chunk i. buf, when non-nil, may be reused as the
-	// decode target; stores holding resident chunks ignore it and
-	// return the resident chunk directly. The returned chunk is valid
-	// until buf is reused. Decode and read failures (a lost spill
-	// file, a corrupt block) are reported as errors, never panics.
-	Chunk(i int, buf *Chunk) (*Chunk, error)
-	// Classes returns the resident, mutable class column of chunk i
-	// without loading the spilled columns.
-	Classes(i int) []Class
-	// BlockBytes returns chunk i's framed codec block, reading into
-	// *scratch (grown as needed) for disk-backed stores or returning
-	// the resident block directly. A nil block with nil error means
-	// chunk i is resident wide (a wide store's chunks, the open tail
-	// chunk) and must be loaded through Chunk.
-	BlockBytes(i int, scratch *[]byte) ([]byte, error)
-	// ZoneMap returns chunk i's resident zone map. A nil result (wide
-	// chunks, the open tail, blocks restored from checkpoints written
-	// before zone maps existed) just disables pruning for that chunk.
-	ZoneMap(i int) *ZoneMap
-	// Footprint reports the store's memory and encoding accounting.
-	Footprint() Footprint
-	// Close releases any resources backing the store (spill files).
-	// The store must not be used afterwards.
-	Close() error
-}
-
 // MustChunk loads chunk i or panics. The scan pipelines use it: they
 // only read stores this process wrote moments earlier, so a decode
 // failure means the environment lost the backing data under us and no
 // caller can do better than fail loudly. Paths that face untrusted or
-// long-lived storage call Store.Chunk directly and handle the error.
-func MustChunk(st Store, i int, buf *Chunk) *Chunk {
+// long-lived storage call MemStore.Chunk directly and handle the error.
+func MustChunk(st *MemStore, i int, buf *Chunk) *Chunk {
 	c, err := st.Chunk(i, buf)
 	if err != nil {
 		panic(fmt.Sprintf("classify: load chunk %d: %v", i, err))
@@ -208,81 +167,52 @@ func MustChunk(st Store, i int, buf *Chunk) *Chunk {
 	return c
 }
 
-// RowSink is the write side: the collector merge streams rows into a
-// sink, then seals it into the Store the Dataset keeps. Append must be
-// called from a single goroutine; implementations report deferred I/O
-// errors at Seal.
-type RowSink interface {
-	Append(Row)
-	Seal() (Store, error)
-}
-
-// MemStore is the default in-memory columnar store. It implements both
-// RowSink and Store: Append is usable before Seal, reads any time, so
-// tests can build datasets incrementally.
+// MemStore is the row store: a sequence of columnar chunks, every one
+// except the last holding exactly ChunkRows rows. The chunks are a
+// prefix of sealed codec blocks, each with its resident class column
+// and zone map, followed by a suffix of wide chunks. Append writes the
+// last wide chunk; reads of a sealed chunk decode its block into the
+// caller's buffer, reads of a wide chunk return it resident. The Class
+// column is resident and shared in both: a write through one view is
+// seen by every other. Concurrent Chunk and BlockBytes calls are safe
+// with distinct buffers (the parallel scans in core.Join rely on
+// this); Append must be called from a single goroutine.
 //
-// In compressed-resident mode (NewMemStoreCompressed) every chunk that
-// fills is immediately encoded through the chunk codec and kept only
-// as a compressed block plus its resident class column; the open tail
-// chunk stays wide. Reads decode into the caller's buffer. Sealed
-// blocks are immutable and wide columns are append-only, which is what
-// lets Freeze share them by reference instead of copying column
-// slices.
+// The constructors fix the two things that vary. A wide store
+// (NewMemStore, NewMemStoreChunked) never seals, so every chunk stays
+// wide. A compressed store (NewMemStoreCompressed, NewMemStoreSpilled)
+// seals each chunk into a codec block the moment it fills, so its wide
+// suffix holds at most the open tail. Sealed block bytes stay resident,
+// or live in a spill file (NewMemStoreSpilled). Sealed blocks are
+// immutable and wide columns are append-only, which is what lets Freeze
+// share them by reference instead of copying column slices.
 type MemStore struct {
 	chunkRows int
-	compress  bool
+	compress  bool // a chunk seals into a codec block when it fills
 	n         int
 
-	// Wide mode: all chunks resident.
-	chunks []*Chunk
-
-	// Compressed mode: sealed blocks with their resident classes, zone
-	// maps and census, plus the open tail chunk (nil until the first
-	// append after a seal).
-	blocks [][]byte
-	sealedCols
-	open *Chunk
-}
-
-// sealedCols is the resident side of a block-backed store's sealed
-// chunks: each chunk's class column and zone map (nil entries for
-// blocks restored from checkpoints that predate zone maps), plus the
-// per-scheme encoding census over all of them.
-type sealedCols struct {
+	// The sealed prefix: per chunk, the resident class column, the
+	// zone map (nil for blocks restored from checkpoints that predate
+	// zone maps) and the cumulative block bytes through it; plus the
+	// per-scheme encoding census over all of them. The block bytes
+	// are in blocks, or in file when the store spills.
 	classes   [][]Class
 	zones     []*ZoneMap
+	ends      []int64
 	breakdown EncBreakdown
+	blocks    [][]byte
+	file      *spillFile
+
+	// The wide suffix.
+	wide []*Chunk
 }
 
-// seal is the one seal routine of both block-backed stores: it appends
-// chunk c's framed codec block to dst, then records the block's zone
-// map, folds its column stats into the census, and retains cls as the
-// chunk's resident class column.
-func (s *sealedCols) seal(c *Chunk, cls []Class, dst []byte) []byte {
-	cc := GetCodec()
-	defer PutCodec(cc)
-	dst = cc.EncodeBlock(c, dst)
-	zm := cc.encZone
-	s.zones = append(s.zones, &zm)
-	s.breakdown.addBlock(c.Len(), cc.encTags, cc.encSizes, cc.encZoneBytes)
-	s.classes = append(s.classes, cls)
-	return dst
-}
+// NewMemStore returns an empty wide store with the default chunk size.
+func NewMemStore() *MemStore { return NewMemStoreChunked(0) }
 
-// ZoneMap implements Store.
-func (s *sealedCols) ZoneMap(i int) *ZoneMap {
-	if i < len(s.zones) {
-		return s.zones[i]
-	}
-	return nil
-}
-
-// NewMemStore returns an empty in-memory columnar store with the
-// default chunk size.
-func NewMemStore() *MemStore { return &MemStore{chunkRows: DefaultChunkRows} }
-
-// NewMemStoreChunked returns an empty in-memory store with a custom
-// chunk size (tests use small chunks to exercise multi-chunk paths).
+// NewMemStoreChunked returns an empty wide store with a custom chunk
+// size (tests use small chunks to exercise multi-chunk paths).
+// chunkRows <= 0 selects DefaultChunkRows.
 func NewMemStoreChunked(chunkRows int) *MemStore {
 	if chunkRows < 1 {
 		chunkRows = DefaultChunkRows
@@ -290,19 +220,17 @@ func NewMemStoreChunked(chunkRows int) *MemStore {
 	return &MemStore{chunkRows: chunkRows}
 }
 
-// NewMemStoreCompressed returns an empty in-memory store in
-// compressed-resident mode: full chunks are kept as codec blocks (the
-// class column stays wide and mutable), cutting resident memory
-// severalfold at the cost of a decode per chunk read. chunkRows <= 0
-// selects DefaultChunkRows.
+// NewMemStoreCompressed returns an empty compressed store: full chunks
+// are kept as resident codec blocks (the class column stays wide and
+// mutable), cutting resident memory severalfold at the cost of a decode
+// per chunk read. chunkRows <= 0 selects DefaultChunkRows.
 func NewMemStoreCompressed(chunkRows int) *MemStore {
-	if chunkRows < 1 {
-		chunkRows = DefaultChunkRows
-	}
-	return &MemStore{chunkRows: chunkRows, compress: true}
+	st := NewMemStoreChunked(chunkRows)
+	st.compress = true
+	return st
 }
 
-// StoreOf builds an in-memory store holding the given rows.
+// StoreOf builds a wide store holding the given rows.
 func StoreOf(rows ...Row) *MemStore {
 	st := NewMemStore()
 	for _, r := range rows {
@@ -311,113 +239,170 @@ func StoreOf(rows ...Row) *MemStore {
 	return st
 }
 
-// Compressed reports whether the store runs in compressed-resident
-// mode.
+// Compressed reports whether full chunks seal into codec blocks.
 func (st *MemStore) Compressed() bool { return st.compress }
 
-// Append implements RowSink.
+// Append adds one row to the open (last wide) chunk, sealing it when
+// it fills on a compressed store.
 func (st *MemStore) Append(r Row) {
-	if st.compress {
-		if st.open == nil {
-			st.open = &Chunk{}
-			st.open.grow(st.chunkRows)
-		}
-		st.open.appendRow(r)
-		st.n++
-		if st.open.Len() == st.chunkRows {
-			st.sealOpen()
-		}
-		return
-	}
-	if len(st.chunks) == 0 || st.chunks[len(st.chunks)-1].Len() == st.chunkRows {
+	if len(st.wide) == 0 || st.wide[len(st.wide)-1].Len() == st.chunkRows {
 		c := &Chunk{}
 		c.grow(st.chunkRows)
-		st.chunks = append(st.chunks, c)
+		st.wide = append(st.wide, c)
 	}
-	st.chunks[len(st.chunks)-1].appendRow(r)
+	open := st.wide[len(st.wide)-1]
+	open.appendRow(r)
 	st.n++
+	if st.compress && open.Len() == st.chunkRows {
+		st.sealOpen()
+	}
 }
 
-// sealOpen encodes the full open chunk into a compressed block,
-// retains its class column, and drops the wide columns. The open
-// chunk buffer is not reused: frozen stores may still hold capped
-// views of it, so a fresh buffer is allocated for the next chunk and
-// the sealed one is left to the GC once unreferenced.
+// sealOpen encodes the open chunk into a codec block, moves it into the
+// sealed prefix with its class column, and drops the wide columns. The
+// open chunk buffer is not reused: frozen stores may still hold capped
+// views of it, so the next Append allocates a fresh one and the sealed
+// one is left to the GC once unreferenced.
 func (st *MemStore) sealOpen() {
-	st.blocks = append(st.blocks, st.seal(st.open, st.open.Class, nil))
-	st.open = nil
+	last := len(st.wide) - 1
+	c := st.wide[last]
+	st.wide[last] = nil
+	st.wide = st.wide[:last]
+	cc := GetCodec()
+	defer PutCodec(cc)
+	var dst []byte
+	if st.file != nil {
+		dst = st.file.enc[:0]
+	}
+	block := cc.EncodeBlock(c, dst)
+	zm := cc.encZone
+	st.breakdown.addBlock(c.Len(), cc.encTags, cc.encSizes, cc.encZoneBytes)
+	st.addBlock(block, c.Class, &zm)
 }
 
-// Seal implements RowSink. A MemStore is its own sealed Store.
-func (st *MemStore) Seal() (Store, error) { return st, nil }
+// addBlock appends one sealed chunk: its block bytes go to the spill
+// file or stay resident, and its class column and zone map stay
+// resident.
+func (st *MemStore) addBlock(block []byte, cls []Class, zm *ZoneMap) {
+	start := st.blockStart(len(st.ends))
+	if st.file != nil {
+		st.file.write(block, start)
+	} else {
+		st.blocks = append(st.blocks, block)
+	}
+	st.classes = append(st.classes, cls)
+	st.zones = append(st.zones, zm)
+	st.ends = append(st.ends, start+int64(len(block)))
+}
 
-// Len implements Store.
+// blockStart returns the byte offset at which sealed block i starts.
+func (st *MemStore) blockStart(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	return st.ends[i-1]
+}
+
+// Seal finishes the write side. On a spilled store it also seals the
+// partial tail chunk, so every chunk lives in the spill file, and
+// reports the first deferred write error, closing the file; no Append
+// may follow. On the other stores it does nothing.
+func (st *MemStore) Seal() error {
+	if st.file == nil {
+		return nil
+	}
+	if len(st.wide) > 0 {
+		st.sealOpen()
+	}
+	if err := st.file.err; err != nil {
+		st.Close()
+		return err
+	}
+	return nil
+}
+
+// Len returns the total number of rows.
 func (st *MemStore) Len() int { return st.n }
 
-// NumChunks implements Store.
-func (st *MemStore) NumChunks() int {
-	if st.compress {
-		n := len(st.blocks)
-		if st.open != nil && st.open.Len() > 0 {
-			n++
-		}
-		return n
-	}
-	return len(st.chunks)
-}
+// NumChunks returns the number of chunks, sealed and wide.
+func (st *MemStore) NumChunks() int { return len(st.classes) + len(st.wide) }
 
-// ChunkRows implements Store.
+// ChunkRows returns the fixed per-chunk row capacity.
 func (st *MemStore) ChunkRows() int { return st.chunkRows }
 
-// Chunk implements Store. Wide chunks are returned resident (buf
-// ignored); compressed sealed chunks decode into buf, allocating one
-// when nil.
+// Chunk returns chunk i. A wide chunk is returned resident (buf
+// ignored); a sealed chunk is read through BlockBytes into buf's
+// scratch and decoded into buf, allocating a buffer when buf is nil.
+// The returned chunk is valid until buf is reused. A short read,
+// checksum mismatch or malformed block is returned as an error:
+// truncation and corruption of a spill file must surface to the caller
+// rather than crash the process or balloon memory.
 func (st *MemStore) Chunk(i int, buf *Chunk) (*Chunk, error) {
-	if !st.compress {
-		return st.chunks[i], nil
-	}
-	if i >= len(st.blocks) {
-		return st.open, nil
+	if i >= len(st.classes) {
+		return st.wide[i-len(st.classes)], nil
 	}
 	if buf == nil {
 		buf = &Chunk{}
 	}
-	if err := buf.codec().DecodeBlock(st.blocks[i], len(st.classes[i]), buf); err != nil {
-		return nil, fmt.Errorf("classify: decode resident block %d: %w", i, err)
+	block, err := st.BlockBytes(i, &buf.raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := buf.codec().DecodeBlock(block, len(st.classes[i]), buf); err != nil {
+		return nil, fmt.Errorf("classify: decode chunk %d: %w", i, err)
 	}
 	buf.Class = st.classes[i]
 	return buf, nil
 }
 
-// Classes implements Store.
+// Classes returns the resident, mutable class column of chunk i
+// without loading any other column.
 func (st *MemStore) Classes(i int) []Class {
-	if st.compress {
-		if i < len(st.classes) {
-			return st.classes[i]
-		}
-		return st.open.Class
+	if i < len(st.classes) {
+		return st.classes[i]
 	}
-	return st.chunks[i].Class
+	return st.wide[i-len(st.classes)].Class
 }
 
-// Close implements Store; in-memory stores hold no external resources.
-func (st *MemStore) Close() error { return nil }
+// ZoneMap returns chunk i's resident zone map. A nil result (wide
+// chunks, blocks restored from checkpoints written before zone maps
+// existed) just disables pruning for that chunk.
+func (st *MemStore) ZoneMap(i int) *ZoneMap {
+	if i < len(st.zones) {
+		return st.zones[i]
+	}
+	return nil
+}
 
-// BlockBytes implements Store: sealed compressed blocks are returned
-// resident (scratch unused); wide chunks and the open tail report nil.
-func (st *MemStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
-	if i < len(st.blocks) {
+// BlockBytes returns chunk i's framed codec block: the resident block,
+// or the block read from the spill file into *scratch (grown as
+// needed). A nil block with nil error means chunk i is wide and must
+// be loaded through Chunk.
+func (st *MemStore) BlockBytes(i int, scratch *[]byte) ([]byte, error) {
+	switch {
+	case i >= len(st.classes):
+		return nil, nil
+	case st.file == nil:
 		return st.blocks[i], nil
 	}
-	return nil, nil
+	return st.file.read(i, st.blockStart(i), st.ends[i], scratch)
+}
+
+// Close releases the spill file, if any (a Freeze of a spilled store
+// shares it). The store must not be used afterwards.
+func (st *MemStore) Close() error {
+	if st.file == nil {
+		return nil
+	}
+	return st.file.close()
 }
 
 // Freeze returns a read-only MemStore holding st's rows and classes as
 // of now, which later appends and class writes on st never change: the
-// live collector's epoch snapshots. Sealed blocks and zone maps are
-// shared by reference; wide chunks and the open tail become column
-// views capped at their current length, so appends never write through
-// them. Class columns are copied, except that a chunk below
+// live collector's epoch snapshots. Sealed blocks, zone maps and the
+// spill file are shared by reference; wide chunks become column views
+// capped at their current length, so appends never write through them.
+// Class columns are copied, except that a chunk below
 // prevRows/ChunkRows and absent from dirty reuses prev's copy: prev
 // must be st's previous Freeze (or nil), taken when st held prevRows
 // rows, and dirty must name every chunk whose classes changed since.
@@ -433,24 +418,23 @@ func (st *MemStore) Freeze(prev *MemStore, prevRows int, dirty map[int]struct{})
 			classes[ci] = append([]Class(nil), st.Classes(ci)...)
 		}
 	}
-	fr := &MemStore{chunkRows: st.chunkRows, compress: st.compress, n: st.n}
-	if !st.compress {
-		views := make([]Chunk, numChunks)
-		fr.chunks = make([]*Chunk, numChunks)
-		for ci, c := range st.chunks {
-			views[ci] = c.capped(classes[ci])
-			fr.chunks[ci] = &views[ci]
-		}
-		return fr
+	sealed := len(st.classes)
+	fr := &MemStore{
+		chunkRows: st.chunkRows,
+		compress:  st.compress,
+		n:         st.n,
+		classes:   classes[:sealed:sealed],
+		zones:     st.zones[:sealed:sealed],
+		ends:      st.ends[:sealed:sealed],
+		breakdown: st.breakdown,
+		blocks:    st.blocks[:len(st.blocks):len(st.blocks)],
+		file:      st.file,
+		wide:      make([]*Chunk, len(st.wide)),
 	}
-	sealed := len(st.blocks)
-	fr.blocks = st.blocks[:sealed:sealed]
-	fr.zones = st.zones[:sealed:sealed]
-	fr.classes = classes[:sealed:sealed]
-	fr.breakdown = st.breakdown
-	if sealed < numChunks {
-		tail := st.open.capped(classes[sealed])
-		fr.open = &tail
+	views := make([]Chunk, len(st.wide))
+	for k, c := range st.wide {
+		views[k] = c.capped(classes[sealed+k])
+		fr.wide[k] = &views[k]
 	}
 	return fr
 }
@@ -489,8 +473,6 @@ func SchemeName(s int) string {
 		return "raw"
 	case colRLE:
 		return "rle"
-	case colDelta:
-		return "delta"
 	case colDict:
 		return "dict"
 	default:
@@ -517,24 +499,22 @@ func (b *EncBreakdown) addBlock(rows int, tags [numCols]byte, sizes [numCols]int
 // RawEquivalentBytes returns the fully-wide size of the stored rows.
 func (f Footprint) RawEquivalentBytes() int64 { return int64(f.Rows) * RowWidthBytes }
 
-// Footprint reports the store's current memory accounting. In wide mode
-// everything is resident; in compressed-resident mode sealed chunks
-// count their block bytes plus the one-byte-per-row class column that
-// stays wide and mutable, and the open tail chunk counts fully wide.
+// Footprint reports the store's current memory accounting: sealed
+// chunks count their block bytes (resident or spilled) plus the
+// one-byte-per-row class column that stays wide and mutable, and wide
+// chunks count fully wide.
 func (st *MemStore) Footprint() Footprint {
-	fp := Footprint{Rows: st.n, SealedChunks: len(st.blocks), Breakdown: st.breakdown}
-	if !st.compress {
-		for _, c := range st.chunks {
-			fp.ResidentBytes += int64(c.Len()) * RowWidthBytes
-		}
-		return fp
+	fp := Footprint{
+		Rows:            st.n,
+		CompressedBytes: st.blockStart(len(st.ends)),
+		SealedChunks:    len(st.classes),
+		Breakdown:       st.breakdown,
 	}
-	for i, b := range st.blocks {
-		fp.CompressedBytes += int64(len(b))
-		fp.ResidentBytes += int64(len(st.classes[i])) // resident class column
+	for _, cls := range st.classes {
+		fp.ResidentBytes += int64(len(cls))
 	}
-	if st.open != nil {
-		fp.ResidentBytes += int64(st.open.Len()) * RowWidthBytes
+	for _, c := range st.wide {
+		fp.ResidentBytes += int64(c.Len()) * RowWidthBytes
 	}
 	return fp
 }

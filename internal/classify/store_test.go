@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crossborder/internal/browser"
@@ -74,15 +75,14 @@ func TestMemStoreRoundTrip(t *testing.T) {
 func TestSpillStoreMatchesMemStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rows := randomRows(rng, 2000, 80)
-	sink, err := NewSpillSink(t.TempDir(), 128)
+	store, err := NewMemStoreSpilled(t.TempDir(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		sink.Append(r)
+		store.Append(r)
 	}
-	store, err := sink.Seal()
-	if err != nil {
+	if err := store.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
@@ -124,7 +124,7 @@ func TestFinalizeIntoSpillMatchesMem(t *testing.T) {
 
 	memDS := mk().Finalize(users)
 
-	sink, err := NewSpillSink(t.TempDir(), 512)
+	sink, err := NewMemStoreSpilled(t.TempDir(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +139,35 @@ func TestFinalizeIntoSpillMatchesMem(t *testing.T) {
 	sm, ss := ComputeStats(memDS), ComputeStats(spillDS)
 	if sm != ss {
 		t.Fatalf("DatasetStats differ: %+v vs %+v", sm, ss)
+	}
+}
+
+// TestSpillWriteErrorKeepsOpenChunkBounded: once a spill write fails,
+// full chunks still leave the open chunk as they fill, so it never
+// grows past ChunkRows, and Seal reports the write error.
+func TestSpillWriteErrorKeepsOpenChunkBounded(t *testing.T) {
+	const chunkRows = 64
+	rng := rand.New(rand.NewSource(3))
+	rows := randomRows(rng, 5*chunkRows+17, 30)
+	st, err := NewMemStoreSpilled(t.TempDir(), chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows[:chunkRows+3] {
+		st.Append(r)
+	}
+	st.file.f.Close() // every later spill write fails
+	for i, r := range rows[chunkRows+3:] {
+		st.Append(r)
+		open := 0
+		for _, c := range st.wide {
+			open += c.Len()
+		}
+		if open >= chunkRows {
+			t.Fatalf("row %d: %d rows wait unsealed, want fewer than %d", chunkRows+3+i, open, chunkRows)
+		}
+	}
+	if err := st.Seal(); err == nil || !strings.Contains(err.Error(), "write spill chunk") {
+		t.Fatalf("Seal after a failed spill write = %v, want the write error", err)
 	}
 }

@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -168,15 +169,12 @@ func (c *Client) FlushAll() error {
 // final partial epoch is left pending on every shard; FlushAll commits
 // them.
 func (c *Client) Replay(events map[int32][]ingest.Event, batchSize int) (ingest.ReplayStats, error) {
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	users := make([]int32, 0, len(events))
-	for uid := range events {
-		users = append(users, uid)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	users := slices.Sorted(maps.Keys(events))
 	parts := c.ring.Partition(users)
+	upload := func(b ingest.Batch) error {
+		_, err := c.Upload(b)
+		return err
+	}
 
 	stats := ingest.ReplayStats{Users: len(users)}
 	start := time.Now()
@@ -185,38 +183,19 @@ func (c *Client) Replay(events map[int32][]ingest.Event, batchSize int) (ingest.
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for node, uids := range parts {
+	for _, uids := range parts {
 		wg.Add(1)
-		go func(node string, uids []int32) {
+		go func(uids []int32) {
 			defer wg.Done()
-			events2, batches := 0, 0
-			var err error
-			for _, uid := range uids {
-				evs := events[uid]
-				for off := 0; off < len(evs); off += batchSize {
-					hi := off + batchSize
-					if hi > len(evs) {
-						hi = len(evs)
-					}
-					if _, err = c.Upload(ingest.Batch{User: uid, Seq: uint64(off), Events: evs[off:hi]}); err != nil {
-						err = fmt.Errorf("user %d seq %d: %w", uid, off, err)
-						break
-					}
-					batches++
-				}
-				if err != nil {
-					break
-				}
-				events2 += len(evs)
-			}
+			n, batches, err := ingest.UploadUsers(upload, events, uids, batchSize)
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
-			stats.Events += events2
+			stats.Events += n
 			stats.Batches += batches
 			mu.Unlock()
-		}(node, uids)
+		}(uids)
 	}
 	wg.Wait()
 	stats.Duration = time.Since(start)

@@ -291,12 +291,12 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // analyzeBenchSpill is analyzeBenchDataset's disk-backed sibling: the
-// same 200k-row shape streamed into a spill sink, so the benchmark
+// same 200k-row shape streamed into a spilled store, so the benchmark
 // exercises the real pread + decode path the pushdown targets.
 func analyzeBenchSpill(b *testing.B, rows int) (*classify.Dataset, geo.Service) {
 	b.Helper()
 	ds, svc := analyzeBenchDataset(rows)
-	sink, err := classify.NewSpillSink(b.TempDir(), 0)
+	sink, err := classify.NewMemStoreSpilled(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,12 +309,11 @@ func analyzeBenchSpill(b *testing.B, rows int) (*classify.Dataset, geo.Service) 
 			sink.Append(c.Row(i))
 		}
 	}
-	st, err := sink.Seal()
-	if err != nil {
+	if err := sink.Seal(); err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { st.Close() })
-	ds.Store = st
+	b.Cleanup(func() { sink.Close() })
+	ds.Store = sink
 	return ds, svc
 }
 

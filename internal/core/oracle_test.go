@@ -30,24 +30,23 @@ func rowAnalyze(ds *classify.Dataset, svc geo.Service, keep func(i int) bool) *A
 }
 
 // oracleBackends streams rows into the three store layouts: wide and
-// compressed memory, and spill.
-func oracleBackends(t *testing.T, rows []classify.Row, chunkRows int) map[string]classify.Store {
+// compressed memory, and spilled.
+func oracleBackends(t *testing.T, rows []classify.Row, chunkRows int) map[string]*classify.MemStore {
 	t.Helper()
-	out := make(map[string]classify.Store)
-	for name, mk := range map[string]func() (classify.RowSink, error){
-		"mem/wide":         func() (classify.RowSink, error) { return classify.NewMemStoreChunked(chunkRows), nil },
-		"mem/compressed":   func() (classify.RowSink, error) { return classify.NewMemStoreCompressed(chunkRows), nil },
-		"spill/compressed": func() (classify.RowSink, error) { return classify.NewSpillSink(t.TempDir(), chunkRows) },
+	out := make(map[string]*classify.MemStore)
+	for name, mk := range map[string]func() (*classify.MemStore, error){
+		"mem/wide":         func() (*classify.MemStore, error) { return classify.NewMemStoreChunked(chunkRows), nil },
+		"mem/compressed":   func() (*classify.MemStore, error) { return classify.NewMemStoreCompressed(chunkRows), nil },
+		"spill/compressed": func() (*classify.MemStore, error) { return classify.NewMemStoreSpilled(t.TempDir(), chunkRows) },
 	} {
-		sink, err := mk()
+		st, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			sink.Append(r)
+			st.Append(r)
 		}
-		st, err := sink.Seal()
-		if err != nil {
+		if err := st.Seal(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })

@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -343,47 +344,22 @@ func (rs ReplayStats) EventsPerSec() float64 {
 // study. The final partial epoch is left pending; call Flush to commit
 // it.
 func (cl *Client) Replay(events map[int32][]Event, batchSize, uploaders int) (ReplayStats, error) {
-	if batchSize <= 0 {
-		batchSize = 512
-	}
 	if uploaders <= 0 {
 		uploaders = 1
 	}
-	userIDs := make([]int32, 0, len(events))
-	for uid := range events {
-		userIDs = append(userIDs, uid)
-	}
-	sort.Slice(userIDs, func(i, j int) bool { return userIDs[i] < userIDs[j] })
-
+	userIDs := slices.Sorted(maps.Keys(events))
 	stats := ReplayStats{Users: len(userIDs)}
 	start := time.Now()
-	uploadUser := func(uid int32) (int, int, error) {
-		evs := events[uid]
-		batches := 0
-		for off := 0; off < len(evs); off += batchSize {
-			hi := off + batchSize
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			if _, err := cl.Upload(Batch{User: uid, Seq: uint64(off), Events: evs[off:hi]}); err != nil {
-				return 0, 0, fmt.Errorf("user %d seq %d: %w", uid, off, err)
-			}
-			batches++
-		}
-		return len(evs), batches, nil
+	upload := func(b Batch) error {
+		_, err := cl.Upload(b)
+		return err
 	}
 
 	if uploaders == 1 {
-		for _, uid := range userIDs {
-			n, b, err := uploadUser(uid)
-			if err != nil {
-				return stats, err
-			}
-			stats.Events += n
-			stats.Batches += b
-		}
+		n, b, err := UploadUsers(upload, events, userIDs, batchSize)
+		stats.Events, stats.Batches = n, b
 		stats.Duration = time.Since(start)
-		return stats, nil
+		return stats, err
 	}
 
 	var (
@@ -397,7 +373,7 @@ func (cl *Client) Replay(events map[int32][]Event, batchSize, uploaders int) (Re
 		go func() {
 			defer wg.Done()
 			for uid := range work {
-				n, b, err := uploadUser(uid)
+				n, b, err := UploadUsers(upload, events, []int32{uid}, batchSize)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -415,4 +391,28 @@ func (cl *Client) Replay(events map[int32][]Event, batchSize, uploaders int) (Re
 	wg.Wait()
 	stats.Duration = time.Since(start)
 	return stats, firstErr
+}
+
+// UploadUsers is the one upload loop of every replay: it sends the
+// event streams of users, in order, through upload, each split into
+// batches of batchSize events (<= 0 selects 512) whose Seq is the
+// batch's offset in the user's stream. It stops at the first failed
+// upload, returning the events of the users fully uploaded and every
+// batch sent before the failure.
+func UploadUsers(upload func(Batch) error, events map[int32][]Event, users []int32, batchSize int) (nEvents, batches int, err error) {
+	if batchSize <= 0 {
+		batchSize = 512
+	}
+	for _, uid := range users {
+		evs := events[uid]
+		for off := 0; off < len(evs); off += batchSize {
+			hi := min(off+batchSize, len(evs))
+			if err := upload(Batch{User: uid, Seq: uint64(off), Events: evs[off:hi]}); err != nil {
+				return nEvents, batches, fmt.Errorf("user %d seq %d: %w", uid, off, err)
+			}
+			batches++
+		}
+		nEvents += len(evs)
+	}
+	return nEvents, batches, nil
 }

@@ -500,7 +500,7 @@ func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error)
 
 // appendBlock appends chunk ci of st as a [uvarint len][codec block]
 // entry, the framing of inline chunks and segment entries alike.
-func appendBlock(dst []byte, st classify.Store, ci int) ([]byte, error) {
+func appendBlock(dst []byte, st *classify.MemStore, ci int) ([]byte, error) {
 	block, err := classify.EncodeChunk(st, ci)
 	if err != nil {
 		return nil, err
@@ -695,7 +695,7 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	}
 
 	c.store = sink
-	c.merger = classify.NewMergerOver(ds, sink)
+	c.merger = classify.NewMergerOver(ds)
 	c.semi.Close()
 	c.semi = classify.NewLiveSemi(ds, c.cfg.Workers)
 	if err := c.semi.Restore(meta.SettledRows, meta.LTF, meta.Cand); err != nil {

@@ -210,7 +210,7 @@ func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles) {
 }
 
 // scanAll runs one projected scan over every column of st.
-func scanAll(st classify.Store) {
+func scanAll(st *classify.MemStore) {
 	classify.ScanStoreCols(st, func(_ int, pc *classify.ProjChunk) {
 		for col := classify.ColURLHash; col <= classify.ColFlags; col++ {
 			pc.Wide(col)

@@ -406,29 +406,49 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.c.Snapshot()
+	m := NewExposition(w)
+	m.Counter("collectd_batches_total", "Upload batches received (including rejected).", s.c.mBatches.Load())
+	m.Counter("collectd_events_total", "Events newly accepted.", s.c.mEvents.Load())
+	m.Counter("collectd_duplicate_events_total", "Events skipped as already-seen retransmits.", s.c.mDupEvents.Load())
+	m.Counter("collectd_sequence_gaps_total", "Batches rejected for a sequence gap.", s.c.mSeqGaps.Load())
+	m.Counter("collectd_rejected_batches_total", "Batches rejected by validation.", s.c.mRejected.Load())
+	m.Counter("collectd_overload_rejected_total", "Uploads rejected 429 by admission control.", s.mOverload.Load())
+	m.Gauge("collectd_inflight_uploads", "Uploads currently admitted.", float64(len(s.sem)))
+	m.Gauge("collectd_epoch", "Latest committed epoch.", float64(snap.Epoch()))
+	m.Gauge("collectd_rows", "Dataset rows at the latest epoch.", float64(snap.Rows()))
+	m.Gauge("collectd_users", "Distinct users observed in rows.", float64(snap.Stats().Users))
+	m.Gauge("collectd_uptime_seconds", "Seconds since the collector started.", time.Since(s.c.started).Seconds())
+	m.ScanCounters("collectd")
+}
+
+// Exposition writes Prometheus-style plain-text metrics: each metric
+// as a HELP line, a TYPE line and one sample. It is the one writer
+// behind the /metrics surfaces of collectd and mergerd.
+type Exposition struct{ w io.Writer }
+
+// NewExposition sets the text exposition content type on w and
+// returns a writer for its metrics.
+func NewExposition(w http.ResponseWriter) Exposition {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		fmt.Fprintf(w, "%s %g\n", name, v)
-	}
-	counter("collectd_batches_total", "Upload batches received (including rejected).", s.c.mBatches.Load())
-	counter("collectd_events_total", "Events newly accepted.", s.c.mEvents.Load())
-	counter("collectd_duplicate_events_total", "Events skipped as already-seen retransmits.", s.c.mDupEvents.Load())
-	counter("collectd_sequence_gaps_total", "Batches rejected for a sequence gap.", s.c.mSeqGaps.Load())
-	counter("collectd_rejected_batches_total", "Batches rejected by validation.", s.c.mRejected.Load())
-	counter("collectd_overload_rejected_total", "Uploads rejected 429 by admission control.", s.mOverload.Load())
-	gauge("collectd_inflight_uploads", "Uploads currently admitted.", float64(len(s.sem)))
-	gauge("collectd_epoch", "Latest committed epoch.", float64(snap.Epoch()))
-	gauge("collectd_rows", "Dataset rows at the latest epoch.", float64(snap.Rows()))
-	gauge("collectd_users", "Distinct users observed in rows.", float64(snap.Stats().Users))
-	gauge("collectd_uptime_seconds", "Seconds since the collector started.", time.Since(s.c.started).Seconds())
+	return Exposition{w}
+}
+
+// Counter writes one counter sample.
+func (e Exposition) Counter(name, help string, v int64) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+// Gauge writes one gauge sample.
+func (e Exposition) Gauge(name, help string, v float64) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+}
+
+// ScanCounters writes the process-wide projection scan counters
+// (classify.ReadScanStats) under the given metric name prefix.
+func (e Exposition) ScanCounters(prefix string) {
 	ss := classify.ReadScanStats()
-	counter("collectd_scan_chunks_total", "Chunks offered to projection scan kernels.", ss.ChunksScanned)
-	counter("collectd_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
+	e.Counter(prefix+"_scan_chunks_total", "Chunks offered to projection scan kernels.", ss.ChunksScanned)
+	e.Counter(prefix+"_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
 }
 
 // PendingEvents returns the number of accepted events awaiting the next

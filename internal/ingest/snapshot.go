@@ -67,7 +67,7 @@ type SchemeFootprint struct {
 }
 
 // footprintOf converts the store's accounting to the /v1/stats block.
-func footprintOf(st classify.Store) StoreFootprint {
+func footprintOf(st *classify.MemStore) StoreFootprint {
 	fp := st.Footprint()
 	out := StoreFootprint{
 		Rows:               fp.Rows,
@@ -147,7 +147,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 	live := c.merger.Dataset()
 	var prevStore *classify.MemStore
 	if prev != nil {
-		prevStore, _ = prev.ds.Store.(*classify.MemStore)
+		prevStore = prev.ds.Store
 	}
 
 	// The interner clone is cached: most steady-state epochs intern no

@@ -60,12 +60,12 @@ type Params struct {
 	// not be goroutine-safe. Progress never influences the built world:
 	// the same Params produce the same Scenario with or without it.
 	Progress func(PhaseEvent)
-	// RowSink, when non-nil, supplies the row store backend the
-	// classification phase streams the merged dataset into (e.g. a
-	// classify.SpillSink for Scale >> 1 runs). nil selects the default
-	// in-memory columnar store. The merged row stream is identical for
-	// every backend; only the storage layout differs.
-	RowSink func() (classify.RowSink, error)
+	// RowSink, when non-nil, supplies the row store the classification
+	// phase streams the merged dataset into (e.g. a spilled
+	// classify.MemStore for Scale >> 1 runs). nil selects the default
+	// wide store. The merged row stream is identical for every store
+	// layout; only the storage differs.
+	RowSink func() (*classify.MemStore, error)
 	// Mutators, when non-nil, installs a scenario pack's deterministic
 	// world mutations and per-user profiles (see Mutators). nil — the
 	// default pack — builds the unmodified study, byte for byte.
@@ -197,10 +197,10 @@ func BuildContext(ctx context.Context, p Params) (*Scenario, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The merge streams rows into the configured sink; the default is
-	// the in-memory columnar store, Scale >> 1 runs swap in the
-	// spill-to-disk store via Params.RowSink.
-	var sink classify.RowSink
+	// The merge streams rows into the configured store; the default is
+	// the wide store, Scale >> 1 runs swap in a spilled one via
+	// Params.RowSink.
+	var sink *classify.MemStore
 	if p.RowSink != nil {
 		var err error
 		if sink, err = p.RowSink(); err != nil {

@@ -22,10 +22,10 @@ func TestRowStoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	variants := []struct {
 		name string
-		sink func() (classify.RowSink, error)
+		sink func() (*classify.MemStore, error)
 	}{
-		{"spill-compressed", func() (classify.RowSink, error) { return classify.NewSpillSink(dir, 300) }},
-		{"mem-compressed", func() (classify.RowSink, error) { return classify.NewMemStoreCompressed(300), nil }},
+		{"spill-compressed", func() (*classify.MemStore, error) { return classify.NewMemStoreSpilled(dir, 300) }},
+		{"mem-compressed", func() (*classify.MemStore, error) { return classify.NewMemStoreCompressed(300), nil }},
 	}
 	for _, v := range variants {
 		p.RowSink = v.sink

@@ -15,7 +15,7 @@ import (
 func TestSummarizeCountryFlows(t *testing.T) {
 	p := Params{Seed: 1, Scale: 0.02, VisitsPerUser: 10}
 	wide := Build(p)
-	p.RowSink = func() (classify.RowSink, error) { return classify.NewMemStoreCompressed(300), nil }
+	p.RowSink = func() (*classify.MemStore, error) { return classify.NewMemStoreCompressed(300), nil }
 	comp := Build(p)
 	for _, v := range []struct {
 		name string

@@ -65,10 +65,10 @@ func WithProgress(fn func(PhaseEvent)) Option {
 	return func(o *Options) { o.Progress = fn }
 }
 
-// WithCompression chooses the in-memory row store's layout: on keeps
-// every sealed chunk as a compressed codec block, off (the default)
-// keeps all columns wide. DiskRowStore always compresses and ignores
-// it. The codec is lossless and invisible to every analysis: a
+// WithCompression chooses whether the in-memory row store seals: on
+// encodes every chunk into a compressed codec block as it fills (only
+// the open tail stays wide), off (the default) keeps all columns wide.
+// DiskRowStore always seals and ignores it. The codec is lossless and invisible to every analysis: a
 // compressed study renders byte-identically to a wide one. It trades
 // a decode per chunk scan for keeping sealed chunks compressed, which
 // is what long-running collectors want for cold epochs.
@@ -76,11 +76,11 @@ func WithCompression(on bool) Option {
 	return func(o *Options) { o.Compress = on }
 }
 
-// RowStore selects the storage backend of the classified dataset's row
-// store. The zero value is the in-memory columnar store. The backend
+// RowStore selects where the classified dataset's row store keeps its
+// sealed blocks. The zero value keeps everything in memory. The choice
 // never changes the study: the classification phase streams the same
-// merged row sequence into whichever sink is configured, and every
-// experiment reads through the same chunk-wise Store interface.
+// merged row sequence into the store, and every experiment reads it
+// through the same chunk-wise classify.MemStore methods.
 type RowStore struct {
 	disk      bool
 	dir       string
@@ -90,10 +90,11 @@ type RowStore struct {
 // MemoryRowStore keeps the dataset's columns in memory (the default).
 func MemoryRowStore() RowStore { return RowStore{} }
 
-// DiskRowStore spills the dataset's column chunks to a temporary file
-// under dir ("" = the OS temp directory), keeping only the class column
-// resident — the backend for Scale >> 1 studies that outgrow memory.
-// Call Study.Close when done to release the spill file.
+// DiskRowStore seals the dataset's column chunks into compressed codec
+// blocks and writes them to a temporary file under dir ("" = the OS
+// temp directory), keeping only the class column and the open tail
+// chunk resident — the store for Scale >> 1 studies that outgrow
+// memory. Call Study.Close when done to release the spill file.
 func DiskRowStore(dir string) RowStore { return RowStore{disk: true, dir: dir} }
 
 // WithChunkRows overrides the store's rows-per-chunk (0 = the default;

@@ -104,15 +104,15 @@ func New(ctx context.Context, opts ...Option) (*Study, error) {
 	rs := o.RowStore
 	switch {
 	case rs.disk:
-		params.RowSink = func() (classify.RowSink, error) {
-			return classify.NewSpillSink(rs.dir, rs.chunkRows)
+		params.RowSink = func() (*classify.MemStore, error) {
+			return classify.NewMemStoreSpilled(rs.dir, rs.chunkRows)
 		}
 	case o.Compress:
-		params.RowSink = func() (classify.RowSink, error) {
+		params.RowSink = func() (*classify.MemStore, error) {
 			return classify.NewMemStoreCompressed(rs.chunkRows), nil
 		}
 	case rs.chunkRows > 0:
-		params.RowSink = func() (classify.RowSink, error) {
+		params.RowSink = func() (*classify.MemStore, error) {
 			return classify.NewMemStoreChunked(rs.chunkRows), nil
 		}
 	}
