@@ -65,10 +65,11 @@
 //   - Sharded collection with a deterministic merge. Each worker drives
 //     its own classify.Shard (private interner, publisher/country index,
 //     classification caches, per-user row buffers); no locks on the
-//     capture path. classify.ShardedCollector.Finalize then replays the
-//     captures in global user order, re-interning strings and remapping
-//     ids in encounter order, so the merged Dataset is byte-identical to
-//     a sequential run at any worker count (WithWorkers).
+//     capture path. classify.ShardedCollector.FinalizeInto then replays
+//     the captures in global user order, re-interning strings and
+//     remapping ids in encounter order, so the merged Dataset is
+//     byte-identical to a sequential run at any worker count
+//     (WithWorkers).
 //   - Read-only lookup substrates. dns.Server.Resolve after Freeze and
 //     netsim.World lookups after Freeze perform no writes and are safe
 //     for any number of concurrent readers (verified under -race).
@@ -106,6 +107,12 @@
 // raw, plus an LZ4-style block pass) that cuts the spill file about
 // 3.40x versus the raw fixed-width layout. The codec is lossless and
 // checksummed, so the storage choice never changes a rendered artifact.
+// Every reader goes through one projection path (classify.ProjChunk):
+// it loads only the columns a kernel touches, in their encoded form
+// where that is cheaper, and skips a chunk whose zone map or class
+// column rules it out. Only block bytes from outside the process —
+// checkpoints and the fan-in's shard exports — are decoded to full
+// width.
 //
 // # Scenario packs and sweeps
 //

@@ -78,12 +78,12 @@ func BenchmarkSemiStagesSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillScan measures a full-dataset Dataset.Scan over the
-// compressed spill store. Bytes/op is the raw fixed-width reference;
-// the size-ratio metric reports compressed/raw on disk. -benchmem pins
-// the allocation flatness contract: the scan draws its decode buffer
-// and codec scratch from the pools, so allocs/op stays a small
-// constant regardless of chunk count.
+// BenchmarkSpillScan measures a full-width scan (scanWide, every column
+// decoded) of the whole compressed spill store. Bytes/op is the raw
+// fixed-width reference; the size-ratio metric reports compressed/raw
+// on disk. -benchmem pins the allocation flatness contract: the scan
+// draws its decode buffer and codec scratch from a pool, so allocs/op
+// stays a small constant regardless of chunk count.
 func BenchmarkSpillScan(b *testing.B) {
 	sc, order := benchCollector(b)
 	b.Run("compressed", func(b *testing.B) {
@@ -101,7 +101,7 @@ func BenchmarkSpillScan(b *testing.B) {
 		b.ResetTimer()
 		var blackhole uint64
 		for i := 0; i < b.N; i++ {
-			ds.Scan(func(_ int, c *Chunk) {
+			scanWide(ds, func(_ int, c *Chunk) {
 				for j := range c.URLHash {
 					blackhole += c.URLHash[j] ^ uint64(c.IP[j]) ^ uint64(c.FQDN[j]) ^ uint64(c.Day[j])
 				}
@@ -120,7 +120,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := MustChunk(ds.Store, 0, nil)
+	c := wideChunk(ds.Store, 0)
 	if c.Len() < DefaultChunkRows {
 		b.Fatalf("bench capture has only %d rows; need a full chunk", c.Len())
 	}
@@ -150,7 +150,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 // BenchmarkScanCols measures the projection scan over the compressed
 // spill store. proj reads two of the nine columns in encoded form (the
 // run/dict views of an Analyze-shaped kernel); wide is the same data
-// through the decode-to-rows Scan for comparison; zonemap-skip prunes
+// through the decode-everything scanWide for comparison; zonemap-skip prunes
 // every chunk from its zone map alone, measuring the metadata-only
 // floor of a selective query. Bytes/op is the raw fixed-width
 // reference in all three, so MB/s is directly comparable.
@@ -189,7 +189,7 @@ func BenchmarkScanCols(b *testing.B) {
 	b.Run("wide", func(b *testing.B) {
 		b.SetBytes(sp.RawSize())
 		for i := 0; i < b.N; i++ {
-			ds.Scan(func(_ int, c *Chunk) {
+			scanWide(ds, func(_ int, c *Chunk) {
 				for j := range c.Country {
 					blackhole += uint64(c.Country[j]) + uint64(c.IP[j])
 				}

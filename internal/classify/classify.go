@@ -13,22 +13,21 @@
 // capture stream and stores each request as a compact interned row, so the
 // full 7.2M-request study fits comfortably in memory.
 //
-// Reads are columnar. MemStore serves full-width chunks for
-// row-at-a-time scans, and ScanStoreCols serves projected chunks for query pushdown: a
-// kernel reads only the columns it touches and receives each one in the
-// form the codec stored it — RLE runs, dictionary ids over a sorted
-// dictionary, or decoded fixed-width values — plus a per-chunk zone map
-// (min/max, class bitmap, distinct counts) computed at seal time and
-// persisted in the block frame, so scans prune chunks before reading a
-// byte of them. Every experiment kernel runs on the projected path, on
-// every store layout.
+// Reads are columnar and take one path. Every reader of a MemStore binds
+// its chunks to a ProjChunk (ScanStoreCols, Dataset.ScanCols,
+// ProjChunkAt): a kernel reads only the columns it touches and receives
+// each one in the form the codec stored it — RLE runs, dictionary ids
+// over a sorted dictionary, or decoded fixed-width values — plus a
+// per-chunk zone map (min/max, class bitmap, distinct counts) computed
+// at seal time and persisted in the block frame, so scans prune chunks
+// before reading a byte of them. Row-at-a-time readers (EachRow, Rows)
+// gather rows through the same projection. Every experiment kernel runs
+// on this path, on every store layout.
 package classify
 
 import (
 	"time"
 
-	"crossborder/internal/blocklist"
-	"crossborder/internal/browser"
 	"crossborder/internal/geodata"
 	"crossborder/internal/netsim"
 	"crossborder/internal/webgraph"
@@ -179,8 +178,8 @@ func (in *Interner) Len() int { return len(in.strs) }
 
 // Dataset is the collected, classified request log. Rows live in a
 // columnar MemStore (wide by default, compressed or spilled to disk on
-// request); consumers scan it chunk-wise via Scan/EachRow or directly
-// through Store for parallel scans.
+// request); consumers scan it chunk-wise via ScanCols/EachRow, or bind
+// chunks of Store with ProjChunkAt for parallel scans.
 type Dataset struct {
 	// Store holds the rows column-wise in fixed-size chunks.
 	Store *MemStore
@@ -204,28 +203,8 @@ func (d *Dataset) Len() int {
 	return d.Store.Len()
 }
 
-// Scan walks the store chunk by chunk in row order, drawing one decode
-// buffer from the shared pool and reusing it across chunks, so scans
-// over compressed or spilled stores add no per-chunk allocations. base
-// is the global index of the chunk's first row. A store read or decode
-// failure panics (see MustChunk): the aggregate paths scan stores this
-// process wrote, so losing one mid-scan is unrecoverable.
-func (d *Dataset) Scan(fn func(base int, c *Chunk)) {
-	if d.Store == nil {
-		return
-	}
-	buf := GetChunk()
-	defer PutChunk(buf)
-	base := 0
-	for i := 0; i < d.Store.NumChunks(); i++ {
-		c := MustChunk(d.Store, i, buf)
-		fn(base, c)
-		base += c.Len()
-	}
-}
-
 // ScanCols walks the store through the projection path (see
-// ScanStoreCols), the scan every experiment kernel runs on.
+// ScanStoreCols), the one chunk-wise scan of a dataset.
 func (d *Dataset) ScanCols(fn func(base int, pc *ProjChunk)) {
 	if d.Store == nil {
 		return
@@ -234,12 +213,12 @@ func (d *Dataset) ScanCols(fn func(base int, pc *ProjChunk)) {
 }
 
 // EachRow calls fn for every row in order, gathering each back into
-// array-of-structs form. i is the global row index. Chunk-wise scans
-// over the columns are cheaper when only a few columns matter.
+// array-of-structs form through ProjChunk.Row. i is the global row
+// index. ScanCols is cheaper when only a few columns matter.
 func (d *Dataset) EachRow(fn func(i int, r Row)) {
-	d.Scan(func(base int, c *Chunk) {
-		for i := 0; i < c.Len(); i++ {
-			fn(base+i, c.Row(i))
+	d.ScanCols(func(base int, pc *ProjChunk) {
+		for i := 0; i < pc.Len(); i++ {
+			fn(base+i, pc.Row(i))
 		}
 	})
 }
@@ -274,29 +253,6 @@ func (d *Dataset) Publisher(r Row) *webgraph.Publisher { return d.Publishers[r.P
 // Time reconstructs the (day-granular) timestamp of a row.
 func (d *Dataset) Time(r Row) time.Time { return d.Start.AddDate(0, 0, int(r.Day)) }
 
-// Collector is a browser.Sink that builds the Dataset and runs stage 1
-// (filter-list matching) online as requests arrive. It is the sequential
-// convenience wrapper around a one-shard ShardedCollector; parallel
-// pipelines use ShardedCollector directly.
-type Collector struct {
-	sc *ShardedCollector
-	sh *Shard
-}
-
-// NewCollector returns a collector classifying against the two lists.
-func NewCollector(graph *webgraph.Graph, easylist, easyprivacy *blocklist.List, start time.Time) *Collector {
-	sc := NewShardedCollector(graph, easylist, easyprivacy, start, 1)
-	return &Collector{sc: sc, sh: sc.Shard(0)}
-}
-
-// OnVisit implements browser.Sink.
-func (c *Collector) OnVisit(u *browser.User, p *webgraph.Publisher, at time.Time) {
-	c.sh.OnVisit(u, p, at)
-}
-
-// OnRequest implements browser.Sink: stage-1 classification + row storage.
-func (c *Collector) OnRequest(ev browser.Event) { c.sh.OnRequest(ev) }
-
 // containsKeyword scans a URL for the stage-3 vocabulary in one pass,
 // case-insensitively, without allocating.
 func containsKeyword(url string) bool {
@@ -316,21 +272,4 @@ func fnvAdd(h uint64, s string) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// Finalize runs stages 2 and 3 over the collected rows and returns the
-// dataset. The collector must not be used afterwards. Users are merged in
-// the order this collector first saw them, which for a sequential
-// simulation is exactly the browsing order.
-func (c *Collector) Finalize() *Dataset {
-	order := make([]capRef, len(c.sh.caps))
-	for i := range c.sh.caps {
-		order[i] = capRef{sh: c.sh, idx: i}
-	}
-	ds, err := c.sc.mergeInto(order, NewMemStore(), true)
-	if err != nil {
-		// Unreachable: the in-memory sink cannot fail.
-		panic("classify: " + err.Error())
-	}
-	return ds
 }

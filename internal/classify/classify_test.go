@@ -45,10 +45,22 @@ func rig(t *testing.T, seed int64, users []browser.CountryCount, visits int) *Da
 		t.Fatalf("easyprivacy: %v", errs)
 	}
 
-	col := NewCollector(g, el, ep, start)
 	sim := browser.NewSimulator(g, srv, browser.Config{VisitsPerUser: visits})
-	sim.Run(seed, browser.MakeUsers(users), col)
-	return col.Finalize()
+	return runSequential(t, g, el, ep, sim, seed, browser.MakeUsers(users))
+}
+
+// runSequential browses users on one goroutine into a one-shard
+// collector and merges them in browsing order into a wide store: the
+// sequential reference every parallel capture must reproduce.
+func runSequential(t testing.TB, g *webgraph.Graph, el, ep *blocklist.List, sim *browser.Simulator, seed int64, users []*browser.User) *Dataset {
+	t.Helper()
+	sc := NewShardedCollector(g, el, ep, start, 1)
+	sim.Run(seed, users, sc.Shard(0))
+	ds, err := sc.FinalizeInto(users, NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 func TestClassStrings(t *testing.T) {
@@ -367,16 +379,17 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 	users := browser.MakeUsers([]browser.CountryCount{{Country: "DE", Users: 4}, {Country: "ES", Users: 3}})
 	sim := browser.NewSimulator(g, srv, browser.Config{VisitsPerUser: 20})
 
-	seq := NewCollector(g, el, ep, start)
-	sim.Run(5, users, seq)
-	seqDS := seq.Finalize()
+	seqDS := runSequential(t, g, el, ep, sim, 5, users)
 
 	const workers = 3
 	sc := NewShardedCollector(g, el, ep, start, workers)
 	sim.RunWorkers(5, users, workers, func(w int) []browser.Sink {
 		return []browser.Sink{sc.Shard(w)}
 	})
-	parDS := sc.Finalize(users)
+	parDS, err := sc.FinalizeInto(users, NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	datasetsEqual(t, seqDS, parDS)
 }

@@ -49,9 +49,9 @@ import (
 // (per-column min/max + distinct count + seal-time class bitmap) the
 // projection scan path uses to skip chunks without decoding them.
 //
-// One parser, parseFrame, reads this layout for every consumer (wide
-// decode, zone-map extraction, the projection path, checkpoint
-// restore), and one column decoder, decodeColumnView, decodes payloads
+// One parser, parseFrame, reads this layout for every consumer (the
+// projection path, zone-map extraction, checkpoint restore and the
+// full-width decode of shard exports), and one column decoder, decodeColumnView, decodes payloads
 // for all of them. Both are hardened: the checksum is verified first,
 // unknown column tags are rejected, every declared length is validated
 // against caps derived from the caller-supplied row count before any
@@ -281,11 +281,10 @@ func parseFrame(block []byte, wantRows int, f *frame) error {
 
 // ChunkCodec holds the reusable scratch of the chunk codec: staging
 // buffers, the dictionary, the LZ4 hash chain, and the one-column
-// decode view the wide decode widens from. It
-// is not safe for concurrent use; each worker borrows one (they are
-// sync.Pool-backed via GetCodec/PutCodec, and a Chunk decode buffer
-// lazily attaches one so per-worker scan loops reuse a single codec
-// across all their chunk loads).
+// decode view the wide decode widens from. It is not safe for
+// concurrent use; each worker borrows one (they are sync.Pool-backed
+// via GetCodec/PutCodec), and each ProjChunk owns one for its column
+// decodes.
 type ChunkCodec struct {
 	vals   []uint64 // staged column values
 	dict   []uint64 // sorted distinct values
@@ -321,21 +320,14 @@ func GetCodec() *ChunkCodec { return codecPool.Get().(*ChunkCodec) }
 // PutCodec returns a codec to the pool.
 func PutCodec(cc *ChunkCodec) { codecPool.Put(cc) }
 
-// codec returns the chunk buffer's attached codec, borrowing one on
-// first use. Scan loops that reuse one Chunk buffer per worker thereby
-// reuse one codec across every chunk they load.
-func (c *Chunk) codec() *ChunkCodec {
-	if c.cc == nil {
-		c.cc = GetCodec()
-	}
-	return c.cc
-}
-
-// DecodeBlockInto decodes a framed codec block into buf through buf's
-// attached codec scratch. It is the entry point for code outside this
-// package that holds codec blocks (the fan-in decodes shard exports).
+// DecodeBlockInto decodes a framed codec block into buf's nine wide
+// columns through a pooled codec. It is the full-width decode for
+// blocks that come from outside the process (the fan-in decodes shard
+// exports); reads of a store go through ProjChunk instead.
 func DecodeBlockInto(block []byte, rows int, buf *Chunk) error {
-	return buf.codec().DecodeBlock(block, rows, buf)
+	cc := GetCodec()
+	defer PutCodec(cc)
+	return cc.DecodeBlock(block, rows, buf)
 }
 
 func uvarintLen(v uint64) int {
@@ -345,52 +337,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// stage gathers column col of c into cc.vals.
-func (cc *ChunkCodec) stage(c *Chunk, col int) {
-	n := c.Len()
-	if cap(cc.vals) < n {
-		cc.vals = make([]uint64, n)
-	}
-	vals := cc.vals[:n]
-	switch col {
-	case 0:
-		copy(vals, c.URLHash)
-	case 1:
-		for i, v := range c.IP {
-			vals[i] = uint64(uint32(v))
-		}
-	case 2:
-		for i, v := range c.FQDN {
-			vals[i] = uint64(v)
-		}
-	case 3:
-		for i, v := range c.RefFQDN {
-			vals[i] = uint64(v)
-		}
-	case 4:
-		for i, v := range c.Publisher {
-			vals[i] = uint64(uint32(v))
-		}
-	case 5:
-		for i, v := range c.User {
-			vals[i] = uint64(uint32(v))
-		}
-	case 6:
-		for i, v := range c.Day {
-			vals[i] = uint64(v)
-		}
-	case 7:
-		for i, v := range c.Country {
-			vals[i] = uint64(v)
-		}
-	case 8:
-		for i, v := range c.Flags {
-			vals[i] = uint64(v)
-		}
-	}
-	cc.vals = vals
 }
 
 // scatter writes decoded values back into column col of buf, whose
@@ -471,7 +417,7 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.Len()))
 	cc.encZone = ZoneMap{}
 	for col := 0; col < numCols; col++ {
-		cc.stage(c, col)
+		cc.vals = c.gather(ColID(col), cc.vals)
 		for i, v := range cc.vals {
 			if i == 0 || v < cc.encZone.Min[col] {
 				cc.encZone.Min[col] = v
@@ -638,8 +584,8 @@ func bitsFor(n int) int {
 }
 
 // DecodeBlock decodes a framed block into buf's nine wide columns
-// (Class is left untouched; the store patches in its resident class
-// slice). wantRows >= 0 requires the block to declare exactly that row
+// (Class is left untouched: a sealed chunk's classes live beside its
+// block, and the caller attaches them). wantRows >= 0 requires the block to declare exactly that row
 // count; wantRows < 0 accepts up to maxFuzzRows. All declared lengths
 // are validated against row-count-derived caps before anything is
 // allocated, so corrupt or forged blocks return an error instead of
@@ -653,14 +599,19 @@ func (cc *ChunkCodec) DecodeBlock(block []byte, wantRows int, buf *Chunk) error 
 }
 
 // decodeFrame decodes a parsed frame's columns one at a time into the
-// codec's view scratch, widening each into buf.
+// codec's view scratch, widening each into buf. A nil buf only
+// validates every column payload.
 func (cc *ChunkCodec) decodeFrame(f *frame, buf *Chunk) error {
-	buf.reset(f.rows)
+	if buf != nil {
+		buf.reset(f.rows)
+	}
 	for col := 0; col < numCols; col++ {
 		if err := cc.decodeColumnView(f, col, &cc.view); err != nil {
 			return fmt.Errorf("column %d: %w", col, err)
 		}
-		scatter(buf, col, cc.view.widen(f.rows))
+		if buf != nil {
+			scatter(buf, col, cc.view.widen(f.rows))
+		}
 	}
 	return nil
 }

@@ -155,16 +155,17 @@ func TestMemStoreCompressedMatchesWide(t *testing.T) {
 		}
 	}
 	// The class column must stay resident and shared in compressed
-	// mode: a write through Classes is visible through a decoded view.
+	// mode: a write through Classes is visible through a projected view.
 	comp.Classes(2)[9] = ClassSemiKeyword
-	var buf Chunk
-	if c := MustChunk(comp, 2, &buf); c.Class[9] != ClassSemiKeyword {
-		t.Fatal("class write not visible through decoded compressed chunk")
+	pc := ProjChunkAt(comp, 2, GetProj())
+	defer PutProj(pc)
+	if pc.Class[9] != ClassSemiKeyword {
+		t.Fatal("class write not visible through projected compressed chunk")
 	}
 }
 
 // TestSemiStagesOverCompressedStore: the fixpoint mutates Class through
-// decoded chunk views, so over a compressed store it must label every
+// projected chunk views, so over a compressed store it must label every
 // row exactly as one one-shot run over a wide store does, at every
 // worker count, whether the rows arrive at once or in random epochs.
 func TestSemiStagesOverCompressedStore(t *testing.T) {
@@ -210,8 +211,8 @@ func TestSemiStagesOverCompressedStore(t *testing.T) {
 	}
 }
 
-// corruptSpill builds a small compressed spill store and returns it
-// with its first block's framing for corruption tests.
+// corruptSpillStore builds a small compressed spill store for
+// corruption tests.
 func corruptSpillStore(t *testing.T) *MemStore {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
@@ -230,14 +231,23 @@ func corruptSpillStore(t *testing.T) *MemStore {
 	return sp
 }
 
+// loadChunk runs the projection path's error-returning load step on
+// chunk i of st: the spill read and the frame parse a first column
+// access performs before it panics on failure.
+func loadChunk(st *MemStore, i int) error {
+	pc := ProjChunkAt(st, i, GetProj())
+	defer PutProj(pc)
+	return pc.load()
+}
+
 func TestSpillChunkErrorsOnTruncation(t *testing.T) {
 	sp := corruptSpillStore(t)
 	if err := sp.file.f.Truncate(sp.blockStart(len(sp.ends)-1) + 3); err != nil {
 		t.Fatal(err)
 	}
 	last := sp.NumChunks() - 1
-	if _, err := sp.Chunk(last, nil); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("Chunk on truncated file = %v, want truncation error", err)
+	if err := loadChunk(sp, last); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("load on truncated file = %v, want truncation error", err)
 	}
 }
 
@@ -247,9 +257,9 @@ func TestSpillChunkErrorsOnBadChecksum(t *testing.T) {
 	if _, err := sp.file.f.WriteAt([]byte{0xA5}, sp.blockStart(1)+(sp.ends[1]-sp.blockStart(1))/2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sp.Chunk(1, nil)
+	err := loadChunk(sp, 1)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("Chunk on corrupted block = %v, want checksum error", err)
+		t.Fatalf("load on corrupted block = %v, want checksum error", err)
 	}
 }
 
@@ -270,9 +280,9 @@ func TestSpillChunkErrorsOnForgedSizes(t *testing.T) {
 	if _, err := sp.file.f.WriteAt(forged, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sp.Chunk(0, nil)
+	err := loadChunk(sp, 0)
 	if err == nil || !strings.Contains(err.Error(), "rows") {
-		t.Fatalf("Chunk with forged row count = %v, want declared-size error", err)
+		t.Fatalf("load with forged row count = %v, want declared-size error", err)
 	}
 }
 

@@ -101,13 +101,12 @@ func TestFreezeIsolatesLaterWrites(t *testing.T) {
 	}
 }
 
-// writeThrough appends a sentinel to every column of every chunk view
-// the frozen store hands out, discarding the results: on a capped view
+// writeThrough appends a sentinel to every column of every wide chunk
+// view the frozen store holds, discarding the results: on a capped view
 // each append reallocates, on an uncapped one it writes into the live
 // store's spare capacity.
 func writeThrough(fr *MemStore) {
-	for ci := 0; ci < fr.NumChunks(); ci++ {
-		c := MustChunk(fr, ci, nil)
+	for _, c := range fr.wide {
 		_ = append(c.URLHash, ^uint64(0))
 		_ = append(c.IP, ^c.IP[0])
 		_ = append(c.FQDN, ^uint32(0))

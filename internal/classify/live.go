@@ -138,15 +138,22 @@ type LiveSemi struct {
 	ds      *Dataset
 	workers int
 	pool    *workerPool
-	pcs     []*ProjChunk // per-worker projection buffers for the rounds
 	inLTF   []bool
 	rows    int
-	// cand holds the global indices of settled rows that could still
-	// convert — clean, argument-carrying, with a referrer — in index
-	// order. Rounds scan only this list (and drop entries as they
-	// convert), so per-epoch fixpoint cost is proportional to the
-	// convertible frontier, not to the whole store.
-	cand []int
+	// cand holds the settled rows that could still convert — clean,
+	// argument-carrying, with a referrer — in index order. Rounds scan
+	// only this list (and drop entries as they convert), so per-epoch
+	// fixpoint cost is proportional to the convertible frontier, not to
+	// the whole store.
+	cand []candRow
+}
+
+// candRow is one convertible row: its global index and the two columns
+// a round tests, carried from the pass that found it so that rounds
+// never read the store beyond the resident class column.
+type candRow struct {
+	g         int
+	fqdn, ref uint32
 }
 
 // NewLiveSemi returns an incremental fixpoint over ds (which may already
@@ -156,11 +163,7 @@ func NewLiveSemi(ds *Dataset, workers int) *LiveSemi {
 	if workers < 1 {
 		workers = 1
 	}
-	pcs := make([]*ProjChunk, workers)
-	for i := range pcs {
-		pcs[i] = &ProjChunk{}
-	}
-	return &LiveSemi{ds: ds, workers: workers, pool: newWorkerPool(workers), pcs: pcs}
+	return &LiveSemi{ds: ds, workers: workers, pool: newWorkerPool(workers)}
 }
 
 // Close releases the worker pool. The LiveSemi must not be used
@@ -203,28 +206,26 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 	// (keyword + arguments) converts unconditionally, and the remaining
 	// convertible rows — clean with arguments and a referrer — join the
 	// candidate frontier the rounds below scan.
-	buf := GetChunk()
-	defer PutChunk(buf)
+	pc := GetProj()
+	defer PutProj(pc)
 	chunkRows := st.ChunkRows()
 	firstChunk := prev / chunkRows
 	for ci := firstChunk; ci < st.NumChunks(); ci++ {
-		c := MustChunk(st, ci, buf)
+		ProjChunkAt(st, ci, pc)
+		cls := pc.Class
+		fq, flags, rf := pc.Wide(ColFQDN), pc.Wide(ColFlags), pc.Wide(ColRefFQDN)
 		base := ci * chunkRows
-		lo := 0
-		if base < prev {
-			lo = prev - base
-		}
-		for i := lo; i < c.Len(); i++ {
-			switch {
-			case c.Class[i] == ClassABP:
-				ls.inLTF[c.FQDN[i]] = true
-			case c.Class[i] != ClassClean || c.Flags[i]&FlagHasArgs == 0:
+		for i := max(prev-base, 0); i < len(cls); i++ {
+			switch f := uint8(flags[i]); {
+			case cls[i] == ClassABP:
+				ls.inLTF[fq[i]] = true
+			case cls[i] != ClassClean || f&FlagHasArgs == 0:
 				// Already converted, or never convertible.
-			case c.Flags[i]&FlagKeyword != 0:
-				c.Class[i] = ClassSemiKeyword
-				ls.inLTF[c.FQDN[i]] = true
-			case c.RefFQDN[i] != 0:
-				ls.cand = append(ls.cand, base+i)
+			case f&FlagKeyword != 0:
+				cls[i] = ClassSemiKeyword
+				ls.inLTF[fq[i]] = true
+			case rf[i] != 0:
+				ls.cand = append(ls.cand, candRow{g: base + i, fqdn: uint32(fq[i]), ref: uint32(rf[i])})
 			}
 		}
 	}
@@ -235,51 +236,33 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 	// outcome because each round reads a frozen inLTF; scanning only
 	// candidates keeps each round O(frontier) instead of O(store),
 	// which is what bounds epoch-commit latency on a long-lived
-	// collector. The candidate list is ascending, so it partitions into
-	// per-chunk runs; workers take whole runs round-robin and project
-	// each chunk once into a persistent per-worker buffer. Only the
-	// FQDN and RefFQDN columns leave the chunk (the resident class
-	// column is mutated in place), so a round decodes 2 of 9 columns
-	// per touched chunk even when the store keeps sealed chunks
-	// compressed.
+	// collector. Workers take equal contiguous slices of the frontier.
+	// A candidate carries its FQDN and referrer, so a round touches the
+	// store only to write the resident class column of a row that
+	// converts.
 	type roundOut struct {
 		newLTF  []uint32
 		flipped []int
 	}
-	type candRun struct{ chunk, lo, hi int }
-	var runs []candRun
 	for {
-		runs = runs[:0]
-		for lo := 0; lo < len(ls.cand); {
-			ci := ls.cand[lo] / chunkRows
-			hi := lo + 1
-			for hi < len(ls.cand) && ls.cand[hi]/chunkRows == ci {
-				hi++
-			}
-			runs = append(runs, candRun{chunk: ci, lo: lo, hi: hi})
-			lo = hi
-		}
 		outs := make([]roundOut, ls.workers)
 		ls.pool.run(func(w int) {
 			out := &outs[w]
-			for r := w; r < len(runs); r += ls.workers {
-				run := runs[r]
-				pc := ProjChunkAt(st, run.chunk, ls.pcs[w])
-				cls := pc.Class
-				fq := pc.Wide(ColFQDN)
-				rf := pc.Wide(ColRefFQDN)
-				for k := run.lo; k < run.hi; k++ {
-					g := ls.cand[k]
-					i := g % chunkRows
-					if ls.inLTF[uint32(rf[i])] {
-						cls[i] = ClassSemiReferrer
-						if f := uint32(fq[i]); !ls.inLTF[f] {
-							out.newLTF = append(out.newLTF, f)
-						}
-						if g < prev {
-							out.flipped = append(out.flipped, g)
-						}
-					}
+			n := len(ls.cand)
+			chunk, cls := -1, []Class(nil)
+			for _, c := range ls.cand[w*n/ls.workers : (w+1)*n/ls.workers] {
+				if !ls.inLTF[c.ref] {
+					continue
+				}
+				if ci := c.g / chunkRows; ci != chunk {
+					chunk, cls = ci, st.Classes(ci)
+				}
+				cls[c.g%chunkRows] = ClassSemiReferrer
+				if !ls.inLTF[c.fqdn] {
+					out.newLTF = append(out.newLTF, c.fqdn)
+				}
+				if c.g < prev {
+					out.flipped = append(out.flipped, c.g)
 				}
 			}
 		})
@@ -296,9 +279,9 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 		// Compact: drop the candidates that converted this round
 		// (in-place, order-preserving).
 		live := ls.cand[:0]
-		for _, g := range ls.cand {
-			if st.Classes(g / chunkRows)[g%chunkRows] == ClassClean {
-				live = append(live, g)
+		for _, c := range ls.cand {
+			if st.Classes(c.g / chunkRows)[c.g%chunkRows] == ClassClean {
+				live = append(live, c)
 			}
 		}
 		ls.cand = live
@@ -308,7 +291,7 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 	}
 	ls.rows = total
 	// Ascending order makes the report deterministic and lets the
-	// caller walk flipped rows chunk by chunk with one decode buffer.
+	// caller walk flipped rows chunk by chunk with one ProjChunk.
 	sort.Ints(flipped)
 	return flipped
 }

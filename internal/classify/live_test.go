@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,4 +110,64 @@ func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 // column.
 func trackingAt(st *MemStore, global int) bool {
 	return st.Classes(global / st.ChunkRows())[global%st.ChunkRows()].IsTracking()
+}
+
+// TestLiveSemiRestoreResumesFixpoint: a fixpoint restored from another
+// one's Frontier over the same store, as checkpoint recovery does,
+// reads each candidate's FQDN and referrer back from the store and
+// finishes the later epochs exactly as the one-shot run labels them. A
+// frontier naming a row past the settled ones, or a candidate whose
+// ids the interner does not hold, is rejected.
+func TestLiveSemiRestoreResumesFixpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	// Hostnames sparse enough that candidates outlive the first epoch.
+	const numFQDN = 3000
+	rows := randomRows(rng, 3000, numFQDN)
+	in := NewInterner()
+	for i := 1; i < numFQDN; i++ {
+		in.ID(fmt.Sprintf("h%d.x", i))
+	}
+	want := semiReference(t, &Dataset{FQDNs: in}, rows)
+	for _, compress := range []bool{false, true} {
+		st := NewMemStoreChunked(256)
+		if compress {
+			st = NewMemStoreCompressed(256)
+		}
+		ds := &Dataset{FQDNs: in, Store: st}
+		for _, r := range rows[:1700] {
+			st.Append(r)
+		}
+		before := NewLiveSemi(ds, 2)
+		before.Extend()
+		ltf, cand := before.Frontier()
+		before.Close()
+		if len(cand) == 0 {
+			t.Fatal("no candidates survive the first epoch; the restore has nothing to read")
+		}
+
+		ls := NewLiveSemi(ds, 3)
+		if err := ls.Restore(before.SettledRows(), ltf, cand); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows[1700:] {
+			st.Append(r)
+		}
+		ls.Extend()
+		ls.Close()
+		for i, r := range ds.Rows() {
+			if r != want[i] {
+				t.Fatalf("compressed=%v row %d: %+v, one-shot %+v", compress, i, r, want[i])
+			}
+		}
+
+		bad := NewLiveSemi(ds, 1)
+		if err := bad.Restore(1700, ltf, append(cand, 1700)); err == nil {
+			t.Error("Restore accepted a candidate past the settled rows")
+		}
+		bad.ds = &Dataset{FQDNs: internerOfSize(2), Store: st}
+		if err := bad.Restore(1700, nil, cand); err == nil {
+			t.Error("Restore accepted candidates naming FQDNs outside the interner")
+		}
+		bad.Close()
+	}
 }

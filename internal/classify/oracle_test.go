@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"crossborder/internal/geodata"
@@ -13,9 +14,60 @@ import (
 )
 
 // The row oracles below are reference implementations of the report
-// kernels: each walks full-width chunks with Dataset.Scan and
-// aggregates row by row, the obvious way. TestKernelsMatchRowOracle
-// pins the projection kernels to them.
+// kernels: each walks full-width chunks with scanWide and aggregates
+// row by row, the obvious way. TestKernelsMatchRowOracle pins the
+// projection kernels to them.
+
+// wideScratch is the decode scratch of the full-width oracle read: the
+// spill read buffer, a wide chunk and a codec.
+type wideScratch struct {
+	raw []byte
+	buf Chunk
+	cc  ChunkCodec
+}
+
+var wideScratchPool = sync.Pool{New: func() any { return new(wideScratch) }}
+
+// load returns chunk i of st with all nine columns wide: a wide chunk
+// resident, a sealed one decoded whole into s.buf with the store's
+// resident class column. The result is valid until s is reused.
+func (s *wideScratch) load(st *MemStore, i int) *Chunk {
+	block, err := st.BlockBytes(i, &s.raw)
+	if err != nil {
+		panic(err)
+	}
+	if block == nil {
+		return st.wide[i-len(st.classes)]
+	}
+	if err := s.cc.DecodeBlock(block, len(st.classes[i]), &s.buf); err != nil {
+		panic(err)
+	}
+	s.buf.Class = st.classes[i]
+	return &s.buf
+}
+
+// wideChunk returns chunk i of st with all nine columns wide, in a
+// buffer of its own.
+func wideChunk(st *MemStore, i int) *Chunk { return new(wideScratch).load(st, i) }
+
+// scanWide walks ds chunk by chunk in row order with every column
+// decoded, drawing its scratch from a pool so repeated scans allocate
+// nothing: the decode-everything read that the projection path
+// replaced, kept as the row oracles' scan. base is the global index of
+// the chunk's first row.
+func scanWide(ds *Dataset, fn func(base int, c *Chunk)) {
+	s := wideScratchPool.Get().(*wideScratch)
+	defer func() {
+		s.buf.Class = nil
+		wideScratchPool.Put(s)
+	}()
+	base := 0
+	for i := 0; i < ds.Store.NumChunks(); i++ {
+		c := s.load(ds.Store, i)
+		fn(base, c)
+		base += c.Len()
+	}
+}
 
 // rowTable2 is ComputeTable2's row oracle.
 func rowTable2(ds *Dataset) Table2 {
@@ -29,7 +81,7 @@ func rowTable2(ds *Dataset) Table2 {
 	for _, a := range []*agg{&abp, &semi, &tot} {
 		a.fqdns, a.tlds, a.urls = map[uint32]bool{}, map[string]bool{}, map[uint64]bool{}
 	}
-	ds.Scan(func(_ int, c *Chunk) {
+	scanWide(ds, func(_ int, c *Chunk) {
 		for i, cls := range c.Class {
 			if !cls.IsTracking() {
 				continue
@@ -121,7 +173,7 @@ func setTable2(ds *Dataset) Table2 {
 func rowPerSiteCounts(ds *Dataset) []SiteCounts {
 	clean := make([]int64, len(ds.Publishers))
 	tracking := make([]int64, len(ds.Publishers))
-	ds.Scan(func(_ int, c *Chunk) {
+	scanWide(ds, func(_ int, c *Chunk) {
 		for i, cls := range c.Class {
 			if cls.IsTracking() {
 				tracking[c.Publisher[i]]++
@@ -143,7 +195,7 @@ func rowPerSiteCounts(ds *Dataset) []SiteCounts {
 // rowTopTrackingTLDs is TopTrackingTLDs' row oracle.
 func rowTopTrackingTLDs(ds *Dataset, n int) []TLDSplit {
 	split := make(map[string]*TLDSplit)
-	ds.Scan(func(_ int, c *Chunk) {
+	scanWide(ds, func(_ int, c *Chunk) {
 		for i, cls := range c.Class {
 			if !cls.IsTracking() {
 				continue
@@ -180,7 +232,7 @@ func rowTopTrackingTLDs(ds *Dataset, n int) []TLDSplit {
 // rowScore is Score's row oracle.
 func rowScore(ds *Dataset) Accuracy {
 	var a Accuracy
-	ds.Scan(func(_ int, c *Chunk) {
+	scanWide(ds, func(_ int, c *Chunk) {
 		for i, cls := range c.Class {
 			truth := c.Flags[i]&FlagTruthing != 0
 			switch {
@@ -202,7 +254,7 @@ func rowScore(ds *Dataset) Accuracy {
 func rowComputeStats(ds *Dataset) DatasetStats {
 	users := make(map[int32]bool)
 	fqdns := make(map[uint32]bool)
-	ds.Scan(func(_ int, c *Chunk) {
+	scanWide(ds, func(_ int, c *Chunk) {
 		for i := range c.User {
 			users[c.User[i]] = true
 			fqdns[c.FQDN[i]] = true
@@ -228,10 +280,10 @@ func runSemiStagesSequential(ds *Dataset) {
 	// LTF membership at FQDN granularity: an FQDN is "in the LTF" once
 	// any request to it is classified as tracking.
 	inLTF := make([]bool, ds.FQDNs.Len())
-	buf := GetChunk()
-	defer PutChunk(buf)
+	buf := wideScratchPool.Get().(*wideScratch)
+	defer wideScratchPool.Put(buf)
 	for ci := 0; ci < st.NumChunks(); ci++ {
-		c := MustChunk(st, ci, buf)
+		c := buf.load(st, ci)
 		for i, cls := range c.Class {
 			if cls == ClassABP {
 				inLTF[c.FQDN[i]] = true
@@ -243,7 +295,7 @@ func runSemiStagesSequential(ds *Dataset) {
 		// Stage 2: a request with arguments whose referrer FQDN is
 		// already tracking becomes tracking.
 		for ci := 0; ci < st.NumChunks(); ci++ {
-			c := MustChunk(st, ci, buf)
+			c := buf.load(st, ci)
 			for i := range c.Class {
 				if c.Class[i] != ClassClean || c.Flags[i]&FlagHasArgs == 0 || c.RefFQDN[i] == 0 {
 					continue
@@ -259,7 +311,7 @@ func runSemiStagesSequential(ds *Dataset) {
 		}
 		// Stage 3: keyword + arguments heuristic for the remainder.
 		for ci := 0; ci < st.NumChunks(); ci++ {
-			c := MustChunk(st, ci, buf)
+			c := buf.load(st, ci)
 			for i := range c.Class {
 				if c.Class[i] == ClassClean && c.Flags[i]&FlagHasArgs != 0 && c.Flags[i]&FlagKeyword != 0 {
 					c.Class[i] = ClassSemiKeyword

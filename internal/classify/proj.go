@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"crossborder/internal/netsim"
 )
 
-// This file implements the column-projection scan path: ScanStoreCols
-// hands kernels a ProjChunk that loads only the columns they access,
-// in encoded form where that is profitable — RLE columns as
-// (value, run) pairs that aggregate arithmetically, dictionary columns
-// as the sorted dictionary plus the per-row id stream so predicates
-// translate once per chunk into id sets, wide values only for raw
-// columns. Nothing is read or decoded until the first column
-// access, so a kernel that inspects the zone map or the resident class
-// column and declines the chunk skips the block fetch and every decode
-// entirely.
+// This file implements the column-projection scan path, the one read
+// path of the row store: ScanStoreCols (and ProjChunkAt, for workers
+// that stripe chunks themselves) hands kernels a ProjChunk that loads
+// only the columns they access, in encoded form where that is
+// profitable — RLE columns as (value, run) pairs that aggregate
+// arithmetically, dictionary columns as the sorted dictionary plus the
+// per-row id stream so predicates translate once per chunk into id
+// sets, wide values only for raw columns. Nothing is read or decoded
+// until the first column access, so a kernel that inspects the zone
+// map or the resident class column and declines the chunk skips the
+// block fetch and every decode entirely.
 
 // ColID names one of the nine spilled columns, in frame order.
 type ColID uint8
@@ -103,36 +106,41 @@ func (v *ColView) widen(n int) []uint64 {
 	return vals
 }
 
-// Scan-path counters, exposed on the daemons' /metrics endpoints.
+// Scan-path counters, exposed on the daemons' /metrics endpoints:
+// chunks bound to a ProjChunk, and the subset whose backing was
+// fetched.
 var (
-	statChunksScanned atomic.Int64
-	statChunksSkipped atomic.Int64
+	statChunksBound   atomic.Int64
+	statChunksFetched atomic.Int64
 )
 
 // ScanStats is a snapshot of the process-wide projection-scan counters.
 type ScanStats struct {
-	// ChunksScanned counts chunks offered to ScanCols kernels;
-	// ChunksSkipped counts the subset the kernel declined without
-	// loading a single column (zone-map or class-bitmap pruning).
+	// ChunksScanned counts chunks bound to a ProjChunk (ScanCols scans
+	// and ProjChunkAt alike); ChunksSkipped counts the subset released
+	// without loading a single column (zone-map or class-bitmap
+	// pruning).
 	ChunksScanned int64
 	ChunksSkipped int64
 }
 
 // ReadScanStats returns the current counter values.
 func ReadScanStats() ScanStats {
-	return ScanStats{
-		ChunksScanned: statChunksScanned.Load(),
-		ChunksSkipped: statChunksSkipped.Load(),
-	}
+	// Every fetch follows its bind, so loading fetched first keeps
+	// skipped non-negative under concurrent scans.
+	fetched := statChunksFetched.Load()
+	bound := statChunksBound.Load()
+	return ScanStats{ChunksScanned: bound, ChunksSkipped: bound - fetched}
 }
 
 // ProjChunk is one chunk as seen by the projection scan path. Zone
 // (nil when the chunk has no zone map) and the resident Class column
 // are available immediately; spilled columns load lazily on first
 // access, so a kernel that returns without touching any column costs
-// one class-slice lookup and nothing else. Load failures panic with
-// MustChunk's rationale: the scan pipelines read stores this process
-// wrote moments earlier.
+// one class-slice lookup and nothing else. Load failures panic: the
+// scan pipelines read stores this process wrote moments earlier, so a
+// failure means the backing data was lost under them and no caller can
+// do better than fail loudly (load is the error-returning step).
 type ProjChunk struct {
 	Zone  *ZoneMap
 	Class []Class
@@ -148,7 +156,7 @@ type ProjChunk struct {
 	views   [numCols]ColView
 	wide    *Chunk // the resident wide chunk, when the chunk is not sealed
 	scratch []byte
-	cc      *ChunkCodec
+	cc      ChunkCodec // column decode scratch
 }
 
 var projPool = sync.Pool{New: func() any { return new(ProjChunk) }}
@@ -170,10 +178,11 @@ func PutProj(pc *ProjChunk) {
 	projPool.Put(pc)
 }
 
-// ProjChunkAt binds pc to chunk i of st, mirroring MustChunk for
-// parallel workers that stripe chunk ranges themselves. Nothing is read
-// until the first column access.
+// ProjChunkAt binds pc to chunk i of st, for parallel workers that
+// stripe chunk ranges themselves. Nothing is read until the first
+// column access.
 func ProjChunkAt(st *MemStore, i int, pc *ProjChunk) *ProjChunk {
+	statChunksBound.Add(1)
 	pc.st, pc.ci = st, i
 	pc.Class = st.Classes(i)
 	pc.rows = len(pc.Class)
@@ -188,38 +197,39 @@ func ProjChunkAt(st *MemStore, i int, pc *ProjChunk) *ProjChunk {
 // Len returns the chunk's row count.
 func (pc *ProjChunk) Len() int { return pc.rows }
 
-// Loaded reports whether any column has been materialized — the
-// chunk-skip accounting test.
-func (pc *ProjChunk) Loaded() bool { return pc.fetched }
-
-func (pc *ProjChunk) codec() *ChunkCodec {
-	if pc.cc == nil {
-		pc.cc = GetCodec()
-	}
-	return pc.cc
-}
-
-// fetch pulls the chunk's backing: the framed block for sealed chunks
-// (parsed by parseFrame; its zone map fills in when none is resident),
-// or the wide chunk for everything else. Payloads stay encoded until a
-// column is asked for.
+// fetch pulls the chunk's backing through load, panicking on its
+// error.
 func (pc *ProjChunk) fetch() {
 	pc.fetched = true
-	block, err := pc.st.BlockBytes(pc.ci, &pc.scratch)
+	statChunksFetched.Add(1)
+	if err := pc.load(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// load pulls the chunk's backing: the framed block for sealed chunks
+// (parsed by parseFrame; its zone map fills in when none is resident),
+// or the resident wide chunk for everything else. Payloads stay encoded
+// until a column is asked for. A short read, checksum mismatch or
+// malformed frame is returned as an error.
+func (pc *ProjChunk) load() error {
+	st := pc.st
+	block, err := st.BlockBytes(pc.ci, &pc.scratch)
 	if err != nil {
-		panic(fmt.Sprintf("classify: read block %d: %v", pc.ci, err))
+		return err
 	}
-	if block != nil {
-		if err := parseFrame(block, pc.rows, &pc.fr); err != nil {
-			panic(fmt.Sprintf("classify: project chunk %d: %v", pc.ci, err))
-		}
-		if pc.Zone == nil && pc.fr.hasZone {
-			pc.Zone = &pc.fr.zone
-		}
-		pc.block = block
-		return
+	if block == nil {
+		pc.wide = st.wide[pc.ci-len(st.classes)]
+		return nil
 	}
-	pc.wide = MustChunk(pc.st, pc.ci, nil) // wide chunks load resident
+	if err := parseFrame(block, pc.rows, &pc.fr); err != nil {
+		return fmt.Errorf("classify: project chunk %d: %w", pc.ci, err)
+	}
+	if pc.Zone == nil && pc.fr.hasZone {
+		pc.Zone = &pc.fr.zone
+	}
+	pc.block = block
+	return nil
 }
 
 // Col returns column c's view, materializing it on first access: a
@@ -234,60 +244,18 @@ func (pc *ProjChunk) Col(c ColID) *ColView {
 		pc.fetch()
 	}
 	if pc.block != nil {
-		if err := pc.codec().decodeColumnView(&pc.fr, int(c), v); err != nil {
+		if err := pc.cc.decodeColumnView(&pc.fr, int(c), v); err != nil {
 			panic(fmt.Sprintf("classify: decode chunk %d column %d: %v", pc.ci, c, err))
 		}
 	} else {
-		pc.viewFromWide(c, v)
+		// A copy, never an alias: the view scratch is written to by
+		// later decodes of the pooled ProjChunk.
+		v.Vals = pc.wide.gather(c, v.Vals)
+		v.Form = ViewWide
+		pc.widened |= 1 << c
 	}
 	pc.loaded |= 1 << c
 	return v
-}
-
-// viewFromWide fills v from the resident wide chunk, copying into v's
-// own scratch (never aliasing resident store memory: the view scratch
-// is written to by later decodes of the pooled ProjChunk).
-func (pc *ProjChunk) viewFromWide(c ColID, v *ColView) {
-	w := pc.wide
-	vals := v.wideBuf(w.Len())
-	switch c {
-	case ColURLHash:
-		copy(vals, w.URLHash)
-	case ColIP:
-		for i, x := range w.IP {
-			vals[i] = uint64(uint32(x))
-		}
-	case ColFQDN:
-		for i, x := range w.FQDN {
-			vals[i] = uint64(x)
-		}
-	case ColRefFQDN:
-		for i, x := range w.RefFQDN {
-			vals[i] = uint64(x)
-		}
-	case ColPublisher:
-		for i, x := range w.Publisher {
-			vals[i] = uint64(uint32(x))
-		}
-	case ColUser:
-		for i, x := range w.User {
-			vals[i] = uint64(uint32(x))
-		}
-	case ColDay:
-		for i, x := range w.Day {
-			vals[i] = uint64(x)
-		}
-	case ColCountry:
-		for i, x := range w.Country {
-			vals[i] = uint64(x)
-		}
-	case ColFlags:
-		for i, x := range w.Flags {
-			vals[i] = uint64(x)
-		}
-	}
-	v.Form = ViewWide
-	pc.widened |= 1 << c
 }
 
 // Wide returns column c as plain per-row values, expanding runs or
@@ -300,6 +268,23 @@ func (pc *ProjChunk) Wide(c ColID) []uint64 {
 		pc.widened |= 1 << c
 	}
 	return v.Vals
+}
+
+// Row gathers row i of the chunk back into array-of-structs form,
+// widening every column on first use.
+func (pc *ProjChunk) Row(i int) Row {
+	return Row{
+		URLHash:   pc.Wide(ColURLHash)[i],
+		IP:        netsim.IP(pc.Wide(ColIP)[i]),
+		FQDN:      uint32(pc.Wide(ColFQDN)[i]),
+		RefFQDN:   uint32(pc.Wide(ColRefFQDN)[i]),
+		Publisher: int32(pc.Wide(ColPublisher)[i]),
+		User:      int32(pc.Wide(ColUser)[i]),
+		Day:       uint16(pc.Wide(ColDay)[i]),
+		Country:   uint8(pc.Wide(ColCountry)[i]),
+		Flags:     uint8(pc.Wide(ColFlags)[i]),
+		Class:     pc.Class[i],
+	}
 }
 
 // Runs returns column c as maximal (value, run) pairs, coalescing from
@@ -361,10 +346,6 @@ func ScanStoreCols(st *MemStore, fn func(base int, pc *ProjChunk)) {
 	for i := 0; i < st.NumChunks(); i++ {
 		ProjChunkAt(st, i, pc)
 		fn(base, pc)
-		statChunksScanned.Add(1)
-		if !pc.fetched {
-			statChunksSkipped.Add(1)
-		}
 		base += pc.rows
 	}
 }

@@ -62,8 +62,8 @@ func colVal(c *Chunk, col ColID, i int) uint64 {
 // TestScanColsMatchesScan is the pushdown equivalence property: for
 // every one of the 512 subsets of columns a kernel may touch, over every
 // store backend, ScanCols must deliver exactly the values the full-width
-// Scan delivers — through Wide, and consistently through the encoded
-// Runs and DictView forms.
+// oracle read (wideChunk) delivers — through Wide, and consistently
+// through the encoded Runs and DictView forms.
 func TestScanColsMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rows := codecRows(rng, 2000) // adversarial shapes: every scheme appears
@@ -72,7 +72,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 		// Full-width reference, chunk by chunk.
 		var ref []*Chunk
 		for ci := 0; ci < st.NumChunks(); ci++ {
-			ref = append(ref, MustChunk(st, ci, nil))
+			ref = append(ref, wideChunk(st, ci))
 		}
 		for cols := ColSet(0); cols < 1<<numCols; cols++ {
 			base := 0
@@ -172,7 +172,7 @@ func TestZoneMapsBoundColumns(t *testing.T) {
 			if zm == nil {
 				t.Fatalf("%s chunk %d: sealed block without a zone map", name, ci)
 			}
-			w := MustChunk(st, ci, nil)
+			w := wideChunk(st, ci)
 			for col := ColID(0); col < numCols; col++ {
 				distinct := make(map[uint64]struct{})
 				for i := 0; i < w.Len(); i++ {
@@ -204,7 +204,9 @@ func TestZoneMapsBoundColumns(t *testing.T) {
 
 // TestScanColsSkipAccounting checks the chunk-skip contract: a kernel
 // that returns without loading any column counts the chunk as skipped,
-// and a store-wide skip never loads a block.
+// and a store-wide skip never loads a block. Chunks bound directly with
+// ProjChunkAt, as the parallel joins and the fixpoint rounds do, count
+// the same way.
 func TestScanColsSkipAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := randomRows(rng, 1500, 40)
@@ -240,6 +242,32 @@ func TestScanColsSkipAccounting(t *testing.T) {
 	}
 	if skipped != scanned-int64(loaded) {
 		t.Fatalf("skipped %d, want %d (scanned %d, loaded %d)", skipped, scanned-int64(loaded), scanned, loaded)
+	}
+
+	// Bind every chunk twice through ProjChunkAt, loading a column on
+	// the even chunks of the second pass only.
+	before = ReadScanStats()
+	pc := GetProj()
+	defer PutProj(pc)
+	loaded = 0
+	for pass := 0; pass < 2; pass++ {
+		for ci := 0; ci < st.NumChunks(); ci++ {
+			ProjChunkAt(st, ci, pc)
+			if pass == 1 && ci%2 == 0 {
+				_ = pc.Wide(ColFQDN)
+				_ = pc.Wide(ColIP) // a second column fetches nothing more
+				loaded++
+			}
+		}
+	}
+	after = ReadScanStats()
+	scanned = after.ChunksScanned - before.ChunksScanned
+	skipped = after.ChunksSkipped - before.ChunksSkipped
+	if want := int64(2 * st.NumChunks()); scanned != want {
+		t.Fatalf("ProjChunkAt: scanned %d chunks, want %d", scanned, want)
+	}
+	if skipped != scanned-int64(loaded) {
+		t.Fatalf("ProjChunkAt: skipped %d, want %d (scanned %d, loaded %d)", skipped, scanned-int64(loaded), scanned, loaded)
 	}
 }
 

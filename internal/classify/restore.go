@@ -57,12 +57,10 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 		return fmt.Errorf("classify: restore after a partial chunk (%d rows so far)", st.n)
 	}
 	sealed := st.compress && rows == st.chunkRows
+	// A sealed chunk's decode only validates (nil target): the store
+	// keeps the block.
 	var c *Chunk
-	if sealed {
-		// The decode only validates; the store keeps the block.
-		c = GetChunk()
-		defer PutChunk(c)
-	} else {
+	if !sealed {
 		c = &Chunk{}
 		c.grow(st.chunkRows)
 	}
@@ -134,7 +132,11 @@ func (ls *LiveSemi) Frontier() (ltf []uint32, cand []int) {
 			ltf = append(ltf, uint32(id))
 		}
 	}
-	return ltf, append([]int(nil), ls.cand...)
+	cand = make([]int, len(ls.cand))
+	for i, c := range ls.cand {
+		cand[i] = c.g
+	}
+	return ltf, cand
 }
 
 // SettledRows returns the dataset length as of the last Extend.
@@ -143,7 +145,8 @@ func (ls *LiveSemi) SettledRows() int { return ls.rows }
 // Restore seeds a fresh LiveSemi with a checkpointed frontier, making
 // its next Extend behave exactly as the original's would have: rows
 // rows are considered settled, ltf names the LTF membership, cand the
-// still-convertible settled rows.
+// still-convertible settled rows, whose FQDN and referrer are read back
+// from the restored store.
 func (ls *LiveSemi) Restore(rows int, ltf []uint32, cand []int) error {
 	n := ls.ds.FQDNs.Len()
 	ls.inLTF = make([]bool, n)
@@ -153,15 +156,31 @@ func (ls *LiveSemi) Restore(rows int, ltf []uint32, cand []int) error {
 		}
 		ls.inLTF[id] = true
 	}
-	if st := ls.ds.Store; st != nil && rows > st.Len() {
-		return fmt.Errorf("classify: frontier claims %d settled rows, store has %d", rows, st.Len())
+	if rows > ls.ds.Len() {
+		return fmt.Errorf("classify: frontier claims %d settled rows, store has %d", rows, ls.ds.Len())
 	}
+	st := ls.ds.Store
+	pc := GetProj()
+	defer PutProj(pc)
+	chunk := -1
+	var fq, rf []uint64
+	ls.cand = ls.cand[:0]
 	for _, g := range cand {
 		if g < 0 || g >= rows {
 			return fmt.Errorf("classify: candidate row %d outside the %d settled rows", g, rows)
 		}
+		if ci := g / st.ChunkRows(); ci != chunk {
+			chunk = ci
+			ProjChunkAt(st, ci, pc)
+			fq, rf = pc.Wide(ColFQDN), pc.Wide(ColRefFQDN)
+		}
+		i := g % st.ChunkRows()
+		c := candRow{g: g, fqdn: uint32(fq[i]), ref: uint32(rf[i])}
+		if int(c.fqdn) >= n || int(c.ref) >= n {
+			return fmt.Errorf("classify: candidate row %d names an FQDN outside the %d-entry interner", g, n)
+		}
+		ls.cand = append(ls.cand, c)
 	}
 	ls.rows = rows
-	ls.cand = append(ls.cand[:0], cand...)
 	return nil
 }

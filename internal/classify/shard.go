@@ -232,23 +232,12 @@ type capRef struct {
 	idx int
 }
 
-// Finalize merges all shards in the order of users into the default
-// in-memory columnar store, runs classification stages 2 and 3 over the
-// merged rows, and returns the dataset. The collector must not be used
-// afterwards. Users that never browsed are skipped.
-func (c *ShardedCollector) Finalize(users []*browser.User) *Dataset {
-	ds, err := c.FinalizeInto(users, NewMemStore())
-	if err != nil {
-		// Unreachable: the in-memory sink cannot fail.
-		panic("classify: " + err.Error())
-	}
-	return ds
-}
-
-// FinalizeInto is Finalize with a caller-chosen row store (e.g. a
-// spilled store for Scale >> 1 runs). The merged stream entering the
-// store is identical for every choice; only the storage layout
-// differs.
+// FinalizeInto merges all shards in the order of users into sink (e.g.
+// a wide NewMemStore, or a spilled store for Scale >> 1 runs), runs
+// classification stages 2 and 3 over the merged rows, and returns the
+// dataset. The collector must not be used afterwards. Users that never
+// browsed are skipped. The merged stream entering the store is
+// identical for every sink; only the storage layout differs.
 func (c *ShardedCollector) FinalizeInto(users []*browser.User, sink *MemStore) (*Dataset, error) {
 	// A user normally has exactly one capture; if a caller interleaved a
 	// user's stream (which capture() tolerates by reopening them), all

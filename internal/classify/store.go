@@ -1,11 +1,6 @@
 package classify
 
-import (
-	"fmt"
-	"sync"
-
-	"crossborder/internal/netsim"
-)
+import "crossborder/internal/netsim"
 
 // DefaultChunkRows is the row capacity of one columnar chunk. At ~33
 // bytes of column data per row a chunk is ~half a megabyte: large
@@ -22,11 +17,10 @@ const DefaultChunkRows = 1 << 14
 const RowWidthBytes = 33
 
 // Chunk is one fixed-capacity columnar (struct-of-arrays) block of
-// rows. All column slices share the same length. The Class column is
-// special: it always aliases the store's resident class storage, so
-// writes to it through any loaded Chunk are writes to the store (the
-// semi-stage fixpoint relies on this to reclassify rows without
-// rewriting spilled chunks).
+// rows: a store's wide chunks, and the target of a full-width block
+// decode (DecodeBlockInto). All column slices share the same length.
+// In a store the Class column is the resident class storage, which a
+// sealed chunk keeps beside its block.
 type Chunk struct {
 	URLHash   []uint64
 	IP        []netsim.IP
@@ -38,14 +32,6 @@ type Chunk struct {
 	Country   []uint8
 	Flags     []uint8
 	Class     []Class
-
-	// raw is the spill file's block-read scratch, reused across loads
-	// into this buffer so a chunk-wise scan reads the whole file with a
-	// handful of persistent allocations.
-	raw []byte
-	// cc is the lazily attached codec scratch; a buffer reused across
-	// chunk loads reuses one codec's dictionaries and tables.
-	cc *ChunkCodec
 }
 
 // Len returns the number of rows in the chunk.
@@ -64,6 +50,47 @@ func (c *Chunk) Row(i int) Row {
 		Country:   c.Country[i],
 		Flags:     c.Flags[i],
 		Class:     c.Class[i],
+	}
+}
+
+// gather copies column col of c into dst, grown to c.Len() rows, with
+// every value widened to uint64: the one typed-to-uint64 column read,
+// shared by the encoder and by projected reads of wide chunks.
+func (c *Chunk) gather(col ColID, dst []uint64) []uint64 {
+	n := c.Len()
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	vals := dst[:n]
+	switch col {
+	case ColURLHash:
+		copy(vals, c.URLHash)
+	case ColIP:
+		widen(vals, c.IP)
+	case ColFQDN:
+		widen(vals, c.FQDN)
+	case ColRefFQDN:
+		widen(vals, c.RefFQDN)
+	case ColPublisher:
+		widen(vals, c.Publisher)
+	case ColUser:
+		widen(vals, c.User)
+	case ColDay:
+		widen(vals, c.Day)
+	case ColCountry:
+		widen(vals, c.Country)
+	case ColFlags:
+		widen(vals, c.Flags)
+	}
+	return vals
+}
+
+// widen copies src into dst as uint64 values; signed values widen
+// through their unsigned 32-bit pattern.
+func widen[T ~uint8 | ~uint16 | ~uint32 | ~int32](dst []uint64, src []T) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = uint64(uint32(v))
 	}
 }
 
@@ -139,44 +166,17 @@ func (c *Chunk) reset(n int) {
 	c.Flags = c.Flags[:n]
 }
 
-// chunkPool recycles decode buffers across scans so chunk-wise readers
-// of compressed or spilled stores stay allocation-flat: Dataset.Scan,
-// EachRow and the semi-stage fixpoint all draw their scratch from here.
-var chunkPool = sync.Pool{New: func() any { return new(Chunk) }}
-
-// GetChunk borrows a reusable chunk decode buffer from the pool.
-func GetChunk() *Chunk { return chunkPool.Get().(*Chunk) }
-
-// PutChunk returns a decode buffer to the pool. The Class alias is
-// dropped so pooled buffers never pin a store's resident class column.
-func PutChunk(c *Chunk) {
-	c.Class = nil
-	chunkPool.Put(c)
-}
-
-// MustChunk loads chunk i or panics. The scan pipelines use it: they
-// only read stores this process wrote moments earlier, so a decode
-// failure means the environment lost the backing data under us and no
-// caller can do better than fail loudly. Paths that face untrusted or
-// long-lived storage call MemStore.Chunk directly and handle the error.
-func MustChunk(st *MemStore, i int, buf *Chunk) *Chunk {
-	c, err := st.Chunk(i, buf)
-	if err != nil {
-		panic(fmt.Sprintf("classify: load chunk %d: %v", i, err))
-	}
-	return c
-}
-
 // MemStore is the row store: a sequence of columnar chunks, every one
 // except the last holding exactly ChunkRows rows. The chunks are a
 // prefix of sealed codec blocks, each with its resident class column
 // and zone map, followed by a suffix of wide chunks. Append writes the
-// last wide chunk; reads of a sealed chunk decode its block into the
-// caller's buffer, reads of a wide chunk return it resident. The Class
-// column is resident and shared in both: a write through one view is
-// seen by every other. Concurrent Chunk and BlockBytes calls are safe
-// with distinct buffers (the parallel scans in core.Join rely on
-// this); Append must be called from a single goroutine.
+// last wide chunk. Every read goes through a ProjChunk (ScanStoreCols,
+// ProjChunkAt), which decodes only the columns a kernel touches out of
+// a sealed block, or copies them out of a wide chunk. The Class column
+// is resident and shared in both: a write through one view is seen by
+// every other. Concurrent reads through distinct ProjChunks are safe
+// (the parallel scans in core.Join rely on this); Append must be
+// called from a single goroutine.
 //
 // The constructors fix the two things that vary. A wide store
 // (NewMemStore, NewMemStoreChunked) never seals, so every chunk stays
@@ -330,31 +330,6 @@ func (st *MemStore) NumChunks() int { return len(st.classes) + len(st.wide) }
 // ChunkRows returns the fixed per-chunk row capacity.
 func (st *MemStore) ChunkRows() int { return st.chunkRows }
 
-// Chunk returns chunk i. A wide chunk is returned resident (buf
-// ignored); a sealed chunk is read through BlockBytes into buf's
-// scratch and decoded into buf, allocating a buffer when buf is nil.
-// The returned chunk is valid until buf is reused. A short read,
-// checksum mismatch or malformed block is returned as an error:
-// truncation and corruption of a spill file must surface to the caller
-// rather than crash the process or balloon memory.
-func (st *MemStore) Chunk(i int, buf *Chunk) (*Chunk, error) {
-	if i >= len(st.classes) {
-		return st.wide[i-len(st.classes)], nil
-	}
-	if buf == nil {
-		buf = &Chunk{}
-	}
-	block, err := st.BlockBytes(i, &buf.raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := buf.codec().DecodeBlock(block, len(st.classes[i]), buf); err != nil {
-		return nil, fmt.Errorf("classify: decode chunk %d: %w", i, err)
-	}
-	buf.Class = st.classes[i]
-	return buf, nil
-}
-
 // Classes returns the resident, mutable class column of chunk i
 // without loading any other column.
 func (st *MemStore) Classes(i int) []Class {
@@ -376,8 +351,9 @@ func (st *MemStore) ZoneMap(i int) *ZoneMap {
 
 // BlockBytes returns chunk i's framed codec block: the resident block,
 // or the block read from the spill file into *scratch (grown as
-// needed). A nil block with nil error means chunk i is wide and must
-// be loaded through Chunk.
+// needed). A nil block with nil error means chunk i is wide. A short
+// read is returned as an error: truncation of a spill file must surface
+// to the caller rather than crash the process.
 func (st *MemStore) BlockBytes(i int, scratch *[]byte) ([]byte, error) {
 	switch {
 	case i >= len(st.classes):

@@ -97,12 +97,13 @@ func TestSpillStoreMatchesMemStore(t *testing.T) {
 		}
 	}
 	// The class column must be resident and shared: a write through one
-	// loaded view is seen by the next load.
+	// view is seen by the next projection of the chunk.
 	cls := store.Classes(3)
 	cls[5] = ClassSemiKeyword
-	var buf Chunk
-	if c := MustChunk(store, 3, &buf); c.Class[5] != ClassSemiKeyword {
-		t.Fatal("class column write not visible through reloaded chunk")
+	pc := ProjChunkAt(store, 3, GetProj())
+	defer PutProj(pc)
+	if pc.Class[5] != ClassSemiKeyword {
+		t.Fatal("class column write not visible through reprojected chunk")
 	}
 }
 
@@ -122,7 +123,10 @@ func TestFinalizeIntoSpillMatchesMem(t *testing.T) {
 		return sc
 	}
 
-	memDS := mk().Finalize(users)
+	memDS, err := mk().FinalizeInto(users, NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sink, err := NewMemStoreSpilled(t.TempDir(), 512)
 	if err != nil {

@@ -300,15 +300,7 @@ func analyzeBenchSpill(b *testing.B, rows int) (*classify.Dataset, geo.Service) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	mem := ds.Store
-	buf := classify.GetChunk()
-	defer classify.PutChunk(buf)
-	for ci := 0; ci < mem.NumChunks(); ci++ {
-		c := classify.MustChunk(mem, ci, buf)
-		for i := 0; i < c.Len(); i++ {
-			sink.Append(c.Row(i))
-		}
-	}
+	ds.EachRow(func(_ int, r classify.Row) { sink.Append(r) })
 	if err := sink.Seal(); err != nil {
 		b.Fatal(err)
 	}

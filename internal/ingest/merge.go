@@ -77,8 +77,7 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	wasTracking := make([]bool, 0, totalRows)
 	epoch := 0
 
-	buf := classify.GetChunk()
-	defer classify.PutChunk(buf)
+	var buf classify.Chunk
 	for si, ex := range exports {
 		m := ex.meta
 		if m.Seed != world.Params.Seed || m.Scale != world.Params.Scale {
@@ -132,7 +131,7 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 
 		for ci := range ex.blocks {
 			rows := len(ex.classes[ci])
-			if err := classify.DecodeBlockInto(ex.blocks[ci], rows, buf); err != nil {
+			if err := classify.DecodeBlockInto(ex.blocks[ci], rows, &buf); err != nil {
 				return nil, fmt.Errorf("ingest: shard %d chunk %d: %w", si, ci, err)
 			}
 			buf.Class = ex.classes[ci]

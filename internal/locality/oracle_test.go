@@ -63,21 +63,19 @@ func newOracleEngine(ds *classify.Dataset, svc geo.Service, orgClouds OrgClouds)
 			e.allCloudCountries[c] = struct{}{}
 		}
 	}
-	ds.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
-			if !cls.IsTracking() {
-				continue
-			}
-			src := ds.Countries[c.Country[i]]
-			if !geodata.IsEU28(src) {
-				continue
-			}
-			loc, ok := svc.Locate(c.IP[i])
-			if !ok {
-				continue
-			}
-			e.add(src, c.FQDN[i], loc.Country)
+	ds.EachRow(func(_ int, r classify.Row) {
+		if !r.Class.IsTracking() {
+			return
 		}
+		src := ds.Countries[r.Country]
+		if !geodata.IsEU28(src) {
+			return
+		}
+		loc, ok := svc.Locate(r.IP)
+		if !ok {
+			return
+		}
+		e.add(src, r.FQDN, loc.Country)
 	})
 	return e
 }

@@ -13,6 +13,7 @@ import (
 	"crossborder/internal/classify"
 	"crossborder/internal/geo"
 	"crossborder/internal/geodata"
+	"crossborder/internal/netsim"
 	"crossborder/internal/webgraph"
 )
 
@@ -158,18 +159,30 @@ func (r *Report) PctOfAll() float64 {
 func BuildReport(ds *classify.Dataset, id *Identification) *Report {
 	rep := &Report{}
 	counts := make(map[webgraph.Topic]int64)
-	ds.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
-			if !cls.IsTracking() {
+	// Rows land in publisher order, so the Publisher column is run
+	// heavy: count tracking rows per run and look the publisher up once.
+	ds.ScanCols(func(_ int, pc *classify.ProjChunk) {
+		cls := pc.Class
+		if !classify.AnyTracking(cls) {
+			return
+		}
+		row := 0
+		for _, r := range pc.Runs(classify.ColPublisher) {
+			var n int64
+			for _, c := range cls[row : row+r.Len] {
+				if c.IsTracking() {
+					n++
+				}
+			}
+			row += r.Len
+			if n == 0 {
 				continue
 			}
-			rep.AllTrackingFlows++
-			cat, ok := id.ByPublisher[ds.Publishers[c.Publisher[i]]]
-			if !ok {
-				continue
+			rep.AllTrackingFlows += n
+			if cat, ok := id.ByPublisher[ds.Publishers[r.Value]]; ok {
+				counts[cat] += n
+				rep.SensitiveFlows += n
 			}
-			counts[cat]++
-			rep.SensitiveFlows++
 		}
 	})
 	for cat, n := range counts {
@@ -205,22 +218,9 @@ func DestByCategory(ds *classify.Dataset, id *Identification, svc geo.Service) [
 	}
 	counts := make(map[key]int64)
 	totals := make(map[webgraph.Topic]int64)
-	ds.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
-			if !cls.IsTracking() || !geodata.IsEU28(ds.Countries[c.Country[i]]) {
-				continue
-			}
-			cat, ok := id.ByPublisher[ds.Publishers[c.Publisher[i]]]
-			if !ok {
-				continue
-			}
-			loc, ok := svc.Locate(c.IP[i])
-			if !ok {
-				continue
-			}
-			counts[key{cat, loc.Continent.String()}]++
-			totals[cat]++
-		}
+	eachEUSensitiveFlow(ds, id, svc, func(cat webgraph.Topic, _ geodata.Country, loc geo.Location) {
+		counts[key{cat, loc.Continent.String()}]++
+		totals[cat]++
 	})
 	out := make([]DestEdge, 0, len(counts))
 	for k, n := range counts {
@@ -263,31 +263,15 @@ func (c CountryLeak) OutsidePct() float64 {
 func CountryLeakage(ds *classify.Dataset, id *Identification, svc geo.Service) []CountryLeak {
 	type acc struct{ total, outside int64 }
 	accs := make(map[geodata.Country]*acc)
-	ds.Scan(func(_ int, c *classify.Chunk) {
-		for i, cls := range c.Class {
-			if !cls.IsTracking() {
-				continue
-			}
-			src := ds.Countries[c.Country[i]]
-			if !geodata.IsEU28(src) {
-				continue
-			}
-			if _, ok := id.ByPublisher[ds.Publishers[c.Publisher[i]]]; !ok {
-				continue
-			}
-			loc, ok := svc.Locate(c.IP[i])
-			if !ok {
-				continue
-			}
-			x := accs[src]
-			if x == nil {
-				x = &acc{}
-				accs[src] = x
-			}
-			x.total++
-			if loc.Country != src {
-				x.outside++
-			}
+	eachEUSensitiveFlow(ds, id, svc, func(_ webgraph.Topic, src geodata.Country, loc geo.Location) {
+		x := accs[src]
+		if x == nil {
+			x = &acc{}
+			accs[src] = x
+		}
+		x.total++
+		if loc.Country != src {
+			x.outside++
 		}
 	})
 	out := make([]CountryLeak, 0, len(accs))
@@ -301,4 +285,54 @@ func CountryLeakage(ds *classify.Dataset, id *Identification, svc geo.Service) [
 		return out[i].Country < out[j].Country
 	})
 	return out
+}
+
+// eachEUSensitiveFlow calls fn, in row order, for every tracking flow
+// of an EU28 user on an identified sensitive site whose destination svc
+// locates: the row set behind Figs 10 and 11. The Country and
+// Publisher columns are read as runs and intersected, so each user
+// country and publisher is looked up once per span, and the IP column
+// is loaded only for chunks holding such a span.
+func eachEUSensitiveFlow(ds *classify.Dataset, id *Identification, svc geo.Service, fn func(cat webgraph.Topic, src geodata.Country, loc geo.Location)) {
+	ds.ScanCols(func(_ int, pc *classify.ProjChunk) {
+		cls := pc.Class
+		if !classify.AnyTracking(cls) {
+			return
+		}
+		countries, pubs := pc.Runs(classify.ColCountry), pc.Runs(classify.ColPublisher)
+		var ips []uint64
+		ci, pi, cEnd, pEnd := 0, 0, 0, 0
+		for lo, hi := 0, 0; lo < len(cls); lo = hi {
+			// Advance whichever run ends here; [lo, hi) then lies
+			// inside countries[ci-1] and pubs[pi-1].
+			if lo == cEnd {
+				cEnd += countries[ci].Len
+				ci++
+			}
+			if lo == pEnd {
+				pEnd += pubs[pi].Len
+				pi++
+			}
+			hi = min(cEnd, pEnd)
+			src := ds.Countries[countries[ci-1].Value]
+			if !geodata.IsEU28(src) || !classify.AnyTracking(cls[lo:hi]) {
+				continue
+			}
+			cat, ok := id.ByPublisher[ds.Publishers[pubs[pi-1].Value]]
+			if !ok {
+				continue
+			}
+			if ips == nil {
+				ips = pc.Wide(classify.ColIP)
+			}
+			for i := lo; i < hi; i++ {
+				if !cls[i].IsTracking() {
+					continue
+				}
+				if loc, ok := svc.Locate(netsim.IP(ips[i])); ok {
+					fn(cat, src, loc)
+				}
+			}
+		}
+	})
 }
