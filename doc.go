@@ -64,10 +64,10 @@
 //     other users did — the property that makes fan-out safe.
 //   - Sharded collection with a deterministic merge. Each worker drives
 //     its own classify.Shard (private interner, publisher/country index,
-//     classification caches, per-user row buffers); no locks on the
-//     capture path. classify.ShardedCollector.FinalizeInto then replays
-//     the captures in global user order, re-interning strings and
-//     remapping ids in encounter order, so the merged Dataset is
+//     per-host compiled filter rules, per-user row buffers); no locks on
+//     the capture path. classify.ShardedCollector.FinalizeInto then
+//     replays the captures in global user order, re-interning strings
+//     and remapping ids in encounter order, so the merged Dataset is
 //     byte-identical to a sequential run at any worker count
 //     (WithWorkers).
 //   - Read-only lookup substrates. dns.Server.Resolve after Freeze and

@@ -5,6 +5,12 @@
 // actually use for network rules: ||domain anchors, |start anchors,
 // plain substring patterns, the * wildcard, the ^ separator, @@
 // exceptions, ! comments, and the $third-party / $domain= options.
+//
+// List.Match interprets the lists on a full request URL and is the
+// definition of a verdict. List.ForHost compiles them for one host into
+// HostRules, which match a request from its path alone; the classifier
+// keeps one per host it sees and falls back to Match where HostRules
+// are not exact.
 package blocklist
 
 import (
@@ -92,36 +98,6 @@ func Parse(name, text string) (*List, []error) {
 
 // NumRules returns the number of compiled rules.
 func (l *List) NumRules() int { return len(l.rules) }
-
-// Memoizable reports whether every rule's outcome is fully determined by
-// the request hostname, the URL path up to (excluding) the query string,
-// and the page domain. When true, callers may cache Match verdicts per
-// (FQDN, path-sans-query, page-domain) — the classification fast path.
-//
-// The check is conservative: it requires each rule to be domain-anchored
-// (generic substring and |-anchored rules scan the whole URL, query
-// included), wildcard-free, not end-anchored, with no query characters in
-// the pattern and ^ only in final position (a trailing ^ matches the char
-// right after the path prefix, which is a separator — '?', '/' or URL end
-// — regardless of the query string).
-func (l *List) Memoizable() bool {
-	for i := range l.rules {
-		r := &l.rules[i]
-		if r.domainAnchor == "" || r.endAnchor || len(r.tokens) > 1 {
-			return false
-		}
-		if len(r.tokens) == 1 {
-			tok := r.tokens[0]
-			if strings.ContainsAny(tok, "?=&") {
-				return false
-			}
-			if c := strings.IndexByte(tok, '^'); c >= 0 && c != len(tok)-1 {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 func compileRule(line string) (Rule, error) {
 	r := Rule{Raw: line}
@@ -369,6 +345,77 @@ func (l *List) Match(q Request) bool {
 		}
 	}
 	return matched
+}
+
+// HostRules is a list's stage-1 matcher compiled for one request host:
+// the domain-indexed rules of the host and of its parent domains, in
+// the order Match tries them. It answers a request from its path alone,
+// with no URL string and no hostname parsing.
+type HostRules struct {
+	rules []*Rule
+	// Exact reports that Match(path, thirdParty, page) equals
+	// List.Match(Request{URL: "https://" + host + path, PageDomain: p})
+	// for every path that is empty or starts with '/', '?' or '#', where
+	// page is strings.ToLower(p) and thirdParty is whether ETLDPlusOne of
+	// the host and of p differ. It needs a list without generic rules
+	// (Match tries those on the whole URL) and a host that the URL's
+	// Hostname and the domain-rule offset both reproduce.
+	Exact bool
+}
+
+// ForHost compiles the list for requests to host.
+func (l *List) ForHost(host string) HostRules {
+	var hr HostRules
+	for h := host; ; {
+		for _, idx := range l.domainIndex[h] {
+			hr.rules = append(hr.rules, &l.rules[idx])
+		}
+		dot := strings.IndexByte(h, '.')
+		if dot < 0 {
+			break
+		}
+		h = h[dot+1:]
+	}
+	// Hostname returns host itself only for a lower-case host without
+	// URL delimiters, and ruleMatches locates the host with
+	// strings.Index, which finds hosts like "s" inside "https://".
+	hr.Exact = len(l.generic) == 0 &&
+		host == strings.ToLower(host) && !strings.ContainsAny(host, "/?#@:") &&
+		strings.Index("https://"+host, host) == len("https://")
+	return hr
+}
+
+// Match applies the compiled rules to a request for path, as List.Match
+// would; see Exact for when the two agree. page is the lower-cased page
+// domain.
+func (h HostRules) Match(path string, thirdParty bool, page string) bool {
+	matched := false
+	for _, r := range h.rules {
+		if r.thirdParty == 1 && !thirdParty || r.thirdParty == -1 && thirdParty {
+			continue
+		}
+		if len(r.includeDomains) > 0 && !underAny(page, r.includeDomains) || underAny(page, r.excludeDomains) {
+			continue
+		}
+		if !matchTokens(path, 0, r.tokens, true, r.endAnchor) {
+			continue
+		}
+		if r.Exception {
+			return false
+		}
+		matched = true
+	}
+	return matched
+}
+
+// underAny reports whether page is one of domains or a subdomain of one.
+func underAny(page string, domains []string) bool {
+	for _, d := range domains {
+		if page == d || strings.HasSuffix(page, "."+d) {
+			return true
+		}
+	}
+	return false
 }
 
 // MatchAny reports whether any of the lists matches the request, naming

@@ -236,46 +236,3 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Error("same seed must generate identical lists")
 	}
 }
-
-func TestMemoizable(t *testing.T) {
-	parse := func(text string) *List {
-		l, errs := Parse("t", text)
-		if len(errs) != 0 {
-			t.Fatalf("parse %q: %v", text, errs)
-		}
-		return l
-	}
-	memoizable := []string{
-		"||tracker.com^$third-party",
-		"||tracker.com/adserv/^$third-party",
-		"||tracker.com/collect^",
-		"@@||cdn.com^",
-		"||tracker.com^$domain=a.com|~b.com",
-	}
-	for _, r := range memoizable {
-		if !parse(r).Memoizable() {
-			t.Errorf("rule %q should be memoizable", r)
-		}
-	}
-	notMemoizable := []string{
-		"/banner/ads/",                // generic: scans the whole URL
-		"|https://tracker.com/x",      // start anchor
-		"||tracker.com/a*track",       // wildcard tail can match the query
-		"||tracker.com/collect?tid=^", // pattern reads the query
-		"||tracker.com/pixel|",        // end anchor depends on the query
-		"||tracker.com/^sync",         // ^ mid-token can bridge into query
-	}
-	for _, r := range notMemoizable {
-		if parse(r).Memoizable() {
-			t.Errorf("rule %q must not be memoizable", r)
-		}
-	}
-	// The generated synthetic lists must stay on the fast path.
-	g := webgraph.Build(rand.New(rand.NewSource(1)), webgraph.Config{}.Scale(0.05))
-	elText, epText := Generate(rand.New(rand.NewSource(2)), g, Coverage{})
-	el := parse(elText)
-	ep := parse(epText)
-	if !el.Memoizable() || !ep.Memoizable() {
-		t.Error("generated easylist/easyprivacy must be memoizable")
-	}
-}

@@ -9,6 +9,18 @@
 // "cookiesync", ...). The combined stages roughly double detected tracking
 // flows versus the lists alone (Table 2).
 //
+// Stage 1 runs per request on the capture path, compiled per host: each
+// shard keeps, per FQDN it has seen, both lists' blocklist.HostRules
+// (the domain-indexed rules of the host and its parent domains) and the
+// host's eTLD+1, and per publisher the page's eTLD+1 and lower-cased
+// domain. A verdict is then a few rule tests on the path plus one
+// string compare for the third-party bit, with no URL string and no
+// verdict cache, so per-shard state grows with hosts and publishers,
+// never with paths. A request the compiled rules are not exact for
+// (an uploaded FQDN with upper case, a port or user info, or a path
+// that does not start the URL's path, query or fragment) falls back to
+// blocklist.List.Match on the full URL, uncached.
+//
 // The classifier doubles as the dataset builder: it consumes the browser
 // capture stream and stores each request as a compact interned row, so the
 // full 7.2M-request study fits comfortably in memory.

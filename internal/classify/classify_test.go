@@ -310,9 +310,14 @@ func min(a, b int) int {
 // shardRig rebuilds the rig substrate so the sharded-vs-sequential test
 // can run the same simulation through both collector shapes.
 func shardRig(t testing.TB, seed int64) (*webgraph.Graph, *dns.Server, *blocklist.List, *blocklist.List) {
+	return shardRigScaled(t, seed, 0.05)
+}
+
+// shardRigScaled is shardRig over a graph of the given scale.
+func shardRigScaled(t testing.TB, seed int64, scale float64) (*webgraph.Graph, *dns.Server, *blocklist.List, *blocklist.List) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := webgraph.Build(rng, webgraph.Config{}.Scale(0.05))
+	g := webgraph.Build(rng, webgraph.Config{}.Scale(scale))
 	srv := dns.NewServer(nil)
 	end := time.Date(2018, 1, 15, 0, 0, 0, 0, time.UTC)
 	countries := []geodata.Country{"US", "DE", "NL", "GB", "IE", "FR"}

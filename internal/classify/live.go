@@ -101,9 +101,10 @@ func (sh *Shard) CaptureUser(idx int) int32 { return sh.caps[idx].user }
 
 // ResetCaptures drops the buffered captures so the shard can collect the
 // next epoch, keeping the interner, the publisher/country indexes and
-// the classification caches warm. Captures already appended through a
-// Merger stay valid in the dataset; the shard-local ids they used remain
-// stable because the interner and indexes are never reset.
+// the per-host and per-publisher stage-1 state, none of which grows
+// with paths or pages. Captures already appended through a Merger stay
+// valid in the dataset; the shard-local ids they used remain stable
+// because the interner and indexes are never reset.
 func (sh *Shard) ResetCaptures() {
 	sh.caps = sh.caps[:0]
 	sh.cur = -1

@@ -12,9 +12,9 @@ import (
 
 // ShardedCollector builds the classified Dataset from a parallel browser
 // simulation. Each worker drives its own Shard (a browser.Sink with a
-// private interner, publisher/country index, classification caches and
-// per-user row buffers), so the capture path is lock-free; Finalize then
-// merges the shards deterministically.
+// private interner, publisher/country index, per-host compiled filter
+// rules and per-user row buffers), so the capture path is lock-free;
+// Finalize then merges the shards deterministically.
 //
 // The shard/merge contract: every user's full event stream lands in
 // exactly one shard (browser.Simulator.RunWorkers guarantees this), and
@@ -29,11 +29,7 @@ type ShardedCollector struct {
 	easylist    *blocklist.List
 	easyprivacy *blocklist.List
 	start       time.Time
-	// memoOK gates the per-(FQDN, path, page-domain) verdict cache: it is
-	// only sound when both lists' outcomes cannot depend on the query
-	// string (true for the generated easylist/easyprivacy).
-	memoOK bool
-	shards []*Shard
+	shards      []*Shard
 }
 
 // NewShardedCollector returns a collector with one shard per worker.
@@ -46,7 +42,6 @@ func NewShardedCollector(graph *webgraph.Graph, easylist, easyprivacy *blocklist
 		easylist:    easylist,
 		easyprivacy: easyprivacy,
 		start:       start,
-		memoOK:      easylist.Memoizable() && easyprivacy.Memoizable(),
 	}
 	c.shards = make([]*Shard, workers)
 	for w := range c.shards {
@@ -56,8 +51,7 @@ func NewShardedCollector(graph *webgraph.Graph, easylist, easyprivacy *blocklist
 			countryIdx: make(map[geodata.Country]uint8),
 			pubIdx:     make(map[*webgraph.Publisher]int32),
 			cur:        -1,
-			meta:       make(map[string]fqdnMeta),
-			verdict:    make(map[verdictKey]bool),
+			meta:       make(map[string]*fqdnMeta),
 		}
 	}
 	return c
@@ -71,16 +65,23 @@ func (c *ShardedCollector) Workers() int { return len(c.shards) }
 func (c *ShardedCollector) Shard(w int) *Shard { return c.shards[w] }
 
 // fqdnMeta caches the per-FQDN work of the request path: the shard-local
-// interner id and the generator-side ground truth.
+// interner id, the generator-side ground truth, the host's eTLD+1 and
+// both filter lists compiled for the host. It is keyed by host alone,
+// so a shard's per-host state grows with the hosts it has seen, never
+// with paths or pages.
 type fqdnMeta struct {
 	id    uint32
 	truth bool
+	etld1 string
+	// easylist and easyprivacy are the lists' rules for this host.
+	easylist, easyprivacy blocklist.HostRules
 }
 
-// verdictKey addresses one memoized filter-list verdict. path excludes
-// the query string; see blocklist.List.Memoizable for why that is sound.
-type verdictKey struct {
-	fqdn, path, page string
+// pubMeta caches the per-publisher facts stage 1 reads: the page
+// domain's eTLD+1 (for the third-party bit) and its lower-cased form
+// (for $domain= options).
+type pubMeta struct {
+	etld1, lower string
 }
 
 // userCapture is one user's complete capture inside a shard: the
@@ -100,10 +101,10 @@ type Shard struct {
 	countries  []geodata.Country
 	pubIdx     map[*webgraph.Publisher]int32
 	pubs       []*webgraph.Publisher
+	pubMeta    []pubMeta // beside pubs, by shard-local publisher id
 	caps       []userCapture
 	cur        int // index into caps of the user currently streaming
-	meta       map[string]fqdnMeta
-	verdict    map[verdictKey]bool
+	meta       map[string]*fqdnMeta
 }
 
 // capture returns the open capture for user id, starting one if the
@@ -119,13 +120,22 @@ func (sh *Shard) capture(id int32) *userCapture {
 // OnVisit implements browser.Sink.
 func (sh *Shard) OnVisit(u *browser.User, p *webgraph.Publisher, at time.Time) {
 	cap := sh.capture(int32(u.ID))
+	cap.visits = append(cap.visits, sh.pubID(p))
+}
+
+// pubID returns the shard-local id of p, registering it on first sight.
+func (sh *Shard) pubID(p *webgraph.Publisher) int32 {
 	pid, ok := sh.pubIdx[p]
 	if !ok {
 		pid = int32(len(sh.pubs))
 		sh.pubIdx[p] = pid
 		sh.pubs = append(sh.pubs, p)
+		sh.pubMeta = append(sh.pubMeta, pubMeta{
+			etld1: webgraph.ETLDPlusOne(p.Domain),
+			lower: strings.ToLower(p.Domain),
+		})
 	}
-	cap.visits = append(cap.visits, pid)
+	return pid
 }
 
 // OnRequest implements browser.Sink: stage-1 classification + row
@@ -139,12 +149,7 @@ func (sh *Shard) OnRequest(ev browser.Event) {
 	// epoch cut; register the publisher shard-locally then (without a
 	// visit) so the row still references it — the merge resolves it to
 	// the global id the original visit registered.
-	pid, ok := sh.pubIdx[ev.Publisher]
-	if !ok {
-		pid = int32(len(sh.pubs))
-		sh.pubIdx[ev.Publisher] = pid
-		sh.pubs = append(sh.pubs, ev.Publisher)
-	}
+	pid := sh.pubID(ev.Publisher)
 	row := Row{
 		URLHash:   fnvAdd(fnvAdd(fnvAdd(fnvOffset, "https://"), ev.Call.FQDN), ev.Call.Path),
 		IP:        ev.IP,
@@ -177,7 +182,7 @@ func (sh *Shard) OnRequest(ev browser.Event) {
 	if m.truth {
 		row.Flags |= FlagTruthing
 	}
-	if sh.stage1(ev.Call.FQDN, ev.Call.Path, ev.Publisher.Domain) {
+	if sh.stage1(m, pid, ev.Call.FQDN, ev.Call.Path) {
 		row.Class = ClassABP
 	} else {
 		row.Class = ClassClean
@@ -185,14 +190,19 @@ func (sh *Shard) OnRequest(ev browser.Event) {
 	cap.rows = append(cap.rows, row)
 }
 
-// fqdnMetaFor memoizes the interner id and ground-truth role of an FQDN,
-// collapsing two map lookups (interner + service registry) into one on
-// the hot path.
-func (sh *Shard) fqdnMetaFor(fqdn string) fqdnMeta {
+// fqdnMetaFor returns the per-FQDN facts of the request path, built on
+// the FQDN's first request in this shard: one map lookup replaces the
+// interner, the service registry and the filter-list domain index.
+func (sh *Shard) fqdnMetaFor(fqdn string) *fqdnMeta {
 	if m, ok := sh.meta[fqdn]; ok {
 		return m
 	}
-	m := fqdnMeta{id: sh.interner.ID(fqdn)}
+	m := &fqdnMeta{
+		id:          sh.interner.ID(fqdn),
+		etld1:       webgraph.ETLDPlusOne(fqdn),
+		easylist:    sh.c.easylist.ForHost(fqdn),
+		easyprivacy: sh.c.easyprivacy.ForHost(fqdn),
+	}
 	if svc, ok := sh.c.graph.ServiceByFQDN(fqdn); ok && svc.Role.IsTracking() {
 		m.truth = true
 	}
@@ -200,30 +210,21 @@ func (sh *Shard) fqdnMetaFor(fqdn string) fqdnMeta {
 	return m
 }
 
-// stage1 returns the filter-list verdict, memoized per (FQDN,
-// path-sans-query, page domain) when the lists allow it.
-func (sh *Shard) stage1(fqdn, path, page string) bool {
-	if !sh.c.memoOK {
-		return sh.c.matchLists(fqdn, path, page)
+// stage1 returns the filter-list verdict of a request for path on host
+// m (fqdn) from page pid: EasyList or EasyPrivacy blocks it. The host's
+// compiled rules answer it from the path and the third-party bit alone.
+// A request they are not exact for (an uploaded FQDN in upper case, with
+// a port or user info, or a path that does not start the URL's path,
+// query or fragment) runs the interpreted List.Match on the full URL.
+func (sh *Shard) stage1(m *fqdnMeta, pid int32, fqdn, path string) bool {
+	pm := &sh.pubMeta[pid]
+	if m.easylist.Exact && m.easyprivacy.Exact &&
+		(path == "" || path[0] == '/' || path[0] == '?' || path[0] == '#') {
+		third := m.etld1 != pm.etld1
+		return m.easylist.Match(path, third, pm.lower) || m.easyprivacy.Match(path, third, pm.lower)
 	}
-	pk := path
-	if i := strings.IndexByte(pk, '?'); i >= 0 {
-		pk = pk[:i]
-	}
-	k := verdictKey{fqdn: fqdn, path: pk, page: page}
-	v, ok := sh.verdict[k]
-	if !ok {
-		v = sh.c.matchLists(fqdn, path, page)
-		sh.verdict[k] = v
-	}
-	return v
-}
-
-// matchLists runs the real (uncached) stage-1 match. The URL string is
-// materialized only here, i.e. only on verdict-cache misses.
-func (c *ShardedCollector) matchLists(fqdn, path, page string) bool {
-	q := blocklist.Request{URL: "https://" + fqdn + path, PageDomain: page}
-	return c.easylist.Match(q) || c.easyprivacy.Match(q)
+	q := blocklist.Request{URL: "https://" + fqdn + path, PageDomain: sh.pubs[pid].Domain}
+	return sh.c.easylist.Match(q) || sh.c.easyprivacy.Match(q)
 }
 
 // capRef addresses one user's capture inside one shard.
