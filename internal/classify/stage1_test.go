@@ -95,7 +95,8 @@ func TestStage1MatchesListMatch(t *testing.T) {
 			blocked = append(blocked, f)
 		}
 	}
-	hosts := []string{"Ads.Example.com", "x.com:8080", "a@b.com", "s", "tps"}
+	inexact := []string{"Ads.Example.com", "x.com:8080", "a@b.com", "s", "tps"}
+	hosts := append([]string(nil), inexact...)
 	for _, f := range blocked {
 		hosts = append(hosts, f, strings.ToUpper(f), f+":8080", "user@"+f, "www."+f)
 	}
@@ -120,7 +121,7 @@ func TestStage1MatchesListMatch(t *testing.T) {
 	if abp := checkStage1(t, live, stream); abp == 0 || abp == len(stream) {
 		t.Fatalf("%d of %d live rows ABP: the stream must exercise both verdicts", abp, len(stream))
 	}
-	for _, h := range []string{"Ads.Example.com", "x.com:8080", "a@b.com", "s", "tps"} {
+	for _, h := range inexact {
 		if m := live.Shard(0).meta[h]; m.easylist.Exact || m.easyprivacy.Exact {
 			t.Errorf("host %q: compiled rules claim exactness; it must take the fallback", h)
 		}
