@@ -262,8 +262,10 @@ func (q Request) isThirdParty() bool {
 	return webgraph.ETLDPlusOne(host) != webgraph.ETLDPlusOne(q.PageDomain)
 }
 
-// ruleMatches applies one compiled rule.
-func (l *List) ruleMatches(r *Rule, q Request, host string) bool {
+// ruleMatches applies one compiled rule. host is the request's
+// lower-cased hostname and hostEnd the offset just past the host in
+// q.URL, where a domain-anchored pattern continues.
+func (l *List) ruleMatches(r *Rule, q Request, host string, hostEnd int) bool {
 	if r.thirdParty == 1 && !q.isThirdParty() {
 		return false
 	}
@@ -294,13 +296,7 @@ func (l *List) ruleMatches(r *Rule, q Request, host string) bool {
 		if host != r.domainAnchor && !strings.HasSuffix(host, "."+r.domainAnchor) {
 			return false
 		}
-		// Pattern continues from just after the hostname in the URL.
-		hostIdx := strings.Index(strings.ToLower(url), host)
-		if hostIdx < 0 {
-			return false
-		}
-		rest := hostIdx + len(host)
-		return matchTokens(url, rest, r.tokens, true, r.endAnchor)
+		return matchTokens(url, hostEnd, r.tokens, true, r.endAnchor)
 	}
 	if r.startAnchor {
 		return matchTokens(url, 0, r.tokens, true, r.endAnchor)
@@ -311,12 +307,13 @@ func (l *List) ruleMatches(r *Rule, q Request, host string) bool {
 // Match reports whether the request is blocked by the list: some block
 // rule matches and no exception rule does.
 func (l *List) Match(q Request) bool {
-	host := webgraph.Hostname(q.URL)
+	hostStart, hostEnd := webgraph.HostSpan(q.URL)
+	host := strings.ToLower(q.URL[hostStart:hostEnd])
 	matched := false
 
 	tryRule := func(idx int) bool {
 		r := &l.rules[idx]
-		if l.ruleMatches(r, q, host) {
+		if l.ruleMatches(r, q, host, hostEnd) {
 			if r.Exception {
 				return true // exception wins immediately
 			}
@@ -359,7 +356,8 @@ type HostRules struct {
 	// page is strings.ToLower(p) and thirdParty is whether ETLDPlusOne of
 	// the host and of p differ. It needs a list without generic rules
 	// (Match tries those on the whole URL) and a host that the URL's
-	// Hostname and the domain-rule offset both reproduce.
+	// Hostname reproduces. The URL may spell the host in any case that
+	// lower-cases to it.
 	Exact bool
 }
 
@@ -377,11 +375,9 @@ func (l *List) ForHost(host string) HostRules {
 		h = h[dot+1:]
 	}
 	// Hostname returns host itself only for a lower-case host without
-	// URL delimiters, and ruleMatches locates the host with
-	// strings.Index, which finds hosts like "s" inside "https://".
+	// URL delimiters.
 	hr.Exact = len(l.generic) == 0 &&
-		host == strings.ToLower(host) && !strings.ContainsAny(host, "/?#@:") &&
-		strings.Index("https://"+host, host) == len("https://")
+		host == strings.ToLower(host) && !strings.ContainsAny(host, "/?#@:")
 	return hr
 }
 

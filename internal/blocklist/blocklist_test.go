@@ -136,6 +136,25 @@ func TestCaseInsensitive(t *testing.T) {
 	}
 }
 
+// TestDomainAnchorHostChangesLengthWhenLowered: a host whose lower-case
+// form has another byte length (strings.ToLower maps the two-byte İ
+// and the three-byte Kelvin sign to a plain i and k) must anchor the
+// pattern just past the host in the URL as written.
+func TestDomainAnchorHostChangesLengthWhenLowered(t *testing.T) {
+	for _, c := range []struct{ rule, url string }{
+		{"||i.com/ab", "https://\u0130.com/ab"},
+		{"||k.com/ab", "https://\u212a.com/ab"},
+	} {
+		l := mustParse(t, c.rule)
+		if !l.Match(req(c.url, "p.com")) {
+			t.Errorf("%q must block %q", c.rule, c.url)
+		}
+		if l.Match(req(strings.Replace(c.url, "/ab", "/xab", 1), "p.com")) {
+			t.Errorf("%q must anchor its path right after the host of %q", c.rule, c.url)
+		}
+	}
+}
+
 func TestCommentsAndHeaders(t *testing.T) {
 	l := mustParse(t, "[Adblock Plus 2.0]\n! comment\n||a.com^\n\nexample.com##.ad\n")
 	if l.NumRules() != 1 {

@@ -84,8 +84,8 @@ func TestRuleMatchSubsetProperty(t *testing.T) {
 
 // fuzzVocab is the domain vocabulary FuzzHostRules builds rules, hosts
 // and pages from: plain and multi-part-suffix domains, the substrings
-// of "https" that strings.Index finds inside the URL scheme, and hosts
-// Hostname rewrites (upper case, a port, user info).
+// of "https" that a search of the URL would find inside its scheme,
+// and hosts Hostname rewrites (upper case, a port, user info).
 var fuzzVocab = []string{
 	"a.com", "sub.a.com", "b.com", "x.co.uk", "ads.example.com", "example.com",
 	"s", "tps", "https", "ps", "Ads.Example.com", "x.com:8080", "a@b.com",
@@ -94,7 +94,9 @@ var fuzzVocab = []string{
 // FuzzHostRules holds the per-host compiled matcher to the interpreter:
 // wherever HostRules.Exact holds for a request (and its path starts
 // the URL's path, query or fragment), HostRules.Match with the
-// request's third-party bit must equal List.Match on the full URL.
+// request's third-party bit must equal List.Match on the full URL,
+// whose host may be spelled in any case that lower-cases to the
+// compiled one.
 // Rules are lines of a generated list plus rules built from the fuzz
 // bytes (exceptions, $third-party and ~third-party, $domain=a|~b, |
 // end anchors, * and ^) plus free rule text; hosts and pages are fuzz
@@ -114,8 +116,9 @@ func FuzzHostRules(f *testing.F) {
 			vocab = append(vocab, d, "www."+d)
 		}
 	}
-	// The three traps of Exact: a generic rule, hosts that Hostname
-	// rewrites, and hosts found inside "https://".
+	// The traps of Exact: a generic rule, hosts that Hostname rewrites,
+	// hosts found inside "https://", and hosts whose lower-case form
+	// has another byte length.
 	f.Add("/x\n||a.com^", []byte{}, "", uint8(2), "/x", "p.com", uint8(255))
 	f.Add("||ads.example.com/p", []byte{}, "", uint8(10), "/p", "p.com", uint8(255))
 	f.Add("||com^$third-party", []byte{}, "", uint8(11), "/", "a.com", uint8(255))
@@ -123,6 +126,9 @@ func FuzzHostRules(f *testing.F) {
 	f.Add("||s/x", []byte{}, "", uint8(6), "/x", "p.com", uint8(255))
 	f.Add("||tps/p", []byte{}, "", uint8(7), "/p", "p.com", uint8(255))
 	f.Add("", []byte{0x80, 3, 0x11, 4, 1, 2, 3, 4, 0x4a, 9, 1, 2, 0x03, 0x68, 1, 0}, "x.", uint8(14), "/ad?q", "Sub.A.com", uint8(1))
+	f.Add("||i.com/ab", []byte{}, "\u0130.com", uint8(255), "/ab", "p.com", uint8(255))
+	f.Add("||k.com/ab|", []byte{}, "\u212a.com", uint8(255), "/ab", "k.com", uint8(255))
+	f.Add("||i.com^", []byte{0x80, 1}, "\u0130.", uint8(0), "/x?y", "\u0130.com", uint8(0))
 	f.Fuzz(func(t *testing.T, text string, spec []byte, host string, hostSel uint8, path, page string, pageSel uint8) {
 		if int(hostSel) < len(vocab) {
 			host += vocab[hostSel]
@@ -131,12 +137,13 @@ func FuzzHostRules(f *testing.F) {
 			page += vocab[pageSel]
 		}
 		l, _ := Parse("fuzz", text+"\n"+fuzzRules(spec, generated, vocab))
-		hr := l.ForHost(host)
+		lower := strings.ToLower(host)
+		hr := l.ForHost(lower)
 		if !hr.Exact || path != "" && !strings.ContainsRune("/?#", rune(path[0])) {
 			return
 		}
 		q := Request{URL: "https://" + host + path, PageDomain: page}
-		third := webgraph.ETLDPlusOne(host) != webgraph.ETLDPlusOne(page)
+		third := webgraph.ETLDPlusOne(lower) != webgraph.ETLDPlusOne(page)
 		if got, want := hr.Match(path, third, strings.ToLower(page)), l.Match(q); got != want {
 			t.Fatalf("host %q path %q page %q: compiled %v, List.Match %v", host, path, page, got, want)
 		}

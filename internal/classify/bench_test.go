@@ -11,7 +11,7 @@ import (
 // sequential browse of 14 users over the scale-0.05 rig, ready to
 // merge into any row sink (mergeInto never mutates the shard, so one
 // collector serves several sinks).
-func benchCollector(b *testing.B) (*ShardedCollector, []capRef) {
+func benchCollector(b testing.TB) (*ShardedCollector, []capRef) {
 	b.Helper()
 	g, srv, el, ep := shardRig(b, 31)
 	users := browser.MakeUsers([]browser.CountryCount{
@@ -113,7 +113,9 @@ func BenchmarkSpillScan(b *testing.B) {
 
 // BenchmarkChunkCodec measures the codec itself — encode and decode of
 // one full study-shaped chunk; bytes/op is the raw fixed-width size,
-// so ns/op converts to raw-layout MB/s.
+// so ns/op converts to raw-layout MB/s. encode-reference runs the
+// test oracle referenceEncodeBlock over the same chunk; CI gates
+// encode as a same-run ratio against it.
 func BenchmarkChunkCodec(b *testing.B) {
 	sc, order := benchCollector(b)
 	ds, err := sc.mergeInto(order, NewMemStoreChunked(DefaultChunkRows), false)
@@ -135,6 +137,16 @@ func BenchmarkChunkCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			enc = cc.EncodeBlock(c, enc[:0])
 		}
+	})
+	b.Run("encode-reference", func(b *testing.B) {
+		b.SetBytes(rawBytes)
+		var rc refCodec
+		enc := referenceEncodeBlock(&rc, c, nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc = referenceEncodeBlock(&rc, c, enc[:0])
+		}
+		b.ReportMetric(float64(len(enc))/float64(rawBytes), "size-ratio")
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(rawBytes)

@@ -300,13 +300,6 @@ func TestGroundTruthFlag(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // shardRig rebuilds the rig substrate so the sharded-vs-sequential test
 // can run the same simulation through both collector shapes.
 func shardRig(t testing.TB, seed int64) (*webgraph.Graph, *dns.Server, *blocklist.List, *blocklist.List) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -33,6 +34,20 @@ import (
 // runs on (wide values, runs, or dictionary + index stream). Tags 2
 // and 4 belonged to retired schemes (zigzag delta, entropy-coded
 // dictionary) and are unknown tags.
+//
+// Encoding a column costs one pass over its values plus a sort of its
+// distinct values. The pass (buildDict) computes the zone map's min,
+// max and distinct count and the exact RLE size, and builds the
+// dictionary: an open-addressing table, keyed by a random per-codec
+// seed so uploaded values cannot force long probe chains, maps each
+// value to a first-seen slot and records every row's slot. Only the
+// distinct values are sorted, and a rank array maps slot to sorted
+// index for the bit-packed stream, so the block is the same whatever
+// the seed. LZ is tried on the winning payload and, while the winner is
+// above half of raw, on the raw bytes, with matches searched one value
+// width at a time. It is not tried on a dictionary holding more than
+// half the rows unless one row or delta in 16 repeats: a near-unique
+// dictionary of URL hashes is random bytes to LZ.
 //
 // Block frame (what a compressed MemStore seals each chunk into):
 //
@@ -287,7 +302,12 @@ func parseFrame(block []byte, wantRows int, f *frame) error {
 // decodes.
 type ChunkCodec struct {
 	vals   []uint64 // staged column values
-	dict   []uint64 // sorted distinct values
+	dict   []uint64 // distinct values in first-seen (slot) order
+	sorted []uint64 // distinct values sorted: the emitted dictionary
+	slots  []uint32 // per-row dictionary slot
+	rank   []uint32 // slot -> index in sorted
+	table  []int32  // open-addressing value -> slot+1 table, 0 = empty
+	seed   uint64   // hash key of table, drawn at first encode
 	winner []byte   // winning candidate payload staging
 	cand   []byte   // candidate payload staging
 	rawCol []byte   // raw column bytes (LZ4 input)
@@ -416,16 +436,11 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, dst []byte) []byte {
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(c.Len()))
 	cc.encZone = ZoneMap{}
+	if cc.seed == 0 {
+		cc.seed = rand.Uint64()
+	}
 	for col := 0; col < numCols; col++ {
 		cc.vals = c.gather(ColID(col), cc.vals)
-		for i, v := range cc.vals {
-			if i == 0 || v < cc.encZone.Min[col] {
-				cc.encZone.Min[col] = v
-			}
-			if i == 0 || v > cc.encZone.Max[col] {
-				cc.encZone.Max[col] = v
-			}
-		}
 		before := len(dst)
 		dst = cc.encodeColumn(dst, col)
 		cc.encTags[col] = dst[before]
@@ -444,6 +459,79 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, dst []byte) []byte {
 	return dst
 }
 
+// hash maps a column value to its dictionary-table probe start. The
+// codec's random seed keys it, so uploaded values cannot be chosen to
+// collide; the encoded block never depends on the seed.
+func (cc *ChunkCodec) hash(v uint64) uint64 {
+	v ^= cc.seed
+	v = (v ^ v>>30) * 0xbf58476d1ce4e5b9
+	v = (v ^ v>>27) * 0x94d049bb133111eb
+	return v ^ v>>31
+}
+
+// probe returns the index of v's entry in the dictionary table, or of
+// the empty entry that ends its linear probe when v is absent.
+func (cc *ChunkCodec) probe(v uint64) uint64 {
+	mask := uint64(len(cc.table) - 1)
+	h := cc.hash(v) & mask
+	for e := cc.table[h]; e != 0 && cc.dict[e-1] != v; e = cc.table[h] {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// buildDict makes one pass over the staged column: it fills the zone
+// map's min, max and distinct count, records each row's first-seen
+// dictionary slot in cc.slots (distinct values go to cc.dict in slot
+// order through the open-addressing cc.table), and returns the exact
+// RLE payload size and the number of runs. A row equal to its
+// predecessor reuses its slot without probing.
+func (cc *ChunkCodec) buildDict(col int) (rleSize, runs int) {
+	vals := cc.vals
+	n := len(vals)
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(cc.table) < size {
+		cc.table = make([]int32, size)
+	}
+	cc.table = cc.table[:size]
+	clear(cc.table)
+	if cap(cc.slots) < n {
+		cc.slots = make([]uint32, n)
+	}
+	slots := cc.slots[:n]
+	cc.dict = cc.dict[:0]
+	mn, mx := vals[0], vals[0]
+	var s uint32
+	run := 0
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			slots[i] = s
+			run++
+			continue
+		}
+		if i > 0 {
+			rleSize += uvarintLen(uint64(run)) + uvarintLen(vals[i-1])
+		}
+		run = 1
+		runs++
+		mn, mx = min(mn, v), max(mx, v)
+		h := cc.probe(v)
+		if cc.table[h] == 0 {
+			cc.dict = append(cc.dict, v)
+			cc.table[h] = int32(len(cc.dict))
+		}
+		s = uint32(cc.table[h] - 1)
+		slots[i] = s
+	}
+	rleSize += uvarintLen(uint64(run)) + uvarintLen(vals[n-1])
+	zm := &cc.encZone
+	zm.Min[col], zm.Max[col], zm.Distinct[col] = mn, mx, uint32(len(cc.dict))
+	return rleSize, runs
+}
+
 // encodeColumn appends [tag][uvarint len][payload] for the staged
 // column, choosing the smallest candidate encoding.
 func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
@@ -457,44 +545,36 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 		return appendRawVals(dst, vals, width)
 	}
 
-	// Candidate sizes, computed exactly without materializing.
-	rleSize := 0
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && vals[j] == vals[i] {
-			j++
-		}
-		rleSize += uvarintLen(uint64(j-i)) + uvarintLen(vals[i])
-		i = j
-	}
-
-	// Dictionary: sorted distinct values, stored as uvarint deltas.
-	cc.dict = append(cc.dict[:0], vals...)
-	slices.Sort(cc.dict)
-	d := 0
-	for i, v := range cc.dict {
-		if i == 0 || v != cc.dict[d-1] {
-			cc.dict[d] = v
-			d++
-		}
-	}
-	cc.dict = cc.dict[:d]
-	cc.encZone.Distinct[col] = uint32(d)
-	dictSize := uvarintLen(uint64(d)) + uvarintLen(cc.dict[0])
-	for i := 1; i < d; i++ {
-		dictSize += uvarintLen(cc.dict[i] - cc.dict[i-1])
-	}
-	packBits := bitsFor(d)
-	packSize := dictSize + (n*packBits+7)/8
-
-	// Pick the smallest scheme and materialize it.
 	tag, best := byte(colRaw), rawSize
+	rleSize, runs := cc.buildDict(col)
 	if rleSize < best {
 		tag, best = colRLE, rleSize
 	}
-	if packSize < best {
-		tag, best = colDict, packSize
+
+	// Dictionary: sorted distinct values, stored as uvarint deltas.
+	// repeats counts rows equal to their predecessor and deltas equal
+	// to the one before: the sources of LZ matches in a dictionary
+	// payload.
+	d := len(cc.dict)
+	cc.sorted = append(cc.sorted[:0], cc.dict...)
+	slices.Sort(cc.sorted)
+	packBits := bitsFor(d)
+	packSize := uvarintLen(uint64(d)) + uvarintLen(cc.sorted[0]) + (n*packBits+7)/8
+	repeats := n - runs
+	var prev uint64
+	for i := 1; i < d; i++ {
+		delta := cc.sorted[i] - cc.sorted[i-1]
+		packSize += uvarintLen(delta)
+		if i > 1 && delta == prev {
+			repeats++
+		}
+		prev = delta
 	}
+	if packSize < best {
+		tag = colDict
+	}
+
+	// Materialize the winner.
 	cc.winner = cc.winner[:0]
 	switch tag {
 	case colRaw:
@@ -511,11 +591,18 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 		}
 	case colDict:
 		cc.winner = cc.appendDict(cc.winner)
+		// rank remaps each first-seen slot to its sorted index.
+		if cap(cc.rank) < d {
+			cc.rank = make([]uint32, d)
+		}
+		rank := cc.rank[:d]
+		for k, v := range cc.sorted {
+			rank[cc.table[cc.probe(v)]-1] = uint32(k)
+		}
 		var acc uint64
 		var nb uint
-		for _, v := range vals {
-			k, _ := slices.BinarySearch(cc.dict, v)
-			acc |= uint64(k) << nb
+		for _, s := range cc.slots[:n] {
+			acc |= uint64(rank[s]) << nb
 			nb += uint(packBits)
 			for nb >= 8 {
 				cc.winner = append(cc.winner, byte(acc))
@@ -529,22 +616,32 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 	}
 
 	// LZ4 pass: try wrapping the winner, and independently the raw
-	// bytes — a column whose dictionary barely beats raw (near-unique
-	// hashes) can still hold byte-level repeats LZ4 finds. The raw
-	// attempt is skipped once the per-value winner already compresses
-	// below half of raw: LZ4's token stream cannot reach that density
-	// on fixed-width input, so the pass would be pure encode cost.
+	// bytes — a column whose dictionary barely beats raw can still hold
+	// byte-level repeats LZ4 finds. Raw bytes are searched one value
+	// width at a time. A dictionary holding more than half the rows is
+	// tried only when at least one row or delta in 16 repeats: without
+	// repeats its payload is near-random (URL hashes), and the pass
+	// would save well under 1%. The raw attempt is skipped once the
+	// per-value winner already compresses below half of raw: LZ4's
+	// token stream cannot reach that density on fixed-width input, so
+	// the pass would be pure encode cost.
 	if cap(cc.htab) < lzHashLen {
 		cc.htab = make([]int32, lzHashLen)
 	}
 	bestTag, bestPayload := tag, cc.winner
-	if len(cc.chain) < len(cc.winner) {
-		cc.chain = make([]int32, len(cc.winner)+rawSize)
-	}
-	cc.lz = binary.AppendUvarint(cc.lz[:0], uint64(len(cc.winner)))
-	if lz := lzCompress(cc.winner, cc.lz, cc.htab, cc.chain); lz != nil && len(lz) < len(bestPayload) {
-		cc.lz = lz
-		bestTag, bestPayload = tag|colLZ4, lz
+	if tag != colDict || 2*d <= n || 16*repeats >= n {
+		step := 1
+		if tag == colRaw {
+			step = width
+		}
+		if len(cc.chain) < len(cc.winner) {
+			cc.chain = make([]int32, len(cc.winner)+rawSize)
+		}
+		cc.lz = binary.AppendUvarint(cc.lz[:0], uint64(len(cc.winner)))
+		if lz := lzCompress(cc.winner, cc.lz, cc.htab, cc.chain, step); lz != nil && len(lz) < len(bestPayload) {
+			cc.lz = lz
+			bestTag, bestPayload = tag|colLZ4, lz
+		}
 	}
 	if tag != colRaw && 2*len(bestPayload) > rawSize {
 		cc.rawCol = appendRawVals(cc.rawCol[:0], vals, width)
@@ -552,7 +649,7 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 			cc.chain = make([]int32, rawSize)
 		}
 		cc.cand = binary.AppendUvarint(cc.cand[:0], uint64(rawSize))
-		if lz := lzCompress(cc.rawCol, cc.cand, cc.htab, cc.chain); lz != nil && len(lz) < len(bestPayload) {
+		if lz := lzCompress(cc.rawCol, cc.cand, cc.htab, cc.chain, width); lz != nil && len(lz) < len(bestPayload) {
 			cc.cand = lz
 			bestTag, bestPayload = colRaw|colLZ4, lz
 		}
@@ -565,10 +662,10 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 
 // appendDict emits [uvarint ndict][sorted values as uvarint deltas].
 func (cc *ChunkCodec) appendDict(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(cc.dict)))
-	dst = binary.AppendUvarint(dst, cc.dict[0])
-	for i := 1; i < len(cc.dict); i++ {
-		dst = binary.AppendUvarint(dst, cc.dict[i]-cc.dict[i-1])
+	dst = binary.AppendUvarint(dst, uint64(len(cc.sorted)))
+	dst = binary.AppendUvarint(dst, cc.sorted[0])
+	for i := 1; i < len(cc.sorted); i++ {
+		dst = binary.AppendUvarint(dst, cc.sorted[i]-cc.sorted[i-1])
 	}
 	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func chunkOf(rows []Row) *Chunk {
 
 // chunksEqual compares the nine wide columns (Class is store-owned and
 // excluded: DecodeBlock leaves it untouched).
-func chunksEqual(t *testing.T, got, want *Chunk, n int) {
+func chunksEqual(t testing.TB, got, want *Chunk, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		g, w := got.Row(i), want.Row(i)
@@ -85,13 +86,10 @@ func TestCodecBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecCompressesGoldenShapedChunks(t *testing.T) {
-	// A chunk shaped like the study's merge output (user-ordered visit
-	// runs, low-cardinality ids, Zipf-ish hosts) must compress well
-	// below half its raw size; the study-level ratio gate lives in the
-	// root package's compression test.
-	rng := rand.New(rand.NewSource(3))
-	rows := make([]Row, 8192)
+// goldenShapedRows generates rows shaped like the study's merge output:
+// user-ordered visit runs, low-cardinality ids, Zipf-ish hosts.
+func goldenShapedRows(rng *rand.Rand, n int) []Row {
+	rows := make([]Row, n)
 	for i := range rows {
 		visit := i / 30
 		rows[i] = Row{
@@ -106,6 +104,14 @@ func TestCodecCompressesGoldenShapedChunks(t *testing.T) {
 			Flags:     uint8(rng.Intn(12)),
 		}
 	}
+	return rows
+}
+
+func TestCodecCompressesGoldenShapedChunks(t *testing.T) {
+	// A golden-shaped chunk must compress well below half its raw size;
+	// the study-level ratio gate lives in the root package's
+	// compression test.
+	rows := goldenShapedRows(rand.New(rand.NewSource(3)), 8192)
 	c := chunkOf(rows)
 	cc := GetCodec()
 	defer PutCodec(cc)
@@ -121,6 +127,219 @@ func TestCodecCompressesGoldenShapedChunks(t *testing.T) {
 	}
 	buf.Class = make([]Class, len(rows))
 	chunksEqual(t, buf, c, len(rows))
+}
+
+// refCodec is the reusable scratch of referenceEncodeBlock.
+type refCodec struct {
+	vals, dict               []uint64
+	winner, cand, rawCol, lz []byte
+	htab, chain              []int32
+	zone                     ZoneMap
+}
+
+// referenceEncodeBlock is the column encoder this package used before
+// the one-pass dictionary, kept as the oracle EncodeBlock is held to.
+// Per column it sorts every value to build the dictionary, finds each
+// row's index with a binary search, and runs LZ one byte at a time over
+// the winner and, unless the winner is already under half of raw, over
+// the raw bytes. It writes the same frame, zone map included (left in
+// rc.zone).
+func referenceEncodeBlock(rc *refCodec, c *Chunk, dst []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameHasSections)
+	dst = binary.AppendUvarint(dst, uint64(c.Len()))
+	rc.zone = ZoneMap{}
+	for col := 0; col < numCols; col++ {
+		rc.vals = c.gather(ColID(col), rc.vals)
+		for i, v := range rc.vals {
+			if i == 0 || v < rc.zone.Min[col] {
+				rc.zone.Min[col] = v
+			}
+			if i == 0 || v > rc.zone.Max[col] {
+				rc.zone.Max[col] = v
+			}
+		}
+		dst = rc.encodeColumn(dst, col)
+	}
+	for _, cl := range c.Class {
+		rc.zone.ClassBits |= 1 << cl
+	}
+	dst = appendZoneSection(dst, &rc.zone)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], castagnoli))
+	return dst
+}
+
+func (rc *refCodec) encodeColumn(dst []byte, col int) []byte {
+	width := colWidths[col]
+	vals := rc.vals
+	n := len(vals)
+	rawSize := n * width
+	if n == 0 {
+		dst = append(dst, colRaw)
+		dst = binary.AppendUvarint(dst, uint64(rawSize))
+		return appendRawVals(dst, vals, width)
+	}
+	rleSize := 0
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && vals[j] == vals[i] {
+			j++
+		}
+		rleSize += uvarintLen(uint64(j-i)) + uvarintLen(vals[i])
+		i = j
+	}
+	rc.dict = append(rc.dict[:0], vals...)
+	slices.Sort(rc.dict)
+	rc.dict = slices.Compact(rc.dict)
+	d := len(rc.dict)
+	rc.zone.Distinct[col] = uint32(d)
+	dictSize := uvarintLen(uint64(d)) + uvarintLen(rc.dict[0])
+	for i := 1; i < d; i++ {
+		dictSize += uvarintLen(rc.dict[i] - rc.dict[i-1])
+	}
+	packBits := bitsFor(d)
+	packSize := dictSize + (n*packBits+7)/8
+
+	tag, best := byte(colRaw), rawSize
+	if rleSize < best {
+		tag, best = colRLE, rleSize
+	}
+	if packSize < best {
+		tag = colDict
+	}
+	rc.winner = rc.winner[:0]
+	switch tag {
+	case colRaw:
+		rc.winner = appendRawVals(rc.winner, vals, width)
+	case colRLE:
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && vals[j] == vals[i] {
+				j++
+			}
+			rc.winner = binary.AppendUvarint(rc.winner, uint64(j-i))
+			rc.winner = binary.AppendUvarint(rc.winner, vals[i])
+			i = j
+		}
+	case colDict:
+		rc.winner = binary.AppendUvarint(rc.winner, uint64(d))
+		rc.winner = binary.AppendUvarint(rc.winner, rc.dict[0])
+		for i := 1; i < d; i++ {
+			rc.winner = binary.AppendUvarint(rc.winner, rc.dict[i]-rc.dict[i-1])
+		}
+		var acc uint64
+		var nb uint
+		for _, v := range vals {
+			k, _ := slices.BinarySearch(rc.dict, v)
+			acc |= uint64(k) << nb
+			nb += uint(packBits)
+			for nb >= 8 {
+				rc.winner = append(rc.winner, byte(acc))
+				acc >>= 8
+				nb -= 8
+			}
+		}
+		if nb > 0 {
+			rc.winner = append(rc.winner, byte(acc))
+		}
+	}
+
+	if cap(rc.htab) < lzHashLen {
+		rc.htab = make([]int32, lzHashLen)
+	}
+	bestTag, bestPayload := tag, rc.winner
+	if len(rc.chain) < len(rc.winner)+rawSize {
+		rc.chain = make([]int32, len(rc.winner)+rawSize)
+	}
+	rc.lz = binary.AppendUvarint(rc.lz[:0], uint64(len(rc.winner)))
+	if lz := lzCompress(rc.winner, rc.lz, rc.htab, rc.chain, 1); lz != nil && len(lz) < len(bestPayload) {
+		rc.lz = lz
+		bestTag, bestPayload = tag|colLZ4, lz
+	}
+	if tag != colRaw && 2*len(bestPayload) > rawSize {
+		rc.rawCol = appendRawVals(rc.rawCol[:0], vals, width)
+		rc.cand = binary.AppendUvarint(rc.cand[:0], uint64(rawSize))
+		if lz := lzCompress(rc.rawCol, rc.cand, rc.htab, rc.chain, 1); lz != nil && len(lz) < len(bestPayload) {
+			rc.cand = lz
+			bestTag, bestPayload = colRaw|colLZ4, lz
+		}
+	}
+	dst = append(dst, bestTag)
+	dst = binary.AppendUvarint(dst, uint64(len(bestPayload)))
+	return append(dst, bestPayload...)
+}
+
+// checkAgainstReference encodes c with cc and with the reference
+// encoder: the block must decode back to c and carry the reference's
+// zone map. It returns both block sizes.
+func checkAgainstReference(t testing.TB, cc *ChunkCodec, rc *refCodec, c *Chunk) (got, want int) {
+	t.Helper()
+	block := cc.EncodeBlock(c, nil)
+	ref := referenceEncodeBlock(rc, c, nil)
+	n := c.Len()
+	buf := &Chunk{}
+	if err := DecodeBlockInto(block, n, buf); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	buf.Class = make([]Class, n)
+	chunksEqual(t, buf, c, n)
+	zm, err := BlockZoneMap(block)
+	if err != nil {
+		t.Fatalf("zone map: %v", err)
+	}
+	if *zm != rc.zone || cc.encZone != rc.zone {
+		t.Fatalf("zone map %+v (encoder %+v) != reference %+v", *zm, cc.encZone, rc.zone)
+	}
+	return len(block), len(ref)
+}
+
+// TestEncodeMatchesReference holds EncodeBlock to the reference encoder
+// on golden-shaped chunks, on every chunk of the benchmark's
+// study-shaped capture and on adversarially shaped codecRows chunks:
+// same decoded chunk, same zone map, and a block at most 1% larger.
+func TestEncodeMatchesReference(t *testing.T) {
+	cc := GetCodec()
+	defer PutCodec(cc)
+	var rc refCodec
+	check := func(name string, c *Chunk) {
+		t.Helper()
+		got, want := checkAgainstReference(t, cc, &rc, c)
+		t.Logf("%s, %d rows: %d bytes, reference %d", name, c.Len(), got, want)
+		if got*100 > want*101 {
+			t.Errorf("%s: %d-row block is %d bytes, reference %d (over 1%% larger)", name, c.Len(), got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{8192, DefaultChunkRows, 1000} {
+		check("golden-shaped", chunkOf(goldenShapedRows(rng, n)))
+	}
+	for trial := 0; trial < 8; trial++ {
+		check("codecRows", chunkOf(codecRows(rng, 1+rng.Intn(3000))))
+	}
+	sc, order := benchCollector(t)
+	ds, err := sc.mergeInto(order, NewMemStoreChunked(DefaultChunkRows), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ds.Store.NumChunks(); i++ {
+		check("study-shaped capture", wideChunk(ds.Store, i))
+	}
+}
+
+// TestEncodeIndependentOfSeed: the dictionary table's hash key changes
+// only the probe order, never the block.
+func TestEncodeIndependentOfSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	rows := append(codecRows(rng, 2000), goldenShapedRows(rng, 2000)...)
+	for i := range rows[:500] {
+		rows[i].URLHash = uint64(i) << 40 // equal modulo 2^40
+	}
+	c := chunkOf(rows)
+	var a, b ChunkCodec
+	a.seed, b.seed = 1, 0x9e3779b97f4a7c15
+	if !bytes.Equal(a.EncodeBlock(c, nil), b.EncodeBlock(c, nil)) {
+		t.Fatal("blocks encoded under two table seeds differ")
+	}
 }
 
 func zipfInt(rng *rand.Rand, n int) int {
@@ -399,7 +618,7 @@ func TestLZ4RoundTrip(t *testing.T) {
 	inputs = append(inputs, mixed)
 	for i, src := range inputs {
 		chain := make([]int32, len(src))
-		enc := lzCompress(src, nil, htab, chain)
+		enc := lzCompress(src, nil, htab, chain, 1)
 		if enc == nil {
 			t.Fatalf("input %d: compressible data reported incompressible", i)
 		}
@@ -423,11 +642,46 @@ func TestLZ4RoundTrip(t *testing.T) {
 			t.Fatalf("input %d: oversized declared output accepted", i)
 		}
 	}
+	// Stepped searches over fixed-width columns: repeated values, runs,
+	// and values that share their low or high bytes, each in 4- and
+	// 8-byte little-endian layout.
+	for _, step := range []int{4, 8} {
+		for shape := 0; shape < 4; shape++ {
+			var src []byte
+			for i := 0; i < 2048; i++ {
+				var v uint64
+				switch shape {
+				case 0:
+					v = uint64(rng.Intn(9)) // low cardinality
+				case 1:
+					v = uint64(i / 37) // runs
+				case 2:
+					v = uint64(rng.Intn(5))<<40 | 0xABCD // equal low bytes
+				default:
+					v = 0x1234_5678_9ABC_0000 | uint64(rng.Intn(300)) // shared high bytes
+				}
+				if step == 4 {
+					src = binary.LittleEndian.AppendUint32(src, uint32(v|v>>32))
+				} else {
+					src = binary.LittleEndian.AppendUint64(src, v)
+				}
+			}
+			enc := lzCompress(src, nil, htab, make([]int32, len(src)), step)
+			if enc == nil || len(enc) >= len(src) {
+				t.Fatalf("step %d shape %d: no compression", step, shape)
+			}
+			out := make([]byte, len(src))
+			if err := lzDecompress(enc, out); err != nil || !bytes.Equal(out, src) {
+				t.Fatalf("step %d shape %d: round trip failed (%v)", step, shape, err)
+			}
+		}
+	}
+
 	// Random noise must be reported incompressible, and random "streams"
 	// must never panic the decoder.
 	noise := make([]byte, 4096)
 	rng.Read(noise)
-	if enc := lzCompress(noise, nil, htab, make([]int32, len(noise))); enc != nil {
+	if enc := lzCompress(noise, nil, htab, make([]int32, len(noise)), 1); enc != nil {
 		t.Log("noise compressed (harmless, just unexpected)")
 	}
 	out := make([]byte, 512)

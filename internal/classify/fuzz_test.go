@@ -78,3 +78,76 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeChunk hardens the encoder's dictionary table and LZ pass:
+// the fuzz bytes choose the row count and, per column, the distinct
+// count, the longest run and the key set — random values, values equal
+// modulo 2^k (they differ only above bit k), values sharing their high
+// bits (they differ only below bit k), or dense values. Every chunk
+// must decode back through DecodeBlockInto with the reference
+// encoder's zone map.
+//
+// Run with: go test -run=NONE -fuzz FuzzEncodeChunk -fuzzminimizetime 1s ./internal/classify/
+func FuzzEncodeChunk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x40, 0, 7, 0x0f, 0xff, 1, 20, 1, 0, 0x10, 0, 40, 2, 3, 0x0f, 0xff, 1, 60, 3})
+	f.Add([]byte{0x0f, 0xff, 9, 0x0f, 0xff, 1, 12, 1, 0x0f, 0xff, 1, 3, 2, 0, 2, 64, 30, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fuzzChunk(data)
+		cc := GetCodec()
+		defer PutCodec(cc)
+		var rc refCodec
+		checkAgainstReference(t, cc, &rc, c)
+	})
+}
+
+// fuzzChunk builds the chunk FuzzEncodeChunk's bytes describe; missing
+// bytes read as zero.
+func fuzzChunk(data []byte) *Chunk {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 1 + (next()<<8|next())%4096
+	rng := rand.New(rand.NewSource(int64(next())))
+	c := &Chunk{Class: make([]Class, n)}
+	c.reset(n)
+	vals := make([]uint64, n)
+	for col := 0; col < numCols; col++ {
+		bits := 8 * colWidths[col]
+		d := 1 + (next()<<8|next())%n
+		maxRun := 1 + next()%64
+		mode, k := next()%4, next()%bits
+		low := uint64(1)<<k - 1
+		base := rng.Uint64()
+		keys := make([]uint64, d)
+		for j := range keys {
+			switch mode {
+			case 0:
+				keys[j] = rng.Uint64()
+			case 1:
+				keys[j] = base + uint64(j)<<k
+			case 2:
+				keys[j] = base&^low | uint64(j)&low
+			default:
+				keys[j] = base + uint64(j)
+			}
+			if bits < 64 {
+				keys[j] &= 1<<bits - 1
+			}
+		}
+		for i := 0; i < n; {
+			v := keys[rng.Intn(d)]
+			for r := 1 + rng.Intn(maxRun); r > 0 && i < n; r-- {
+				vals[i] = v
+				i++
+			}
+		}
+		scatter(c, col, vals)
+	}
+	return c
+}

@@ -11,11 +11,15 @@ import (
 // [length extensions] [literals] [2-byte little-endian offset] [match
 // length extensions] — with a 4-byte minimum match and offsets up to
 // 64 KiB. The encoder finds matches with a hash-chain over 4-byte
-// prefixes; the decoder is hardened for adversarial input: every
-// length and offset is validated against the declared output size
-// before any byte moves, so forged streams error out instead of
-// panicking or over-allocating (the output buffer is sized by the
-// caller from a validated cap, never from the stream itself).
+// prefixes. Its step only narrows where the encoder searches (value
+// boundaries of a fixed-width column); the stream format and the
+// decoder are the same for every step, so blocks written with or
+// without stepping decode everywhere. The decoder is hardened for
+// adversarial input: every length and offset is validated against the
+// declared output size before any byte moves, so forged streams error
+// out instead of panicking or over-allocating (the output buffer is
+// sized by the caller from a validated cap, never from the stream
+// itself).
 
 const (
 	lzMinMatch   = 4     // shortest encodable match
@@ -49,7 +53,13 @@ func appendLzLen(dst []byte, rem int) []byte {
 // extended slice, or nil when src is incompressible (the stream would
 // not be smaller than src). htab and chain are caller scratch: htab
 // needs lzHashLen entries, chain len(src).
-func lzCompress(src []byte, dst []byte, htab, chain []int32) []byte {
+//
+// step is the value width of src: 1 for a byte stream, w for the raw
+// bytes of a fixed-width column. With step > 1 match searches run
+// only at value boundaries, a missed search advances one value, and a
+// match is cut back to whole values, so every search stays aligned: in
+// such a column a useful match is a run of repeated values.
+func lzCompress(src []byte, dst []byte, htab, chain []int32, step int) []byte {
 	if len(src) < lzMatchLimit+lzMinMatch {
 		return nil
 	}
@@ -59,6 +69,7 @@ func lzCompress(src []byte, dst []byte, htab, chain []int32) []byte {
 	}
 	chain = chain[:len(src)]
 
+	stride := max(step, 2)
 	mfLimit := len(src) - lzMatchLimit
 	matchEnd := len(src) - lzLastBytes
 	s, anchor := 0, 0
@@ -84,14 +95,23 @@ func lzCompress(src []byte, dst []byte, htab, chain []int32) []byte {
 		}
 		chain[s] = htab[h]
 		htab[h] = int32(s)
+		bestLen -= bestLen % step
 		if bestLen < lzMinMatch {
-			s++
+			s += step
 			continue
 		}
 
-		// Emit literals [anchor,s) then the match.
-		litLen := s - anchor
-		ml := bestLen - lzMinMatch
+		// A stepped search skips the bytes between value boundaries, so
+		// the match may reach back into the pending literals: a value
+		// often ends in the same bytes as the one before its match.
+		ms := s
+		for step > 1 && ms > anchor && ms > s-bestPos && src[ms-1] == src[ms-1-(s-bestPos)] {
+			ms--
+		}
+
+		// Emit literals [anchor,ms) then the match [ms,s+bestLen).
+		litLen := ms - anchor
+		ml := s + bestLen - ms - lzMinMatch
 		token := byte(0)
 		if litLen >= 15 {
 			token = 15 << 4
@@ -105,7 +125,7 @@ func lzCompress(src []byte, dst []byte, htab, chain []int32) []byte {
 		}
 		dst = append(dst, token)
 		dst = appendLzLen(dst, litLen-15)
-		dst = append(dst, src[anchor:s]...)
+		dst = append(dst, src[anchor:ms]...)
 		off := s - bestPos
 		dst = append(dst, byte(off), byte(off>>8))
 		dst = appendLzLen(dst, ml-15)
@@ -113,11 +133,11 @@ func lzCompress(src []byte, dst []byte, htab, chain []int32) []byte {
 			return nil
 		}
 
-		// Index the interior of the match (every other position) so
-		// later repeats of its content remain findable — the extra
-		// inserts buy ratio for the templated cascade patterns at half
-		// the insertion cost of full indexing.
-		for p := s + 2; p < s+bestLen && p < mfLimit; p += 2 {
+		// Index the interior of the match (every other byte, or every
+		// value) so later repeats of its content remain findable — the
+		// extra inserts buy ratio for the templated cascade patterns at
+		// half the insertion cost of full indexing.
+		for p := s + stride; p < s+bestLen && p < mfLimit; p += stride {
 			hp := lzHash(binary.LittleEndian.Uint32(src[p:]))
 			chain[p] = htab[hp]
 			htab[hp] = int32(p)

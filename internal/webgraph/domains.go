@@ -41,18 +41,26 @@ func ETLDPlusOne(host string) string {
 // Hostname extracts the host part from a URL-ish string without requiring
 // a full URL parse: scheme and path are stripped if present.
 func Hostname(rawURL string) string {
-	s := rawURL
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
+	start, end := HostSpan(rawURL)
+	return strings.ToLower(rawURL[start:end])
+}
+
+// HostSpan returns the byte range of the host inside rawURL: after the
+// scheme and any user info, before the path, query, fragment or port.
+// Hostname is that range lower-cased, which may differ in byte length.
+func HostSpan(rawURL string) (start, end int) {
+	if i := strings.Index(rawURL, "://"); i >= 0 {
+		start = i + 3
 	}
-	if i := strings.IndexAny(s, "/?#"); i >= 0 {
-		s = s[:i]
+	end = len(rawURL)
+	if i := strings.IndexAny(rawURL[start:], "/?#"); i >= 0 {
+		end = start + i
 	}
-	if i := strings.IndexByte(s, '@'); i >= 0 {
-		s = s[i+1:]
+	if i := strings.IndexByte(rawURL[start:end], '@'); i >= 0 {
+		start += i + 1
 	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[:i]
+	if i := strings.IndexByte(rawURL[start:end], ':'); i >= 0 {
+		end = start + i
 	}
-	return strings.ToLower(s)
+	return start, end
 }

@@ -32,11 +32,17 @@ func TestHostname(t *testing.T) {
 		"user@host.com/path":               "host.com",
 		"plain.host":                       "plain.host",
 		"https://h.io#frag":                "h.io",
+		"https://\u0130.com/ab":            "i.com",
 	}
 	for in, want := range cases {
 		if got := Hostname(in); got != want {
 			t.Errorf("Hostname(%q) = %q, want %q", in, got, want)
 		}
+	}
+	// HostSpan locates the host in the URL as written, whatever length
+	// lower-casing gives it.
+	if start, end := HostSpan("https://\u0130.com/ab"); start != 8 || end != 14 {
+		t.Errorf("HostSpan = [%d,%d), want [8,14)", start, end)
 	}
 }
 
