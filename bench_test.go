@@ -462,11 +462,11 @@ func benchIngestCapture(b *testing.B) (*scenario.Scenario, [][]byte, int) {
 	return benchIngestWorld, benchIngestBatches, benchIngestTotal
 }
 
-// benchIngestRun replays the captured batches through one collector per
-// op. With a DataDir in cfg the run is durable — WAL journaling on
-// every upload; checkpoint additionally writes the epoch checkpoint on
-// the final flush (the full write path a durable collectd pays on
-// /v1/flush).
+// benchIngestRun replays the captured raw batches through IngestBinary
+// (the upload handler's path) into one collector per op. With a DataDir
+// in cfg the run is durable — WAL journaling on every upload;
+// checkpoint additionally writes the epoch checkpoint on the final
+// flush (the full write path a durable collectd pays on /v1/flush).
 func benchIngestRun(b *testing.B, cfg ingest.Config, checkpoint bool) {
 	world, batches, total := benchIngestCapture(b)
 	root := b.TempDir()
@@ -483,11 +483,7 @@ func benchIngestRun(b *testing.B, cfg ingest.Config, checkpoint bool) {
 			}
 		}
 		for _, raw := range batches {
-			bt, err := ingest.DecodeBinary(raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Ingest(bt); err != nil {
+			if _, err := c.IngestBinary(raw); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -506,11 +502,12 @@ func benchIngestRun(b *testing.B, cfg ingest.Config, checkpoint bool) {
 }
 
 // BenchmarkIngestThroughput drives the live collection pipeline end to
-// end in-process: binary batch decode -> sequence dedup -> sharded
-// stage-1 classification -> user-ordered merge into the columnar store
-// -> incremental fixpoint + aggregate deltas -> snapshot publish. One
-// op replays the whole captured event stream; events/sec is the
-// headline serving metric.
+// end in-process through IngestBinary, the server's path: in-place
+// batch validation -> sequence dedup -> (epoch committer) frame decode
+// -> sharded stage-1 classification -> user-ordered merge into the
+// columnar store -> incremental fixpoint + aggregate deltas -> snapshot
+// publish. One op replays the whole captured event stream and flushes;
+// events/sec is the headline serving metric.
 func BenchmarkIngestThroughput(b *testing.B) {
 	benchIngestRun(b, ingest.Config{EpochEvents: 1 << 14}, false)
 }
@@ -640,11 +637,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 						b.Fatal(err)
 					}
 					for _, raw := range parts[s] {
-						bt, err := ingest.DecodeBinary(raw)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := c.Ingest(bt); err != nil {
+						if _, err := c.IngestBinary(raw); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -143,6 +143,10 @@
 // sequence-numbered uploads into the same columnar engine epoch by
 // epoch (internal/ingest), optionally durable via a write-ahead log
 // and epoch checkpoints, and serves every registered artifact live.
+// Its ingest lock covers sequencing only: uploads are validated in
+// place over their wire bytes and queued as wire frames, and each cut
+// epoch is decoded, classified and published by a committer goroutine
+// while the next epoch fills (at most one in flight).
 // internal/cluster scales that horizontally — N collectd shards each
 // own a consistent-hash partition of the users, announce themselves
 // over a heartbeat/gossip membership layer, and cmd/mergerd merges

@@ -123,6 +123,11 @@ func (f *Fanin) Ready() error {
 	return nil
 }
 
+// exportPresizeCap caps the buffer pull sizes from an export's
+// Content-Length. Exports have no size limit: a larger body reads on
+// past it.
+const exportPresizeCap = 64 << 20
+
 // pull fetches one shard's export if its epoch advanced, updating the
 // cache. A 304 (If-None-Match hit) or a pull error leaves the cached
 // export in place.
@@ -150,7 +155,7 @@ func (f *Fanin) pull(node, addr string) error {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := ingest.ReadBody(resp.Body, resp.ContentLength, exportPresizeCap)
 	if err != nil {
 		return err
 	}

@@ -215,3 +215,67 @@ func TestUploadDeadlineCutsSlowBody(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestUploadBodyDeclaredLength: the binary upload body is read to EOF
+// whatever Content-Length says. A body shorter than declared is decoded
+// as it arrived (whole: accepted; cut: 400), a longer one is read in
+// full, and a body over MaxUploadBytes is still refused with 413,
+// whether its length was declared or understated.
+func TestUploadBodyDeclaredLength(t *testing.T) {
+	world, evs, _ := rig(t)
+	var uid int32 = -1
+	for u := range evs {
+		if uid < 0 || u < uid {
+			uid = u
+		}
+	}
+	c := NewCollector(world, Config{EpochEvents: 1 << 20, Workers: 2})
+	t.Cleanup(c.Close)
+	const bodyCap = 4 << 10
+	h := NewServer(c, WithLimits(Limits{MaxUploadBytes: bodyCap}))
+	post := func(body []byte, declared int64) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	stream := evs[uid]
+	first := EncodeBinary(Batch{User: uid, Seq: 0, Events: stream[:3]})
+	second := EncodeBinary(Batch{User: uid, Seq: 3, Events: stream[3:6]})
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"shorter than declared, whole", first, int64(len(first)) + 100, http.StatusOK},
+		{"shorter than declared, cut", second[:len(second)-2], int64(len(second)), http.StatusBadRequest},
+		{"longer than declared", second, int64(len(second)) / 2, http.StatusOK},
+		{"unknown length", EncodeBinary(Batch{User: uid, Seq: 6, Events: stream[6:9]}), -1, http.StatusOK},
+	} {
+		if got := post(tc.body, tc.declared); got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if got := c.nextSeqOf(uid); got != 9 {
+		t.Fatalf("next seq = %d after the accepted uploads, want 9", got)
+	}
+
+	big := EncodeBinary(Batch{User: uid, Seq: 9, Events: stream[9:]})
+	if len(big) <= bodyCap {
+		t.Fatalf("test batch only %d bytes; cannot exceed the cap", len(big))
+	}
+	for _, declared := range []int64{int64(len(big)), 100, -1} {
+		if got := post(big, declared); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body declared %d: status %d, want 413", declared, got)
+		}
+	}
+
+	// A forged Content-Length sizes nothing beyond the cap.
+	buf, err := ReadBody(strings.NewReader("abc"), 1<<40, bodyCap)
+	if err != nil || string(buf) != "abc" || cap(buf) > bodyCap+1 {
+		t.Fatalf("ReadBody under a forged length = %q (cap %d), %v", buf, cap(buf), err)
+	}
+}

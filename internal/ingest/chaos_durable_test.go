@@ -66,8 +66,8 @@ func TestChaosShortCheckpointWriteIsTransient(t *testing.T) {
 	// flush performs are the rotate header and the checkpoint body.
 	c0, _ := recoverNew(t, world, durableCfg(dir, false))
 	sendAll(t, c0, batches)
+	c0.Close() // waits for the last cut epoch to publish
 	want := c0.Snapshot()
-	c0.Close()
 
 	inj := chaos.New(7)
 	cfg := durableCfg(dir, false)

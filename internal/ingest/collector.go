@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +33,8 @@ var (
 
 // Config tunes a Collector.
 type Config struct {
-	// EpochEvents is the epoch commit threshold: once at least this many
-	// accepted events are pending, the next upload commits them as one
+	// EpochEvents is the epoch threshold: the upload that brings the
+	// accepted pending events to at least this many cuts them as one
 	// epoch. 0 means 1<<15. Epoch size never changes the final dataset,
 	// only the granularity of snapshots.
 	EpochEvents int
@@ -115,9 +115,20 @@ type EpochStat struct {
 // keeps the semi-stage fixpoint and the paper's aggregates current
 // incrementally, and publishes an immutable Snapshot per epoch.
 //
-// Ingest and Flush serialize on an internal mutex; Snapshot is
-// wait-free (an atomic pointer load), so queries never block ingestion
-// and always observe a complete epoch.
+// Two locks split the work (group commit: DeWitt et al., "Implementation
+// Techniques for Main Memory Database Systems", SIGMOD 1984). The ingest
+// lock mu covers sequencing only: an upload is validated in place over
+// its wire bytes before the lock, then deduplicated, journaled and
+// appended as wire frames to its user's pending run. The upload that
+// crosses EpochEvents cuts the epoch and hands it to a committer
+// goroutine, which decodes the frames inside its classify workers and
+// commits under commitMu; uploads go on filling the next epoch
+// meanwhile. At most one epoch is in flight: the next cut waits for it.
+// Snapshot is wait-free (an atomic pointer load), so queries never
+// block ingestion and always observe a complete epoch.
+//
+// Lock order: mu before commitMu. The committer takes only commitMu, so
+// a holder of mu may wait for it.
 type Collector struct {
 	world *scenario.Scenario
 	cfg   Config
@@ -126,10 +137,21 @@ type Collector struct {
 
 	mu      sync.Mutex
 	nextSeq map[int32]uint64
-	pending map[int32][]Event
-	// pendingN mirrors the pending event count; it is only written under
-	// mu but read atomically by the lock-free query path.
-	pendingN atomic.Int64
+	pending map[int32]*userRun
+	// inflight is the cut epoch whose commit is running, nil once a
+	// holder of mu has seen it publish.
+	inflight *epochCut
+	closed   bool
+	// pendingN mirrors the pending event count and inflightN the events
+	// of the epoch being committed; both are written under a lock but
+	// read atomically by the lock-free query path.
+	pendingN  atomic.Int64
+	inflightN atomic.Int64
+
+	// commitMu guards the committed state below. The committer holds it
+	// for a whole commit; checkpoint and export encoding hold it instead
+	// of mu.
+	commitMu sync.Mutex
 	sc       *classify.ShardedCollector
 	merger   *classify.Merger
 	store    *classify.MemStore
@@ -140,7 +162,9 @@ type Collector struct {
 	ipmapA   *core.Analysis
 	maxmindA *core.Analysis
 	epochs   []EpochStat
-	closed   bool
+	// floors holds each user's next sequence number as of the last
+	// committed epoch: nextSeq minus what is still pending or in flight.
+	floors map[int32]uint64
 	// internClone caches the last published interner clone; reused while
 	// no new FQDN interns (see buildSnapshot).
 	internClone    *classify.Interner
@@ -148,10 +172,10 @@ type Collector struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// Durability state (nil / zero for a memory-only collector). walErr
-	// poisons ingestion after a journal failure: the WAL tail may be
-	// torn, so acknowledging further uploads would promise durability
-	// the journal can no longer deliver.
+	// Durability state (nil / zero for a memory-only collector), under
+	// mu. walErr poisons ingestion after a journal failure: the WAL tail
+	// may be torn, so acknowledging further uploads would promise
+	// durability the journal can no longer deliver.
 	wal    *wal.WAL
 	walErr error
 	// segs lists every published block segment in chunk order: those
@@ -182,12 +206,31 @@ type Collector struct {
 
 	started time.Time
 	// metrics counters (atomic: the /metrics handler reads them without
-	// the ingest lock).
-	mBatches   atomic.Int64
-	mEvents    atomic.Int64
-	mDupEvents atomic.Int64
-	mSeqGaps   atomic.Int64
-	mRejected  atomic.Int64
+	// the ingest lock). mCommitWaits counts uploads that blocked on the
+	// previous epoch's commit.
+	mBatches     atomic.Int64
+	mEvents      atomic.Int64
+	mDupEvents   atomic.Int64
+	mSeqGaps     atomic.Int64
+	mRejected    atomic.Int64
+	mCommitWaits atomic.Int64
+}
+
+// userRun is one user's accepted events awaiting their epoch: in
+// sequence order, the fresh frames of each upload, which alias the
+// upload's own bytes.
+type userRun struct {
+	frames [][]byte
+	end    uint64 // the user's sequence floor once the run commits
+}
+
+// epochCut is one cut epoch: its users ascending, their runs, and a
+// channel closed once the committer has published it.
+type epochCut struct {
+	users  []int32
+	runs   []*userRun
+	events int
+	done   chan struct{}
 }
 
 // NewCollector wires a collector over a world built by
@@ -202,7 +245,8 @@ func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 		users:    make(map[int32]*browser.User, len(world.Users)),
 		pubs:     make(map[string]*webgraph.Publisher, len(world.Graph.Publishers)),
 		nextSeq:  make(map[int32]uint64),
-		pending:  make(map[int32][]Event),
+		pending:  make(map[int32]*userRun),
+		floors:   make(map[int32]uint64),
 		userSet:  make(map[int32]struct{}),
 		fqdnSet:  make(map[uint32]struct{}),
 		truthA:   core.NewAnalysis(),
@@ -236,21 +280,26 @@ func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 // World returns the collector's read-only world scenario.
 func (c *Collector) World() *scenario.Scenario { return c.world }
 
-// Close releases the fixpoint worker pool. Pending (uncommitted) events
-// are dropped; call Flush first to keep them.
+// Close waits for the epoch in flight to publish, then releases the
+// fixpoint worker pool. Pending (uncut) events are dropped; call Flush
+// first to keep them.
 func (c *Collector) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		c.semi.Close()
-		if c.wal != nil {
-			c.wal.Close()
-		}
+	if c.closed {
+		return
+	}
+	c.closed = true
+	c.awaitLocked()
+	c.commitMu.Lock()
+	c.semi.Close()
+	c.commitMu.Unlock()
+	if c.wal != nil {
+		c.wal.Close()
 	}
 }
 
-// UploadResult reports what one Ingest call did.
+// UploadResult reports what one Ingest or IngestBinary call did.
 type UploadResult struct {
 	// Accepted is the number of events newly accepted from the batch.
 	Accepted int `json:"accepted"`
@@ -259,40 +308,42 @@ type UploadResult struct {
 	Duplicate int `json:"duplicate"`
 	// NextSeq is the user's next expected sequence number.
 	NextSeq uint64 `json:"next_seq"`
-	// Epoch and Rows describe the committed state after the call.
+	// Epoch and Rows describe the latest published snapshot when the
+	// call returned. An epoch this upload cut may still be committing,
+	// so they can lag the upload by one epoch.
 	Epoch int `json:"epoch"`
 	Rows  int `json:"rows"`
 }
 
-// validate rejects a batch with an unknown user, an unknown publisher
-// domain, or a malformed event, before any sequence state advances.
-func (c *Collector) validate(b Batch) error {
-	if _, ok := c.users[b.User]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, b.User)
-	}
-	for i, ev := range b.Events {
-		if ev.Kind != KindVisit && ev.Kind != KindRequest {
-			return fmt.Errorf("%w: event %d has kind 0x%02x", ErrBadEvent, i, ev.Kind)
-		}
-		if _, ok := c.pubs[ev.Publisher]; !ok {
-			return fmt.Errorf("%w: event %d: %q", ErrUnknownPublisher, i, ev.Publisher)
-		}
-		if ev.Kind == KindRequest && ev.FQDN == "" {
-			return fmt.Errorf("%w: event %d has empty FQDN", ErrBadEvent, i)
-		}
-	}
-	return nil
+// Ingest accepts one upload batch: it encodes b in the binary wire
+// format and takes the IngestBinary path, so both accept the same
+// batches (at most MaxBatchEvents events) with the same results. Like
+// IngestBinary it returns once the batch is journaled and queued: an
+// epoch it cuts commits in the background, and the returned Epoch and
+// Rows may lag it by that epoch (Flush waits for it).
+func (c *Collector) Ingest(b Batch) (UploadResult, error) {
+	return c.IngestBinary(EncodeBinary(b))
 }
 
-// Ingest accepts one upload batch. Re-sent events (sequence numbers the
-// user already uploaded) are skipped, so clients may retransmit freely;
-// a batch starting beyond the user's next sequence number returns
-// ErrSequenceGap and changes nothing. Crossing the epoch threshold
-// commits the pending events synchronously and publishes the snapshot
-// before returning.
-func (c *Collector) Ingest(b Batch) (UploadResult, error) {
+// IngestBinary accepts one upload in the binary wire format. The
+// batch is validated in place — unknown user or publisher, malformed
+// event or framing — before any sequence state advances. Re-sent
+// events (sequence numbers the user already uploaded) are skipped, so
+// clients may retransmit freely; a batch starting beyond the user's
+// next sequence number returns ErrSequenceGap and changes nothing. The
+// accepted frames are journaled and queued in place: the collector
+// keeps raw until their epoch commits, so the caller must not modify
+// it after the call.
+//
+// The upload that brings the pending events to EpochEvents cuts them as
+// one epoch and returns without waiting for its commit; Snapshot shows
+// the epoch once it publishes. If the previous epoch is still
+// committing, that upload waits for it first. Cut points depend only on
+// the sequence of accepted uploads, never on commit timing.
+func (c *Collector) IngestBinary(raw []byte) (UploadResult, error) {
 	c.mBatches.Add(1)
-	if err := c.validate(b); err != nil {
+	h, err := c.scanBinary(raw)
+	if err != nil {
 		c.mRejected.Add(1)
 		return UploadResult{}, err
 	}
@@ -306,121 +357,186 @@ func (c *Collector) Ingest(b Batch) (UploadResult, error) {
 	case c.draining.Load():
 		return UploadResult{}, ErrDraining
 	}
-	return c.ingestLocked(b, true)
+	return c.acceptLocked(raw, h, false)
 }
 
-// ingestLocked is the sequencing core of Ingest, called with c.mu held.
-// WAL recovery replays journaled batches through it with journal=false:
-// same dedup, same epoch commits, no re-journaling.
-func (c *Collector) ingestLocked(b Batch, journal bool) (UploadResult, error) {
-	next := c.nextSeq[b.User]
-	if b.Seq > next {
+// acceptLocked is the sequencing core of IngestBinary, called with c.mu
+// held on a batch scanBinary passed. WAL recovery replays journaled
+// batches through it with replay set: same dedup and epoch cuts, no
+// re-journaling, commits run synchronously and no auto-checkpoint.
+func (c *Collector) acceptLocked(raw []byte, h batchHeader, replay bool) (UploadResult, error) {
+	next := c.nextSeq[h.user]
+	if h.seq > next {
 		c.mSeqGaps.Add(1)
 		return UploadResult{}, fmt.Errorf("%w: user %d sent seq %d, expected %d",
-			ErrSequenceGap, b.User, b.Seq, next)
+			ErrSequenceGap, h.user, h.seq, next)
 	}
-	res := UploadResult{NextSeq: next}
-	end := b.Seq + uint64(len(b.Events))
-	if end > next {
-		skip := int(next - b.Seq)
-		fresh := b.Events[skip:]
-		if journal && c.wal != nil {
-			// Journal the accepted suffix before any state changes: a
-			// crash after the append replays it, a crash before never
-			// acknowledged it. Only the fresh suffix is journaled, so
-			// replay needs no dedup beyond the normal sequence floors.
+	res := UploadResult{NextSeq: next, Duplicate: int(h.count)}
+	if end := h.seq + h.count; end > next {
+		skip := next - h.seq
+		fresh := skipFrames(h.frames, skip)
+		if !replay && c.wal != nil {
+			// Journal the accepted frames before any state changes: a
+			// crash after the append replays them, a crash before never
+			// acknowledged them. Only fresh frames are journaled (the
+			// upload as it arrived, or its suffix under a new header),
+			// so replay needs no dedup beyond the sequence floors.
 			if c.walErr != nil {
 				return UploadResult{}, c.walErr
 			}
-			rec := EncodeBinary(Batch{User: b.User, Seq: next, Events: fresh})
+			rec := journalRecord(raw, h, next, fresh)
 			if _, err := c.wal.Append(rec); err != nil {
 				c.walErr = fmt.Errorf("%w: %v", ErrJournal, err)
 				return UploadResult{}, c.walErr
 			}
 			c.walSinceCkpt.Add(int64(len(rec)))
 		}
-		c.pending[b.User] = append(c.pending[b.User], fresh...)
-		c.pendingN.Add(int64(len(fresh)))
-		c.nextSeq[b.User] = end
-		res.Accepted = len(fresh)
-		res.Duplicate = skip
-		res.NextSeq = end
-	} else {
-		res.Duplicate = len(b.Events)
+		run := c.pending[h.user]
+		if run == nil {
+			run = &userRun{}
+			c.pending[h.user] = run
+		}
+		run.frames = append(run.frames, fresh)
+		run.end = end
+		c.pendingN.Add(int64(end - next))
+		c.nextSeq[h.user] = end
+		res.Accepted, res.Duplicate, res.NextSeq = int(end-next), int(skip), end
 	}
 	c.mEvents.Add(int64(res.Accepted))
 	c.mDupEvents.Add(int64(res.Duplicate))
+	waited := false
 	if c.pendingN.Load() >= int64(c.cfg.EpochEvents) {
-		c.commitEpoch()
+		waited = c.cutLocked(replay)
 	}
 	// Checkpoint cadence by WAL bytes: once the uncovered journal
-	// exceeds the threshold, commit whatever is pending and cut a
-	// checkpoint inline. Gated on readiness so WAL replay (which also
-	// flows through here) never checkpoints — and GCs segments — out
-	// from under the recovery loop iterating them. A failed
+	// exceeds the threshold, cut whatever is pending, wait until every
+	// cut epoch has published and cut a checkpoint inline. Gated on
+	// readiness so WAL replay never checkpoints — and GCs segments —
+	// out from under the recovery loop iterating them. A failed
 	// auto-checkpoint must not fail the upload that happened to trip
 	// the threshold: the journal already holds the accepted batch, so
 	// durability is intact; the error is surfaced via /v1/stats and
 	// retried at the next threshold crossing.
-	if journal && c.wal != nil && c.walErr == nil && c.cfg.CheckpointBytes > 0 &&
+	if !replay && c.wal != nil && c.walErr == nil && c.cfg.CheckpointBytes > 0 &&
 		c.walSinceCkpt.Load() >= c.cfg.CheckpointBytes && c.ready.Load() {
-		if c.pendingN.Load() > 0 {
-			c.commitEpoch()
-		}
+		waited = c.flushLocked() || waited
 		if err := c.checkpointLocked(); err != nil {
 			msg := err.Error()
 			c.lastCkptErr.Store(&msg)
 		}
+	}
+	if waited {
+		c.mCommitWaits.Add(1)
 	}
 	snap := c.snap.Load()
 	res.Epoch, res.Rows = snap.Epoch(), snap.Rows()
 	return res, nil
 }
 
-// Flush commits any pending events as an epoch regardless of the
-// threshold and returns the published snapshot.
+// Flush cuts any pending events as an epoch regardless of the
+// threshold, waits until every cut epoch has published, and returns the
+// resulting snapshot.
 func (c *Collector) Flush() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pendingN.Load() > 0 && !c.closed {
-		c.commitEpoch()
+	if !c.closed {
+		c.flushLocked()
 	}
 	return c.snap.Load()
 }
 
 // Snapshot returns the latest published epoch snapshot. It never
-// blocks: the pointer swaps atomically at epoch commit.
+// blocks: the pointer swaps atomically when an epoch commit publishes,
+// so it may lag the last upload by the epoch in flight. Flush first for
+// a snapshot that covers every accepted event.
 func (c *Collector) Snapshot() *Snapshot { return c.snap.Load() }
 
-// Epochs returns the commit history (a copy).
+// Epochs returns the commit history (a copy), after waiting for the
+// epoch in flight.
 func (c *Collector) Epochs() []EpochStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]EpochStat, len(c.epochs))
-	copy(out, c.epochs)
-	return out
+	c.awaitLocked()
+	// No commit runs now: starting one takes c.mu.
+	return slices.Clone(c.epochs)
 }
 
-// commitEpoch merges the pending events into the live dataset and
-// publishes a new snapshot. Called with c.mu held.
-//
-// Determinism: the pending users are processed in ascending user id,
-// each user's events in sequence order, and the per-shard classify
-// results merge back in that same user order — so the dataset depends
-// only on the event streams, never on upload interleaving inside the
-// epoch or on Workers. A client that replays a batch simulation's
-// events in stream order therefore reconstructs the batch dataset
-// byte for byte, class labels included.
-func (c *Collector) commitEpoch() {
-	userIDs := make([]int32, 0, len(c.pending))
-	for u := range c.pending {
-		userIDs = append(userIDs, u)
+// awaitLocked waits for the epoch in flight, if any, to publish. Called
+// with c.mu held; it reports whether it had to block.
+func (c *Collector) awaitLocked() bool {
+	e := c.inflight
+	if e == nil {
+		return false
 	}
-	sort.Slice(userIDs, func(i, j int) bool { return userIDs[i] < userIDs[j] })
+	c.inflight = nil
+	select {
+	case <-e.done:
+		return false
+	default:
+	}
+	<-e.done
+	return true
+}
+
+// cutLocked ends the pending epoch. It first waits for the epoch in
+// flight, so epochs publish in cut order, then hands the new one to a
+// committer goroutine or, with sync, commits it before returning.
+// Called with c.mu held and events pending; it reports whether it had
+// to wait.
+func (c *Collector) cutLocked(sync bool) bool {
+	waited := c.awaitLocked()
+	e := &epochCut{users: make([]int32, 0, len(c.pending)), events: int(c.pendingN.Load())}
+	for u := range c.pending {
+		e.users = append(e.users, u)
+	}
+	slices.Sort(e.users)
+	e.runs = make([]*userRun, len(e.users))
+	for i, u := range e.users {
+		e.runs[i] = c.pending[u]
+	}
+	c.pending = make(map[int32]*userRun, len(e.users))
+	c.inflightN.Store(int64(e.events))
+	c.pendingN.Store(0)
+	if sync {
+		c.commit(e)
+		return waited
+	}
+	e.done = make(chan struct{})
+	c.inflight = e
+	go func() {
+		c.commit(e)
+		close(e.done)
+	}()
+	return waited
+}
+
+// flushLocked cuts whatever is pending and waits until every cut epoch
+// has published. Called with c.mu held; it reports whether it had to
+// wait for an epoch in flight.
+func (c *Collector) flushLocked() bool {
+	if c.pendingN.Load() > 0 {
+		return c.cutLocked(true)
+	}
+	return c.awaitLocked()
+}
+
+// commit merges a cut epoch into the live dataset and publishes a new
+// snapshot, holding commitMu throughout.
+//
+// Determinism: the users are processed in ascending user id, each
+// user's events in sequence order, and the per-shard classify results
+// merge back in that same user order — so the dataset depends only on
+// the event streams and the cut points, never on upload interleaving
+// inside the epoch, on commit timing or on Workers. A client that
+// replays a batch simulation's events in stream order therefore
+// reconstructs the batch dataset byte for byte, class labels included.
+func (c *Collector) commit(e *epochCut) {
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
 
 	// Fan the users over the classification shards: worker w takes
-	// users[w], users[w+W], ... Stage-1 classification, interning and
-	// row building run in parallel with per-shard caches.
+	// users[w], users[w+W], ... Frame decoding, stage-1 classification,
+	// interning and row building run in parallel with per-shard caches.
 	w := c.cfg.Workers
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
@@ -428,8 +544,8 @@ func (c *Collector) commitEpoch() {
 		go func(i int) {
 			defer wg.Done()
 			sh := c.sc.Shard(i)
-			for j := i; j < len(userIDs); j += w {
-				c.feedUser(sh, userIDs[j], c.pending[userIDs[j]])
+			for j := i; j < len(e.users); j += w {
+				c.feedRun(sh, e.users[j], e.runs[j])
 			}
 		}(i)
 	}
@@ -438,16 +554,14 @@ func (c *Collector) commitEpoch() {
 	// Merge in global user order: user j sits at capture j/W of shard
 	// j%W because each shard saw its users in ascending order.
 	prevRows := c.store.Len()
-	for j := range userIDs {
+	for j := range e.users {
 		c.merger.AppendCapture(c.sc.Shard(j%w), j/w)
 	}
-	events := int(c.pendingN.Load())
-	for u := range c.pending {
-		delete(c.pending, u)
-	}
-	c.pendingN.Store(0)
 	for i := 0; i < w; i++ {
 		c.sc.Shard(i).ResetCaptures()
+	}
+	for j, u := range e.users {
+		c.floors[u] = e.runs[j].end
 	}
 
 	// Incremental classification stages 2+3, then the per-epoch
@@ -461,37 +575,43 @@ func (c *Collector) commitEpoch() {
 	c.epochs = append(c.epochs, EpochStat{
 		Epoch:  len(c.epochs) + 1,
 		Rows:   ds.Len(),
-		Events: events,
+		Events: e.events,
 		Flips:  len(flips),
 		At:     time.Now().Unix(),
 	})
 	c.snap.Store(c.buildSnapshot(c.snap.Load(), prevRows, flips2chunks(flips, c.store.ChunkRows())))
+	c.inflightN.Store(0)
 }
 
-// feedUser replays one user's accepted events into a classify shard,
-// reconstructing the browser capture stream the extension observed.
-func (c *Collector) feedUser(sh *classify.Shard, uid int32, events []Event) {
+// feedRun decodes one user's pending frames (validated at intake) and
+// replays them into a classify shard, reconstructing the browser
+// capture stream the extension observed.
+func (c *Collector) feedRun(sh *classify.Shard, uid int32, run *userRun) {
 	u := c.users[uid]
-	for _, ev := range events {
-		pub := c.pubs[ev.Publisher]
-		at := time.Unix(ev.At, 0).UTC()
-		if ev.Kind == KindVisit {
-			sh.OnVisit(u, pub, at)
-			continue
+	var v frameView
+	for _, frames := range run.frames {
+		for len(frames) > 0 {
+			frames = nextFrame(frames, &v)
+			pub := c.pubs[string(v.pub)]
+			at := time.Unix(v.at, 0).UTC()
+			if v.kind == KindVisit {
+				sh.OnVisit(u, pub, at)
+				continue
+			}
+			sh.OnRequest(browser.Event{
+				User:      u,
+				Publisher: pub,
+				Call: rtb.Call{
+					FQDN:    string(v.fqdn),
+					Path:    string(v.path),
+					HasArgs: v.flags&flagHasArgs != 0,
+					RefFQDN: string(v.ref),
+				},
+				IP:    netsim.IP(v.ip),
+				At:    at,
+				HTTPS: v.flags&flagHTTPS != 0,
+			})
 		}
-		sh.OnRequest(browser.Event{
-			User:      u,
-			Publisher: pub,
-			Call: rtb.Call{
-				FQDN:    ev.FQDN,
-				Path:    ev.Path,
-				HasArgs: ev.HasArgs,
-				RefFQDN: ev.RefFQDN,
-			},
-			IP:    netsim.IP(ev.IP),
-			At:    at,
-			HTTPS: ev.HTTPS,
-		})
 	}
 }
 

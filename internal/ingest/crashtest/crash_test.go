@@ -44,6 +44,9 @@ type daemon struct {
 	addr string // host:port actually bound (parsed from stderr)
 	errs bytes.Buffer
 	mu   sync.Mutex
+	// logDone closes once stderr reaches EOF: the process has exited
+	// and every line it wrote is in errs.
+	logDone chan struct{}
 }
 
 // startDaemon launches collectd. addr may be "127.0.0.1:0" for the
@@ -51,7 +54,7 @@ type daemon struct {
 // base URL stays valid across crashes.
 func startDaemon(t *testing.T, bin, dataDir, addr, walSync string) *daemon {
 	t.Helper()
-	d := &daemon{}
+	d := &daemon{logDone: make(chan struct{})}
 	d.cmd = exec.Command(bin,
 		"-addr", addr,
 		"-seed", strconv.Itoa(crashSeed),
@@ -70,6 +73,7 @@ func startDaemon(t *testing.T, bin, dataDir, addr, walSync string) *daemon {
 	}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(d.logDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -138,16 +142,16 @@ func (d *daemon) stopGracefully(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }()
+	// Wait closes the stderr pipe, so it runs only after the reader has
+	// drained it; otherwise the last lines the daemon wrote can be lost.
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("collectd exited %v on SIGTERM, want 0:\n%s", err, d.log())
-		}
+	case <-d.logDone:
 	case <-time.After(30 * time.Second):
 		d.cmd.Process.Kill()
 		t.Fatalf("collectd did not exit within 30s of SIGTERM:\n%s", d.log())
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("collectd exited %v on SIGTERM, want 0:\n%s", err, d.log())
 	}
 	if !strings.Contains(d.log(), "checkpointed epoch") {
 		t.Fatalf("graceful shutdown wrote no checkpoint:\n%s", d.log())

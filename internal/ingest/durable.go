@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -46,7 +47,9 @@ import (
 //     the checkpoint publish leaves an orphan segment, which Recover
 //     removes.
 //   - Recovery replays every WAL segment still on disk through the
-//     normal ingest path with journaling disabled. Replay is
+//     normal ingest path (the same in-place scanner and epoch cuts)
+//     with journaling disabled, committing each epoch synchronously;
+//     auto-checkpoints stay inline, after the epoch in flight. Replay is
 //     idempotent because the checkpointed per-user sequence floors
 //     make every already-covered record a duplicate, so recovery is
 //     correct at every crash point — including crashes during
@@ -307,14 +310,14 @@ func (c *Collector) Recover() (RecoveryStats, error) {
 	c.recSegTotal.Store(int64(len(segs)))
 	for _, id := range segs {
 		err := w.ReplaySegment(id, func(_ int, payload []byte) error {
-			b, err := DecodeBinary(payload)
+			// The record aliases the whole segment file; pending
+			// frames must not keep that alive.
+			payload = bytes.Clone(payload)
+			h, err := c.scanBinary(payload)
 			if err != nil {
-				return fmt.Errorf("ingest: WAL record undecodable: %w", err)
+				return fmt.Errorf("ingest: WAL record invalid: %w", err)
 			}
-			if err := c.validate(b); err != nil {
-				return fmt.Errorf("ingest: WAL replay: %w", err)
-			}
-			if _, err := c.ingestLocked(b, false); err != nil {
+			if _, err := c.acceptLocked(payload, h, true); err != nil {
 				return fmt.Errorf("ingest: WAL replay: %w", err)
 			}
 			// Surviving journal bytes are uncovered by the checkpoint;
@@ -331,24 +334,25 @@ func (c *Collector) Recover() (RecoveryStats, error) {
 	}
 	stats.Segments = len(segs)
 	stats.Records = c.recRecords.Load()
-	stats.Rows = c.store.Len()
+	stats.Rows = c.snap.Load().Rows()
 	stats.Duration = time.Since(start)
 	c.ready.Store(true)
 	return stats, nil
 }
 
-// FlushCheckpoint commits any pending events as an epoch and, for a
-// durable collector, writes a checkpoint and garbage-collects the
-// covered WAL prefix and older checkpoints. It is the Flush of
-// /v1/flush and graceful shutdown. The returned snapshot is the state
-// the checkpoint captured.
+// FlushCheckpoint cuts any pending events as an epoch, waits until
+// every cut epoch has published and, for a durable collector, writes a
+// checkpoint and garbage-collects the covered WAL prefix and older
+// checkpoints. It is the Flush of /v1/flush and graceful shutdown. The
+// returned snapshot is the state the checkpoint captured.
 func (c *Collector) FlushCheckpoint() (*Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pendingN.Load() > 0 && !c.closed {
-		c.commitEpoch()
+	if c.closed {
+		return c.snap.Load(), nil
 	}
-	if c.wal == nil || c.closed {
+	c.flushLocked()
+	if c.wal == nil {
 		return c.snap.Load(), nil
 	}
 	err := c.checkpointLocked()
@@ -356,9 +360,10 @@ func (c *Collector) FlushCheckpoint() (*Snapshot, error) {
 }
 
 // checkpointLocked writes a checkpoint of the committed state. Called
-// with c.mu held and pending empty.
+// with c.mu held, nothing pending and no epoch in flight; it holds
+// commitMu while it encodes.
 func (c *Collector) checkpointLocked() error {
-	if n := c.pendingN.Load(); n != 0 {
+	if n := c.PendingEvents(); n != 0 {
 		return fmt.Errorf("ingest: checkpoint with %d uncommitted events", n)
 	}
 	// Rotate first: every journaled record is committed state, so the
@@ -367,15 +372,17 @@ func (c *Collector) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
+	c.commitMu.Lock()
 	segBytes, err := c.writeSegment()
-	if err != nil {
-		return err
-	}
-	body, err := c.encodeCheckpoint(seg, c.segs)
-	if err != nil {
-		return err
+	var body []byte
+	if err == nil {
+		body, err = c.encodeCheckpoint(seg, c.segs)
 	}
 	epoch := len(c.epochs)
+	c.commitMu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := writeFileAtomic(c.cfg.fs(), c.cfg.DataDir, ckptName(epoch), body); err != nil {
 		return err
 	}
@@ -433,7 +440,7 @@ func (c *Collector) writeSegment() (int, error) {
 // encodeCheckpoint serializes the committed state: meta JSON, then per
 // chunk its framed codec block (omitted for chunks segs covers) and raw
 // class column. Exports pass no segments and get a self-contained
-// payload.
+// payload. Called with commitMu held.
 func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error) {
 	ds := c.merger.Dataset()
 	st := c.store
@@ -451,7 +458,7 @@ func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error)
 		WALSeg:      walSeg,
 	}
 	meta.LTF, meta.Cand = c.semi.Frontier()
-	for u, next := range c.nextSeq {
+	for u, next := range c.floors {
 		meta.Seqs = append(meta.Seqs, seqFloor{User: u, Next: next})
 	}
 	sort.Slice(meta.Seqs, func(i, j int) bool { return meta.Seqs[i].User < meta.Seqs[j].User })
@@ -646,6 +653,8 @@ func parseSegment(data []byte, s ckptSeg) ([][]byte, error) {
 // parsed checkpoint. Called with c.mu held, on a freshly constructed
 // collector (NewCollector state), before WAL replay.
 func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [][]classify.Class) error {
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
 	if meta.Seed != c.world.Params.Seed || meta.Scale != c.world.Params.Scale {
 		return fmt.Errorf("checkpoint is for seed %d scale %g, collector runs seed %d scale %g",
 			meta.Seed, meta.Scale, c.world.Params.Seed, c.world.Params.Scale)
@@ -703,8 +712,10 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	}
 
 	c.nextSeq = make(map[int32]uint64, len(meta.Seqs))
+	c.floors = make(map[int32]uint64, len(meta.Seqs))
 	for _, s := range meta.Seqs {
 		c.nextSeq[s.User] = s.Next
+		c.floors[s.User] = s.Next
 	}
 	c.userSet = make(map[int32]struct{}, len(meta.Users))
 	for _, u := range meta.Users {

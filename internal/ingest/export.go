@@ -18,14 +18,15 @@ import (
 // the merger refuse a shard built for a different world.
 
 // EncodeSnapshot serializes the collector's committed state as one
-// XCKP1 payload (the /v1/snapshot response body). Pending
-// (uncommitted) events are not included — they are not classified
-// rows yet; the fan-in tier observes them after the shard's next epoch
-// commit. The returned epoch identifies the encoded state for
-// If-None-Match style caching.
+// XCKP1 payload (the /v1/snapshot response body): the latest published
+// epoch. Pending and in-flight events are not included — they are not
+// classified rows yet; the fan-in tier observes them after the shard's
+// next epoch publishes. It holds the commit lock, not the ingest lock,
+// so uploads go on while it encodes. The returned epoch identifies the
+// encoded state for If-None-Match style caching.
 func (c *Collector) EncodeSnapshot() (data []byte, epoch int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
 	data, err = c.encodeCheckpoint(0, nil)
 	return data, len(c.epochs), err
 }

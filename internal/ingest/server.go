@@ -62,13 +62,20 @@ func WithLimits(l Limits) ServerOption {
 // StatsResponse is the /v1/stats payload: the incremental aggregates of
 // the latest epoch snapshot.
 type StatsResponse struct {
-	Epoch   int                   `json:"epoch"`
-	Rows    int                   `json:"rows"`
-	Stats   statsBlock            `json:"dataset"`
-	Store   StoreFootprint        `json:"store"`
-	Flows   map[string]flowsBlock `json:"flows"` // per geolocation service
-	Epochs  []EpochStat           `json:"epochs"`
-	Pending int                   `json:"pending_events"`
+	Epoch  int                   `json:"epoch"`
+	Rows   int                   `json:"rows"`
+	Stats  statsBlock            `json:"dataset"`
+	Store  StoreFootprint        `json:"store"`
+	Flows  map[string]flowsBlock `json:"flows"` // per geolocation service
+	Epochs []EpochStat           `json:"epochs"`
+	// Pending counts accepted events not yet in a published snapshot:
+	// those pending plus the epoch being committed.
+	Pending int `json:"pending_events"`
+	// CommitInFlight is 1 while an epoch commit runs and 0 otherwise;
+	// CommitWaits counts uploads that waited on the previous epoch's
+	// commit. Both are zero on a fan-in view.
+	CommitInFlight int   `json:"commit_in_flight"`
+	CommitWaits    int64 `json:"commit_waits"`
 	// Shards, on a cluster query tier with a health probe registered
 	// (QueryServer.OnHealth), carries per-shard breaker and staleness
 	// detail; absent on a single collector.
@@ -181,33 +188,29 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		ct = ct[:i]
 	}
 	var (
-		b   Batch
+		res UploadResult
 		err error
 	)
 	switch strings.TrimSpace(ct) {
 	case ContentTypeBinary:
 		var raw []byte
-		if raw, err = io.ReadAll(body); err == nil {
-			b, err = DecodeBinary(raw)
+		if raw, err = ReadBody(body, r.ContentLength, bodyCap); err == nil {
+			res, err = s.c.IngestBinary(raw)
 		}
 	case ContentTypeNDJSON, "application/json", "":
-		b, err = DecodeNDJSON(body)
+		var b Batch
+		if b, err = DecodeNDJSON(body); err == nil {
+			res, err = s.c.Ingest(b)
+		}
 	default:
 		writeError(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("ingest: unsupported Content-Type %q", ct))
 		return
 	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.c.Ingest(b)
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, ErrSequenceGap):
 		writeError(w, http.StatusConflict, err)
 	case errors.Is(err, ErrNotReady), errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
@@ -330,8 +333,8 @@ func flowsOf(a *core.Analysis) flowsBlock {
 }
 
 // statsResponse assembles the /v1/stats payload for one snapshot. The
-// store footprint rides on the snapshot (computed at epoch commit under
-// the ingest lock); callers with live durability gauges overlay them.
+// store footprint rides on the snapshot (computed at epoch commit);
+// callers with live gauges (durability, commit state) overlay them.
 func statsResponse(snap *Snapshot, pending int) StatsResponse {
 	st := snap.Stats()
 	return StatsResponse{
@@ -360,6 +363,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// and every live gauge is atomic, so /v1/stats — like every query
 	// endpoint — never waits behind an in-flight epoch commit.
 	resp := statsResponse(s.c.Snapshot(), s.c.PendingEvents())
+	if s.c.inflightN.Load() > 0 {
+		resp.CommitInFlight = 1
+	}
+	resp.CommitWaits = s.c.mCommitWaits.Load()
 	resp.Store.WALUncoveredBytes = s.c.walSinceCkpt.Load()
 	resp.Store.LastCheckpointBytes = s.c.lastCkptBytes.Load()
 	if msg := s.c.lastCkptErr.Load(); msg != nil {
@@ -413,7 +420,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Counter("collectd_sequence_gaps_total", "Batches rejected for a sequence gap.", s.c.mSeqGaps.Load())
 	m.Counter("collectd_rejected_batches_total", "Batches rejected by validation.", s.c.mRejected.Load())
 	m.Counter("collectd_overload_rejected_total", "Uploads rejected 429 by admission control.", s.mOverload.Load())
+	m.Counter("collectd_commit_waits_total", "Uploads that waited on the previous epoch's commit.", s.c.mCommitWaits.Load())
 	m.Gauge("collectd_inflight_uploads", "Uploads currently admitted.", float64(len(s.sem)))
+	m.Gauge("collectd_pending_events", "Accepted events not yet in a published snapshot.", float64(s.c.PendingEvents()))
+	m.Gauge("collectd_commit_in_flight", "1 while an epoch commit runs.", float64(min(s.c.inflightN.Load(), 1)))
 	m.Gauge("collectd_epoch", "Latest committed epoch.", float64(snap.Epoch()))
 	m.Gauge("collectd_rows", "Dataset rows at the latest epoch.", float64(snap.Rows()))
 	m.Gauge("collectd_users", "Distinct users observed in rows.", float64(snap.Stats().Users))
@@ -451,9 +461,37 @@ func (e Exposition) ScanCounters(prefix string) {
 	e.Counter(prefix+"_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
 }
 
-// PendingEvents returns the number of accepted events awaiting the next
-// epoch commit. Lock-free: the query path must not stall behind an
-// in-flight epoch commit.
+// PendingEvents returns the number of accepted events not yet in a
+// published snapshot: those pending plus the epoch in flight.
+// Lock-free: the query path must not stall behind an epoch commit.
 func (c *Collector) PendingEvents() int {
-	return int(c.pendingN.Load())
+	return int(c.pendingN.Load() + c.inflightN.Load())
+}
+
+// ReadBody reads r to EOF into one buffer sized from declared, a
+// request's or response's Content-Length (-1 when unknown), capped at
+// limit so that a forged header cannot reserve memory. A body shorter
+// than declared returns what arrived; a longer one grows the buffer and
+// still reads in full.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		// One spare byte lets the read that sees EOF land without a
+		// reallocation when the body is exactly as declared.
+		size = min(declared, limit) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }

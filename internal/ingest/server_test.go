@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Collector, *httptest.Server) {
@@ -325,5 +326,83 @@ func TestReadinessEndpoints(t *testing.T) {
 	if _, err := cl.Upload(Batch{User: uid, Seq: 1, Events: evs[uid][1:2]}); err == nil ||
 		!strings.Contains(err.Error(), "503") {
 		t.Fatalf("draining upload = %v, want 503", err)
+	}
+}
+
+// TestCommitObservability: while an epoch commit runs, /v1/stats and
+// /metrics report it in flight with its events still pending, the
+// upload that cut it has already returned with the previous snapshot,
+// and the next upload to cut waits for it and is counted in
+// commit_waits.
+func TestCommitObservability(t *testing.T) {
+	world, evs, _ := rig(t)
+	var uid int32 = -1
+	for u, s := range evs {
+		if len(s) >= 40 && (uid < 0 || u < uid) {
+			uid = u
+		}
+	}
+	stream := evs[uid]
+	c := NewCollector(world, Config{EpochEvents: 10, Workers: 2})
+	t.Cleanup(c.Close)
+	h := NewServer(c)
+	stats := func() StatsResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	metrics := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+
+	c.commitMu.Lock() // holds the committer at the start of its commit
+	res, err := c.Ingest(Batch{User: uid, Seq: 0, Events: stream[:12]})
+	if err != nil || res.Accepted != 12 || res.Epoch != 0 {
+		t.Fatalf("cutting upload = %+v, %v; want 12 accepted at epoch 0", res, err)
+	}
+	if st := stats(); st.CommitInFlight != 1 || st.Pending != 12 || st.CommitWaits != 0 || st.Epoch != 0 {
+		t.Fatalf("stats during the commit: in flight %d, pending %d, waits %d, epoch %d",
+			st.CommitInFlight, st.Pending, st.CommitWaits, st.Epoch)
+	}
+	for _, want := range []string{"collectd_commit_in_flight 1\n", "collectd_pending_events 12\n", "collectd_commit_waits_total 0\n"} {
+		if m := metrics(); !strings.Contains(m, want) {
+			t.Fatalf("metrics during the commit lack %q:\n%s", want, m)
+		}
+	}
+
+	done := make(chan UploadResult)
+	go func() {
+		res, err := c.Ingest(Batch{User: uid, Seq: 12, Events: stream[12:24]})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	// Once the second upload holds the ingest lock it has to wait: the
+	// epoch it cuts cannot start before the held commit publishes.
+	for c.mu.TryLock() {
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	c.commitMu.Unlock()
+	if res := <-done; res.Accepted != 12 || res.Epoch < 1 {
+		t.Fatalf("waiting upload = %+v; want 12 accepted, epoch 1 published", res)
+	}
+	c.Flush()
+	if st := stats(); st.CommitInFlight != 0 || st.Pending != 0 || st.CommitWaits != 1 || st.Epoch != 2 {
+		t.Fatalf("stats after flush: in flight %d, pending %d, waits %d, epoch %d",
+			st.CommitInFlight, st.Pending, st.CommitWaits, st.Epoch)
+	}
+	for _, want := range []string{"collectd_commit_in_flight 0\n", "collectd_pending_events 0\n", "collectd_commit_waits_total 1\n"} {
+		if m := metrics(); !strings.Contains(m, want) {
+			t.Fatalf("metrics after flush lack %q:\n%s", want, m)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func (s *Snapshot) Suite() *experiments.Suite {
 }
 
 // buildSnapshot freezes the live state into a Snapshot. Called with
-// c.mu held (and once from NewCollector before the collector is
+// commitMu held (and once from NewCollector before the collector is
 // shared). prevRows and dirty say which chunks changed since prev (see
 // classify.MemStore.Freeze).
 func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]struct{}) *Snapshot {
