@@ -203,10 +203,13 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 		ls.inLTF = grown
 	}
 
-	// Pass 1 over the new rows only: stage-1 seeds join the LTF, stage 3
+	// Pass 1 over the new rows only: tracking rows join the LTF, stage 3
 	// (keyword + arguments) converts unconditionally, and the remaining
 	// convertible rows — clean with arguments and a referrer — join the
-	// candidate frontier the rounds below scan.
+	// candidate frontier the rounds below scan. Fresh rows carry only
+	// stage-1 labels; a semi label here comes from a restored checkpoint,
+	// whose first Extend thereby rebuilds the LTF (the FQDNs of every
+	// tracking row) and the frontier from the rows alone.
 	pc := GetProj()
 	defer PutProj(pc)
 	chunkRows := st.ChunkRows()
@@ -218,10 +221,10 @@ func (ls *LiveSemi) Extend() (flipped []int) {
 		base := ci * chunkRows
 		for i := max(prev-base, 0); i < len(cls); i++ {
 			switch f := uint8(flags[i]); {
-			case cls[i] == ClassABP:
+			case cls[i].IsTracking():
 				ls.inLTF[fq[i]] = true
-			case cls[i] != ClassClean || f&FlagHasArgs == 0:
-				// Already converted, or never convertible.
+			case f&FlagHasArgs == 0:
+				// Never convertible.
 			case f&FlagKeyword != 0:
 				cls[i] = ClassSemiKeyword
 				ls.inLTF[fq[i]] = true

@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crossborder/internal/browser"
@@ -112,12 +113,11 @@ func trackingAt(st *MemStore, global int) bool {
 	return st.Classes(global / st.ChunkRows())[global%st.ChunkRows()].IsTracking()
 }
 
-// TestLiveSemiRestoreResumesFixpoint: a fixpoint restored from another
-// one's Frontier over the same store, as checkpoint recovery does,
-// reads each candidate's FQDN and referrer back from the store and
-// finishes the later epochs exactly as the one-shot run labels them. A
-// frontier naming a row past the settled ones, or a candidate whose
-// ids the interner does not hold, is rejected.
+// TestLiveSemiRestoreResumesFixpoint: a fresh fixpoint whose first
+// Extend runs over rows another one already labelled, as checkpoint
+// recovery does, rebuilds the same LTF and candidate frontier from the
+// rows alone, changes no label, and finishes the later epochs exactly
+// as the one-shot run labels them.
 func TestLiveSemiRestoreResumesFixpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// Hostnames sparse enough that candidates outlive the first epoch.
@@ -139,15 +139,23 @@ func TestLiveSemiRestoreResumesFixpoint(t *testing.T) {
 		}
 		before := NewLiveSemi(ds, 2)
 		before.Extend()
-		ltf, cand := before.Frontier()
 		before.Close()
-		if len(cand) == 0 {
-			t.Fatal("no candidates survive the first epoch; the restore has nothing to read")
+		if len(before.cand) == 0 {
+			t.Fatal("no candidates survive the first epoch; the restore has nothing to rebuild")
 		}
+		settled := ds.Rows()
 
 		ls := NewLiveSemi(ds, 3)
-		if err := ls.Restore(before.SettledRows(), ltf, cand); err != nil {
-			t.Fatal(err)
+		if flipped := ls.Extend(); len(flipped) != 0 {
+			t.Fatalf("compressed=%v: restoring Extend flipped %d settled rows", compress, len(flipped))
+		}
+		if !slices.Equal(ls.inLTF, before.inLTF) || !slices.Equal(ls.cand, before.cand) {
+			t.Fatalf("compressed=%v: rebuilt LTF or frontier differs from the original's", compress)
+		}
+		for i, r := range ds.Rows() {
+			if r != settled[i] {
+				t.Fatalf("compressed=%v row %d relabelled by the restoring Extend: %+v, was %+v", compress, i, r, settled[i])
+			}
 		}
 		for _, r := range rows[1700:] {
 			st.Append(r)
@@ -159,15 +167,5 @@ func TestLiveSemiRestoreResumesFixpoint(t *testing.T) {
 				t.Fatalf("compressed=%v row %d: %+v, one-shot %+v", compress, i, r, want[i])
 			}
 		}
-
-		bad := NewLiveSemi(ds, 1)
-		if err := bad.Restore(1700, ltf, append(cand, 1700)); err == nil {
-			t.Error("Restore accepted a candidate past the settled rows")
-		}
-		bad.ds = &Dataset{FQDNs: internerOfSize(2), Store: st}
-		if err := bad.Restore(1700, nil, cand); err == nil {
-			t.Error("Restore accepted candidates naming FQDNs outside the interner")
-		}
-		bad.Close()
 	}
 }

@@ -10,9 +10,10 @@ import (
 // This file is the checkpoint-restore side of the dataset engine: the
 // pieces a durable collector (internal/ingest) uses to rebuild a live
 // dataset from a checkpoint — interner snapshot in, sealed chunk
-// blocks in, merge/fixpoint state in — such that subsequent appends
-// and fixpoint rounds behave byte-for-byte as if the process had never
-// restarted.
+// blocks in, merger state replayed from the dataset's own tables —
+// such that subsequent appends behave byte-for-byte as if the process
+// had never restarted. The fixpoint state needs no restore: a fresh
+// LiveSemi's first Extend over the restored rows rebuilds it.
 
 // Strings returns the interned strings in id order as an immutable
 // prefix share (ids are append-only, so the prefix never mutates).
@@ -119,68 +120,4 @@ func NewMergerOver(ds *Dataset) *Merger {
 		m.pubIdx[p] = int32(i)
 	}
 	return m
-}
-
-// Frontier exports the carried fixpoint state for checkpointing: the
-// FQDN ids currently in the LTF (ascending) and the candidate rows
-// still eligible to convert (ascending, as maintained). Settled row
-// count is the dataset length the last Extend observed; the caller
-// persists that alongside.
-func (ls *LiveSemi) Frontier() (ltf []uint32, cand []int) {
-	for id, in := range ls.inLTF {
-		if in {
-			ltf = append(ltf, uint32(id))
-		}
-	}
-	cand = make([]int, len(ls.cand))
-	for i, c := range ls.cand {
-		cand[i] = c.g
-	}
-	return ltf, cand
-}
-
-// SettledRows returns the dataset length as of the last Extend.
-func (ls *LiveSemi) SettledRows() int { return ls.rows }
-
-// Restore seeds a fresh LiveSemi with a checkpointed frontier, making
-// its next Extend behave exactly as the original's would have: rows
-// rows are considered settled, ltf names the LTF membership, cand the
-// still-convertible settled rows, whose FQDN and referrer are read back
-// from the restored store.
-func (ls *LiveSemi) Restore(rows int, ltf []uint32, cand []int) error {
-	n := ls.ds.FQDNs.Len()
-	ls.inLTF = make([]bool, n)
-	for _, id := range ltf {
-		if int(id) >= n {
-			return fmt.Errorf("classify: LTF id %d outside the %d-entry interner", id, n)
-		}
-		ls.inLTF[id] = true
-	}
-	if rows > ls.ds.Len() {
-		return fmt.Errorf("classify: frontier claims %d settled rows, store has %d", rows, ls.ds.Len())
-	}
-	st := ls.ds.Store
-	pc := GetProj()
-	defer PutProj(pc)
-	chunk := -1
-	var fq, rf []uint64
-	ls.cand = ls.cand[:0]
-	for _, g := range cand {
-		if g < 0 || g >= rows {
-			return fmt.Errorf("classify: candidate row %d outside the %d settled rows", g, rows)
-		}
-		if ci := g / st.ChunkRows(); ci != chunk {
-			chunk = ci
-			ProjChunkAt(st, ci, pc)
-			fq, rf = pc.Wide(ColFQDN), pc.Wide(ColRefFQDN)
-		}
-		i := g % st.ChunkRows()
-		c := candRow{g: g, fqdn: uint32(fq[i]), ref: uint32(rf[i])}
-		if int(c.fqdn) >= n || int(c.ref) >= n {
-			return fmt.Errorf("classify: candidate row %d names an FQDN outside the %d-entry interner", g, n)
-		}
-		ls.cand = append(ls.cand, c)
-	}
-	ls.rows = rows
-	return nil
 }

@@ -165,9 +165,9 @@ func (c *Client) FlushAll() error {
 // Replay uploads recorded per-user event streams across the cluster:
 // users partition by ring owner, one uploader goroutine per shard
 // drives its partition in ascending user id (each user's stream stays
-// in order on one connection, which the sequence floors require). The
-// final partial epoch is left pending on every shard; FlushAll commits
-// them.
+// in order on one connection, which per-user sequence numbers require).
+// The final partial epoch is left pending on every shard; FlushAll
+// commits them.
 func (c *Client) Replay(events map[int32][]ingest.Event, batchSize int) (ingest.ReplayStats, error) {
 	users := slices.Sorted(maps.Keys(events))
 	parts := c.ring.Partition(users)

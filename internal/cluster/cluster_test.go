@@ -201,7 +201,7 @@ func feed(t *testing.T, c *ingest.Collector, evs map[int32][]ingest.Event, users
 // the ring-aware client rides through — its in-flight upload fails, it
 // re-resolves the shard's address from the registry, and continues the
 // user's stream where it left off. Retransmitted batches dedup against
-// the recovered sequence floors (exactly-once per user), and the final
+// the recovered sequence numbers (exactly-once per user), and the final
 // merged cluster view equals an uninterrupted single collector over
 // the union of events.
 func TestClusterClientFailoverExactlyOnce(t *testing.T) {
@@ -293,7 +293,7 @@ func TestClusterClientFailoverExactlyOnce(t *testing.T) {
 	reg.Observe(Heartbeat{Node: "c2", Addr: shards["c2"].srv.URL})
 
 	// A retransmit of an already-journaled batch must dedup against the
-	// recovered floors — the lost-response case, exactly-once.
+	// recovered sequence numbers — the lost-response case, exactly-once.
 	ruid := victimUsers[0]
 	half := len(evs[ruid]) / 2
 	firstLen := batchSize

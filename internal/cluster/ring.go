@@ -17,7 +17,7 @@
 //     hash locally, send to the owner, and on a dead shard re-resolve
 //     the owner's current address (a restarted collector may come back
 //     elsewhere; the ring assignment itself never moves, which is what
-//     keeps per-user sequence floors — and exactly-once — intact).
+//     keeps per-user sequence numbers — and exactly-once — intact).
 //   - Fanin: the merge tier — pull /v1/snapshot exports from every
 //     shard, merge via ingest.MergeExports, publish one global
 //     copy-on-write snapshot.

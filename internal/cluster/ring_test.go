@@ -31,7 +31,7 @@ func TestRingRejectsBadNodes(t *testing.T) {
 }
 
 // TestRingStabilityUnderChurn is the property that makes per-user
-// sequence floors survive topology changes: removing one shard only
+// sequence numbers survive topology changes: removing one shard only
 // moves the users it owned, and adding one back only claims users, so
 // no surviving shard's users ever rehash elsewhere.
 func TestRingStabilityUnderChurn(t *testing.T) {

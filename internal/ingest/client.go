@@ -96,9 +96,9 @@ func RecordSimulation(world *scenario.Scenario, visitsPerUser, workers int) map[
 // off exponentially with full jitter; a Retry-After header on the
 // failed response raises the next backoff's floor (capped by MaxDelay),
 // so clients honor the server's own estimate of when to come back.
-// Uploads are safe to retry blindly: the collector's sequence floors
-// dedup re-sent events, so a request whose response was lost applies
-// exactly once.
+// Uploads are safe to retry blindly: the collector's per-user sequence
+// numbers dedup re-sent events, so a request whose response was lost
+// applies exactly once.
 type RetryPolicy struct {
 	// MaxAttempts is the total try budget, first attempt included
 	// (0 = 5).

@@ -15,7 +15,7 @@ import (
 //     on send) — nothing applied, the retry is the first delivery;
 //   - "lost": the server processes the request but the response is
 //     dropped (timeout) — the events ARE applied, and the retry must be
-//     deduped by the sequence floors, not applied twice.
+//     deduped by sequence number, not applied twice.
 type flakyRT struct {
 	next http.RoundTripper
 	n    atomic.Int64

@@ -162,9 +162,6 @@ type Collector struct {
 	ipmapA   *core.Analysis
 	maxmindA *core.Analysis
 	epochs   []EpochStat
-	// floors holds each user's next sequence number as of the last
-	// committed epoch: nextSeq minus what is still pending or in flight.
-	floors map[int32]uint64
 	// internClone caches the last published interner clone; reused while
 	// no new FQDN interns (see buildSnapshot).
 	internClone    *classify.Interner
@@ -221,7 +218,6 @@ type Collector struct {
 // upload's own bytes.
 type userRun struct {
 	frames [][]byte
-	end    uint64 // the user's sequence floor once the run commits
 }
 
 // epochCut is one cut epoch: its users ascending, their runs, and a
@@ -246,7 +242,6 @@ func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 		pubs:     make(map[string]*webgraph.Publisher, len(world.Graph.Publishers)),
 		nextSeq:  make(map[int32]uint64),
 		pending:  make(map[int32]*userRun),
-		floors:   make(map[int32]uint64),
 		userSet:  make(map[int32]struct{}),
 		fqdnSet:  make(map[uint32]struct{}),
 		truthA:   core.NewAnalysis(),
@@ -380,7 +375,7 @@ func (c *Collector) acceptLocked(raw []byte, h batchHeader, replay bool) (Upload
 			// crash after the append replays them, a crash before never
 			// acknowledged them. Only fresh frames are journaled (the
 			// upload as it arrived, or its suffix under a new header),
-			// so replay needs no dedup beyond the sequence floors.
+			// so replay needs no dedup beyond the per-user sequence numbers.
 			if c.walErr != nil {
 				return UploadResult{}, c.walErr
 			}
@@ -397,7 +392,6 @@ func (c *Collector) acceptLocked(raw []byte, h batchHeader, replay bool) (Upload
 			c.pending[h.user] = run
 		}
 		run.frames = append(run.frames, fresh)
-		run.end = end
 		c.pendingN.Add(int64(end - next))
 		c.nextSeq[h.user] = end
 		res.Accepted, res.Duplicate, res.NextSeq = int(end-next), int(skip), end
@@ -560,9 +554,6 @@ func (c *Collector) commit(e *epochCut) {
 	for i := 0; i < w; i++ {
 		c.sc.Shard(i).ResetCaptures()
 	}
-	for j, u := range e.users {
-		c.floors[u] = e.runs[j].end
-	}
 
 	// Incremental classification stages 2+3, then the per-epoch
 	// aggregate deltas: every row that became tracking this epoch —
@@ -616,23 +607,32 @@ func (c *Collector) feedRun(sh *classify.Shard, uid int32, run *userRun) {
 }
 
 // applyDeltas folds the epoch into the running aggregates: the
-// dataset-stats distinct sets over the appended rows' User and FQDN
-// columns, and one flow-map delta per geolocation service from a single
-// core.Join over exactly the rows that became tracking this epoch: the
-// appended ones and the flips, which LiveSemi.Extend returns ascending
-// and below prevRows, as Join requires. Merging deltas is exact —
-// counter addition commutes — so the running analyses always equal a
-// full core.Analyze rescan of the live dataset
-// (TestIncrementalAggregatesMatchRescan).
+// dataset-stats distinct sets over the appended rows, and one flow-map
+// delta per geolocation service from a single core.Join over exactly
+// the rows that became tracking this epoch: the appended ones and the
+// flips, which LiveSemi.Extend returns ascending and below prevRows, as
+// Join requires. Merging deltas is exact — counter addition commutes —
+// so the running analyses always equal a full core.Analyze rescan of
+// the live dataset (TestIncrementalAggregatesMatchRescan).
 func (c *Collector) applyDeltas(prevRows int, flips []int) {
-	ds := c.merger.Dataset()
+	c.addStatsSets(prevRows)
+	d := core.Join(c.merger.Dataset(), c.world.FlowServices(), prevRows, flips)
+	c.truthA.Merge(d[0])
+	c.ipmapA.Merge(d[1])
+	c.maxmindA.Merge(d[2])
+}
+
+// addStatsSets adds the User and FQDN ids of the rows from row from on
+// to the dataset-stats distinct sets. Epoch commits call it for the
+// appended rows, checkpoint restore for every row.
+func (c *Collector) addStatsSets(from int) {
 	st := c.store
 	chunkRows := st.ChunkRows()
 	pc := classify.GetProj()
 	defer classify.PutProj(pc)
-	for ci := prevRows / chunkRows; ci < st.NumChunks(); ci++ {
+	for ci := from / chunkRows; ci < st.NumChunks(); ci++ {
 		classify.ProjChunkAt(st, ci, pc)
-		lo := max(prevRows-ci*chunkRows, 0)
+		lo := max(from-ci*chunkRows, 0)
 		for _, u := range pc.Wide(classify.ColUser)[lo:] {
 			c.userSet[int32(u)] = struct{}{}
 		}
@@ -640,10 +640,6 @@ func (c *Collector) applyDeltas(prevRows int, flips []int) {
 			c.fqdnSet[uint32(f)] = struct{}{}
 		}
 	}
-	d := core.Join(ds, c.world.FlowServices(), prevRows, flips)
-	c.truthA.Merge(d[0])
-	c.ipmapA.Merge(d[1])
-	c.maxmindA.Merge(d[2])
 }
 
 // flips2chunks maps flipped global row indices to their chunk indices.

@@ -50,14 +50,15 @@ import (
 //     normal ingest path (the same in-place scanner and epoch cuts)
 //     with journaling disabled, committing each epoch synchronously;
 //     auto-checkpoints stay inline, after the epoch in flight. Replay is
-//     idempotent because the checkpointed per-user sequence floors
+//     idempotent because the checkpointed per-user sequence numbers
 //     make every already-covered record a duplicate, so recovery is
 //     correct at every crash point — including crashes during
 //     checkpoint GC and crashes during recovery itself.
 //
-// The golden property (TestCrashRecovery in internal/ingest/crashtest)
-// is that a collector killed at any point and recovered serves
-// artifacts byte-identical to one that never crashed.
+// The golden property (TestCrashRecoveryGoldenParity in
+// internal/ingest/crashtest) is that a collector killed at any point
+// and recovered serves artifacts byte-identical to one that never
+// crashed.
 
 // Durability errors. The HTTP layer maps ErrNotReady and ErrDraining
 // to 503 with Retry-After, ErrJournal to 500.
@@ -119,10 +120,15 @@ type analysisState struct {
 	Unknown int64            `json:"unknown"`
 }
 
-// ckptMeta is the JSON head of a checkpoint: everything except the
-// chunk blocks. Identity fields (seed/scale/layout) let recovery
+// ckptMeta is the JSON head of a checkpoint or export: everything
+// except the chunk blocks. It stores only what a reader cannot rebuild
+// from the rows. Identity fields (seed/scale/layout) let recovery
 // refuse a checkpoint written by a differently configured collector
-// instead of silently diverging.
+// instead of silently diverging. Restore derives the rest: the semi-
+// stage LTF and candidate frontier from a first LiveSemi.Extend over
+// the restored rows, the dataset-stats user and FQDN sets from their
+// columns. Checkpoints written with those fields (ltf, cand,
+// settled_rows, users, fqdn_seen) still load; JSON ignores them.
 type ckptMeta struct {
 	Seed      int64   `json:"seed"`
 	Scale     float64 `json:"scale"`
@@ -135,18 +141,18 @@ type ckptMeta struct {
 	ChunkLens []int       `json:"chunk_lens"`
 	Epochs    []EpochStat `json:"epochs"`
 
+	// Seqs holds each user's next sequence number, pending events
+	// excluded (a checkpoint is cut with none pending). Exports carry
+	// none: the fan-in never reads them.
 	Seqs       []seqFloor `json:"seqs"`
 	Countries  []string   `json:"countries"`
 	Publishers []string   `json:"publishers"`
 	FQDNs      []string   `json:"fqdns"`
 
-	LTF         []uint32 `json:"ltf"`
-	Cand        []int    `json:"cand"`
-	SettledRows int      `json:"settled_rows"`
-
-	Users    []int32  `json:"users"`
-	FQDNSeen []uint32 `json:"fqdn_seen"`
-
+	// The flow maps are derivable too, but only through a full
+	// geolocation join over every tracking row (core.Join), on every
+	// restore and every fan-in remerge; and an incremental fan-in merge
+	// would extend them rather than rebuild them. They stay stored.
 	Truth   analysisState `json:"truth"`
 	IPMap   analysisState `json:"ipmap"`
 	MaxMind analysisState `json:"maxmind"`
@@ -376,7 +382,9 @@ func (c *Collector) checkpointLocked() error {
 	segBytes, err := c.writeSegment()
 	var body []byte
 	if err == nil {
-		body, err = c.encodeCheckpoint(seg, c.segs)
+		// c.mu is held with nothing pending and no epoch in flight, so
+		// every accepted sequence number is committed.
+		body, err = c.encodeCheckpoint(seg, c.segs, c.nextSeq)
 	}
 	epoch := len(c.epochs)
 	c.commitMu.Unlock()
@@ -439,26 +447,25 @@ func (c *Collector) writeSegment() (int, error) {
 
 // encodeCheckpoint serializes the committed state: meta JSON, then per
 // chunk its framed codec block (omitted for chunks segs covers) and raw
-// class column. Exports pass no segments and get a self-contained
-// payload. Called with commitMu held.
-func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error) {
+// class column. seqs holds each user's committed next sequence
+// number. Exports pass neither segments nor seqs and get a
+// self-contained payload. Called with commitMu held.
+func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg, seqs map[int32]uint64) ([]byte, error) {
 	ds := c.merger.Dataset()
 	st := c.store
 	meta := ckptMeta{
-		Seed:        c.world.Params.Seed,
-		Scale:       c.world.Params.Scale,
-		StartUnix:   c.world.Start.Unix(),
-		ChunkRows:   st.ChunkRows(),
-		Compress:    st.Compressed(),
-		Rows:        st.Len(),
-		Visits:      ds.Visits,
-		Epochs:      c.epochs,
-		SettledRows: c.semi.SettledRows(),
-		Segs:        segs,
-		WALSeg:      walSeg,
+		Seed:      c.world.Params.Seed,
+		Scale:     c.world.Params.Scale,
+		StartUnix: c.world.Start.Unix(),
+		ChunkRows: st.ChunkRows(),
+		Compress:  st.Compressed(),
+		Rows:      st.Len(),
+		Visits:    ds.Visits,
+		Epochs:    c.epochs,
+		Segs:      segs,
+		WALSeg:    walSeg,
 	}
-	meta.LTF, meta.Cand = c.semi.Frontier()
-	for u, next := range c.floors {
+	for u, next := range seqs {
 		meta.Seqs = append(meta.Seqs, seqFloor{User: u, Next: next})
 	}
 	sort.Slice(meta.Seqs, func(i, j int) bool { return meta.Seqs[i].User < meta.Seqs[j].User })
@@ -469,14 +476,6 @@ func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg) ([]byte, error)
 		meta.Publishers = append(meta.Publishers, p.Domain)
 	}
 	meta.FQDNs = ds.FQDNs.Strings()
-	for u := range c.userSet {
-		meta.Users = append(meta.Users, u)
-	}
-	sort.Slice(meta.Users, func(i, j int) bool { return meta.Users[i] < meta.Users[j] })
-	for f := range c.fqdnSet {
-		meta.FQDNSeen = append(meta.FQDNSeen, f)
-	}
-	sort.Slice(meta.FQDNSeen, func(i, j int) bool { return meta.FQDNSeen[i] < meta.FQDNSeen[j] })
 	meta.Truth = analysisState{Flows: c.truthA.Flows(), Unknown: c.truthA.Unknown()}
 	meta.IPMap = analysisState{Flows: c.ipmapA.Flows(), Unknown: c.ipmapA.Unknown()}
 	meta.MaxMind = analysisState{Flows: c.maxmindA.Flows(), Unknown: c.maxmindA.Unknown()}
@@ -651,7 +650,12 @@ func parseSegment(data []byte, s ckptSeg) ([][]byte, error) {
 
 // restoreCheckpoint rebuilds the collector's committed state from a
 // parsed checkpoint. Called with c.mu held, on a freshly constructed
-// collector (NewCollector state), before WAL replay.
+// collector (NewCollector state), before WAL replay. The collector is
+// left untouched unless the whole checkpoint restores. What the meta
+// does not store is derived through the commit path's own code: a
+// first LiveSemi.Extend over the restored rows rebuilds the LTF and
+// candidate frontier (the rows are at the fixpoint, so it relabels
+// none), and addStatsSets the distinct-user and FQDN sets.
 func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [][]classify.Class) error {
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
@@ -702,29 +706,23 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 		}
 		ds.Publishers = append(ds.Publishers, p)
 	}
-
-	c.store = sink
-	c.merger = classify.NewMergerOver(ds)
-	c.semi.Close()
-	c.semi = classify.NewLiveSemi(ds, c.cfg.Workers)
-	if err := c.semi.Restore(meta.SettledRows, meta.LTF, meta.Cand); err != nil {
+	if err := checkRowIDs(ds); err != nil {
 		return err
 	}
 
+	semi := classify.NewLiveSemi(ds, c.cfg.Workers)
+	semi.Extend()
+	c.semi.Close()
+	c.semi = semi
+	c.store = sink
+	c.merger = classify.NewMergerOver(ds)
 	c.nextSeq = make(map[int32]uint64, len(meta.Seqs))
-	c.floors = make(map[int32]uint64, len(meta.Seqs))
 	for _, s := range meta.Seqs {
 		c.nextSeq[s.User] = s.Next
-		c.floors[s.User] = s.Next
 	}
-	c.userSet = make(map[int32]struct{}, len(meta.Users))
-	for _, u := range meta.Users {
-		c.userSet[u] = struct{}{}
-	}
-	c.fqdnSet = make(map[uint32]struct{}, len(meta.FQDNSeen))
-	for _, f := range meta.FQDNSeen {
-		c.fqdnSet[f] = struct{}{}
-	}
+	c.userSet = make(map[int32]struct{})
+	c.fqdnSet = make(map[uint32]struct{})
+	c.addStatsSets(0)
 	c.truthA = core.RestoreAnalysis(meta.Truth.Flows, meta.Truth.Unknown)
 	c.ipmapA = core.RestoreAnalysis(meta.IPMap.Flows, meta.IPMap.Unknown)
 	c.maxmindA = core.RestoreAnalysis(meta.MaxMind.Flows, meta.MaxMind.Unknown)
@@ -732,6 +730,36 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	c.segs = meta.Segs
 	c.internClone, c.internCloneLen = nil, 0
 	c.snap.Store(c.buildSnapshot(nil, 0, nil))
+	return nil
+}
+
+// checkRowIDs rejects a restored dataset whose rows name an FQDN,
+// referrer, country or publisher id outside its tables, as MergeExports
+// rejects such an export: the restoring Extend and every later query
+// index the tables with them.
+func checkRowIDs(ds *classify.Dataset) error {
+	limits := [...]struct {
+		name string
+		col  classify.ColID
+		n    int
+	}{
+		{"FQDN", classify.ColFQDN, ds.FQDNs.Len()},
+		{"referrer", classify.ColRefFQDN, ds.FQDNs.Len()},
+		{"country", classify.ColCountry, len(ds.Countries)},
+		{"publisher", classify.ColPublisher, len(ds.Publishers)},
+	}
+	pc := classify.GetProj()
+	defer classify.PutProj(pc)
+	for ci := 0; ci < ds.Store.NumChunks(); ci++ {
+		classify.ProjChunkAt(ds.Store, ci, pc)
+		for _, l := range limits {
+			for i, v := range pc.Wide(l.col) {
+				if v >= uint64(l.n) {
+					return fmt.Errorf("%w: chunk %d row %d: %s id %d outside the %d-entry table", errCkptCorrupt, ci, i, l.name, v, l.n)
+				}
+			}
+		}
+	}
 	return nil
 }
 

@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"crossborder/internal/chaos"
+	"crossborder/internal/classify"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/scenario"
 )
@@ -245,9 +247,11 @@ func TestTornWALTailRecovered(t *testing.T) {
 // fail recovery loudly — its WAL prefix was garbage-collected, so no
 // fallback can be complete. The checkpoint-file cases are a body that no
 // longer matches its checksum and a segment manifest that is not
-// contiguous from chunk 0, overlaps itself, or covers a partial chunk.
-// The segment cases are a flipped byte (CRC), a truncation and a missing
-// file. The block cases reseal chunk 0 — which now lives in segment 0 —
+// contiguous from chunk 0, overlaps itself, or covers a partial chunk,
+// and CRC-valid tables too short for the ids the rows name (the FQDN,
+// country or publisher table cut to its first entry). The segment
+// cases are a flipped byte (CRC), a truncation and a missing file. The
+// block cases reseal chunk 0 — which now lives in segment 0 —
 // with the retired column tag 4 in either store layout (the compressed
 // store used to keep such a block unchecked and panic on the first
 // scan).
@@ -284,6 +288,9 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 			// first class byte dropped so every length still adds up.
 			f.ckpt = dropClassByte(tb, rewriteMeta(f.ckpt, func(m *ckptMeta) { m.ChunkLens[0]--; m.Rows-- }))
 		}, corrupt},
+		{"FQDN table short", true, manifest(func(_ testing.TB, m *ckptMeta) { m.FQDNs = m.FQDNs[:1] }), corrupt},
+		{"country table short", false, manifest(func(_ testing.TB, m *ckptMeta) { m.Countries = m.Countries[:1] }), corrupt},
+		{"publisher table short", true, manifest(func(_ testing.TB, m *ckptMeta) { m.Publishers = m.Publishers[:1] }), corrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,6 +394,21 @@ func resealCheckpoint(data []byte) []byte {
 // edited and the body checksum recomputed, or nil when the payload has
 // no parseable meta.
 func rewriteMeta(data []byte, edit func(*ckptMeta)) []byte {
+	var meta ckptMeta
+	return rewriteHead(data, func(head []byte) []byte {
+		if json.Unmarshal(head, &meta) != nil {
+			return nil
+		}
+		edit(&meta)
+		head, _ = json.Marshal(&meta) // nil on error: no payload
+		return head
+	})
+}
+
+// rewriteHead returns a copy of an XCKP1 payload with its meta bytes
+// replaced by edit's result and the body checksum recomputed, or nil
+// when the payload has no meta or edit returns nil.
+func rewriteHead(data []byte, edit func([]byte) []byte) []byte {
 	if len(data) < len(ckptMagic)+4 {
 		return nil
 	}
@@ -395,19 +417,105 @@ func rewriteMeta(data []byte, edit func(*ckptMeta)) []byte {
 	if n <= 0 || headLen > uint64(len(body)-n) {
 		return nil
 	}
-	var meta ckptMeta
-	if json.Unmarshal(body[n:n+int(headLen)], &meta) != nil {
-		return nil
-	}
-	edit(&meta)
-	head, err := json.Marshal(&meta)
-	if err != nil {
+	head := edit(body[n : n+int(headLen)])
+	if head == nil {
 		return nil
 	}
 	out := append([]byte(nil), data[:len(ckptMagic)+4]...)
 	out = binary.AppendUvarint(out, uint64(len(head)))
 	out = append(out, head...)
 	return resealCheckpoint(append(out, body[n+int(headLen):]...))
+}
+
+// withRetiredMeta returns a copy of an XCKP1 payload holding ds whose
+// meta also carries the fields older builds wrote and restore now
+// derives, with the values they wrote: the LTF (every FQDN id with a
+// tracking row, ascending), the candidate rows (clean, with arguments
+// and a referrer), the settled row count, and the distinct user and
+// FQDN ids (ascending).
+func withRetiredMeta(tb testing.TB, data []byte, ds *classify.Dataset) []byte {
+	tb.Helper()
+	var ltf, fqdns []uint32
+	var users []int32
+	cand := []int{} // written as [], not null
+	for i, r := range ds.Rows() {
+		if r.Class.IsTracking() {
+			ltf = append(ltf, r.FQDN)
+		} else if r.Flags&classify.FlagHasArgs != 0 && r.RefFQDN != 0 {
+			cand = append(cand, i)
+		}
+		users = append(users, r.User)
+		fqdns = append(fqdns, r.FQDN)
+	}
+	for _, ids := range []*[]uint32{&ltf, &fqdns} {
+		slices.Sort(*ids)
+		*ids = slices.Compact(*ids)
+	}
+	slices.Sort(users)
+	retired := map[string]any{
+		"ltf": ltf, "cand": cand, "settled_rows": ds.Len(), "users": slices.Compact(users), "fqdn_seen": fqdns,
+	}
+	out := rewriteHead(data, func(head []byte) []byte {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(head, &m); err != nil {
+			tb.Fatal(err)
+		}
+		for k, v := range retired {
+			raw, err := json.Marshal(v)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m[k] = raw
+		}
+		head, err := json.Marshal(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return head
+	})
+	if out == nil {
+		tb.Fatal("payload has no meta")
+	}
+	return out
+}
+
+// TestRetiredMetaCheckpointRecovers: a checkpoint whose meta still
+// carries the fields older builds wrote (the fixpoint frontier and the
+// stats sets) recovers to the same live state, and the recovered
+// collector finishes the stream, retransmits included, exactly as one
+// that never restarted.
+func TestRetiredMetaCheckpointRecovers(t *testing.T) {
+	world, evs, _ := rig(t)
+	batches := batchList(evs, 137)
+	half := len(batches) / 2
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			dir := t.TempDir()
+			c, _ := recoverNew(t, world, durableCfg(dir, compress))
+			sendAll(t, c, batches[:half])
+			snap, err := c.FlushCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			f := loadCkptFiles(t, dir)
+			f.ckpt = withRetiredMeta(t, f.ckpt, snap.Dataset())
+			if !bytes.Contains(f.ckpt, []byte(`"settled_rows"`)) {
+				t.Fatal("rewritten checkpoint lacks the retired fields")
+			}
+			f.store(t)
+
+			rec, _ := recoverNew(t, world, durableCfg(dir, compress))
+			assertSameLive(t, rec.Snapshot(), snap)
+			sendAll(t, rec, batches)
+			ref := NewCollector(world, durableCfg("", compress))
+			defer ref.Close()
+			sendAll(t, ref, batches[:half])
+			ref.Flush()
+			sendAll(t, ref, batches[half:])
+			assertSameLive(t, rec.Flush(), ref.Flush())
+		})
+	}
 }
 
 // dropClassByte removes the first body byte after an XCKP1 payload's
@@ -533,9 +641,9 @@ func segmentFiles(tb testing.TB, dir string) map[string][]byte {
 }
 
 // TestAllInlineCheckpointMigrates: a checkpoint with every chunk inline
-// (the format written before block segments, byte-identical to an
-// export) recovers, and the next checkpoint moves every sealed chunk
-// into segment 0.
+// (the format written before block segments: an export's layout plus
+// the sequence numbers) recovers, and the next checkpoint moves every
+// sealed chunk into segment 0.
 func TestAllInlineCheckpointMigrates(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
@@ -546,7 +654,12 @@ func TestAllInlineCheckpointMigrates(t *testing.T) {
 			defer src.Close()
 			sendAll(t, src, batches[:half])
 			src.Flush()
-			inline, epoch, err := src.EncodeSnapshot()
+			src.mu.Lock()
+			src.commitMu.Lock()
+			inline, err := src.encodeCheckpoint(0, nil, src.nextSeq)
+			epoch := len(src.epochs)
+			src.commitMu.Unlock()
+			src.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
 			}

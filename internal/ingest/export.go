@@ -13,9 +13,12 @@ import (
 // (MergeExports) rebuilds a per-shard view from it. Reusing the
 // checkpoint codec means the export carries everything a merger needs
 // for free: chunk blocks + class columns, the interner and
-// country/publisher tables, the incremental flow maps and dataset
-// stats, the epoch history, and the seed/scale identity echo that lets
-// the merger refuse a shard built for a different world.
+// country/publisher tables, the incremental flow maps, the epoch
+// history, and the seed/scale identity echo that lets the merger refuse
+// a shard built for a different world. The merger derives the dataset
+// stats, the user partition it checks for overlap and the global
+// fixpoint from the rows, and reads no sequence numbers, so exports
+// carry none.
 
 // EncodeSnapshot serializes the collector's committed state as one
 // XCKP1 payload (the /v1/snapshot response body): the latest published
@@ -27,7 +30,7 @@ import (
 func (c *Collector) EncodeSnapshot() (data []byte, epoch int, err error) {
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
-	data, err = c.encodeCheckpoint(0, nil)
+	data, err = c.encodeCheckpoint(0, nil, nil)
 	return data, len(c.epochs), err
 }
 
@@ -67,7 +70,3 @@ func (e *ShardExport) Scale() float64 { return e.meta.Scale }
 
 // History returns the shard's epoch commit log.
 func (e *ShardExport) History() []EpochStat { return e.meta.Epochs }
-
-// Users returns the shard's observed user ids (ascending). The slice
-// is owned by the export; callers must not mutate it.
-func (e *ShardExport) Users() []int32 { return e.meta.Users }

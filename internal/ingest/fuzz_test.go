@@ -104,8 +104,11 @@ func FuzzDecodeNDJSON(f *testing.F) {
 // decodeCheckpoint (every segment the manifest names reads as seg, so
 // parseSegment runs on it), every chunk it yields through RestoreChunk
 // on a compressed store, and the restored store through one full
-// projected scan. The outcome must be an error or a clean scan — never
-// a panic. The body checksum and every manifest segment CRC are
+// projected scan; a decoded payload then goes through restoreCheckpoint
+// on one collector built per fuzz run, which rebuilds the fixpoint
+// frontier and the stats sets from the rows, and its store through the
+// same scan. The outcome must be an error or a clean scan — never a
+// panic. The body checksum and every manifest segment CRC are
 // recomputed first so mutations reach the meta, chunk-table, segment
 // and block parsers behind them (TestCorruptCheckpointRefused covers
 // the checksums themselves).
@@ -121,6 +124,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(files.ckpt, files.seg0[:len(files.seg0)/2])
 	forgedCkpt, forgedSeg := forgeRetiredTag(f, files.ckpt, files.seg0)
 	f.Add(forgedCkpt, forgedSeg)
+	f.Add(rewriteMeta(files.ckpt, func(m *ckptMeta) { m.FQDNs = m.FQDNs[:1] }), files.seg0)
+	world, _, _ := rig(f)
+	c := NewCollector(world, durableCfg("", true))
+	f.Cleanup(c.Close)
 
 	f.Fuzz(func(t *testing.T, data, seg []byte) {
 		if len(data) >= len(ckptMagic)+4 {
@@ -134,7 +141,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				data = resealed
 			}
 		}
-		_, blocks, classes, err := decodeCheckpoint(data, func(ckptSeg) ([]byte, error) { return seg, nil })
+		meta, blocks, classes, err := decodeCheckpoint(data, func(ckptSeg) ([]byte, error) { return seg, nil })
 		if err != nil {
 			return
 		}
@@ -145,6 +152,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 		}
 		scanAll(st)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.restoreCheckpoint(meta, blocks, classes) == nil {
+			scanAll(c.store)
+		}
 	})
 }
 

@@ -71,7 +71,9 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	}
 	countryIdx := make(map[geodata.Country]uint8)
 	pubIdx := make(map[string]int32)
-	userSet := make(map[int32]struct{})
+	// userShard maps each user seen in the rows to its shard, for the
+	// overlap check and the distinct-user count.
+	userShard := make(map[int32]int)
 	fqdnSet := make(map[uint32]struct{})
 	truth, ipmap, maxmind := core.NewAnalysis(), core.NewAnalysis(), core.NewAnalysis()
 	wasTracking := make([]bool, 0, totalRows)
@@ -88,12 +90,6 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 			return nil, fmt.Errorf("ingest: shard %d export start time %d does not match the world's %d",
 				si, m.StartUnix, world.Start.Unix())
 		}
-		for _, u := range m.Users {
-			if _, dup := userSet[u]; dup {
-				return nil, fmt.Errorf("ingest: user %d appears on more than one shard (shard %d overlaps an earlier one)", u, si)
-			}
-		}
-
 		// Shard-local id -> global id remap tables, assigned in
 		// first-seen order like the epoch Merger's.
 		fmap := make([]uint32, len(m.FQDNs))
@@ -150,7 +146,11 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 					// per-row facts and stand).
 					r.Class = classify.ClassClean
 				}
-				userSet[r.User] = struct{}{}
+				if s, seen := userShard[r.User]; !seen {
+					userShard[r.User] = si
+				} else if s != si {
+					return nil, fmt.Errorf("ingest: user %d appears on more than one shard (shard %d overlaps shard %d)", r.User, si, s)
+				}
 				fqdnSet[r.FQDN] = struct{}{}
 				st.Append(r)
 			}
@@ -191,7 +191,7 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 		ds:        ds,
 		footprint: footprintOf(st),
 		stats: classify.DatasetStats{
-			Users:            len(userSet),
+			Users:            len(userShard),
 			FirstPartySites:  len(ds.Publishers),
 			FirstPartyVisits: ds.Visits,
 			ThirdPartyFQDNs:  len(fqdnSet),
