@@ -66,8 +66,9 @@
 //     its own classify.Shard (private interner, publisher/country index,
 //     per-host compiled filter rules, per-user row buffers); no locks on
 //     the capture path. classify.ShardedCollector.FinalizeInto then
-//     replays the captures in global user order, re-interning strings
-//     and remapping ids in encounter order, so the merged Dataset is
+//     replays the captures in global user order through a
+//     classify.Merger, which remaps each shard's ids through per-shard
+//     tables filled in encounter order, so the merged Dataset is
 //     byte-identical to a sequential run at any worker count
 //     (WithWorkers).
 //   - Read-only lookup substrates. dns.Server.Resolve after Freeze and

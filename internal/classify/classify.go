@@ -133,8 +133,8 @@ func (r Row) TruthTracking() bool { return r.Flags&FlagTruthing != 0 }
 //
 // Concurrency contract: the Interner is single-writer. ID may be called
 // from one goroutine at a time (the collector shards each own a private
-// interner, and the Finalize merge re-interns from the single merging
-// goroutine). Read-only access — Str, Len, Lookup — is safe from any
+// interner, and the Merger interns first sightings from the single
+// merging goroutine). Read-only access — Str, Len, Lookup — is safe from any
 // number of goroutines once no writer is active, which is why the
 // parallel analysis scans can resolve ids without locks.
 type Interner struct {

@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,100 +13,174 @@ import (
 // This file is the append-epoch side of the dataset engine: the pieces
 // that let a long-running collector grow one Dataset across many merge
 // rounds instead of building it in a single Finalize. Merger owns the
-// id-assignment state (interner, country and publisher indexes) that
-// the one-shot merge used to keep in locals, so replaying captures into
-// it in the same order produces byte-for-byte the same Dataset. LiveSemi
-// is the semi-stage fixpoint, the one engine for classification stages
-// 2 and 3 on every route: it carries the LTF membership across epochs
-// and, per epoch, classifies only the appended rows plus whatever older
-// rows the new tracking FQDNs admit. The batch merge and the fan-in run
-// it once over a whole dataset (RunSemiStages).
+// id-assignment state (interner, country and publisher indexes) and,
+// per merge source, the tables that remap the source's local ids, so
+// replaying captures into it in the same order produces byte-for-byte
+// the same Dataset. LiveSemi is the semi-stage fixpoint, the one engine
+// for classification stages 2 and 3 on every route: it carries the LTF
+// membership across epochs and, per epoch, classifies only the appended
+// rows plus whatever older rows the new tracking FQDNs admit. The batch
+// merge and the fan-in run it once over a whole dataset (RunSemiStages).
 
-// Merger incrementally merges per-worker capture shards into one growing
-// Dataset, re-interning strings and remapping publisher/country ids
-// exactly as a sequential collector would have assigned them: per
-// capture, visits first (publishers register on first visit), then rows
-// in emit order. The batch Finalize path and the live ingestion
-// collector share this code, which is what keeps a replayed upload
-// stream byte-identical to the batch merge.
+// Merger incrementally merges sources — per-worker capture shards or
+// decoded shard exports — into one growing Dataset. It is the only code
+// that turns a source's local ids (FQDN, RefFQDN, Country, Publisher)
+// into dataset ids: each source gets a Source of remap tables, filled
+// on first use, so dataset ids are assigned first-seen in merge order
+// exactly as a sequential collector would have assigned them. Per
+// capture, visits come first (publishers register on first visit),
+// then rows in emit order. The batch Finalize path, the live ingestion
+// collector and the fan-in share this code, which is what keeps a
+// replayed upload stream byte-identical to the batch merge.
 //
 // Merger is single-writer: all Append calls must come from one goroutine
 // at a time.
 type Merger struct {
-	ds         *Dataset
-	countryIdx map[geodata.Country]uint8
-	pubIdx     map[*webgraph.Publisher]int32
+	ds     *Dataset
+	pubIdx map[*webgraph.Publisher]int32
+	shards map[*Shard]*Source
 }
 
 // NewMerger returns a merger streaming rows into sink, the store of
 // the dataset it builds. internHint pre-sizes the dataset interner (0
 // is fine for incremental use).
 func NewMerger(start time.Time, sink *MemStore, internHint int) *Merger {
-	return &Merger{
-		ds:         &Dataset{Store: sink, FQDNs: NewInternerSized(internHint), Start: start},
-		countryIdx: make(map[geodata.Country]uint8),
-		pubIdx:     make(map[*webgraph.Publisher]int32),
-	}
+	return NewMergerOver(&Dataset{Store: sink, FQDNs: NewInternerSized(internHint), Start: start})
 }
 
 // Dataset returns the growing dataset. The pointer is stable across
 // appends.
 func (m *Merger) Dataset() *Dataset { return m.ds }
 
-// AppendCapture replays capture idx of sh into the dataset: its visits
-// register publishers in first-visit order, its rows re-intern through
-// the dataset's interner and append to the sink.
-func (m *Merger) AppendCapture(sh *Shard, idx int) {
-	ds := m.ds
-	cap := &sh.caps[idx]
-	for _, pid := range cap.visits {
-		p := sh.pubs[pid]
-		if _, ok := m.pubIdx[p]; !ok {
-			m.pubIdx[p] = int32(len(ds.Publishers))
-			ds.Publishers = append(ds.Publishers, p)
-		}
-	}
-	ds.Visits += len(cap.visits)
-	for _, r := range cap.rows {
-		r.FQDN = ds.FQDNs.ID(sh.interner.Str(r.FQDN))
-		r.RefFQDN = ds.FQDNs.ID(sh.interner.Str(r.RefFQDN))
-		// A row's publisher is normally registered by the page visit
-		// above (always true for the batch pipeline). An uploaded stream
-		// can legally carry requests whose visit was never uploaded;
-		// register the publisher here so the row resolves to a real id
-		// instead of silently aliasing publisher 0.
-		p := sh.pubs[r.Publisher]
-		pid, ok := m.pubIdx[p]
-		if !ok {
-			pid = int32(len(ds.Publishers))
-			m.pubIdx[p] = pid
-			ds.Publishers = append(ds.Publishers, p)
-		}
-		r.Publisher = pid
-		cc := sh.countries[r.Country]
-		cID, ok := m.countryIdx[cc]
-		if !ok {
-			cID = uint8(len(ds.Countries))
-			m.countryIdx[cc] = cID
-			ds.Countries = append(ds.Countries, cc)
-		}
-		r.Country = cID
-		m.ds.Store.Append(r)
-	}
+// Tables are the id tables a source's rows index: a local FQDN or
+// referrer id names FQDNs[id], a local country id Countries[id], a
+// local publisher id Publishers[id].
+type Tables struct {
+	FQDNs      []string
+	Countries  []geodata.Country
+	Publishers []*webgraph.Publisher
 }
 
-// Captures returns the number of user captures buffered in the shard.
-func (sh *Shard) Captures() int { return len(sh.caps) }
+// Source is one merge source's local-id -> dataset-id remap inside a
+// Merger. Each entry holds the dataset id plus one and stays zero until
+// the local id is first used, so a row costs four slice indexes and
+// only a first sighting re-interns a string or searches a table.
+type Source struct {
+	m       *Merger
+	t       Tables
+	fqdn    []uint32
+	country []uint16
+	pub     []int32
+}
 
-// CaptureUser returns the user id of capture idx.
-func (sh *Shard) CaptureUser(idx int) int32 { return sh.caps[idx].user }
+// Source returns the remap of a source with fixed tables (a decoded
+// export's). It registers the source's publishers in table order,
+// whether or not a row names them: an export's table holds every
+// publisher its shard saw a visit to.
+func (m *Merger) Source(t Tables) *Source {
+	s := &Source{m: m}
+	s.adopt(t)
+	for i := range s.pub {
+		s.pubID(int32(i))
+	}
+	return s
+}
+
+// adopt takes the source's current tables, growing the remap to their
+// lengths. A shard's tables only grow, and the local ids already
+// remapped keep their meaning, so filled entries stay valid.
+func (s *Source) adopt(t Tables) {
+	s.t = t
+	s.fqdn = append(s.fqdn, make([]uint32, len(t.FQDNs)-len(s.fqdn))...)
+	s.country = append(s.country, make([]uint16, len(t.Countries)-len(s.country))...)
+	s.pub = append(s.pub, make([]int32, len(t.Publishers)-len(s.pub))...)
+}
+
+// Append remaps r's local ids to dataset ids and appends it to the
+// dataset's store. It fails, appending nothing, on an id outside the
+// source's tables or a country past the 256 that Row.Country holds.
+func (m *Merger) Append(s *Source, r Row) error {
+	if int(r.FQDN) >= len(s.fqdn) || int(r.RefFQDN) >= len(s.fqdn) ||
+		int(r.Country) >= len(s.country) || uint32(r.Publisher) >= uint32(len(s.pub)) {
+		return fmt.Errorf("classify: row ids (fqdn %d, referrer %d, country %d, publisher %d) outside the source's %d-FQDN, %d-country, %d-publisher tables",
+			r.FQDN, r.RefFQDN, r.Country, r.Publisher, len(s.fqdn), len(s.country), len(s.pub))
+	}
+	if s.country[r.Country] == 0 {
+		cc := s.t.Countries[r.Country]
+		id := slices.Index(m.ds.Countries, cc)
+		if id < 0 {
+			if id = len(m.ds.Countries); id > 255 {
+				return fmt.Errorf("classify: merged country table exceeds 256 entries")
+			}
+			m.ds.Countries = append(m.ds.Countries, cc)
+		}
+		s.country[r.Country] = uint16(id) + 1
+	}
+	r.Country = uint8(s.country[r.Country] - 1)
+	r.FQDN, r.RefFQDN = s.fqdnID(r.FQDN), s.fqdnID(r.RefFQDN)
+	r.Publisher = s.pubID(r.Publisher)
+	m.ds.Store.Append(r)
+	return nil
+}
+
+func (s *Source) fqdnID(id uint32) uint32 {
+	if v := s.fqdn[id]; v != 0 {
+		return v - 1
+	}
+	v := s.m.ds.FQDNs.ID(s.t.FQDNs[id])
+	s.fqdn[id] = v + 1
+	return v
+}
+
+func (s *Source) pubID(id int32) int32 {
+	if v := s.pub[id]; v != 0 {
+		return v - 1
+	}
+	m, p := s.m, s.t.Publishers[id]
+	v, ok := m.pubIdx[p]
+	if !ok {
+		v = int32(len(m.ds.Publishers))
+		m.pubIdx[p] = v
+		m.ds.Publishers = append(m.ds.Publishers, p)
+	}
+	s.pub[id] = v + 1
+	return v
+}
+
+// AppendCapture replays capture idx of sh into the dataset through the
+// shard's Source: its visits register publishers in first-visit order,
+// its rows remap and append to the sink. A shard's rows index its own
+// tables, so only a world of more than 256 countries can fail here; it
+// panics then rather than alias two countries.
+func (m *Merger) AppendCapture(sh *Shard, idx int) {
+	s := m.shards[sh]
+	if s == nil {
+		s = &Source{m: m}
+		m.shards[sh] = s
+	}
+	s.adopt(Tables{FQDNs: sh.interner.strs, Countries: sh.countries, Publishers: sh.pubs})
+	cap := &sh.caps[idx]
+	for _, pid := range cap.visits {
+		s.pubID(pid)
+	}
+	m.ds.Visits += len(cap.visits)
+	// A row's publisher is normally registered by the page visit above
+	// (always true for the batch pipeline). An uploaded stream can
+	// legally carry requests whose visit was never uploaded; Append
+	// registers the publisher then, so the row resolves to a real id.
+	for _, r := range cap.rows {
+		if err := m.Append(s, r); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // ResetCaptures drops the buffered captures so the shard can collect the
 // next epoch, keeping the interner, the publisher/country indexes and
 // the per-host and per-publisher stage-1 state, none of which grows
-// with paths or pages. Captures already appended through a Merger stay
-// valid in the dataset; the shard-local ids they used remain stable
-// because the interner and indexes are never reset.
+// with paths or pages. The shard-local ids stay stable because the
+// interner and indexes are never reset, which is what lets a Merger
+// keep the shard's remap tables across epochs.
 func (sh *Shard) ResetCaptures() {
 	sh.caps = sh.caps[:0]
 	sh.cur = -1

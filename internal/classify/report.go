@@ -289,10 +289,11 @@ type DatasetStats struct {
 	ThirdPartyReqs   int64
 }
 
-// ComputeStats summarizes the dataset.
+// ComputeStats summarizes the dataset. Distinct FQDNs are marked in a
+// slice indexed by interner id, distinct users in a set.
 func ComputeStats(ds *Dataset) DatasetStats {
 	users := make(map[int32]struct{})
-	fqdns := make(map[uint32]struct{})
+	seen, fqdns := make([]bool, ds.FQDNs.Len()), 0
 	// Distinct counting never needs row order: a chunk's dictionary IS
 	// its distinct value set, and an RLE column collapses to one set
 	// insert per run. Either way the per-row loop disappears.
@@ -309,13 +310,21 @@ func ComputeStats(ds *Dataset) DatasetStats {
 	}
 	ds.ScanCols(func(_ int, pc *ProjChunk) {
 		distinct(pc, ColUser, func(v uint64) { users[int32(v)] = struct{}{} })
-		distinct(pc, ColFQDN, func(v uint64) { fqdns[uint32(v)] = struct{}{} })
+		distinct(pc, ColFQDN, func(v uint64) {
+			if v >= uint64(len(seen)) {
+				seen = append(seen, make([]bool, int(v)+1-len(seen))...)
+			}
+			if !seen[v] {
+				seen[v] = true
+				fqdns++
+			}
+		})
 	})
 	return DatasetStats{
 		Users:            len(users),
 		FirstPartySites:  len(ds.Publishers),
 		FirstPartyVisits: ds.Visits,
-		ThirdPartyFQDNs:  len(fqdns),
+		ThirdPartyFQDNs:  fqdns,
 		ThirdPartyReqs:   int64(ds.Len()),
 	}
 }

@@ -3,7 +3,6 @@ package classify
 import (
 	"fmt"
 
-	"crossborder/internal/geodata"
 	"crossborder/internal/webgraph"
 )
 
@@ -104,17 +103,15 @@ func EncodeChunk(st *MemStore, i int) ([]byte, error) {
 }
 
 // NewMergerOver resumes a merger over a restored dataset, appending to
-// its store: the country and publisher id assignments replay from the
+// its store: the country and publisher id assignments continue from the
 // dataset's own tables, so the next appended row receives exactly the
-// id it would have received had the original merger never stopped.
+// id it would have received had the original merger never stopped. The
+// per-source remap tables start empty and refill on first use.
 func NewMergerOver(ds *Dataset) *Merger {
 	m := &Merger{
-		ds:         ds,
-		countryIdx: make(map[geodata.Country]uint8, len(ds.Countries)),
-		pubIdx:     make(map[*webgraph.Publisher]int32, len(ds.Publishers)),
-	}
-	for i, cc := range ds.Countries {
-		m.countryIdx[cc] = uint8(i)
+		ds:     ds,
+		pubIdx: make(map[*webgraph.Publisher]int32, len(ds.Publishers)),
+		shards: make(map[*Shard]*Source),
 	}
 	for i, p := range ds.Publishers {
 		m.pubIdx[p] = int32(i)

@@ -18,8 +18,8 @@ import (
 //
 // The shard/merge contract: every user's full event stream lands in
 // exactly one shard (browser.Simulator.RunWorkers guarantees this), and
-// the merge walks users in a caller-chosen global order, re-interning
-// strings and remapping publisher/country ids in encounter order. Because
+// the merge walks users in a caller-chosen global order, remapping each
+// shard's FQDN, publisher and country ids in encounter order. Because
 // per-user row order is fixed by the user's private RNG stream and the
 // merge order is fixed by the caller, the merged Dataset is byte-for-byte
 // identical no matter how many shards collected it or which shard
@@ -257,9 +257,9 @@ func (c *ShardedCollector) FinalizeInto(users []*browser.User, sink *MemStore) (
 	return c.mergeInto(order, sink, true)
 }
 
-// mergeInto replays the captures in the given order into the sink,
-// re-interning strings and remapping publisher/country ids exactly as a
-// sequential collector would have assigned them: per user, visits first
+// mergeInto replays the captures in the given order into the sink
+// through one Merger, which assigns ids exactly as a sequential
+// collector would have: per user, visits first
 // (publishers register on first visit), then rows in emit order.
 // runSemi gates stages 2 and 3 (benchmarks disable them to measure the
 // fixpoint in isolation).

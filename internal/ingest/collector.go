@@ -156,8 +156,6 @@ type Collector struct {
 	merger   *classify.Merger
 	store    *classify.MemStore
 	semi     *classify.LiveSemi
-	userSet  map[int32]struct{}
-	fqdnSet  map[uint32]struct{}
 	truthA   *core.Analysis
 	ipmapA   *core.Analysis
 	maxmindA *core.Analysis
@@ -242,8 +240,6 @@ func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 		pubs:     make(map[string]*webgraph.Publisher, len(world.Graph.Publishers)),
 		nextSeq:  make(map[int32]uint64),
 		pending:  make(map[int32]*userRun),
-		userSet:  make(map[int32]struct{}),
-		fqdnSet:  make(map[uint32]struct{}),
 		truthA:   core.NewAnalysis(),
 		ipmapA:   core.NewAnalysis(),
 		maxmindA: core.NewAnalysis(),
@@ -557,8 +553,7 @@ func (c *Collector) commit(e *epochCut) {
 
 	// Incremental classification stages 2+3, then the per-epoch
 	// aggregate deltas: every row that became tracking this epoch —
-	// appended or flipped — joins the three flow maps, and the new rows
-	// extend the dataset-stats sets.
+	// appended or flipped — joins the three flow maps.
 	flips := c.semi.Extend()
 	ds := c.merger.Dataset()
 	c.applyDeltas(prevRows, flips)
@@ -606,40 +601,18 @@ func (c *Collector) feedRun(sh *classify.Shard, uid int32, run *userRun) {
 	}
 }
 
-// applyDeltas folds the epoch into the running aggregates: the
-// dataset-stats distinct sets over the appended rows, and one flow-map
-// delta per geolocation service from a single core.Join over exactly
-// the rows that became tracking this epoch: the appended ones and the
-// flips, which LiveSemi.Extend returns ascending and below prevRows, as
-// Join requires. Merging deltas is exact — counter addition commutes —
-// so the running analyses always equal a full core.Analyze rescan of
-// the live dataset (TestIncrementalAggregatesMatchRescan).
+// applyDeltas folds the epoch into the running flow maps: one delta
+// per geolocation service from a single core.Join over exactly the rows
+// that became tracking this epoch: the appended ones and the flips,
+// which LiveSemi.Extend returns ascending and below prevRows, as Join
+// requires. Merging deltas is exact — counter addition commutes — so
+// the running analyses always equal a full core.Analyze rescan of the
+// live dataset (TestIncrementalAggregatesMatchRescan).
 func (c *Collector) applyDeltas(prevRows int, flips []int) {
-	c.addStatsSets(prevRows)
 	d := core.Join(c.merger.Dataset(), c.world.FlowServices(), prevRows, flips)
 	c.truthA.Merge(d[0])
 	c.ipmapA.Merge(d[1])
 	c.maxmindA.Merge(d[2])
-}
-
-// addStatsSets adds the User and FQDN ids of the rows from row from on
-// to the dataset-stats distinct sets. Epoch commits call it for the
-// appended rows, checkpoint restore for every row.
-func (c *Collector) addStatsSets(from int) {
-	st := c.store
-	chunkRows := st.ChunkRows()
-	pc := classify.GetProj()
-	defer classify.PutProj(pc)
-	for ci := from / chunkRows; ci < st.NumChunks(); ci++ {
-		classify.ProjChunkAt(st, ci, pc)
-		lo := max(from-ci*chunkRows, 0)
-		for _, u := range pc.Wide(classify.ColUser)[lo:] {
-			c.userSet[int32(u)] = struct{}{}
-		}
-		for _, f := range pc.Wide(classify.ColFQDN)[lo:] {
-			c.fqdnSet[uint32(f)] = struct{}{}
-		}
-	}
 }
 
 // flips2chunks maps flipped global row indices to their chunk indices.

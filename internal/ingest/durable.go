@@ -126,9 +126,10 @@ type analysisState struct {
 // refuse a checkpoint written by a differently configured collector
 // instead of silently diverging. Restore derives the rest: the semi-
 // stage LTF and candidate frontier from a first LiveSemi.Extend over
-// the restored rows, the dataset-stats user and FQDN sets from their
-// columns. Checkpoints written with those fields (ltf, cand,
-// settled_rows, users, fqdn_seen) still load; JSON ignores them.
+// the restored rows. Table 1 is derived per snapshot from the rows, so
+// no distinct-user or FQDN set is stored or rebuilt. Checkpoints
+// written with those fields (ltf, cand, settled_rows, users,
+// fqdn_seen) still load; JSON ignores them.
 type ckptMeta struct {
 	Seed      int64   `json:"seed"`
 	Scale     float64 `json:"scale"`
@@ -655,7 +656,8 @@ func parseSegment(data []byte, s ckptSeg) ([][]byte, error) {
 // does not store is derived through the commit path's own code: a
 // first LiveSemi.Extend over the restored rows rebuilds the LTF and
 // candidate frontier (the rows are at the fixpoint, so it relabels
-// none), and addStatsSets the distinct-user and FQDN sets.
+// none). Table 1 needs no rebuild: every snapshot derives it from its
+// rows on first query.
 func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [][]classify.Class) error {
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
@@ -720,9 +722,6 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	for _, s := range meta.Seqs {
 		c.nextSeq[s.User] = s.Next
 	}
-	c.userSet = make(map[int32]struct{})
-	c.fqdnSet = make(map[uint32]struct{})
-	c.addStatsSets(0)
 	c.truthA = core.RestoreAnalysis(meta.Truth.Flows, meta.Truth.Unknown)
 	c.ipmapA = core.RestoreAnalysis(meta.IPMap.Flows, meta.IPMap.Unknown)
 	c.maxmindA = core.RestoreAnalysis(meta.MaxMind.Flows, meta.MaxMind.Unknown)

@@ -106,7 +106,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 // on a compressed store, and the restored store through one full
 // projected scan; a decoded payload then goes through restoreCheckpoint
 // on one collector built per fuzz run, which rebuilds the fixpoint
-// frontier and the stats sets from the rows, and its store through the
+// frontier from the rows, and its store through the
 // same scan. The outcome must be an error or a clean scan — never a
 // panic. The body checksum and every manifest segment CRC are
 // recomputed first so mutations reach the meta, chunk-table, segment

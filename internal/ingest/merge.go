@@ -16,13 +16,14 @@ import (
 // query API, byte-identical to what a single collector over the union
 // of the shards' events would serve.
 //
-// Rows copy over with their ids remapped through global tables (the
-// merged interner, country and publisher indexes), exactly as the
-// epoch Merger remaps shard-local ids — so the merged dataset is a
-// permutation of the single-collector dataset, and every artifact is
-// invariant to row order, interner numbering, and table order (the
-// same invariance the live replay's epoch-size freedom already
-// exercises).
+// Rows copy over through the same classify.Merger the epoch commits
+// and the batch build use: each export is one merge source whose
+// string tables the Merger remaps into the merged interner, country
+// and publisher tables, first-seen in merge order — so the merged
+// dataset is a permutation of the single-collector dataset, and every
+// artifact is invariant to row order, interner numbering, and table
+// order (the same invariance the live replay's epoch-size freedom
+// already exercises).
 //
 // Classification needs one correction: stages 2 and 3 are a fixpoint
 // over FQDN-level tracking membership across ALL users, so a shard
@@ -39,6 +40,8 @@ import (
 // under the global fixpoint contribute a delta through the same
 // core.Join the collector's applyDeltas runs per epoch. The result
 // equals a full core.Analyze rescan (TestMergeExportsMatchesRescan).
+// Table 1 is not merged at all: the Snapshot derives it from the
+// merged rows.
 
 // MergeExports merges per-shard snapshot exports into one global
 // Snapshot over the shared world. Exports must come from collectors
@@ -56,27 +59,17 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 		pubByDomain[p.Domain] = p
 	}
 
-	totalRows, internHint := 0, 0
+	internHint := 0
 	for _, ex := range exports {
-		totalRows += ex.meta.Rows
-		if n := len(ex.meta.FQDNs); n > internHint {
-			internHint = n
-		}
+		internHint = max(internHint, len(ex.meta.FQDNs))
 	}
 	st := classify.NewMemStore()
-	ds := &classify.Dataset{
-		Store: st,
-		FQDNs: classify.NewInternerSized(internHint),
-		Start: world.Start,
-	}
-	countryIdx := make(map[geodata.Country]uint8)
-	pubIdx := make(map[string]int32)
+	mg := classify.NewMerger(world.Start, st, internHint)
+	ds := mg.Dataset()
 	// userShard maps each user seen in the rows to its shard, for the
-	// overlap check and the distinct-user count.
+	// overlap check.
 	userShard := make(map[int32]int)
-	fqdnSet := make(map[uint32]struct{})
 	truth, ipmap, maxmind := core.NewAnalysis(), core.NewAnalysis(), core.NewAnalysis()
-	wasTracking := make([]bool, 0, totalRows)
 	epoch := 0
 
 	var buf classify.Chunk
@@ -90,41 +83,25 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 			return nil, fmt.Errorf("ingest: shard %d export start time %d does not match the world's %d",
 				si, m.StartUnix, world.Start.Unix())
 		}
-		// Shard-local id -> global id remap tables, assigned in
-		// first-seen order like the epoch Merger's.
-		fmap := make([]uint32, len(m.FQDNs))
-		for i, s := range m.FQDNs {
-			fmap[i] = ds.FQDNs.ID(s)
+		t := classify.Tables{
+			FQDNs:      m.FQDNs,
+			Countries:  make([]geodata.Country, len(m.Countries)),
+			Publishers: make([]*webgraph.Publisher, len(m.Publishers)),
 		}
-		cmap := make([]uint8, len(m.Countries))
 		for i, s := range m.Countries {
-			cc := geodata.Country(s)
-			id, ok := countryIdx[cc]
-			if !ok {
-				if len(ds.Countries) >= 256 {
-					return nil, fmt.Errorf("ingest: merged country table exceeds 256 entries")
-				}
-				id = uint8(len(ds.Countries))
-				countryIdx[cc] = id
-				ds.Countries = append(ds.Countries, cc)
-			}
-			cmap[i] = id
+			t.Countries[i] = geodata.Country(s)
 		}
-		pmap := make([]int32, len(m.Publishers))
 		for i, dom := range m.Publishers {
-			id, ok := pubIdx[dom]
-			if !ok {
-				p, known := pubByDomain[dom]
-				if !known {
-					return nil, fmt.Errorf("ingest: shard %d publisher %q unknown to the world", si, dom)
-				}
-				id = int32(len(ds.Publishers))
-				pubIdx[dom] = id
-				ds.Publishers = append(ds.Publishers, p)
+			p, known := pubByDomain[dom]
+			if !known {
+				return nil, fmt.Errorf("ingest: shard %d publisher %q unknown to the world", si, dom)
 			}
-			pmap[i] = id
+			t.Publishers[i] = p
 		}
+		src := mg.Source(t)
 
+		// A user's rows come in runs; the overlap check runs once per run.
+		user, inRun := int32(0), false
 		for ci := range ex.blocks {
 			rows := len(ex.classes[ci])
 			if err := classify.DecodeBlockInto(ex.blocks[ci], rows, &buf); err != nil {
@@ -133,26 +110,23 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 			buf.Class = ex.classes[ci]
 			for i := 0; i < rows; i++ {
 				r := buf.Row(i)
-				if int(r.FQDN) >= len(fmap) || int(r.RefFQDN) >= len(fmap) ||
-					int(r.Country) >= len(cmap) || int(r.Publisher) < 0 || int(r.Publisher) >= len(pmap) {
-					return nil, fmt.Errorf("ingest: shard %d chunk %d row %d has out-of-table ids", si, ci, i)
-				}
-				r.FQDN, r.RefFQDN = fmap[r.FQDN], fmap[r.RefFQDN]
-				r.Country, r.Publisher = cmap[r.Country], pmap[r.Publisher]
-				wasTracking = append(wasTracking, r.Class.IsTracking())
 				if r.Class.IsSemi() {
 					// Demote: the shard's semi conversions re-derive below
 					// under the global fixpoint (ABP labels are stage-1
 					// per-row facts and stand).
 					r.Class = classify.ClassClean
 				}
-				if s, seen := userShard[r.User]; !seen {
-					userShard[r.User] = si
-				} else if s != si {
-					return nil, fmt.Errorf("ingest: user %d appears on more than one shard (shard %d overlaps shard %d)", r.User, si, s)
+				if !inRun || r.User != user {
+					user, inRun = r.User, true
+					if s, seen := userShard[user]; !seen {
+						userShard[user] = si
+					} else if s != si {
+						return nil, fmt.Errorf("ingest: user %d appears on more than one shard (shard %d overlaps shard %d)", user, si, s)
+					}
 				}
-				fqdnSet[r.FQDN] = struct{}{}
-				st.Append(r)
+				if err := mg.Append(src, r); err != nil {
+					return nil, fmt.Errorf("ingest: shard %d chunk %d row %d: %w", si, ci, i, err)
+				}
 			}
 		}
 		ds.Visits += m.Visits
@@ -168,16 +142,21 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	// across shard boundaries.
 	classify.RunSemiStages(ds, workers)
 
-	// Aggregate delta: rows tracking now but not at export time (the
+	// Aggregate delta: rows tracking now but clean in their export (the
 	// cross-shard conversions) join the flow maps, exactly like the
 	// collector's per-epoch applyDeltas. Demoted rows that re-converted
-	// are already counted in the merged shard analyses.
+	// are already counted in the merged shard analyses. Merged rows
+	// follow the exports' rows in order, so row g is the g-th class of
+	// the exports' class columns taken in turn.
 	var converted []int
-	for ci := 0; ci < st.NumChunks(); ci++ {
-		base := ci * st.ChunkRows()
-		for i, cls := range st.Classes(ci) {
-			if cls.IsTracking() && !wasTracking[base+i] {
-				converted = append(converted, base+i)
+	g, chunkRows := 0, st.ChunkRows()
+	for _, ex := range exports {
+		for _, cls := range ex.classes {
+			for _, was := range cls {
+				if was == classify.ClassClean && st.Classes(g / chunkRows)[g%chunkRows].IsTracking() {
+					converted = append(converted, g)
+				}
+				g++
 			}
 		}
 	}
@@ -190,16 +169,9 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 		epoch:     epoch,
 		ds:        ds,
 		footprint: footprintOf(st),
-		stats: classify.DatasetStats{
-			Users:            len(userShard),
-			FirstPartySites:  len(ds.Publishers),
-			FirstPartyVisits: ds.Visits,
-			ThirdPartyFQDNs:  len(fqdnSet),
-			ThirdPartyReqs:   int64(st.Len()),
-		},
-		truth:   truth,
-		ipmap:   ipmap,
-		maxmind: maxmind,
-		world:   world,
+		truth:     truth,
+		ipmap:     ipmap,
+		maxmind:   maxmind,
+		world:     world,
 	}, nil
 }

@@ -125,9 +125,9 @@ func TestMergeExportsMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestMergeExportsRefusals: the merge rejects exports from another
-// world and overlapping user partitions instead of silently producing
-// a wrong global view.
+// TestMergeExportsRefusals: the merge rejects overlapping user
+// partitions and exports whose rows name ids outside their own tables
+// instead of silently producing a wrong global view.
 func TestMergeExportsRefusals(t *testing.T) {
 	world, evs, _ := rig(t)
 	parts := shardEvents(evs, 2)
@@ -137,6 +137,34 @@ func TestMergeExportsRefusals(t *testing.T) {
 	if _, err := MergeExports(world, []*ShardExport{exports[0], exports[0]}, 1); err == nil ||
 		!strings.Contains(err.Error(), "more than one shard") {
 		t.Errorf("overlapping shards accepted (err=%v)", err)
+	}
+
+	// Forged exports: a table cut short, its rows left as they are.
+	c := NewCollector(world, Config{EpochEvents: 1 << 20, Workers: 1})
+	defer c.Close()
+	ingestAll(t, c, parts[0], 197)
+	data, _, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*ckptMeta)
+	}{
+		{"FQDN table short", func(m *ckptMeta) { m.FQDNs = m.FQDNs[:1] }},
+		{"country table short", func(m *ckptMeta) { m.Countries = m.Countries[:1] }},
+		{"publisher table short", func(m *ckptMeta) { m.Publishers = m.Publishers[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, err := DecodeShardExport(rewriteMeta(data, tc.edit))
+			if err != nil {
+				t.Fatalf("decode forged export: %v", err)
+			}
+			if _, err := MergeExports(world, []*ShardExport{ex}, 1); err == nil ||
+				!strings.Contains(err.Error(), "outside the source's") {
+				t.Errorf("forged export merged (err=%v)", err)
+			}
+		})
 	}
 }
 

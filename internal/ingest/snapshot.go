@@ -13,18 +13,21 @@ import (
 
 // Snapshot is one immutable epoch boundary of the live dataset: the
 // frozen row store, the interner/index tables as of the epoch, the
-// incrementally maintained aggregates, and (lazily) a full experiments
-// Suite over a scenario whose Dataset and Inventory are the snapshot's.
+// incrementally maintained flow maps, and, each derived on first use
+// and then kept, the Table 1 stats and a full experiments Suite over a
+// scenario whose Dataset and Inventory are the snapshot's.
 // Safe for concurrent use; the collector never mutates a published
 // snapshot.
 type Snapshot struct {
 	epoch                 int
 	ds                    *classify.Dataset
-	stats                 classify.DatasetStats
 	footprint             StoreFootprint
 	history               []EpochStat
 	truth, ipmap, maxmind *core.Analysis
 	world                 *scenario.Scenario
+
+	table1Once sync.Once
+	table1     classify.DatasetStats
 
 	once  sync.Once
 	suite *experiments.Suite
@@ -108,9 +111,13 @@ func (s *Snapshot) Rows() int { return s.ds.Len() }
 // Dataset returns the frozen dataset.
 func (s *Snapshot) Dataset() *classify.Dataset { return s.ds }
 
-// Stats returns the incrementally maintained Table 1 summary. It equals
-// classify.ComputeStats over Dataset() (property-tested).
-func (s *Snapshot) Stats() classify.DatasetStats { return s.stats }
+// Stats returns the Table 1 summary: classify.ComputeStats over the
+// frozen Dataset(), derived on first call and kept for the snapshot's
+// lifetime.
+func (s *Snapshot) Stats() classify.DatasetStats {
+	s.table1Once.Do(func() { s.table1 = classify.ComputeStats(s.ds) })
+	return s.table1
+}
 
 // TruthAnalysis returns the incrementally merged ground-truth flow map.
 func (s *Snapshot) TruthAnalysis() *core.Analysis { return s.truth }
@@ -172,16 +179,9 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 		history:   c.epochs[:len(c.epochs):len(c.epochs)],
 		ds:        ds,
 		footprint: footprintOf(st),
-		stats: classify.DatasetStats{
-			Users:            len(c.userSet),
-			FirstPartySites:  nPubs,
-			FirstPartyVisits: live.Visits,
-			ThirdPartyFQDNs:  len(c.fqdnSet),
-			ThirdPartyReqs:   int64(st.Len()),
-		},
-		truth:   c.truthA.Clone(),
-		ipmap:   c.ipmapA.Clone(),
-		maxmind: c.maxmindA.Clone(),
-		world:   c.world,
+		truth:     c.truthA.Clone(),
+		ipmap:     c.ipmapA.Clone(),
+		maxmind:   c.maxmindA.Clone(),
+		world:     c.world,
 	}
 }
