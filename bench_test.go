@@ -505,8 +505,7 @@ func benchIngestRun(b *testing.B, cfg ingest.Config, checkpoint bool) {
 // end in-process through IngestBinary, the server's path: in-place
 // batch validation -> sequence dedup -> (epoch committer) frame decode
 // -> sharded stage-1 classification -> user-ordered merge into the
-// columnar store -> incremental fixpoint + aggregate deltas -> snapshot
-// publish. One op replays the whole captured event stream and flushes;
+// columnar store -> incremental fixpoint -> snapshot publish. One op replays the whole captured event stream and flushes;
 // events/sec is the headline serving metric.
 func BenchmarkIngestThroughput(b *testing.B) {
 	benchIngestRun(b, ingest.Config{EpochEvents: 1 << 14}, false)
@@ -685,7 +684,7 @@ func BenchmarkFlowJoin(b *testing.B) {
 	ds, svcs := su.S.Dataset, su.S.FlowServices()
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.Join(ds, svcs, 0, nil)
+			core.Join(ds, svcs)
 		}
 	})
 	b.Run("per-service", func(b *testing.B) {

@@ -12,17 +12,17 @@
 //	POST /v1/flush            force an epoch commit (+ checkpoint with -data)
 //	GET  /v1/experiments      registry ids
 //	GET  /v1/experiments/{id} artifact over the latest epoch snapshot
-//	GET  /v1/stats            incrementally maintained aggregates
+//	GET  /v1/stats            aggregates of the latest snapshot
 //	GET  /healthz, /readyz    liveness, readiness (recovery progress)
 //	GET  /metrics             Prometheus counters
 //
 // Uploads carry per-user sequence numbers; re-sent batches deduplicate,
 // so clients retry freely (at-least-once). Accepted events commit as an
 // epoch every -epoch events: the batch is classified through -workers
-// shards, merged into the columnar store, the semi-stage fixpoint
-// extends incrementally, and the flow-map/stats aggregates advance by
-// the epoch's delta. Queries read immutable epoch snapshots and never
-// block ingestion.
+// shards, merged into the columnar store, and the semi-stage fixpoint
+// extends incrementally. Queries read immutable epoch snapshots, which
+// derive the flow-map/stats aggregates from their rows on first use,
+// and never block ingestion.
 //
 // With -data the daemon is durable: accepted batches journal to a
 // write-ahead log under the data dir (fsync policy via -wal-sync),

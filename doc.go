@@ -85,9 +85,10 @@
 // from one projected (Country, IP) scan, sharded over GOMAXPROCS
 // workers whose per-shard flow maps merge by commutative counter
 // addition; each worker locates each distinct IP once per service. The
-// batch Suite, the live collector's epoch deltas and the fan-in merge
-// all call it, and the registry's RunAll computes independent
-// experiments concurrently over the precomputed geolocation joins.
+// batch Suite and every live snapshot (collector epoch, recovered or
+// fan-in merged) call it at most once, and the registry's RunAll
+// computes independent experiments concurrently over the precomputed
+// geolocation joins.
 // Tables 5 and 6 share one locality engine per Suite, built once
 // behind a sync.Once and immutable afterwards; the Suite keeps only
 // the two small results and drops the engine. Measured on a 2-vCPU
@@ -151,11 +152,11 @@
 // internal/cluster scales that horizontally — N collectd shards each
 // own a consistent-hash partition of the users, announce themselves
 // over a heartbeat/gossip membership layer, and cmd/mergerd merges
-// the per-shard epoch snapshots (interner remap, cross-shard
-// fixpoint re-closure, aggregate deltas) behind the same /v1/* query
-// API. The invariant at every tier is byte parity: single collector,
-// crash-recovered collector, and eight-shard merged cluster all
-// render the exact bytes of the batch study over the same events.
+// the per-shard epoch snapshots (interner remap, cross-shard fixpoint
+// re-closure) behind the same /v1/* query API. The invariant at every
+// tier is byte parity: single collector, crash-recovered collector,
+// and eight-shard merged cluster all render the exact bytes of the
+// batch study over the same events.
 //
 // # Fault tolerance and chaos testing
 //

@@ -82,11 +82,8 @@ func (a *Analysis) Unknown() int64 { return a.unknown }
 
 // Merge folds another accumulator into a. Counter addition commutes, so
 // merging per-shard analyses in any order yields the same totals as one
-// sequential pass — which is what keeps the parallel Analyze
-// deterministic. The same property makes per-epoch deltas exact: a full
-// rescan equals the merge of the rescans of any partition of the rows,
-// which is how the live collector keeps its flow maps current without
-// re-reading settled epochs.
+// sequential pass — which is what keeps the parallel Join
+// deterministic.
 func (a *Analysis) Merge(b *Analysis) {
 	for f, n := range b.byFlow {
 		a.byFlow[f] += n
@@ -95,25 +92,9 @@ func (a *Analysis) Merge(b *Analysis) {
 	a.unknown += b.unknown
 }
 
-// Clone returns an independent copy of the accumulator. The live
-// collector publishes a clone with every epoch snapshot so queries read
-// a frozen flow map while ingestion keeps merging deltas into the
-// original.
-func (a *Analysis) Clone() *Analysis {
-	c := &Analysis{
-		byFlow:  make(map[Flow]int64, len(a.byFlow)),
-		total:   a.total,
-		unknown: a.unknown,
-	}
-	for f, n := range a.byFlow {
-		c.byFlow[f] = n
-	}
-	return c
-}
-
 // Equal reports whether two accumulators hold identical counts (zero
-// entries excluded). It backs the property tests pinning incremental
-// delta merging to the full rescan.
+// entries excluded). It backs the property tests pinning every join
+// and every live route to a full rescan.
 func (a *Analysis) Equal(b *Analysis) bool {
 	if a.total != b.total || a.unknown != b.unknown {
 		return false
@@ -143,61 +124,35 @@ func (a *Analysis) Equal(b *Analysis) bool {
 const analyzeRowsPerShard = 1 << 16
 
 // Analyze joins the classified dataset's tracking rows with a geolocation
-// service: the full Join for one service.
+// service: the Join for one service.
 func Analyze(ds *classify.Dataset, svc geo.Service) *Analysis {
-	return Join(ds, []geo.Service{svc}, 0, nil)[0]
+	return Join(ds, []geo.Service{svc})[0]
 }
 
-// Join joins tracking rows with several geolocation services in one
-// projected scan and returns one Analysis per service, in svcs order.
-// It covers the tracking rows at index >= from plus the tracking rows
-// listed in rows, which must be sorted ascending and below from.
-// Join(ds, svcs, 0, nil) is the full join. The live collector passes
-// an epoch's first new row and the settled rows that flipped to
-// tracking; the fan-in merge passes the store length and the rows the
-// global fixpoint converted.
+// Join joins every tracking row with several geolocation services in
+// one projected scan and returns one Analysis per service, in svcs
+// order.
 //
-// Workers take contiguous ranges of the chunks that hold selected rows,
-// each with a private projection buffer, a private memo and private
-// analyses merged at the end. The services must be safe for concurrent
-// Locate calls (all geo implementations are). The result is identical to
-// a row-by-row join for any worker count and any store backend.
-func Join(ds *classify.Dataset, svcs []geo.Service, from int, rows []int) []*Analysis {
+// Workers take contiguous ranges of chunks, each with a private
+// projection buffer, a private memo and private analyses merged at the
+// end. The services must be safe for concurrent Locate calls (all geo
+// implementations are). The result is identical to a row-by-row join
+// for any worker count and any store backend.
+func Join(ds *classify.Dataset, svcs []geo.Service) []*Analysis {
 	st := ds.Store
 	if st == nil {
 		return newAnalyses(len(svcs))
 	}
-	chunkRows := st.ChunkRows()
-	var tasks []joinChunk
-	for k := 0; k < len(rows); {
-		ci := rows[k] / chunkRows
-		j := k + 1
-		for j < len(rows) && rows[j]/chunkRows == ci {
-			j++
-		}
-		tasks = append(tasks, joinChunk{ci: ci, lo: chunkRows, sel: rows[k:j]})
-		k = j
-	}
-	for ci := from / chunkRows; ci < st.NumChunks(); ci++ {
-		lo := max(from-ci*chunkRows, 0)
-		if n := len(tasks); n > 0 && tasks[n-1].ci == ci {
-			tasks[n-1].lo = lo
-			continue
-		}
-		tasks = append(tasks, joinChunk{ci: ci, lo: lo})
-	}
-
-	workers := min(runtime.GOMAXPROCS(0), 1+(len(rows)+st.Len()-from)/analyzeRowsPerShard, len(tasks))
-	workers = max(workers, 1)
+	n := st.NumChunks()
+	workers := max(min(runtime.GOMAXPROCS(0), 1+st.Len()/analyzeRowsPerShard, n), 1)
 	parts := make([][]*Analysis, workers)
-	per := (len(tasks) + workers - 1) / workers
+	per := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := range parts {
-		part := tasks[min(w*per, len(tasks)):min((w+1)*per, len(tasks))]
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			parts[w] = joinChunks(ds, svcs, part)
+			parts[w] = joinChunks(ds, svcs, min(w*per, n), min((w+1)*per, n))
 		}(w)
 	}
 	wg.Wait()
@@ -216,14 +171,6 @@ func newAnalyses(n int) []*Analysis {
 		out[i] = NewAnalysis()
 	}
 	return out
-}
-
-// joinChunk is the selection Join makes in chunk ci: the listed global
-// rows sel, then the chunk-local rows from lo on (lo >= the chunk's
-// length selects none).
-type joinChunk struct {
-	ci, lo int
-	sel    []int
 }
 
 // located is one service's answer for one IP.
@@ -256,22 +203,21 @@ type joinWorker struct {
 	touched []uint32
 }
 
-// joinChunks is the decode-free projection kernel over the selected
-// chunks: it reads only the Country and IP columns in their encoded
-// forms. Chunks with no tracking rows load nothing (the resident class
-// column decides; the zone map's class bitmap can go stale after the
+// joinChunks is the decode-free projection kernel over chunks [lo, hi):
+// it reads only the Country and IP columns in their encoded forms.
+// Chunks with no tracking rows load nothing (the resident class column
+// decides; the zone map's class bitmap can go stale after the
 // semi-stage fixpoint). Country arrives as RLE runs, so the origin
 // country resolves once per run; each run folds its tracking rows into
 // one count per IP and emits one Add per (origin, IP, service).
 // Counter addition commutes, so folding rows changes the order of Adds
 // but not any total.
-func joinChunks(ds *classify.Dataset, svcs []geo.Service, tasks []joinChunk) []*Analysis {
+func joinChunks(ds *classify.Dataset, svcs []geo.Service, lo, hi int) []*Analysis {
 	w := &joinWorker{svcs: svcs, out: newAnalyses(len(svcs)), memo: make(map[netsim.IP]uint32)}
 	pc := classify.GetProj()
 	defer classify.PutProj(pc)
-	chunkRows := ds.Store.ChunkRows()
-	for _, t := range tasks {
-		classify.ProjChunkAt(ds.Store, t.ci, pc)
+	for ci := lo; ci < hi; ci++ {
+		classify.ProjChunkAt(ds.Store, ci, pc)
 		w.cls = pc.Class
 		if !classify.AnyTracking(w.cls) {
 			continue
@@ -284,14 +230,10 @@ func joinChunks(ds *classify.Dataset, svcs []geo.Service, tasks []joinChunk) []*
 		} else {
 			w.ips = pc.Wide(classify.ColIP)
 		}
-		base := t.ci * chunkRows
-		k, row := 0, 0
+		row := 0
 		for _, r := range pc.Runs(classify.ColCountry) {
 			end := row + r.Len
-			for ; k < len(t.sel) && t.sel[k]-base < end; k++ {
-				w.count(t.sel[k]-base, t.sel[k]-base+1)
-			}
-			w.count(max(row, t.lo), end)
+			w.count(row, end)
 			w.flush(ds.Countries[r.Value])
 			row = end
 		}

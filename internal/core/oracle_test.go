@@ -10,13 +10,12 @@ import (
 	"crossborder/internal/netsim"
 )
 
-// rowAnalyze is Join's row oracle: it walks full-width rows, keeps the
-// tracking rows whose index keep accepts, and locates each one
-// individually.
-func rowAnalyze(ds *classify.Dataset, svc geo.Service, keep func(i int) bool) *Analysis {
+// rowAnalyze is Join's row oracle: it walks full-width rows and locates
+// each tracking row individually.
+func rowAnalyze(ds *classify.Dataset, svc geo.Service) *Analysis {
 	a := NewAnalysis()
-	ds.EachRow(func(i int, r classify.Row) {
-		if !r.Class.IsTracking() || !keep(i) {
+	ds.EachRow(func(_ int, r classify.Row) {
+		if !r.Class.IsTracking() {
 			return
 		}
 		loc, ok := svc.Locate(r.IP)
@@ -80,10 +79,9 @@ func oracleRows(rng *rand.Rand, n, numCountries int) []classify.Row {
 
 // TestKernelsMatchRowOracle is the kernel-equivalence property for the
 // geolocation join: over random datasets on every store backend,
-// Analyze, and Join with two services whose unlocatable sets differ
-// over a random from and a random sorted row list below it, agree with
-// the row oracle over exactly the selected rows. The largest dataset
-// spans enough rows to run the parallel scan.
+// Analyze, and Join with two services whose unlocatable sets differ,
+// agree with the row oracle. The largest dataset spans enough rows to
+// run the parallel scan.
 func TestKernelsMatchRowOracle(t *testing.T) {
 	countries := []geodata.Country{"DE", "ES", "GR", "US", "BR"}
 	even := make(map[netsim.IP]geo.Location) // odd addresses stay unlocatable
@@ -106,26 +104,14 @@ func TestKernelsMatchRowOracle(t *testing.T) {
 		rows := oracleRows(rng, n, len(countries)-1) // "BR" never occurs
 		for name, st := range oracleBackends(t, rows, 256) {
 			ds := &classify.Dataset{Store: st, Countries: countries[:len(countries)-1]}
-			all := func(int) bool { return true }
-			if got, want := Analyze(ds, svcs[0]), rowAnalyze(ds, svcs[0], all); !got.Equal(want) {
+			if got, want := Analyze(ds, svcs[0]), rowAnalyze(ds, svcs[0]); !got.Equal(want) {
 				t.Errorf("n=%d %s Analyze: %d flows (%d unknown), oracle %d (%d)",
 					n, name, got.Total(), got.Unknown(), want.Total(), want.Unknown())
 			}
-			from := rng.Intn(n + 1)
-			listed := make(map[int]bool)
-			var sel []int
-			density := rng.Float64()
-			for i := 0; i < from; i++ {
-				if rng.Float64() < density {
-					sel = append(sel, i)
-					listed[i] = true
-				}
-			}
-			keep := func(i int) bool { return i >= from || listed[i] }
-			for s, got := range Join(ds, svcs, from, sel) {
-				if want := rowAnalyze(ds, svcs[s], keep); !got.Equal(want) {
-					t.Errorf("n=%d %s Join(from=%d, %d rows) %s: %d flows (%d unknown), oracle %d (%d)",
-						n, name, from, len(sel), svcs[s].Name(), got.Total(), got.Unknown(), want.Total(), want.Unknown())
+			for s, got := range Join(ds, svcs) {
+				if want := rowAnalyze(ds, svcs[s]); !got.Equal(want) {
+					t.Errorf("n=%d %s Join %s: %d flows (%d unknown), oracle %d (%d)",
+						n, name, svcs[s].Name(), got.Total(), got.Unknown(), want.Total(), want.Unknown())
 				}
 			}
 		}

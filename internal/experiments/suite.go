@@ -29,7 +29,7 @@ type Suite struct {
 	once struct {
 		flows, locality sync.Once
 	}
-	truthA, ipmapA, maxmindA *core.Analysis
+	flows []*core.Analysis // truth, IPmap, MaxMind
 	// table5 and table6 share one locality engine (see locality.go).
 	table5 Table5Result
 	table6 Table6Result
@@ -44,13 +44,14 @@ func NewSuite(s *scenario.Scenario) *Suite {
 }
 
 // NewSuiteSeeded wraps a scenario with the three geolocation joins
-// pre-filled from analyses computed elsewhere — the live collector's
-// incrementally merged per-epoch deltas. The seeded analyses must equal
-// what core.Analyze would return over s.Dataset for each service (the
-// delta-merge property test and the replay golden test pin this).
+// already computed. Its one non-test caller is ingest.Snapshot, which
+// derives the flow maps from its rows itself (so /v1/stats needs no
+// Suite) and hands those same analyses over here, so a snapshot joins
+// once whichever asks first. The seeded analyses must equal what
+// core.Analyze would return over s.Dataset for each service.
 func NewSuiteSeeded(s *scenario.Scenario, truth, ipmap, maxmind *core.Analysis) *Suite {
 	su := NewSuite(s)
-	su.truthA, su.ipmapA, su.maxmindA = truth, ipmap, maxmind
+	su.flows = []*core.Analysis{truth, ipmap, maxmind}
 	su.once.flows.Do(func() {})
 	return su
 }
@@ -62,27 +63,26 @@ func NewSuiteSeeded(s *scenario.Scenario, truth, ipmap, maxmind *core.Analysis) 
 // all wait on the same sync.Once.
 func (su *Suite) Precompute() {
 	su.once.flows.Do(func() {
-		a := core.Join(su.S.Dataset, su.S.FlowServices(), 0, nil)
-		su.truthA, su.ipmapA, su.maxmindA = a[0], a[1], a[2]
+		su.flows = core.Join(su.S.Dataset, su.S.FlowServices())
 	})
 }
 
 // TruthAnalysis joins all tracking flows with ground-truth geolocation.
 func (su *Suite) TruthAnalysis() *core.Analysis {
 	su.Precompute()
-	return su.truthA
+	return su.flows[0]
 }
 
 // IPMapAnalysis joins all tracking flows with RIPE IPmap-style
 // geolocation — the paper's headline configuration.
 func (su *Suite) IPMapAnalysis() *core.Analysis {
 	su.Precompute()
-	return su.ipmapA
+	return su.flows[1]
 }
 
 // MaxMindAnalysis joins all tracking flows with the commercial database —
 // the Fig 7(a) counterfactual.
 func (su *Suite) MaxMindAnalysis() *core.Analysis {
 	su.Precompute()
-	return su.maxmindA
+	return su.flows[2]
 }

@@ -12,7 +12,6 @@ import (
 	"crossborder/internal/browser"
 	"crossborder/internal/chaos"
 	"crossborder/internal/classify"
-	"crossborder/internal/core"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/netsim"
 	"crossborder/internal/rtb"
@@ -112,8 +111,9 @@ type EpochStat struct {
 // Collector is the live ingestion service: it validates and
 // deduplicates uploads, classifies them through per-worker shards,
 // merges them into a growing columnar dataset on epoch boundaries,
-// keeps the semi-stage fixpoint and the paper's aggregates current
-// incrementally, and publishes an immutable Snapshot per epoch.
+// keeps the semi-stage fixpoint current incrementally, and publishes an
+// immutable Snapshot per epoch, which derives the paper's aggregates
+// from its rows.
 //
 // Two locks split the work (group commit: DeWitt et al., "Implementation
 // Techniques for Main Memory Database Systems", SIGMOD 1984). The ingest
@@ -156,9 +156,6 @@ type Collector struct {
 	merger   *classify.Merger
 	store    *classify.MemStore
 	semi     *classify.LiveSemi
-	truthA   *core.Analysis
-	ipmapA   *core.Analysis
-	maxmindA *core.Analysis
 	epochs   []EpochStat
 	// internClone caches the last published interner clone; reused while
 	// no new FQDN interns (see buildSnapshot).
@@ -234,16 +231,13 @@ type epochCut struct {
 func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		world:    world,
-		cfg:      cfg,
-		users:    make(map[int32]*browser.User, len(world.Users)),
-		pubs:     make(map[string]*webgraph.Publisher, len(world.Graph.Publishers)),
-		nextSeq:  make(map[int32]uint64),
-		pending:  make(map[int32]*userRun),
-		truthA:   core.NewAnalysis(),
-		ipmapA:   core.NewAnalysis(),
-		maxmindA: core.NewAnalysis(),
-		started:  time.Now(),
+		world:   world,
+		cfg:     cfg,
+		users:   make(map[int32]*browser.User, len(world.Users)),
+		pubs:    make(map[string]*webgraph.Publisher, len(world.Graph.Publishers)),
+		nextSeq: make(map[int32]uint64),
+		pending: make(map[int32]*userRun),
+		started: time.Now(),
 	}
 	for _, u := range world.Users {
 		c.users[int32(u.ID)] = u
@@ -551,16 +545,12 @@ func (c *Collector) commit(e *epochCut) {
 		c.sc.Shard(i).ResetCaptures()
 	}
 
-	// Incremental classification stages 2+3, then the per-epoch
-	// aggregate deltas: every row that became tracking this epoch —
-	// appended or flipped — joins the three flow maps.
+	// Incremental classification stages 2+3.
 	flips := c.semi.Extend()
-	ds := c.merger.Dataset()
-	c.applyDeltas(prevRows, flips)
 
 	c.epochs = append(c.epochs, EpochStat{
 		Epoch:  len(c.epochs) + 1,
-		Rows:   ds.Len(),
+		Rows:   c.store.Len(),
 		Events: e.events,
 		Flips:  len(flips),
 		At:     time.Now().Unix(),
@@ -599,20 +589,6 @@ func (c *Collector) feedRun(sh *classify.Shard, uid int32, run *userRun) {
 			})
 		}
 	}
-}
-
-// applyDeltas folds the epoch into the running flow maps: one delta
-// per geolocation service from a single core.Join over exactly the rows
-// that became tracking this epoch: the appended ones and the flips,
-// which LiveSemi.Extend returns ascending and below prevRows, as Join
-// requires. Merging deltas is exact — counter addition commutes — so
-// the running analyses always equal a full core.Analyze rescan of the
-// live dataset (TestIncrementalAggregatesMatchRescan).
-func (c *Collector) applyDeltas(prevRows int, flips []int) {
-	d := core.Join(c.merger.Dataset(), c.world.FlowServices(), prevRows, flips)
-	c.truthA.Merge(d[0])
-	c.ipmapA.Merge(d[1])
-	c.maxmindA.Merge(d[2])
 }
 
 // flips2chunks maps flipped global row indices to their chunk indices.

@@ -2,11 +2,11 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"crossborder/internal/classify"
-	"crossborder/internal/core"
 	"crossborder/internal/scenario"
 )
 
@@ -124,13 +124,14 @@ func TestReplayReconstructsBatchDataset(t *testing.T) {
 	}
 }
 
-// TestIncrementalAggregatesMatchRescan: the per-epoch delta merging
-// must equal a full rescan of the snapshot dataset — DatasetStats via
-// ComputeStats and all three flow maps via core.Analyze.
-func TestIncrementalAggregatesMatchRescan(t *testing.T) {
+// TestDerivedAggregatesMatchRescan: at every epoch size, the aggregates
+// a live snapshot derives from its rows equal a full rescan of the
+// snapshot dataset — DatasetStats via ComputeStats and all three flow
+// maps via one core.Analyze per service.
+func TestDerivedAggregatesMatchRescan(t *testing.T) {
 	world, evs, _ := rig(t)
 	for _, epoch := range []int{173, 997, 1 << 20} {
-		// Compress on the middle epoch size: the delta paths must read
+		// Compress on the middle epoch size: the derived views must read
 		// identically through decoded sealed blocks.
 		c := NewCollector(world, Config{EpochEvents: epoch, Workers: 2, ChunkRows: 128, Compress: epoch == 997})
 		snap := ingestAll(t, c, evs, 211)
@@ -139,15 +140,7 @@ func TestIncrementalAggregatesMatchRescan(t *testing.T) {
 		if got, want := snap.Stats(), classify.ComputeStats(ds); got != want {
 			t.Errorf("epoch %d: stats = %+v, want %+v", epoch, got, want)
 		}
-		if got, want := snap.TruthAnalysis(), core.Analyze(ds, world.Truth); !got.Equal(want) {
-			t.Errorf("epoch %d: truth analysis diverges from rescan", epoch)
-		}
-		if got, want := snap.IPMapAnalysis(), core.Analyze(ds, world.IPMap); !got.Equal(want) {
-			t.Errorf("epoch %d: ipmap analysis diverges from rescan", epoch)
-		}
-		if got, want := snap.MaxMindAnalysis(), core.Analyze(ds, world.MaxMind); !got.Equal(want) {
-			t.Errorf("epoch %d: maxmind analysis diverges from rescan", epoch)
-		}
+		assertFlowsRescan(t, fmt.Sprintf("epoch %d", epoch), snap)
 		c.Close()
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"crossborder/internal/chaos"
 	"crossborder/internal/classify"
-	"crossborder/internal/core"
 	"crossborder/internal/geodata"
 	"crossborder/internal/ingest/wal"
 )
@@ -114,22 +113,17 @@ type seqFloor struct {
 	Next uint64 `json:"next"`
 }
 
-// analysisState persists one incrementally merged flow map.
-type analysisState struct {
-	Flows   []core.FlowCount `json:"flows"`
-	Unknown int64            `json:"unknown"`
-}
-
 // ckptMeta is the JSON head of a checkpoint or export: everything
 // except the chunk blocks. It stores only what a reader cannot rebuild
 // from the rows. Identity fields (seed/scale/layout) let recovery
 // refuse a checkpoint written by a differently configured collector
 // instead of silently diverging. Restore derives the rest: the semi-
 // stage LTF and candidate frontier from a first LiveSemi.Extend over
-// the restored rows. Table 1 is derived per snapshot from the rows, so
-// no distinct-user or FQDN set is stored or rebuilt. Checkpoints
-// written with those fields (ltf, cand, settled_rows, users,
-// fqdn_seen) still load; JSON ignores them.
+// the restored rows. Table 1 and the three flow maps are derived per
+// snapshot from the rows, so no distinct-user or FQDN set and no flow
+// count is stored or rebuilt. Checkpoints and exports written with
+// those fields (ltf, cand, settled_rows, users, fqdn_seen, truth,
+// ipmap, maxmind) still load; JSON ignores them.
 type ckptMeta struct {
 	Seed      int64   `json:"seed"`
 	Scale     float64 `json:"scale"`
@@ -149,14 +143,6 @@ type ckptMeta struct {
 	Countries  []string   `json:"countries"`
 	Publishers []string   `json:"publishers"`
 	FQDNs      []string   `json:"fqdns"`
-
-	// The flow maps are derivable too, but only through a full
-	// geolocation join over every tracking row (core.Join), on every
-	// restore and every fan-in remerge; and an incremental fan-in merge
-	// would extend them rather than rebuild them. They stay stored.
-	Truth   analysisState `json:"truth"`
-	IPMap   analysisState `json:"ipmap"`
-	MaxMind analysisState `json:"maxmind"`
 
 	// Segs lists the block segments holding chunks [0, segsEnd(Segs)),
 	// contiguous from chunk 0; the body carries only those chunks'
@@ -477,9 +463,6 @@ func (c *Collector) encodeCheckpoint(walSeg int, segs []ckptSeg, seqs map[int32]
 		meta.Publishers = append(meta.Publishers, p.Domain)
 	}
 	meta.FQDNs = ds.FQDNs.Strings()
-	meta.Truth = analysisState{Flows: c.truthA.Flows(), Unknown: c.truthA.Unknown()}
-	meta.IPMap = analysisState{Flows: c.ipmapA.Flows(), Unknown: c.ipmapA.Unknown()}
-	meta.MaxMind = analysisState{Flows: c.maxmindA.Flows(), Unknown: c.maxmindA.Unknown()}
 	for ci := 0; ci < st.NumChunks(); ci++ {
 		meta.ChunkLens = append(meta.ChunkLens, len(st.Classes(ci)))
 	}
@@ -722,9 +705,6 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	for _, s := range meta.Seqs {
 		c.nextSeq[s.User] = s.Next
 	}
-	c.truthA = core.RestoreAnalysis(meta.Truth.Flows, meta.Truth.Unknown)
-	c.ipmapA = core.RestoreAnalysis(meta.IPMap.Flows, meta.IPMap.Unknown)
-	c.maxmindA = core.RestoreAnalysis(meta.MaxMind.Flows, meta.MaxMind.Unknown)
 	c.epochs = append([]EpochStat(nil), meta.Epochs...)
 	c.segs = meta.Segs
 	c.internClone, c.internCloneLen = nil, 0

@@ -15,6 +15,8 @@ import (
 
 	"crossborder/internal/chaos"
 	"crossborder/internal/classify"
+	"crossborder/internal/core"
+	"crossborder/internal/geo"
 	"crossborder/internal/ingest/wal"
 	"crossborder/internal/scenario"
 )
@@ -428,11 +430,14 @@ func rewriteHead(data []byte, edit func([]byte) []byte) []byte {
 }
 
 // withRetiredMeta returns a copy of an XCKP1 payload holding ds whose
-// meta also carries the fields older builds wrote and restore now
-// derives, with the values they wrote: the LTF (every FQDN id with a
-// tracking row, ascending), the candidate rows (clean, with arguments
-// and a referrer), the settled row count, and the distinct user and
-// FQDN ids (ascending).
+// meta also carries the fields older builds wrote and readers now
+// derive. The fixpoint and stats fields hold the values they wrote:
+// the LTF (every FQDN id with a tracking row, ascending), the
+// candidate rows (clean, with arguments and a referrer), the settled
+// row count, and the distinct user and FQDN ids (ascending). The three
+// flow maps (truth, ipmap, maxmind) come in their old
+// {flows:[{src,dst,n}],unknown} shape with forged counts that disagree
+// with the rows, so a reader that still trusted them would serve them.
 func withRetiredMeta(tb testing.TB, data []byte, ds *classify.Dataset) []byte {
 	tb.Helper()
 	var ltf, fqdns []uint32
@@ -452,8 +457,21 @@ func withRetiredMeta(tb testing.TB, data []byte, ds *classify.Dataset) []byte {
 		*ids = slices.Compact(*ids)
 	}
 	slices.Sort(users)
+	type flowCount struct {
+		Src string `json:"src"`
+		Dst string `json:"dst"`
+		N   int64  `json:"n"`
+	}
+	type flowMap struct {
+		Flows   []flowCount `json:"flows"`
+		Unknown int64       `json:"unknown"`
+	}
+	forged := func(n int64) flowMap {
+		return flowMap{Flows: []flowCount{{"DE", "US", n}, {"ES", "ES", 1}}, Unknown: n + 7}
+	}
 	retired := map[string]any{
 		"ltf": ltf, "cand": cand, "settled_rows": ds.Len(), "users": slices.Compact(users), "fqdn_seen": fqdns,
+		"truth": forged(1 << 20), "ipmap": forged(1 << 21), "maxmind": forged(1 << 22),
 	}
 	out := rewriteHead(data, func(head []byte) []byte {
 		var m map[string]json.RawMessage
@@ -480,10 +498,11 @@ func withRetiredMeta(tb testing.TB, data []byte, ds *classify.Dataset) []byte {
 }
 
 // TestRetiredMetaCheckpointRecovers: a checkpoint whose meta still
-// carries the fields older builds wrote (the fixpoint frontier and the
-// stats sets) recovers to the same live state, and the recovered
-// collector finishes the stream, retransmits included, exactly as one
-// that never restarted.
+// carries the fields older builds wrote (the fixpoint frontier, the
+// stats sets and flow maps whose counts disagree with the rows)
+// recovers to the same live state, its flow maps recomputed from the
+// rows, and the recovered collector finishes the stream, retransmits
+// included, exactly as one that never restarted.
 func TestRetiredMetaCheckpointRecovers(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
@@ -500,12 +519,13 @@ func TestRetiredMetaCheckpointRecovers(t *testing.T) {
 			c.Close()
 			f := loadCkptFiles(t, dir)
 			f.ckpt = withRetiredMeta(t, f.ckpt, snap.Dataset())
-			if !bytes.Contains(f.ckpt, []byte(`"settled_rows"`)) {
+			if !bytes.Contains(f.ckpt, []byte(`"settled_rows"`)) || !bytes.Contains(f.ckpt, []byte(`"maxmind"`)) {
 				t.Fatal("rewritten checkpoint lacks the retired fields")
 			}
 			f.store(t)
 
 			rec, _ := recoverNew(t, world, durableCfg(dir, compress))
+			assertFlowsRescan(t, "recovered", rec.Snapshot())
 			assertSameLive(t, rec.Snapshot(), snap)
 			sendAll(t, rec, batches)
 			ref := NewCollector(world, durableCfg("", compress))
@@ -515,6 +535,27 @@ func TestRetiredMetaCheckpointRecovers(t *testing.T) {
 			sendAll(t, ref, batches[half:])
 			assertSameLive(t, rec.Flush(), ref.Flush())
 		})
+	}
+}
+
+// assertFlowsRescan checks that a snapshot's three flow maps equal one
+// core.Analyze per service over its dataset; label prefixes failures.
+func assertFlowsRescan(t *testing.T, label string, snap *Snapshot) {
+	t.Helper()
+	ds, world := snap.Dataset(), snap.world
+	for _, f := range []struct {
+		name string
+		got  *core.Analysis
+		svc  geo.Service
+	}{
+		{"truth", snap.TruthAnalysis(), world.Truth},
+		{"ipmap", snap.IPMapAnalysis(), world.IPMap},
+		{"maxmind", snap.MaxMindAnalysis(), world.MaxMind},
+	} {
+		if want := core.Analyze(ds, f.svc); !f.got.Equal(want) {
+			t.Errorf("%s: %s flow map: %d flows (%d unknown), rescan %d (%d)",
+				label, f.name, f.got.Total(), f.got.Unknown(), want.Total(), want.Unknown())
+		}
 	}
 }
 

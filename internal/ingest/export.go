@@ -13,12 +13,12 @@ import (
 // (MergeExports) rebuilds a per-shard view from it. Reusing the
 // checkpoint codec means the export carries everything a merger needs
 // for free: chunk blocks + class columns, the interner and
-// country/publisher tables, the incremental flow maps, the epoch
-// history, and the seed/scale identity echo that lets the merger refuse
-// a shard built for a different world. The merger derives the user
-// partition it checks for overlap and the global fixpoint from the
-// rows, the merged snapshot derives its Table 1 stats from them, and
-// neither reads sequence numbers, so exports carry none.
+// country/publisher tables, the epoch history, and the seed/scale
+// identity echo that lets the merger refuse a shard built for a
+// different world. The merger derives the user partition it checks for
+// overlap and the global fixpoint from the rows, the merged snapshot
+// derives its Table 1 stats and flow maps from them, and neither reads
+// sequence numbers, so exports carry none.
 
 // EncodeSnapshot serializes the collector's committed state as one
 // XCKP1 payload (the /v1/snapshot response body): the latest published

@@ -106,8 +106,9 @@ func FuzzDecodeNDJSON(f *testing.F) {
 // on a compressed store, and the restored store through one full
 // projected scan; a decoded payload then goes through restoreCheckpoint
 // on one collector built per fuzz run, which rebuilds the fixpoint
-// frontier from the rows, and its store through the
-// same scan. The outcome must be an error or a clean scan — never a
+// frontier from the rows, and its store through the same scan and
+// its snapshot through the derived views (the three flow maps and
+// Table 1). The outcome must be an error or a clean scan — never a
 // panic. The body checksum and every manifest segment CRC are
 // recomputed first so mutations reach the meta, chunk-table, segment
 // and block parsers behind them (TestCorruptCheckpointRefused covers
@@ -115,7 +116,7 @@ func FuzzDecodeNDJSON(f *testing.F) {
 //
 // Run with: go test -fuzz FuzzDecodeCheckpoint ./internal/ingest/
 func FuzzDecodeCheckpoint(f *testing.F) {
-	inline, files := fuzzCheckpoints(f)
+	inline, files, ds := fuzzCheckpoints(f)
 	f.Add(inline, []byte(nil))
 	f.Add(inline[:len(inline)/2], []byte(nil))
 	forged, _ := forgeRetiredTag(f, inline, nil)
@@ -125,6 +126,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	forgedCkpt, forgedSeg := forgeRetiredTag(f, files.ckpt, files.seg0)
 	f.Add(forgedCkpt, forgedSeg)
 	f.Add(rewriteMeta(files.ckpt, func(m *ckptMeta) { m.FQDNs = m.FQDNs[:1] }), files.seg0)
+	f.Add(withRetiredMeta(f, files.ckpt, ds), files.seg0)
 	world, _, _ := rig(f)
 	c := NewCollector(world, durableCfg("", true))
 	f.Cleanup(c.Close)
@@ -156,27 +158,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		defer c.mu.Unlock()
 		if c.restoreCheckpoint(meta, blocks, classes) == nil {
 			scanAll(c.store)
+			deriveViews(c.Snapshot())
 		}
 	})
 }
 
 // FuzzDecodeShardExport hardens the fan-in's intake, which mergerd runs
 // on whatever a shard serves: any byte string goes through
-// DecodeShardExport, MergeExports and one full projected scan of the
-// merged store. The outcome must be an error or a clean scan — never a
-// panic. The body checksum is recomputed first so mutations reach the
-// parsers and the merge behind it. Seeds include a segment-bearing
-// checkpoint, which an export must never be.
+// DecodeShardExport, MergeExports, one full projected scan of the
+// merged store and the merged snapshot's derived views. The outcome
+// must be an error or a clean scan — never a panic. The body checksum
+// is recomputed first so mutations reach the parsers and the merge
+// behind it. Seeds include a segment-bearing checkpoint, which an
+// export must never be, and an export carrying the retired meta
+// fields.
 //
 // Run with: go test -fuzz FuzzDecodeShardExport ./internal/ingest/
 func FuzzDecodeShardExport(f *testing.F) {
 	world, _, _ := rig(f)
-	exp, files := fuzzCheckpoints(f)
+	exp, files, ds := fuzzCheckpoints(f)
 	f.Add(exp)
 	f.Add(exp[:len(exp)/2])
 	forged, _ := forgeRetiredTag(f, exp, nil)
 	f.Add(forged)
 	f.Add(files.ckpt)
+	f.Add(withRetiredMeta(f, exp, ds))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= len(ckptMagic)+4 {
@@ -191,14 +197,15 @@ func FuzzDecodeShardExport(f *testing.F) {
 			return
 		}
 		scanAll(snap.Dataset().Store)
+		deriveViews(snap)
 	})
 }
 
 // fuzzCheckpoints returns the seed payloads of the checkpoint fuzzers:
 // a durable compressed collector fed four uploads and checkpointed
 // yields its self-contained export and its on-disk checkpoint plus
-// segment 0.
-func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles) {
+// segment 0, and the dataset both hold.
+func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles, *classify.Dataset) {
 	world, evs, _ := rig(f)
 	dir := f.TempDir()
 	c := NewCollector(world, durableCfg(dir, true))
@@ -218,7 +225,16 @@ func fuzzCheckpoints(f *testing.F) ([]byte, *ckptFiles) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return exp, loadCkptFiles(f, dir)
+	return exp, loadCkptFiles(f, dir), c.Snapshot().Dataset()
+}
+
+// deriveViews computes a snapshot's derived views: the three flow maps
+// (one join) and Table 1.
+func deriveViews(snap *Snapshot) {
+	snap.TruthAnalysis()
+	snap.IPMapAnalysis()
+	snap.MaxMindAnalysis()
+	snap.Stats()
 }
 
 // scanAll runs one projected scan over every column of st.

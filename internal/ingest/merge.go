@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"crossborder/internal/classify"
-	"crossborder/internal/core"
 	"crossborder/internal/geodata"
 	"crossborder/internal/scenario"
 	"crossborder/internal/webgraph"
@@ -35,13 +34,9 @@ import (
 // shard-side conversion re-converts, plus exactly the cross-shard ones
 // the shards could not see.
 //
-// Aggregates follow the same shape: the shard flow maps merge
-// (counter addition commutes), then the rows that became tracking only
-// under the global fixpoint contribute a delta through the same
-// core.Join the collector's applyDeltas runs per epoch. The result
-// equals a full core.Analyze rescan (TestMergeExportsMatchesRescan).
-// Table 1 is not merged at all: the Snapshot derives it from the
-// merged rows.
+// No aggregate is merged: the merged Snapshot derives Table 1 and the
+// flow maps from the merged rows, as every Snapshot does, so flow
+// counts an export may still carry are never read.
 
 // MergeExports merges per-shard snapshot exports into one global
 // Snapshot over the shared world. Exports must come from collectors
@@ -69,7 +64,6 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	// userShard maps each user seen in the rows to its shard, for the
 	// overlap check.
 	userShard := make(map[int32]int)
-	truth, ipmap, maxmind := core.NewAnalysis(), core.NewAnalysis(), core.NewAnalysis()
 	epoch := 0
 
 	var buf classify.Chunk
@@ -130,9 +124,6 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 			}
 		}
 		ds.Visits += m.Visits
-		truth.Merge(core.RestoreAnalysis(m.Truth.Flows, m.Truth.Unknown))
-		ipmap.Merge(core.RestoreAnalysis(m.IPMap.Flows, m.IPMap.Unknown))
-		maxmind.Merge(core.RestoreAnalysis(m.MaxMind.Flows, m.MaxMind.Unknown))
 		epoch += len(m.Epochs)
 	}
 
@@ -142,36 +133,10 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 	// across shard boundaries.
 	classify.RunSemiStages(ds, workers)
 
-	// Aggregate delta: rows tracking now but clean in their export (the
-	// cross-shard conversions) join the flow maps, exactly like the
-	// collector's per-epoch applyDeltas. Demoted rows that re-converted
-	// are already counted in the merged shard analyses. Merged rows
-	// follow the exports' rows in order, so row g is the g-th class of
-	// the exports' class columns taken in turn.
-	var converted []int
-	g, chunkRows := 0, st.ChunkRows()
-	for _, ex := range exports {
-		for _, cls := range ex.classes {
-			for _, was := range cls {
-				if was == classify.ClassClean && st.Classes(g / chunkRows)[g%chunkRows].IsTracking() {
-					converted = append(converted, g)
-				}
-				g++
-			}
-		}
-	}
-	d := core.Join(ds, world.FlowServices(), st.Len(), converted)
-	truth.Merge(d[0])
-	ipmap.Merge(d[1])
-	maxmind.Merge(d[2])
-
 	return &Snapshot{
 		epoch:     epoch,
 		ds:        ds,
 		footprint: footprintOf(st),
-		truth:     truth,
-		ipmap:     ipmap,
-		maxmind:   maxmind,
 		world:     world,
 	}, nil
 }

@@ -59,8 +59,8 @@ func WithLimits(l Limits) ServerOption {
 	return func(s *Server) { s.lim = l }
 }
 
-// StatsResponse is the /v1/stats payload: the incremental aggregates of
-// the latest epoch snapshot.
+// StatsResponse is the /v1/stats payload: the aggregates of the latest
+// epoch snapshot.
 type StatsResponse struct {
 	Epoch  int                   `json:"epoch"`
 	Rows   int                   `json:"rows"`
@@ -105,7 +105,7 @@ type flowsBlock struct {
 //	GET  /v1/experiments     registry ids (JSON array)
 //	GET  /v1/experiments/{id} artifact of the latest snapshot
 //	                          (?format=text|json; X-Epoch names the epoch)
-//	GET  /v1/stats           incremental aggregates of the latest snapshot
+//	GET  /v1/stats           aggregates of the latest snapshot
 //	GET  /healthz            liveness (process is up; always 200)
 //	GET  /readyz             readiness (200 once recovery completed and
 //	                          not draining; 503 with progress otherwise)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crossborder/internal/core"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Collector, *httptest.Server) {
@@ -405,4 +408,71 @@ func TestCommitObservability(t *testing.T) {
 			t.Fatalf("metrics after flush lack %q:\n%s", want, m)
 		}
 	}
+}
+
+// TestSnapshotQueryCosts guards what queries pay per snapshot:
+// /v1/stats derives the flow maps without building the snapshot's
+// experiments Suite, so it never compiles the tracker inventory; and
+// the Suite serves the snapshot's own analyses, so a snapshot runs one
+// join whichever is asked first, also when both are asked at once (a
+// fresh merged snapshot queried from several goroutines).
+func TestSnapshotQueryCosts(t *testing.T) {
+	world, evs, _ := rig(t)
+	c := NewCollector(world, Config{EpochEvents: 1 << 20, Workers: 2})
+	defer c.Close()
+	snap := ingestAll(t, c, evs, 211)
+
+	resp := statsResponse(snap, 0)
+	if snap.suite != nil {
+		t.Fatal("/v1/stats built the snapshot's Suite (and compiled the tracker inventory)")
+	}
+	if resp.Flows["ipmap"].Flows == 0 {
+		t.Fatal("/v1/stats reports no IPmap flows")
+	}
+	sameFlows := func(label string, s *Snapshot) {
+		t.Helper()
+		su := s.Suite()
+		for _, p := range []struct {
+			name        string
+			suite, snap *core.Analysis
+		}{
+			{"truth", su.TruthAnalysis(), s.TruthAnalysis()},
+			{"ipmap", su.IPMapAnalysis(), s.IPMapAnalysis()},
+			{"maxmind", su.MaxMindAnalysis(), s.MaxMindAnalysis()},
+		} {
+			if p.suite != p.snap {
+				t.Errorf("%s: the Suite's %s analysis is not the snapshot's: the snapshot joined twice", label, p.name)
+			}
+		}
+	}
+	sameFlows("collector", snap)
+
+	data, _, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := DecodeShardExport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeExports(world, []*ShardExport{ex}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				statsResponse(merged, 0)
+			} else {
+				if _, err := merged.Suite().Artifact(context.Background(), "fig7"); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sameFlows("merged", merged)
 }

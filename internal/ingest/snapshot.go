@@ -12,22 +12,24 @@ import (
 )
 
 // Snapshot is one immutable epoch boundary of the live dataset: the
-// frozen row store, the interner/index tables as of the epoch, the
-// incrementally maintained flow maps, and, each derived on first use
-// and then kept, the Table 1 stats and a full experiments Suite over a
+// frozen row store and the interner/index tables as of the epoch, plus
+// three views derived from those rows on first use and then kept: the
+// Table 1 stats, the flow maps, and a full experiments Suite over a
 // scenario whose Dataset and Inventory are the snapshot's.
 // Safe for concurrent use; the collector never mutates a published
 // snapshot.
 type Snapshot struct {
-	epoch                 int
-	ds                    *classify.Dataset
-	footprint             StoreFootprint
-	history               []EpochStat
-	truth, ipmap, maxmind *core.Analysis
-	world                 *scenario.Scenario
+	epoch     int
+	ds        *classify.Dataset
+	footprint StoreFootprint
+	history   []EpochStat
+	world     *scenario.Scenario
 
 	table1Once sync.Once
 	table1     classify.DatasetStats
+
+	flowsOnce sync.Once
+	flows     []*core.Analysis // truth, IPmap, MaxMind
 
 	once  sync.Once
 	suite *experiments.Suite
@@ -119,28 +121,42 @@ func (s *Snapshot) Stats() classify.DatasetStats {
 	return s.table1
 }
 
-// TruthAnalysis returns the incrementally merged ground-truth flow map.
-func (s *Snapshot) TruthAnalysis() *core.Analysis { return s.truth }
+// flowMaps returns the truth, IPmap and MaxMind flow maps of the
+// snapshot's rows, in that order: one core.Join over the frozen
+// Dataset(), run on first use and then kept. The maps are derived per
+// snapshot rather than maintained per epoch, stored in checkpoints and
+// exports, or merged by the fan-in: one warm join over every row costs
+// a few milliseconds, only a snapshot that is queried pays it, and a
+// view derived from the rows cannot disagree with them. The snapshot's
+// Suite reuses these analyses, so a snapshot joins at most once,
+// whether /v1/stats or a flow artifact asks first.
+func (s *Snapshot) flowMaps() []*core.Analysis {
+	s.flowsOnce.Do(func() { s.flows = core.Join(s.ds, s.world.FlowServices()) })
+	return s.flows
+}
 
-// IPMapAnalysis returns the incrementally merged IPmap flow map (the
-// paper's headline configuration).
-func (s *Snapshot) IPMapAnalysis() *core.Analysis { return s.ipmap }
+// TruthAnalysis returns the ground-truth flow map (see flowMaps).
+func (s *Snapshot) TruthAnalysis() *core.Analysis { return s.flowMaps()[0] }
 
-// MaxMindAnalysis returns the incrementally merged MaxMind flow map.
-func (s *Snapshot) MaxMindAnalysis() *core.Analysis { return s.maxmind }
+// IPMapAnalysis returns the IPmap flow map, the paper's headline
+// configuration (see flowMaps).
+func (s *Snapshot) IPMapAnalysis() *core.Analysis { return s.flowMaps()[1] }
+
+// MaxMindAnalysis returns the MaxMind flow map (see flowMaps).
+func (s *Snapshot) MaxMindAnalysis() *core.Analysis { return s.flowMaps()[2] }
 
 // Suite returns the experiments registry over this snapshot, built on
 // first use: the tracker inventory compiles from the frozen dataset,
-// and the three geolocation joins are seeded with the collector's
-// incremental aggregates instead of rescanning. The suite caches each
-// artifact, so repeated queries of one snapshot pay each experiment
-// once.
+// and the three geolocation joins are the snapshot's own flow maps.
+// The suite caches each artifact, so repeated queries of one snapshot
+// pay each experiment once.
 func (s *Snapshot) Suite() *experiments.Suite {
 	s.once.Do(func() {
 		sc := *s.world
 		sc.Dataset = s.ds
 		sc.Inventory = trackerdb.Compile(s.ds, s.world.PDNS)
-		s.suite = experiments.NewSuiteSeeded(&sc, s.truth, s.ipmap, s.maxmind)
+		f := s.flowMaps()
+		s.suite = experiments.NewSuiteSeeded(&sc, f[0], f[1], f[2])
 	})
 	return s.suite
 }
@@ -179,9 +195,6 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 		history:   c.epochs[:len(c.epochs):len(c.epochs)],
 		ds:        ds,
 		footprint: footprintOf(st),
-		truth:     c.truthA.Clone(),
-		ipmap:     c.ipmapA.Clone(),
-		maxmind:   c.maxmindA.Clone(),
 		world:     c.world,
 	}
 }

@@ -78,7 +78,7 @@ func TestTable2OnLiveAndMergedSnapshots(t *testing.T) {
 		t.Fatalf("only %d epochs checked", checked)
 	}
 
-	merged, err := MergeExports(world, exportShards(t, world, shardEvents(evs, 3)), 2)
+	merged, err := MergeExports(world, exportShards(t, world, shardEvents(evs, 3), 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
