@@ -23,6 +23,7 @@ import (
 	"crossborder/internal/cluster"
 	"crossborder/internal/core"
 	"crossborder/internal/experiments"
+	"crossborder/internal/geo"
 	"crossborder/internal/geodata"
 	"crossborder/internal/ingest"
 	"crossborder/internal/netflow"
@@ -676,12 +677,20 @@ func BenchmarkCoreAnalyze(b *testing.B) {
 }
 
 // BenchmarkFlowJoin times the three flow maps (truth, IPmap, MaxMind)
-// over the wide bench store two ways: one shared core.Join, and three
-// concurrent single-service Analyze calls. CI gates shared against
-// per-service as a same-run ratio. The IPmap cache is warm on both.
+// over the wide bench store three ways: one shared core.Join, and three
+// concurrent single-service Analyze calls, both with the IPmap cache
+// warm (CI gates shared against per-service as a same-run ratio); and
+// cold, one shared core.Join with a fresh IPMap per op, so every
+// tracking IP is measured: the join a freshly built world pays.
 func BenchmarkFlowJoin(b *testing.B) {
 	su := benchSuiteGet(b)
 	ds, svcs := su.S.Dataset, su.S.FlowServices()
+	b.Run("cold", func(b *testing.B) {
+		mesh := geo.DefaultMesh()
+		for i := 0; i < b.N; i++ {
+			core.Join(ds, []geo.Service{su.S.Truth, geo.NewIPMap(su.S.World, mesh), su.S.MaxMind})
+		}
+	})
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.Join(ds, svcs)

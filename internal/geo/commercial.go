@@ -20,10 +20,12 @@ type CommercialDB struct {
 	ServiceName string
 	World       *netsim.World
 	// HQBias is the probability that a non-HQ infrastructure block is
-	// pinned to the org's HQ country (default 0.87).
+	// pinned to the org's HQ country. NewMaxMind sets 0.80; a zero value
+	// means 0.87.
 	HQBias float64
 	// NeighborNoise is the probability of a near-miss to a neighboring
-	// country instead (default 0.04).
+	// country instead. NewMaxMind sets 0.05; a zero value means no
+	// near-misses.
 	NeighborNoise float64
 	// Salt decorrelates two databases built over the same world, so
 	// MaxMind and IP-API agree highly but not perfectly (Table 3: 96%).

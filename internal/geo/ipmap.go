@@ -1,7 +1,9 @@
 package geo
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,7 +57,8 @@ func DefaultMesh() *ProbeMesh {
 //
 // NewIPMap reads Mesh once and builds its probe tables from it; mutating
 // the mesh afterwards is unsupported. The RTT model's fields are read per
-// measurement, so they may be set after construction.
+// measurement, so they may be set after construction: the
+// speed-of-light floors NewIPMap tabulates do not depend on them.
 type IPMap struct {
 	World *netsim.World
 	Mesh  *ProbeMesh
@@ -72,10 +75,13 @@ type IPMap struct {
 	// candidates are the countries a probe may estimate, indexed by
 	// geodata.Index (AllCountries order).
 	candidates []geodata.Country
-	// minPossible[r*len(candidates)+c] is the speed-of-light RTT floor
-	// from a probe in country r to candidate c. Row len(candidates)
-	// serves probes in unknown countries and is all zeros.
-	minPossible []float64
+	// byFloor[r*len(candidates):][:len(candidates)] lists the candidates
+	// in ascending (speed-of-light RTT floor, index) order for a probe in
+	// country r, and floors holds their floors at the same positions.
+	// Row len(candidates) serves probes in unknown countries, whose
+	// floors are all 0.
+	byFloor []int32
+	floors  []float64
 	// byCountry lists the mesh's probe indices grouped by candidate, in
 	// mesh order within each group (int32 keeps it small on the
 	// ~11K-probe default mesh); countryStart[c] is where candidate c's
@@ -130,11 +136,18 @@ func NewIPMap(w *netsim.World, mesh *ProbeMesh) *IPMap {
 		}
 	}
 
-	m.minPossible = make([]float64, (n+1)*n)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			m.minPossible[r*n+c] = m.RTT.MinPossibleAt(r, c)
+	m.byFloor = make([]int32, (n+1)*n)
+	m.floors = make([]float64, (n+1)*n)
+	floorOf := make([]float64, n)
+	for r := 0; r <= n; r++ {
+		from := r
+		if r == n {
+			from = -1
 		}
+		for c := range floorOf {
+			floorOf[c] = m.RTT.MinPossibleAt(from, c)
+		}
+		m.setFloorRow(r, floorOf)
 	}
 
 	m.pools = make([]refinePool, n)
@@ -154,6 +167,20 @@ func NewIPMap(w *netsim.World, mesh *ProbeMesh) *IPMap {
 		}
 	}
 	return m
+}
+
+// setFloorRow fills row r of byFloor and floors from floorOf, the row's
+// speed-of-light floors in candidate order.
+func (m *IPMap) setFloorRow(r int, floorOf []float64) {
+	n := len(m.candidates)
+	row := m.byFloor[r*n : r*n+n]
+	for c := range row {
+		row[c] = int32(c)
+	}
+	slices.SortStableFunc(row, func(a, b int32) int { return cmp.Compare(floorOf[a], floorOf[b]) })
+	for j, c := range row {
+		m.floors[r*n+j] = floorOf[c]
+	}
 }
 
 // Name implements Service.
@@ -218,8 +245,11 @@ func (m *IPMap) MeasureVotes(ip netsim.IP) ([]Vote, bool) {
 // of its estimate.
 func (m *IPMap) votes(ip netsim.IP, truthCountry geodata.Country, vote func(probe int, rttMs float64, estimate int)) {
 	truth := indexOf(truthCountry)
-	// Per-IP deterministic RNG: same IP, same probes, same jitter.
-	rng := rand.New(rand.NewSource(m.Seed ^ int64(ip)*0x9e3779b9))
+	// Per-IP deterministic RNG: same IP, same probes, same jitter. The
+	// stream is rand.NewSource's, seeded without its serial chain.
+	src := new(lfSource)
+	src.Seed(m.Seed ^ int64(ip)*0x9e3779b9)
+	rng := rand.New(src)
 	k := m.ProbesPerQuery
 	if k <= 0 {
 		k = 100
@@ -289,32 +319,86 @@ func (m *IPMap) minRTT(rng *rand.Rand, from, to int) float64 {
 
 // estimate implements one probe's reasoning: among candidate countries
 // whose speed-of-light minimum does not exceed the measured RTT, pick the
-// one whose expected RTT best matches the measurement. from is the
-// probe's candidate index (-1 for unknown) and the result is a candidate
-// index. The probe's own country has a floor of 0 (an unknown country's
-// whole row is 0), so some candidate always passes the filter.
+// one whose expected RTT best matches the measurement, ties going to the
+// smallest candidate index. from is the probe's candidate index (-1 for
+// unknown) and the result is a candidate index. The probe's own country
+// has a floor of 0 (an unknown country's whole row is 0), so some
+// candidate always passes the filter.
+//
+// The row is in ascending floor order, so the admissible candidates are
+// a prefix and their expected RTTs rise along it. Below the first
+// candidate expected at or above the RTT (the crossing), the error falls
+// toward the crossing; from the crossing on it rises. The best error is
+// therefore next to the crossing, and its ties are the equal-error runs
+// that end or start there.
 func (m *IPMap) estimate(from int, rttMs float64) int {
 	n := len(m.candidates)
 	if from < 0 {
 		from = n
 	}
-	best, bestErr := 0, -1.0
-	for c, minPossible := range m.minPossible[from*n : from*n+n] {
-		if minPossible > rttMs {
-			continue // physically impossible, candidate excluded
-		}
-		// Expected minimum-of-pings RTT: propagation with path stretch
-		// plus the last-mile floor and a small residual-jitter allowance.
-		expected := minPossible*1.3 + 5.5
-		err := expected - rttMs
+	floors := m.floors[from*n : from*n+n]
+	byFloor := m.byFloor[from*n : from*n+n]
+	// Expected minimum-of-pings RTT: propagation with path stretch plus
+	// the last-mile floor and a small residual-jitter allowance.
+	expected := func(j int) float64 { return floors[j]*1.3 + 5.5 }
+	errAt := func(j int) float64 {
+		err := expected(j) - rttMs
 		if err < 0 {
 			err = -err
 		}
-		if bestErr < 0 || err < bestErr {
-			best, bestErr = c, err
+		return err
+	}
+
+	// admissible: the prefix of floors <= rttMs.
+	lo, hi := 0, n
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); floors[mid] <= rttMs {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return best
+	admissible := lo
+	if admissible == 0 {
+		return 0 // physically impossible everywhere; not reached for rttMs >= 0
+	}
+	// crossing: the first admissible position expected at or above rttMs.
+	lo, hi = 0, admissible
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); expected(mid) < rttMs {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	crossing := lo
+
+	// [first, end) covers the positions holding the best error.
+	first, end := crossing, crossing
+	var below, above float64
+	if crossing > 0 {
+		below = errAt(crossing - 1)
+	}
+	if crossing < admissible {
+		above = errAt(crossing)
+	}
+	if crossing > 0 && (crossing == admissible || below <= above) {
+		first = crossing - 1
+		for first > 0 && errAt(first-1) == below {
+			first--
+		}
+	}
+	if crossing < admissible && (crossing == 0 || above <= below) {
+		end = crossing + 1
+		for end < admissible && errAt(end) == above {
+			end++
+		}
+	}
+	best := byFloor[first]
+	for _, c := range byFloor[first+1 : end] {
+		best = min(best, c)
+	}
+	return int(best)
 }
 
 // measure majority-votes the probes' estimates: the most votes wins, ties

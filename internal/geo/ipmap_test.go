@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,24 +41,15 @@ func refVotes(m *IPMap, byCountry map[geodata.Country][]int, ip netsim.IP) ([]Vo
 		}
 		return best
 	}
+	floors := make([]float64, len(cands))
 	estimate := func(p Probe, rttMs float64) geodata.Country {
-		best := p.Country
-		bestErr := -1.0
-		for _, cand := range cands {
-			minPossible := m.RTT.MinPossible(p.Country, cand)
-			if minPossible > rttMs {
-				continue
-			}
-			expected := minPossible*1.3 + 5.5
-			err := expected - rttMs
-			if err < 0 {
-				err = -err
-			}
-			if bestErr < 0 || err < bestErr {
-				best, bestErr = cand, err
-			}
+		for c, cand := range cands {
+			floors[c] = m.RTT.MinPossible(p.Country, cand)
 		}
-		return best
+		if c := refEstimate(floors, rttMs); c >= 0 {
+			return cands[c]
+		}
+		return p.Country
 	}
 
 	rng := rand.New(rand.NewSource(m.Seed ^ int64(ip)*0x9e3779b9))
@@ -93,6 +85,29 @@ func refVotes(m *IPMap, byCountry map[geodata.Country][]int, ip netsim.IP) ([]Vo
 		votes = append(votes, Vote{Probe: p, RTTms: rtt, Estimate: estimate(p, rtt)})
 	}
 	return votes, true
+}
+
+// refEstimate is the linear-scan probe estimate the sorted floor tables
+// replaced: floors[c] is the speed-of-light floor from the probe to
+// candidate c, and the result is the first candidate, in index order,
+// whose expected RTT is nearest rttMs among those whose floor does not
+// exceed it; -1 if none does.
+func refEstimate(floors []float64, rttMs float64) int {
+	best, bestErr := -1, -1.0
+	for c, minPossible := range floors {
+		if minPossible > rttMs {
+			continue
+		}
+		expected := minPossible*1.3 + 5.5
+		err := expected - rttMs
+		if err < 0 {
+			err = -err
+		}
+		if bestErr < 0 || err < bestErr {
+			best, bestErr = c, err
+		}
+	}
+	return best
 }
 
 // refMajority is the oracle's vote: most votes, ties to the smaller code.
@@ -235,6 +250,91 @@ func TestIPMapMatchesOracle(t *testing.T) {
 			}
 			assertMatchesOracle(t, m, ips)
 		})
+	}
+}
+
+// TestIPMapEstimateMatchesScan checks the binary-searched estimate
+// against refEstimate on every probe-country row, the unknown-country row
+// included, with floors from the country-keyed netsim API, and on
+// synthetic rows (see below).
+func TestIPMapEstimateMatchesScan(t *testing.T) {
+	m := NewIPMap(netsim.NewWorld(), &ProbeMesh{})
+	var cands []geodata.Country
+	for _, c := range geodata.AllCountries() {
+		cands = append(cands, c.Code)
+	}
+	n := len(cands)
+	rng := rand.New(rand.NewSource(11))
+	for from := -1; from < n; from++ {
+		probe := geodata.Country("XX")
+		if from >= 0 {
+			probe = cands[from]
+		}
+		floors := make([]float64, n)
+		for c, cand := range cands {
+			floors[c] = m.RTT.MinPossible(probe, cand)
+		}
+		assertEstimateMatchesScan(t, m, from, floors, rng)
+	}
+
+	// geodata's distances never give two candidates distinct floors with
+	// the same expected RTT (1.3·floor + 5.5 rounds them together), so
+	// the unknown-country row is overwritten with floors that do, the
+	// larger floor at the smaller index. Ties between them need the
+	// equal-error runs on both sides of the crossing.
+	for trial := 0; trial < 20; trial++ {
+		floors := make([]float64, n) // floors[n-1] stays 0: some candidate is always admissible
+		for c := 0; c+2 < n; c += 2 {
+			f := rng.Float64() * 40
+			if trial%2 == 0 {
+				f = float64(rng.Intn(4)) // repeated floors
+			}
+			floors[c], floors[c+1] = math.Nextafter(f, math.Inf(1)), f
+			if f*1.3+5.5 != floors[c]*1.3+5.5 {
+				floors[c] = f
+			}
+		}
+		m.setFloorRow(n, floors)
+		assertEstimateMatchesScan(t, m, -1, floors, rng)
+	}
+}
+
+// assertEstimateMatchesScan compares estimate on the row of probe
+// country from with refEstimate over floors, the row's floors in
+// candidate order. The inputs are every floor and every expected RTT
+// with both float neighbours (where the admissible prefix and the
+// crossing move), every midpoint between two candidates' expected RTTs
+// with its neighbours (error ties the random RTTs of a measurement
+// almost never hit), and 10⁵ random RTTs.
+func assertEstimateMatchesScan(t *testing.T, m *IPMap, from int, floors []float64, rng *rand.Rand) {
+	t.Helper()
+	maxExpected := 0.0
+	var rtts []float64
+	near := func(x float64) {
+		rtts = append(rtts, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+	}
+	for a, fa := range floors {
+		maxExpected = max(maxExpected, fa*1.3+5.5)
+		near(fa)
+		near(fa*1.3 + 5.5)
+		for _, fb := range floors[a+1:] {
+			near((fa*1.3 + 5.5 + fb*1.3 + 5.5) / 2)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		rtts = append(rtts, rng.Float64()*(maxExpected+20))
+	}
+	for _, rtt := range rtts {
+		if rtt < 0 {
+			continue // a measured RTT is at least the last-mile latency
+		}
+		want := refEstimate(floors, rtt)
+		if want < 0 {
+			t.Fatalf("row %d, rtt %v: no admissible candidate", from, rtt)
+		}
+		if got := m.estimate(from, rtt); got != want {
+			t.Fatalf("row %d, rtt %v: estimate = %d (floor %v), scan %d (floor %v)", from, rtt, got, floors[got], want, floors[want])
+		}
 	}
 }
 
