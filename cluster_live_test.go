@@ -1,14 +1,12 @@
 package crossborder_test
 
 import (
-	"context"
 	"net/http/httptest"
 	"testing"
 
-	"crossborder"
 	"crossborder/internal/cluster"
+	"crossborder/internal/goldentest"
 	"crossborder/internal/ingest"
-	"crossborder/internal/scenario"
 )
 
 // TestClusterReplayGoldenParity is the end-to-end contract of the
@@ -24,25 +22,8 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden cluster replay is not short")
 	}
-	const (
-		seed   = 1
-		scale  = 0.05
-		visits = 40
-		nShard = 8
-	)
-
-	study, err := crossborder.New(context.Background(),
-		crossborder.WithSeed(seed),
-		crossborder.WithScale(scale),
-		crossborder.WithVisitsPerUser(visits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := study.RenderAll()
-	ids := crossborder.ExperimentIDs()
-
-	world := scenario.BuildWorld(scenario.Params{Seed: seed, Scale: scale, VisitsPerUser: visits})
-	events := ingest.RecordSimulation(world, visits, 3)
+	const nShard = 8
+	g := goldentest.Load(t)
 
 	// Eight in-process collectors with deliberately varied configs —
 	// epoch cadence, chunk size, compression, worker count all differ
@@ -58,7 +39,7 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 		if i%2 == 1 {
 			cfg.Compress = true
 		}
-		c := ingest.NewCollector(world, cfg)
+		c := ingest.NewCollector(g.World, cfg)
 		defer c.Close()
 		srv := httptest.NewServer(ingest.NewServer(c))
 		defer srv.Close()
@@ -78,12 +59,12 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Binary = true
-	stats, err := cl.Replay(events, 768)
+	stats, err := cl.Replay(g.Events, 768)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, evs := range events {
+	for _, evs := range g.Events {
 		total += len(evs)
 	}
 	if stats.Events != total {
@@ -103,7 +84,7 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 
 	// Fan-in: pull + merge all eight exports, then serve the merged
 	// snapshot through the same query API a single collector mounts.
-	fanin := &cluster.Fanin{World: world, Registry: reg, Shards: nodes, Workers: 2}
+	fanin := &cluster.Fanin{World: g.World, Registry: reg, Shards: nodes, Workers: 2}
 	if published, err := fanin.RefreshOnce(); err != nil || !published {
 		t.Fatalf("fan-in refresh: published=%v err=%v", published, err)
 	}
@@ -113,29 +94,7 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 	qsrv := httptest.NewServer(ingest.NewQueryServer(fanin.Snapshot, fanin.Ready))
 	defer qsrv.Close()
 	qcl := &ingest.Client{Base: qsrv.URL}
-
-	for i, id := range ids {
-		text, _, err := qcl.Artifact(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if text != want[i] {
-			t.Errorf("artifact %s differs from the batch study:\n--- cluster ---\n%s\n--- batch ---\n%s",
-				id, text, want[i])
-		}
-	}
-
+	g.Check(t, qcl, "cluster")
 	// The merged /v1/stats dataset block equals the batch Table 1.
-	st, err := qcl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := study.Table1().Stats
-	if st.Stats.Users != batch.Users ||
-		st.Stats.FirstPartySites != batch.FirstPartySites ||
-		st.Stats.FirstPartyVisits != batch.FirstPartyVisits ||
-		st.Stats.ThirdPartyFQDNs != batch.ThirdPartyFQDNs ||
-		st.Stats.ThirdPartyReqs != batch.ThirdPartyReqs {
-		t.Errorf("merged /v1/stats dataset block %+v, batch Table 1 %+v", st.Stats, batch)
-	}
+	g.CheckStats(t, qcl, "cluster")
 }

@@ -6,7 +6,6 @@
 // a single collector over the union of the same events.
 //
 //	POST /cluster/v1/heartbeat  shard liveness announcements (collectd -registry)
-//	POST /cluster/v1/gossip     membership exchange between registries
 //	GET  /cluster/v1/members    the membership view (JSON or wire)
 //	GET  /v1/experiments        registry ids
 //	GET  /v1/experiments/{id}   artifact over the merged snapshot

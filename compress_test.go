@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crossborder"
+	"crossborder/internal/goldentest"
 )
 
 // TestCompressedStoresMatchGolden is the codec's study-level contract:
@@ -14,22 +15,7 @@ import (
 // spill file must be at least 3x smaller than the raw fixed-width
 // column layout.
 func TestCompressedStoresMatchGolden(t *testing.T) {
-	build := func(opts ...crossborder.Option) *crossborder.Study {
-		t.Helper()
-		opts = append([]crossborder.Option{
-			crossborder.WithSeed(1),
-			crossborder.WithScale(0.05),
-			crossborder.WithVisitsPerUser(40),
-		}, opts...)
-		st, err := crossborder.New(context.Background(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	golden := build()
-	want := golden.RenderAll()
+	want := goldentest.Load(t).Artifacts
 	ids := crossborder.ExperimentIDs()
 
 	for _, variant := range []struct {
@@ -39,7 +25,10 @@ func TestCompressedStoresMatchGolden(t *testing.T) {
 		{"mem-compressed", []crossborder.Option{crossborder.WithCompression(true)}},
 		{"spill-compressed", []crossborder.Option{crossborder.WithRowStore(crossborder.DiskRowStore(""))}},
 	} {
-		st := build(variant.opts...)
+		st, err := crossborder.New(context.Background(), goldentest.Options(variant.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := st.RenderAll()
 		for i := range want {
 			if got[i] != want[i] {

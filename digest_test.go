@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"crossborder"
+	"crossborder/internal/goldentest"
 )
 
 // artifactDigestsFile pins the SHA-256 of every rendered artifact for a
@@ -30,23 +31,23 @@ func TestArtifactDigestsPinned(t *testing.T) {
 		name string
 		opts []crossborder.Option
 	}{
-		{"seed=1,scale=0.05,visits=40,store=wide", []crossborder.Option{
-			crossborder.WithSeed(1), crossborder.WithScale(0.05), crossborder.WithVisitsPerUser(40)}},
-		{"seed=1,scale=0.05,visits=40,store=compressed", []crossborder.Option{
-			crossborder.WithSeed(1), crossborder.WithScale(0.05), crossborder.WithVisitsPerUser(40),
-			crossborder.WithCompression(true)}},
+		{"seed=1,scale=0.05,visits=40,store=wide", nil}, // the shared golden study
+		{"seed=1,scale=0.05,visits=40,store=compressed", goldentest.Options(crossborder.WithCompression(true))},
 		{"seed=7,scale=0.02,visits=30,store=wide", []crossborder.Option{
 			crossborder.WithSeed(7), crossborder.WithScale(0.02), crossborder.WithVisitsPerUser(30)}},
 	}
 	ids := crossborder.ExperimentIDs()
 	for _, cfg := range configs {
-		st, err := crossborder.New(context.Background(), cfg.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		got := st.RenderAll()
-		if err := st.Close(); err != nil {
-			t.Errorf("%s: Close: %v", cfg.name, err)
+		got := goldentest.Load(t).Artifacts
+		if cfg.opts != nil {
+			st, err := crossborder.New(context.Background(), cfg.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.name, err)
+			}
+			got = st.RenderAll()
+			if err := st.Close(); err != nil {
+				t.Errorf("%s: Close: %v", cfg.name, err)
+			}
 		}
 		if len(got) != len(ids) {
 			t.Fatalf("%s: RenderAll returned %d artifacts for %d experiments", cfg.name, len(got), len(ids))

@@ -151,7 +151,7 @@
 // while the next epoch fills (at most one in flight).
 // internal/cluster scales that horizontally — N collectd shards each
 // own a consistent-hash partition of the users, announce themselves
-// over a heartbeat/gossip membership layer, and cmd/mergerd merges
+// over a heartbeat membership layer, and cmd/mergerd merges
 // the per-shard epoch snapshots (interner remap, cross-shard fixpoint
 // re-closure) behind the same /v1/* query API. The invariant at every
 // tier is byte parity: single collector, crash-recovered collector,
@@ -162,18 +162,20 @@
 //
 // The serving tier is hardened for hostile conditions and proves it
 // with deterministic fault injection (internal/chaos): every fault
-// draw comes from a splitmix64 stream keyed by (seed, site), so a
-// failing schedule replays exactly. chaos.Transport injects network
-// faults — latency, resets, responses lost after the server applied
-// them, truncated/corrupted bodies, 503 bursts — and chaos.FS tears
-// the WAL/checkpoint write path with short writes, fsync failures,
-// and failed renames. Against those faults, collectd bounds its
+// site fires once per fixed window of draws, at a position drawn from
+// a splitmix64 stream keyed by (seed, site), so a failing schedule
+// replays exactly. chaos.Transport injects network faults — latency,
+// resets, responses lost after the server applied them,
+// truncated/corrupted bodies, 503 bursts — and chaos.FaultFS tears the
+// WAL/checkpoint write path with short writes, fsync failures, and
+// failed renames, or cuts it off the disk as kill -9 would. Against those faults, collectd bounds its
 // in-flight uploads (429 + Retry-After on overload, 413 on oversize
 // bodies, per-upload deadlines), clients back off honoring
 // Retry-After and re-send idempotently, and mergerd trips a
 // per-shard circuit breaker, serving the failed shard's cached
 // export while /readyz, /v1/stats, and /metrics report the
 // degradation. The chaos harness (internal/ingest/chaostest) runs
-// the full cluster under all fault families at fixed seeds, heals,
-// and asserts byte parity with the uninterrupted batch study.
+// the full cluster under all fault families, kill -9 included, at
+// fixed seeds, heals, and asserts byte parity with the uninterrupted
+// batch study.
 package crossborder

@@ -3,28 +3,33 @@
 // already threads: Transport wraps an http.RoundTripper and injects the
 // partial network failures crowdsourced uploads actually see (latency,
 // connection resets, responses lost after the server applied the
-// request, truncated or corrupted bodies, 5xx bursts), and FS wraps the
-// filesystem under the WAL and checkpoint writer (short writes, fsync
-// failures, torn renames).
+// request, truncated or corrupted bodies, 5xx bursts), and FaultFS
+// wraps the filesystem under the WAL and checkpoint writer (short
+// writes, fsync failures, torn renames). FaultFS.Cut severs one FS from
+// the disk the way kill -9 severs a process: every later mutating call
+// fails, so whatever the abandoned writer still tries never lands.
 //
-// Every fault decision is drawn from a splitmix64 stream keyed by
-// (seed, site), where a site is one named injection point such as
-// "c0/fs.short-write". Two injectors built from the same seed produce
-// identical per-site decision sequences, so a chaos run is reproduced
-// by its seed alone; with concurrent callers the interleaving decides
-// which request absorbs which draw, but the multiset of injected
-// faults per site is still exactly the seeded sequence.
+// Every site is one named injection point such as "c0/fs.short-write",
+// and it fires on a fixed draw budget: Hit(p) fires exactly once in
+// each window of ⌈1/p⌉ draws. Where in the window it fires is drawn
+// from a splitmix64 stream keyed by (seed, site), so two injectors
+// built from the same seed produce identical per-site decision
+// sequences, and a chaos run is reproduced by its seed alone. A site
+// that has drawn one full window has fired, however fast or slow the
+// run was; with concurrent callers the interleaving decides which
+// request absorbs which draw, never how many fire.
 //
 // Heal flips the injector into a no-fault mode without disturbing
 // site streams, so a harness can run a fault window, heal, drive the
 // system back to convergence, and assert the healed state matches a
-// run that never saw a fault. Report returns per-site draw and fire
-// counts for the harness's "every site fired" assertion and the
-// CHAOS_report.json artifact.
+// run that never saw a fault. Report returns per-site window, draw and
+// fire counts for the harness's "every site drew its window"
+// assertion and the CHAOS_report.json artifact.
 package chaos
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,12 +79,18 @@ func (in *Injector) Heal() { in.healed.Store(true) }
 // Healed reports whether Heal has been called.
 func (in *Injector) Healed() bool { return in.healed.Load() }
 
-// SiteReport is one site's row in Report.
+// SiteReport is one site's row in Report. Window is the draw budget
+// of the site's last Hit (0 before its first draw).
 type SiteReport struct {
-	Site  string `json:"site"`
-	Draws int64  `json:"draws"`
-	Fired int64  `json:"fired"`
+	Site   string `json:"site"`
+	Window int64  `json:"window"`
+	Draws  int64  `json:"draws"`
+	Fired  int64  `json:"fired"`
 }
+
+// Covered reports whether the site has drawn at least one full window,
+// and therefore fired.
+func (r SiteReport) Covered() bool { return r.Window > 0 && r.Draws >= r.Window }
 
 // Report returns per-site decision and fire counts, sorted by site
 // name.
@@ -89,7 +100,7 @@ func (in *Injector) Report() []SiteReport {
 	out := make([]SiteReport, 0, len(in.sites))
 	for _, s := range in.sites {
 		s.mu.Lock()
-		out = append(out, SiteReport{Site: s.name, Draws: s.draws, Fired: s.fired})
+		out = append(out, SiteReport{Site: s.name, Window: s.window, Draws: s.draws, Fired: s.fired})
 		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
@@ -105,6 +116,9 @@ type Site struct {
 	state uint64
 	draws int64
 	fired int64
+	// The open window: its length, the draws left in it, and the
+	// offset from its end at which it fires.
+	window, left, fireAt int64
 }
 
 // Name returns the site's name.
@@ -120,20 +134,36 @@ func (s *Site) next() uint64 {
 }
 
 // Hit draws the site's next decision and reports whether a fault with
-// probability p fires. A healed injector never fires and does not
+// rate p fires: exactly one draw in each window of ⌈1/p⌉ fires, at a
+// position drawn from the site's stream when the window opens. A new
+// rate opens a new window. A healed injector never fires and does not
 // consume the stream.
 func (s *Site) Hit(p float64) bool {
 	if p <= 0 || s.in.healed.Load() {
 		return false
 	}
+	w := window(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.left == 0 || w != s.window {
+		s.window, s.left = w, w
+		s.fireAt = int64(s.next() % uint64(w))
+	}
+	s.left--
 	s.draws++
-	hit := float64(s.next()>>11)/(1<<53) < p
+	hit := s.left == s.fireAt
 	if hit {
 		s.fired++
 	}
 	return hit
+}
+
+// window is the draw budget ⌈1/p⌉ of rate p.
+func window(p float64) int64 {
+	if p >= 1 {
+		return 1
+	}
+	return int64(math.Ceil(1 / p))
 }
 
 // Intn draws a fault magnitude in [0, n) from the site's stream —

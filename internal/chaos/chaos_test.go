@@ -7,43 +7,64 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestSiteStreamsAreDeterministicAndDisjoint: equal (seed, site)
+// pairs fire at equal positions in every window; different sites and
+// different seeds do not.
 func TestSiteStreamsAreDeterministicAndDisjoint(t *testing.T) {
-	draw := func(seed uint64, site string, n int) []bool {
-		in := New(seed)
-		s := in.Site(site)
-		out := make([]bool, n)
+	draw := func(seed uint64, site string) []bool {
+		s := New(seed).Site(site)
+		out := make([]bool, 200)
 		for i := range out {
 			out[i] = s.Hit(0.3)
 		}
 		return out
 	}
-	a := draw(42, "c0/net.reset", 200)
-	b := draw(42, "c0/net.reset", 200)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same (seed, site) diverged at decision %d", i)
-		}
+	a := draw(42, "c0/net.reset")
+	if !slices.Equal(a, draw(42, "c0/net.reset")) {
+		t.Fatal("same (seed, site) diverged")
 	}
-	c := draw(42, "c1/net.reset", 200)
-	d := draw(43, "c0/net.reset", 200)
-	same := func(x []bool) bool {
-		for i := range a {
-			if a[i] != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if same(c) {
+	if slices.Equal(a, draw(42, "c1/net.reset")) {
 		t.Fatal("different sites share a stream")
 	}
-	if same(d) {
+	if slices.Equal(a, draw(43, "c0/net.reset")) {
 		t.Fatal("different seeds share a stream")
+	}
+}
+
+// TestHitFiresOncePerWindow: Hit(p) fires exactly once in every
+// complete window of ⌈1/p⌉ draws, so N draws fire ⌊N/window⌋ times
+// plus at most one in the open window.
+func TestHitFiresOncePerWindow(t *testing.T) {
+	for _, tc := range []struct {
+		p      float64
+		window int
+	}{{1, 1}, {0.5, 2}, {0.06, 17}, {0.05, 20}, {0.004, 250}} {
+		for _, seed := range []uint64{1, 7, 0xC0FFEE} {
+			s := New(seed).Site("x")
+			const n = 2000
+			fired, inWindow := 0, 0
+			for i := 1; i <= n; i++ {
+				if s.Hit(tc.p) {
+					fired++
+					inWindow++
+				}
+				if i%tc.window == 0 {
+					if inWindow != 1 {
+						t.Fatalf("p=%v seed=%d: window ending at draw %d fired %d times", tc.p, seed, i, inWindow)
+					}
+					inWindow = 0
+				}
+			}
+			if full := n / tc.window; fired < full || fired > full+1 {
+				t.Fatalf("p=%v seed=%d: %d draws fired %d times, want %d or %d", tc.p, seed, n, fired, full, full+1)
+			}
+		}
 	}
 }
 
@@ -56,12 +77,17 @@ func TestHitRateAndReport(t *testing.T) {
 			fired++
 		}
 	}
-	if fired < 800 || fired > 1200 {
-		t.Fatalf("p=0.1 over 10000 draws fired %d times", fired)
+	if fired != 1000 {
+		t.Fatalf("p=0.1 over 10000 draws fired %d times, want 1000", fired)
 	}
+	in.Site("idle")
 	rep := in.Report()
-	if len(rep) != 1 || rep[0].Site != "rate" || rep[0].Draws != 10000 || rep[0].Fired != int64(fired) {
-		t.Fatalf("report mismatch: %+v (fired=%d)", rep, fired)
+	want := []SiteReport{{Site: "idle"}, {Site: "rate", Window: 10, Draws: 10000, Fired: 1000}}
+	if len(rep) != 2 || rep[0] != want[0] || rep[1] != want[1] {
+		t.Fatalf("report %+v, want %+v", rep, want)
+	}
+	if rep[0].Covered() || !rep[1].Covered() {
+		t.Fatalf("coverage: idle %v, rate %v", rep[0].Covered(), rep[1].Covered())
 	}
 }
 
@@ -271,5 +297,70 @@ func TestTransportLatency(t *testing.T) {
 	resp.Body.Close()
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("latency fault added no delay")
+	}
+}
+
+// TestFaultFSCut: a cut FS fails every mutating call, on the FS and on
+// handles it opened before the cut, while reads still work; a fresh
+// FS over the same directory and sites works normally.
+func TestFaultFSCut(t *testing.T) {
+	dir := t.TempDir()
+	in := New(5)
+	fs := NewFaultFS(in, "d", FSFaults{}, nil)
+	path := filepath.Join(dir, "x")
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.Cut()
+	in.Heal() // a cut is not a fault window: healing does not undo it
+	mutations := map[string]error{
+		"mkdir":       fs.MkdirAll(filepath.Join(dir, "sub"), 0o755),
+		"write-file":  fs.WriteFile(filepath.Join(dir, "w"), []byte("w"), 0o644),
+		"rename":      fs.Rename(path, filepath.Join(dir, "moved")),
+		"remove":      fs.Remove(path),
+		"truncate":    fs.Truncate(path, 0),
+		"sync-dir":    fs.SyncDir(dir),
+		"handle-sync": f.Sync(),
+	}
+	_, mutations["handle-write"] = f.Write([]byte("after"))
+	_, mutations["open-write"] = fs.OpenFile(path, os.O_RDWR, 0)
+	_, mutations["open-create"] = fs.OpenFile(filepath.Join(dir, "new"), os.O_CREATE|os.O_WRONLY, 0o644)
+	_, mutations["create-temp"] = fs.CreateTemp(dir, "t*")
+	for op, err := range mutations {
+		if !errors.Is(err, ErrInjected) {
+			t.Errorf("%s on a cut FS: %v, want ErrInjected", op, err)
+		}
+	}
+	f.Close()
+
+	if got, err := fs.ReadFile(path); err != nil || string(got) != "before" {
+		t.Fatalf("read through the cut FS: %q %v", got, err)
+	}
+	if entries, err := fs.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("a cut FS changed the directory or cannot list it: %v %v", entries, err)
+	}
+	r, err := fs.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatalf("read-only open through the cut FS: %v", err)
+	}
+	r.Close()
+
+	fresh := NewFaultFS(in, "d", FSFaults{}, nil)
+	if err := fresh.WriteFile(path, []byte("after"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Rename(path, filepath.Join(dir, "moved")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "moved")); err != nil || string(got) != "after" {
+		t.Fatalf("fresh FS over the cut one's directory: %q %v", got, err)
 	}
 }

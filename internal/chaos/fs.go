@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 )
 
 // File is the handle surface the WAL and checkpoint writer need from
@@ -91,13 +92,16 @@ type FSFaults struct {
 
 // NewFaultFS wraps base (nil = OS) with faults drawn from inj under
 // the given site prefix (sites prefix+"/fs.short-write", "/fs.sync",
-// "/fs.rename").
-func NewFaultFS(inj *Injector, prefix string, faults FSFaults, base FS) FS {
+// "/fs.rename"). Two FaultFS built on one injector and prefix share
+// those sites, so a writer rebuilt after a crash continues the same
+// fault streams.
+func NewFaultFS(inj *Injector, prefix string, faults FSFaults, base FS) *FaultFS {
 	if base == nil {
 		base = OS
 	}
-	return &faultFS{
+	return &FaultFS{
 		base:       base,
+		prefix:     prefix,
 		shortWrite: inj.Site(prefix + "/fs.short-write"),
 		syncFail:   inj.Site(prefix + "/fs.sync"),
 		renameFail: inj.Site(prefix + "/fs.rename"),
@@ -105,15 +109,45 @@ func NewFaultFS(inj *Injector, prefix string, faults FSFaults, base FS) FS {
 	}
 }
 
-type faultFS struct {
+// FaultFS is an FS with seeded write-path faults, which Cut can sever
+// from the disk for good.
+type FaultFS struct {
 	base                             FS
+	prefix                           string
 	shortWrite, syncFail, renameFail *Site
 	faults                           FSFaults
+	cut                              atomic.Bool
 }
 
-func (f *faultFS) MkdirAll(dir string, perm os.FileMode) error { return f.base.MkdirAll(dir, perm) }
+// Cut severs the FS from the disk, the way kill -9 severs a process
+// from its files: from now on every write, sync, rename, remove,
+// truncate, directory create and open for writing fails with
+// ErrInjected, through the FS and through every file it opened, while
+// reads still work. Cut draws from no site, ignores Heal, and cannot
+// be undone; a writer that restarts builds a fresh FaultFS.
+func (f *FaultFS) Cut() { f.cut.Store(true) }
 
-func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+// severed returns the error a cut FS answers op with, or nil.
+func (f *FaultFS) severed(op, name string) error {
+	if !f.cut.Load() {
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %s %s after cut", ErrInjected, f.prefix, op, name)
+}
+
+func (f *FaultFS) MkdirAll(dir string, perm os.FileMode) error {
+	if err := f.severed("mkdir", dir); err != nil {
+		return err
+	}
+	return f.base.MkdirAll(dir, perm)
+}
+
+func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND) != 0 {
+		if err := f.severed("open", name); err != nil {
+			return nil, err
+		}
+	}
 	h, err := f.base.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -121,7 +155,10 @@ func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &faultFile{File: h, fs: f}, nil
 }
 
-func (f *faultFS) CreateTemp(dir, pattern string) (File, error) {
+func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
+	if err := f.severed("create", dir); err != nil {
+		return nil, err
+	}
 	h, err := f.base.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
@@ -129,28 +166,47 @@ func (f *faultFS) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{File: h, fs: f}, nil
 }
 
-func (f *faultFS) ReadFile(name string) ([]byte, error) { return f.base.ReadFile(name) }
+func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.base.ReadFile(name) }
 
-func (f *faultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	if err := f.severed("write", name); err != nil {
+		return err
+	}
 	// WriteFile only rewrites a torn segment header on reopen — part of
 	// recovery, which stays unfaulted like the other read-side repairs.
 	return f.base.WriteFile(name, data, perm)
 }
 
-func (f *faultFS) ReadDir(dir string) ([]os.DirEntry, error) { return f.base.ReadDir(dir) }
+func (f *FaultFS) ReadDir(dir string) ([]os.DirEntry, error) { return f.base.ReadDir(dir) }
 
-func (f *faultFS) Rename(oldpath, newpath string) error {
+func (f *FaultFS) Rename(oldpath, newpath string) error {
+	if err := f.severed("rename", oldpath); err != nil {
+		return err
+	}
 	if f.renameFail.Hit(f.faults.RenameFail) {
 		return fmt.Errorf("%w: %s: rename %s torn", ErrInjected, f.renameFail.Name(), oldpath)
 	}
 	return f.base.Rename(oldpath, newpath)
 }
 
-func (f *faultFS) Remove(name string) error { return f.base.Remove(name) }
+func (f *FaultFS) Remove(name string) error {
+	if err := f.severed("remove", name); err != nil {
+		return err
+	}
+	return f.base.Remove(name)
+}
 
-func (f *faultFS) Truncate(name string, size int64) error { return f.base.Truncate(name, size) }
+func (f *FaultFS) Truncate(name string, size int64) error {
+	if err := f.severed("truncate", name); err != nil {
+		return err
+	}
+	return f.base.Truncate(name, size)
+}
 
-func (f *faultFS) SyncDir(dir string) error {
+func (f *FaultFS) SyncDir(dir string) error {
+	if err := f.severed("fsync", dir); err != nil {
+		return err
+	}
 	if f.syncFail.Hit(f.faults.SyncFail) {
 		return fmt.Errorf("%w: %s: fsync %s failed", ErrInjected, f.syncFail.Name(), dir)
 	}
@@ -160,10 +216,13 @@ func (f *faultFS) SyncDir(dir string) error {
 // faultFile injects write and sync faults on one open handle.
 type faultFile struct {
 	File
-	fs *faultFS
+	fs *FaultFS
 }
 
 func (h *faultFile) Write(p []byte) (int, error) {
+	if err := h.fs.severed("write", h.Name()); err != nil {
+		return 0, err
+	}
 	if len(p) > 1 && h.fs.shortWrite.Hit(h.fs.faults.ShortWrite) {
 		// Persist a stream-chosen strict prefix, then fail: the bytes
 		// that made it are on disk, exactly like a torn write.
@@ -178,6 +237,9 @@ func (h *faultFile) Write(p []byte) (int, error) {
 }
 
 func (h *faultFile) Sync() error {
+	if err := h.fs.severed("fsync", h.Name()); err != nil {
+		return err
+	}
 	if h.fs.syncFail.Hit(h.fs.faults.SyncFail) {
 		return fmt.Errorf("%w: %s: fsync %s failed", ErrInjected, h.fs.syncFail.Name(), h.Name())
 	}

@@ -43,8 +43,8 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMembers is the same contract for the gossip membership
-// frame, whose count and per-member guards must hold under arbitrary
+// FuzzDecodeMembers is the same contract for the wire membership
+// view, whose count and per-member guards must hold under arbitrary
 // input before any allocation happens.
 //
 // Run with: go test -fuzz FuzzDecodeMembers ./internal/cluster/

@@ -71,17 +71,13 @@ type Member struct {
 	LastSeen time.Time `json:"last_seen"`
 }
 
-// Registry is the membership table: heartbeats (direct or gossiped)
-// come in, liveness-annotated members come out. States derive from
+// Registry is the membership table: heartbeats come in,
+// liveness-annotated members come out. States derive from
 // heartbeat recency at read time — alive within SuspectAfter, suspect
 // within DeadAfter, dead beyond — so the registry needs no background
 // reaper. Members are never removed: a dead shard that resumes
 // heartbeating is alive again, and its entry meanwhile tells clients
 // the last known address.
-//
-// Registries merge (gossip): Merge folds another registry's view in,
-// keeping whichever sighting of each node is fresher, so any connected
-// exchange graph converges every registry to the freshest view.
 type Registry struct {
 	// SuspectAfter and DeadAfter are the recency windows (defaults 3s
 	// and 10s).
@@ -146,33 +142,6 @@ func (r *Registry) Observe(hb Heartbeat) {
 	}
 	m.epoch, m.rows = hb.Epoch, hb.Rows
 	m.lastSeen = r.now()
-}
-
-// Merge folds a gossiped membership view in: per node, the fresher
-// sighting (by last-seen time) wins. Merging is commutative and
-// idempotent, so registries may exchange views in any order and
-// converge.
-func (r *Registry) Merge(recs []MemberRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rec := range recs {
-		if rec.Node == "" {
-			continue
-		}
-		seen := time.UnixMilli(int64(rec.LastSeenMs))
-		m := r.members[rec.Node]
-		if m == nil {
-			m = &memberState{}
-			r.members[rec.Node] = m
-		} else if !seen.After(m.lastSeen) {
-			continue
-		}
-		if rec.Addr != "" {
-			m.addr = rec.Addr
-		}
-		m.epoch, m.rows = rec.Epoch, rec.Rows
-		m.lastSeen = seen
-	}
 }
 
 func (r *Registry) stateOf(m *memberState, now time.Time) State {
@@ -244,7 +213,8 @@ func (r *Registry) Lookup(node string) (Member, bool) {
 	return Member{}, false
 }
 
-// Records renders the view as wire records for gossip.
+// Records renders the view as wire records (the members?format=wire
+// view FetchMembers reads).
 func (r *Registry) Records() []MemberRecord {
 	members := r.Members()
 	recs := make([]MemberRecord, len(members))
@@ -267,18 +237,16 @@ const (
 	ContentTypeMembers   = "application/x-crossborder-members"
 )
 
-// maxFrameBytes bounds one heartbeat/gossip request body.
+// maxFrameBytes bounds one heartbeat request body.
 const maxFrameBytes = 1 << 20
 
 // Handler returns the registry's HTTP surface:
 //
 //	POST /cluster/v1/heartbeat  one wire heartbeat (XHB1)
-//	POST /cluster/v1/gossip     a wire membership view (XMB1) to merge
 //	GET  /cluster/v1/members    the view (JSON; ?format=wire for XMB1)
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/v1/heartbeat", r.handleHeartbeat)
-	mux.HandleFunc("POST /cluster/v1/gossip", r.handleGossip)
 	mux.HandleFunc("GET /cluster/v1/members", r.handleMembers)
 	return mux
 }
@@ -297,23 +265,6 @@ func (r *Registry) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	r.Observe(hb)
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"members":%d}`+"\n", len(r.Members()))
-}
-
-func (r *Registry) handleGossip(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxFrameBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	recs, err := DecodeMembers(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	r.Merge(recs)
-	// Answer with our own view: one round trip gossips both ways.
-	w.Header().Set("Content-Type", ContentTypeMembers)
-	w.Write(EncodeMembers(r.Records()))
 }
 
 func (r *Registry) handleMembers(w http.ResponseWriter, req *http.Request) {

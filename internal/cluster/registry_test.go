@@ -48,44 +48,6 @@ func TestRegistryLivenessStates(t *testing.T) {
 	}
 }
 
-// TestRegistryGossipConverges: merging views in any order converges
-// every registry to the freshest sighting per node.
-func TestRegistryGossipConverges(t *testing.T) {
-	a, clkA := newTestRegistry()
-	b, clkB := newTestRegistry()
-	clkB.t = clkA.t
-
-	a.Observe(Heartbeat{Node: "c1", Addr: "http://a:1", Epoch: 1})
-	clkB.advance(time.Second)
-	b.Observe(Heartbeat{Node: "c1", Addr: "http://a:2", Epoch: 2}) // fresher
-	b.Observe(Heartbeat{Node: "c2", Addr: "http://b:1", Epoch: 7})
-
-	// Exchange both ways, twice (idempotence).
-	for i := 0; i < 2; i++ {
-		a.Merge(b.Records())
-		b.Merge(a.Records())
-	}
-	am, bm := a.Members(), b.Members()
-	if len(am) != 2 || len(bm) != 2 {
-		t.Fatalf("views did not converge: a=%d b=%d members", len(am), len(bm))
-	}
-	for i := range am {
-		if am[i].Node != bm[i].Node || am[i].Addr != bm[i].Addr || am[i].Epoch != bm[i].Epoch ||
-			!am[i].LastSeen.Equal(bm[i].LastSeen) {
-			t.Fatalf("views differ at %d: %+v vs %+v", i, am[i], bm[i])
-		}
-	}
-	if am[0].Addr != "http://a:2" || am[0].Epoch != 2 {
-		t.Fatalf("fresher sighting lost: %+v", am[0])
-	}
-	// A stale view merged later must not regress the entry.
-	stale := []MemberRecord{{Node: "c1", Addr: "http://old:9", Epoch: 0, LastSeenMs: 1}}
-	a.Merge(stale)
-	if m, _ := a.Lookup("c1"); m.Addr != "http://a:2" || m.Epoch != 2 {
-		t.Fatalf("stale merge regressed the entry: %+v", m)
-	}
-}
-
 func TestRegistryHTTPRoundTrip(t *testing.T) {
 	r, _ := newTestRegistry()
 	srv := httptest.NewServer(r.Handler())
@@ -105,24 +67,8 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("members after heartbeat: %+v", recs)
 	}
 
-	// Gossip round trip: POST our view, receive theirs.
-	other, _ := newTestRegistry()
-	other.Observe(Heartbeat{Node: "c2", Addr: "http://other:1"})
-	resp, err := srv.Client().Post(srv.URL+"/cluster/v1/gossip", ContentTypeMembers,
-		bytes.NewReader(EncodeMembers(other.Records())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("gossip: %s", resp.Status)
-	}
-	if got := len(r.Members()); got != 2 {
-		t.Fatalf("gossiped member not merged: %d members", got)
-	}
-
 	// Bad frames bounce with 400, not a panic or a poisoned table.
-	resp, err = srv.Client().Post(srv.URL+"/cluster/v1/heartbeat", ContentTypeHeartbeat,
+	resp, err := srv.Client().Post(srv.URL+"/cluster/v1/heartbeat", ContentTypeHeartbeat,
 		bytes.NewReader([]byte("XHB1garbage")))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package cluster scales the live collection backend horizontally: N
 // collectd instances each own a partition of the user population
 // (consistent hashing on user id), announce themselves over a
-// lightweight heartbeat/gossip membership layer, and a fan-in tier
+// lightweight heartbeat membership layer, and a fan-in tier
 // (cmd/mergerd) pulls per-shard epoch snapshots and serves the full
 // /v1/* query API from the merged global view.
 //
@@ -10,7 +10,7 @@
 //   - Ring: a consistent-hash ring with replicated virtual nodes that
 //     maps user ids to shard names, stable under membership churn.
 //   - Registry: the membership table — heartbeats in, liveness states
-//     (alive/suspect/dead) out, mergeable across registries (gossip).
+//     (alive/suspect/dead) out.
 //   - Heartbeater: the collector-side loop that POSTs heartbeats
 //     carrying the shard's epoch high-water mark.
 //   - Client: ring-aware upload routing with registry-driven retarget:

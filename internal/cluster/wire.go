@@ -95,7 +95,7 @@ func DecodeHeartbeat(data []byte) (Heartbeat, error) {
 }
 
 // MemberRecord is one row of a wire membership view: a Member flattened
-// for gossip exchange between registries.
+// for the members?format=wire view FetchMembers reads.
 type MemberRecord struct {
 	Node       string
 	Addr       string

@@ -1,52 +1,22 @@
 package ingest
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"crossborder/internal/chaos"
 )
 
-// flakyRT injects the two transient failure shapes a retrying client
-// must survive, on a deterministic schedule:
-//   - "reset": the request never reaches the server (connection reset
-//     on send) — nothing applied, the retry is the first delivery;
-//   - "lost": the server processes the request but the response is
-//     dropped (timeout) — the events ARE applied, and the retry must be
-//     deduped by sequence number, not applied twice.
-type flakyRT struct {
-	next http.RoundTripper
-	n    atomic.Int64
-
-	resets atomic.Int64
-	losses atomic.Int64
-}
-
-var errInjectedReset = errors.New("injected: connection reset by peer")
-var errInjectedTimeout = errors.New("injected: timeout awaiting response headers")
-
-func (f *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	k := f.n.Add(1)
-	switch {
-	case k%5 == 2:
-		f.resets.Add(1)
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, errInjectedReset
-	case k%7 == 3:
-		resp, err := f.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body.Close()
-		f.losses.Add(1)
-		return nil, errInjectedTimeout
-	default:
-		return f.next.RoundTrip(req)
-	}
+// flakyTransport injects the two transient failure shapes a retrying
+// client must survive, on a seeded schedule: a reset never reaches the
+// server, so the retry is the first delivery; a lost response comes
+// after the server applied the request, so the retry must be deduped
+// by sequence number, not applied twice.
+func flakyTransport(next http.RoundTripper) (*chaos.Injector, *chaos.Transport) {
+	inj := chaos.New(0xF1A4)
+	return inj, chaos.NewTransport(inj, "client", chaos.TransportFaults{Reset: 0.2, LostResponse: 0.15}, next)
 }
 
 // TestClientRetryExactlyOnce: a full replay through a transport that
@@ -66,7 +36,7 @@ func TestClientRetryExactlyOnce(t *testing.T) {
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()
 
-	rt := &flakyRT{next: ts.Client().Transport}
+	inj, rt := flakyTransport(ts.Client().Transport)
 	cl := &Client{
 		Base:   ts.URL,
 		HTTP:   &http.Client{Transport: rt},
@@ -80,9 +50,12 @@ func TestClientRetryExactlyOnce(t *testing.T) {
 	if _, _, err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if rt.resets.Load() == 0 || rt.losses.Load() == 0 {
-		t.Fatalf("injection did not exercise both failure shapes: resets=%d losses=%d",
-			rt.resets.Load(), rt.losses.Load())
+	fired := map[string]int64{}
+	for _, sr := range inj.Report() {
+		fired[sr.Site] = sr.Fired
+	}
+	if fired["client/net.reset"] == 0 || fired["client/net.lost-response"] == 0 {
+		t.Fatalf("injection did not exercise both failure shapes: %+v", inj.Report())
 	}
 
 	got := c.Snapshot()
@@ -106,9 +79,10 @@ func TestClientNoRetryFailsFast(t *testing.T) {
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()
 
+	_, rt := flakyTransport(ts.Client().Transport)
 	cl := &Client{
 		Base:   ts.URL,
-		HTTP:   &http.Client{Transport: &flakyRT{next: ts.Client().Transport}},
+		HTTP:   &http.Client{Transport: rt},
 		Binary: true,
 	}
 	var failed bool

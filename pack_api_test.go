@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crossborder"
+	"crossborder/internal/goldentest"
 )
 
 // TestDefaultPackRenderAllByteIdentical pins the pack subsystem's
@@ -12,25 +13,13 @@ import (
 // renders every artifact byte-identically to a pack-less build.
 func TestDefaultPackRenderAllByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two scale-0.05 builds are not -short material")
+		t.Skip("a second scale-0.05 build is not -short material")
 	}
-	ctx := context.Background()
-	bare, err := crossborder.New(ctx,
-		crossborder.WithSeed(1),
-		crossborder.WithScale(0.05),
-		crossborder.WithVisitsPerUser(40))
+	packed, err := crossborder.New(context.Background(), goldentest.Options(crossborder.WithPack("default"))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := crossborder.New(ctx,
-		crossborder.WithSeed(1),
-		crossborder.WithScale(0.05),
-		crossborder.WithVisitsPerUser(40),
-		crossborder.WithPack("default"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := bare.RenderAll(), packed.RenderAll()
+	want, got := goldentest.Load(t).Artifacts, packed.RenderAll()
 	if len(got) != len(want) {
 		t.Fatalf("default pack rendered %d artifacts, bare build %d", len(got), len(want))
 	}
