@@ -9,9 +9,11 @@
 package dns
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -98,12 +100,195 @@ func (s ServerIP) ActiveAt(t time.Time) bool {
 	return !t.Before(s.From) && !t.After(s.To)
 }
 
-// entry is the zone data for one FQDN.
+// entry is the zone data for one FQDN, compiled by Register. A
+// binding's activity changes only at its window edges, so between two
+// consecutive edges of a zone its active set is constant: the zone
+// keeps the sorted distinct edges and, for each region they cut the
+// time axis into, the active set as a list of binding indices.
 type entry struct {
 	org     string
 	policy  Policy
 	ttl     time.Duration
 	servers []ServerIP
+	// binds[i] is what selection reads of servers[i].
+	binds []binding
+	// edges are the distinct From and To instants, ascending. They cut
+	// the time axis into regions: region 2i is the open interval just
+	// before edges[i] (region 0 is everything before edges[0]), region
+	// 2i+1 is the instant edges[i] itself, since ActiveAt is inclusive
+	// at both ends, and region 2·len(edges) is everything after the
+	// last edge. The first and last regions are outside every window.
+	edges []time.Time
+	// active holds each inner region's set: region r (0 < r <
+	// 2·len(edges)) is active[active[2r-2]:][:active[2r-1]], an offset
+	// and a length. The sets follow the pairs: first the identity list
+	// 0..len(servers)-1, which every all-active region uses, then each
+	// distinct partial set once.
+	active []int32
+}
+
+// binding is one server's selection metadata: its address, its
+// country's geodata.Index (-1 for a code geodata does not know) and
+// its continent.
+type binding struct {
+	ip      netsim.IP
+	country int16
+	cont    geodata.Continent
+}
+
+// compile fills the entry's binds, edges and active from its sorted
+// servers.
+func compile(e *entry) {
+	n := len(e.servers)
+	e.binds = make([]binding, n)
+	edges := make([]time.Time, 0, 2*n)
+	for i, sv := range e.servers {
+		ci, ok := geodata.Index(sv.Country)
+		if !ok {
+			ci = -1
+		}
+		e.binds[i] = binding{ip: sv.IP, country: int16(ci), cont: geodata.ContinentOf(sv.Country)}
+		edges = append(edges, sv.From, sv.To)
+	}
+	slices.SortFunc(edges, time.Time.Compare)
+	e.edges = slices.CompactFunc(edges, time.Time.Equal)
+
+	inner := 2*len(e.edges) - 1
+	active := make([]int32, 2*inner, 2*inner+n)
+	for i := range n {
+		active = append(active, int32(i))
+	}
+	// Identical partial sets share one list, found by their bytes.
+	var seen map[string]int32
+	var set []int32
+	var key []byte
+	for r := 1; r <= inner; r++ {
+		set = set[:0]
+		for i, sv := range e.servers {
+			var on bool
+			if r%2 == 1 {
+				on = sv.ActiveAt(e.edges[r/2])
+			} else {
+				// The open interval (edges[r/2-1], edges[r/2]): no edge
+				// lies inside it, so a binding covers all of it or none.
+				on = !sv.From.After(e.edges[r/2-1]) && !sv.To.Before(e.edges[r/2])
+			}
+			if on {
+				set = append(set, int32(i))
+			}
+		}
+		off := int32(2 * inner)
+		if len(set) < n {
+			key = appendKey(key[:0], set)
+			var ok bool
+			if off, ok = seen[string(key)]; !ok {
+				if seen == nil {
+					seen = make(map[string]int32)
+				}
+				off = int32(len(active))
+				active = append(active, set...)
+				seen[string(key)] = off
+			}
+		}
+		active[2*r-2], active[2*r-1] = off, int32(len(set))
+	}
+	e.active = active
+}
+
+// appendKey appends the bytes of s to key.
+func appendKey(key []byte, s []int32) []byte {
+	for _, v := range s {
+		key = binary.LittleEndian.AppendUint32(key, uint32(v))
+	}
+	return key
+}
+
+// intern replaces the entry's edges and active sets with the server's
+// copies of equal content, storing them the first time they are seen:
+// zones whose bindings share their windows share their compiled
+// regions, and every shared copy is exactly as long as its content.
+// The caller holds mu.
+func (s *Server) intern(e *entry) {
+	var key []byte
+	for _, t := range e.edges {
+		key = binary.AppendVarint(key, t.Unix())
+		key = binary.AppendVarint(key, int64(t.Nanosecond()))
+	}
+	if edges, ok := s.edgeLists[string(key)]; ok {
+		e.edges = edges
+	} else {
+		e.edges = exact(e.edges)
+		s.edgeLists[string(key)] = e.edges
+	}
+	key = appendKey(key[:0], e.active)
+	if active, ok := s.activeLists[string(key)]; ok {
+		e.active = active
+	} else {
+		e.active = exact(e.active)
+		s.activeLists[string(key)] = e.active
+	}
+}
+
+// exact returns s in an array of exactly its length: compiled zones
+// live as long as the world, so they keep no growth slack.
+func exact[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// activeAt returns the indices of the bindings whose windows cover t:
+// a binary search for t's region, then that region's set.
+func (e *entry) activeAt(t time.Time) []int32 {
+	lo, hi := 0, len(e.edges)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if e.edges[h].Before(t) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	r := 2 * lo
+	if lo < len(e.edges) && e.edges[lo].Equal(t) {
+		r++
+	}
+	if r == 0 || r == 2*len(e.edges) {
+		return nil
+	}
+	off, n := e.active[2*r-2], e.active[2*r-1]
+	return e.active[off : off+n]
+}
+
+// asker is the querying user's country, looked up once per query.
+type asker struct {
+	code geodata.Country
+	idx  int // geodata.Index; -1 when unknown
+	cont geodata.Continent
+}
+
+func newAsker(c geodata.Country) asker {
+	i, ok := geodata.Index(c)
+	if !ok {
+		i = -1
+	}
+	return asker{code: c, idx: i, cont: geodata.ContinentOf(c)}
+}
+
+// inCountry reports whether binding i sits in the user's country.
+// Codes geodata does not know have no index, so they compare by name.
+func (e *entry) inCountry(i int32, u *asker) bool {
+	if u.idx >= 0 {
+		return int(e.binds[i].country) == u.idx
+	}
+	return e.binds[i].country < 0 && e.servers[i].Country == u.code
+}
+
+// distanceKm is geodata.DistanceKm from the user to binding i.
+func (e *entry) distanceKm(i int32, u *asker) float64 {
+	c := e.binds[i].country
+	if u.idx < 0 || c < 0 {
+		return -1
+	}
+	return geodata.DistanceKmAt(u.idx, int(c))
 }
 
 // Resolution is one logged DNS answer, consumed by the passive-DNS
@@ -122,6 +307,17 @@ type Resolution struct {
 // DNS directly from zone construction). Resolve never mutates server
 // state, which is what makes the read path race-free; Register after
 // Freeze panics so the invariant cannot be broken accidentally.
+//
+// Register compiles each zone once: the sorted distinct edges of its
+// bindings' activity windows, the active set of each region between
+// and at those edges as a list of binding indices, and each binding's
+// country index and continent. Identical sets within a zone are stored
+// once, and zones with equal edges or equal set lists share them. A
+// query then costs a binary search over the zone's edges (two or three
+// in a generated world) plus one pass of the policy over the active
+// set, comparing small ints and reading geodata.DistanceKmAt. The
+// compiled form holds no query state, so zones compile without Freeze
+// and a re-registered zone simply recompiles.
 type Server struct {
 	// mu guards zones during construction: the scenario's world build
 	// registers planned zones from a worker pool. Distinct FQDNs
@@ -131,6 +327,11 @@ type Server struct {
 	mu     sync.Mutex
 	zones  map[string]*entry
 	frozen bool
+	// edgeLists and activeLists index the zones' compiled edges and
+	// active sets by content for sharing (see intern). Freeze drops
+	// them.
+	edgeLists   map[string][]time.Time
+	activeLists map[string][]int32
 	// log receives every resolution when non-nil.
 	log func(Resolution)
 	// Spill is the probability that a PolicyNearest answer falls back to
@@ -150,7 +351,12 @@ type Server struct {
 // NewServer returns an empty authoritative server. logFn, when non-nil,
 // receives every successful resolution (the pDNS feed).
 func NewServer(logFn func(Resolution)) *Server {
-	return &Server{zones: make(map[string]*entry), log: logFn}
+	return &Server{
+		zones:       make(map[string]*entry),
+		edgeLists:   make(map[string][]time.Time),
+		activeLists: make(map[string][]int32),
+		log:         logFn,
+	}
 }
 
 // Freeze marks zone construction finished. Resolve is safe for
@@ -160,6 +366,7 @@ func NewServer(logFn func(Resolution)) *Server {
 func (s *Server) Freeze() {
 	s.mu.Lock()
 	s.frozen = true
+	s.edgeLists, s.activeLists = nil, nil
 	s.mu.Unlock()
 }
 
@@ -174,11 +381,13 @@ func (s *Server) Register(fqdn, org string, policy Policy, ttl time.Duration, se
 	copy(cp, servers)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].IP < cp[j].IP })
 	e := &entry{org: org, policy: policy, ttl: ttl, servers: cp}
+	compile(e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.frozen {
 		panic("dns: Register after Freeze")
 	}
+	s.intern(e)
 	s.zones[fqdn] = e
 }
 
@@ -228,16 +437,17 @@ var ErrNoActiveServer = errors.New("dns: no active server for name")
 
 // Resolve answers a query from a user in the given country at time t.
 // It performs no writes to server state and is safe for concurrent use
-// after Freeze (each goroutine with its own rng).
+// after Freeze (each goroutine with its own rng). Its cost does not
+// depend on t: the zone lookup, a binary search of the zone's few
+// window edges for t's region, the GeoMapping call, and the policy's
+// pass over that region's precompiled active set. It copies no binding
+// and allocates nothing.
 func (s *Server) Resolve(rng *rand.Rand, fqdn string, userCountry geodata.Country, t time.Time) (netsim.IP, error) {
 	e, ok := s.zones[fqdn]
 	if !ok {
 		return 0, ErrNXDomain
 	}
-	// Filter into a stack buffer: the common case (every binding active)
-	// must not allocate, since Resolve sits on the per-request hot path.
-	var buf [32]ServerIP
-	active := appendActive(buf[:0], e.servers, t)
+	active := e.activeAt(t)
 	if len(active) == 0 {
 		return 0, ErrNoActiveServer
 	}
@@ -249,8 +459,9 @@ func (s *Server) Resolve(rng *rand.Rand, fqdn string, userCountry geodata.Countr
 	if policy == PolicyNearest && s.GeoMapping != nil {
 		localOK = s.GeoMapping(fqdn, userCountry, t)
 	}
-	sel := selectFrom(policy, active, userCountry, localOK)
-	ip := sel.draw(rng, active)
+	u := newAsker(userCountry)
+	sel := e.selectFrom(policy, active, &u, localOK)
+	ip := sel.draw(rng, e, active)
 	if s.log != nil {
 		s.log(Resolution{FQDN: fqdn, IP: ip, At: t})
 	}
@@ -264,13 +475,16 @@ func spills(rng *rand.Rand, spill float64) bool {
 }
 
 // Plan is one query — (fqdn, user country, time) — compiled against
-// the frozen zones: the zone lookup, the activity-window filter, the
-// GeoMapping verdict and each candidate policy's deterministic part
-// are done once, leaving only the draws for Pick. A Plan is immutable
-// and safe for concurrent Picks (each goroutine with its own rng).
+// the zones: the zone lookup, the region lookup, the GeoMapping
+// verdict and each candidate policy's deterministic part are done
+// once, leaving only the draws for Pick. A Plan shares its zone's
+// compiled active set, so planning copies no binding either. A Plan is
+// immutable and safe for concurrent Picks (each goroutine with its own
+// rng).
 type Plan struct {
 	err    error
-	active []ServerIP
+	e      *entry
+	active []int32
 	// spill is the server's Spill for a PolicyNearest zone, zero
 	// otherwise; alt is the PolicyContinent selection a spill serves.
 	spill     float64
@@ -281,7 +495,8 @@ type Plan struct {
 }
 
 // Plan compiles a query. It reads Spill and GeoMapping as they are
-// now, so set both before planning.
+// now, so set both before planning. Every Pick logs the time the plan
+// was compiled for, t.
 func (s *Server) Plan(fqdn string, userCountry geodata.Country, t time.Time) *Plan {
 	p := &Plan{fqdn: fqdn, at: t, log: s.log}
 	e, ok := s.zones[fqdn]
@@ -289,25 +504,21 @@ func (s *Server) Plan(fqdn string, userCountry geodata.Country, t time.Time) *Pl
 		p.err = ErrNXDomain
 		return p
 	}
-	p.active = e.servers
-	if n := countActive(e.servers, t); n < len(e.servers) {
-		// Zones are immutable after Register, so a plan shares the
-		// binding list whenever every binding is active.
-		p.active = appendActive(make([]ServerIP, 0, n), e.servers, t)
-	}
+	p.e, p.active = e, e.activeAt(t)
 	if len(p.active) == 0 {
 		p.err = ErrNoActiveServer
 		return p
 	}
+	u := newAsker(userCountry)
 	localOK := true
 	if e.policy == PolicyNearest {
 		if s.GeoMapping != nil {
 			localOK = s.GeoMapping(fqdn, userCountry, t)
 		}
 		p.spill = s.Spill
-		p.alt = selectFrom(PolicyContinent, p.active, userCountry, localOK)
+		p.alt = e.selectFrom(PolicyContinent, p.active, &u, localOK)
 	}
-	p.main = selectFrom(e.policy, p.active, userCountry, localOK)
+	p.main = e.selectFrom(e.policy, p.active, &u, localOK)
 	return p
 }
 
@@ -323,30 +534,11 @@ func (p *Plan) Pick(rng *rand.Rand) (netsim.IP, error) {
 	if spills(rng, p.spill) {
 		sel = &p.alt
 	}
-	ip := sel.draw(rng, p.active)
+	ip := sel.draw(rng, p.e, p.active)
 	if p.log != nil {
 		p.log(Resolution{FQDN: p.fqdn, IP: ip, At: p.at})
 	}
 	return ip, nil
-}
-
-func countActive(servers []ServerIP, t time.Time) int {
-	n := 0
-	for i := range servers {
-		if servers[i].ActiveAt(t) {
-			n++
-		}
-	}
-	return n
-}
-
-func appendActive(out, servers []ServerIP, t time.Time) []ServerIP {
-	for _, sv := range servers {
-		if sv.ActiveAt(t) {
-			out = append(out, sv)
-		}
-	}
-	return out
 }
 
 // selection is a policy applied to an active set, up to its random
@@ -369,9 +561,8 @@ const (
 
 // matcher is the candidate filter of a uniform draw.
 type matcher struct {
-	by      matchBy
-	country geodata.Country   // matchCountry
-	cont    geodata.Continent // matchContinent (Europe counts as one)
+	by matchBy
+	u  asker // matchCountry, matchContinent (Europe counts as one)
 }
 
 type matchBy uint8
@@ -382,21 +573,21 @@ const (
 	matchContinent
 )
 
-func (m matcher) ok(sv *ServerIP) bool {
+func (m *matcher) ok(e *entry, i int32) bool {
 	switch m.by {
 	case matchCountry:
-		return sv.Country == m.country
+		return e.inCountry(i, &m.u)
 	case matchContinent:
-		return sameEurope(geodata.ContinentOf(sv.Country), m.cont)
+		return sameEurope(e.binds[i].cont, m.u.cont)
 	}
 	return true
 }
 
-// count returns how many bindings m accepts.
-func (m matcher) count(active []ServerIP) int {
+// count returns how many of the active bindings m accepts.
+func (m *matcher) count(e *entry, active []int32) int {
 	n := 0
-	for i := range active {
-		if m.ok(&active[i]) {
+	for _, i := range active {
+		if m.ok(e, i) {
 			n++
 		}
 	}
@@ -406,14 +597,14 @@ func (m matcher) count(active []ServerIP) int {
 // draw completes the selection over the active set it was made from.
 // Count-then-select keeps a uniform draw identical to collecting the
 // matches into a slice, without allocating one per query.
-func (sel *selection) draw(rng *rand.Rand, active []ServerIP) netsim.IP {
+func (sel *selection) draw(rng *rand.Rand, e *entry, active []int32) netsim.IP {
 	switch sel.kind {
 	case selUniform:
 		n := rng.Intn(sel.n)
-		for i := range active {
-			if sel.m.ok(&active[i]) {
+		for _, i := range active {
+			if sel.m.ok(e, i) {
 				if n == 0 {
-					return active[i].IP
+					return e.binds[i].ip
 				}
 				n--
 			}
@@ -421,10 +612,10 @@ func (sel *selection) draw(rng *rand.Rand, active []ServerIP) netsim.IP {
 		panic("dns: uniform draw out of range")
 	case selWeighted:
 		x := rng.Intn(sel.n)
-		for i := range active {
-			x -= weightOf(&active[i])
+		for _, i := range active {
+			x -= weightOf(&e.servers[i])
 			if x < 0 {
-				return active[i].IP
+				return e.binds[i].ip
 			}
 		}
 		panic("dns: weighted draw out of range")
@@ -435,26 +626,27 @@ func (sel *selection) draw(rng *rand.Rand, active []ServerIP) netsim.IP {
 // selectFrom applies the selection policy over the active bindings: it
 // is the one statement of each policy's rule. localOK gates
 // PolicyNearest's in-country preference (see Server.GeoMapping).
-func selectFrom(policy Policy, active []ServerIP, user geodata.Country, localOK bool) selection {
-	fixed := func(ip netsim.IP) selection { return selection{kind: selFixed, ip: ip} }
-	uniform := func(m matcher) (selection, bool) {
-		n := m.count(active)
+func (e *entry) selectFrom(policy Policy, active []int32, u *asker, localOK bool) selection {
+	fixed := func(i int32) selection { return selection{kind: selFixed, ip: e.binds[i].ip} }
+	uniform := func(by matchBy) (selection, bool) {
+		m := matcher{by: by, u: *u}
+		n := m.count(e, active)
 		return selection{kind: selUniform, m: m, n: n}, n > 0
 	}
 	switch policy {
 	case PolicyRandom:
-		sel, _ := uniform(matcher{by: matchAll})
+		sel, _ := uniform(matchAll)
 		return sel
 	case PolicyWeighted:
 		total := 0
-		for i := range active {
-			total += weightOf(&active[i])
+		for _, i := range active {
+			total += weightOf(&e.servers[i])
 		}
 		return selection{kind: selWeighted, n: total}
 	case PolicyLatency:
-		best, bestRTT := 0, -1.0
-		for i, sv := range active {
-			d := geodata.DistanceKm(user, sv.Country)
+		best, bestRTT := active[0], -1.0
+		for _, i := range active {
+			d := e.distanceKm(i, u)
 			if d < 0 {
 				d = 1e9
 			}
@@ -463,32 +655,32 @@ func selectFrom(policy Policy, active []ServerIP, user geodata.Country, localOK 
 				best, bestRTT = i, rtt
 			}
 		}
-		return fixed(active[best].IP)
+		return fixed(best)
 	case PolicyFailover:
-		best := 0
-		for i := 1; i < len(active); i++ {
-			if active[i].Weight > active[best].Weight {
+		best := active[0]
+		for _, i := range active[1:] {
+			if e.servers[i].Weight > e.servers[best].Weight {
 				best = i
 			}
 		}
-		return fixed(active[best].IP)
+		return fixed(best)
 	case PolicyHQ:
 		// HQ policy still has only the org's deployments to choose from;
 		// prefer the first (registration order puts HQ blocks first in
 		// practice) — deterministically the lowest IP.
-		return fixed(active[0].IP)
+		return fixed(active[0])
 	case PolicyContinent:
-		if sel, ok := uniform(matcher{by: matchContinent, cont: geodata.ContinentOf(user)}); ok {
+		if sel, ok := uniform(matchContinent); ok {
 			return sel
 		}
 		// No server on the user's continent: serve from the nearest
 		// region (a South American user of a US/EU service lands in the
 		// US, not on a random European PoP).
-		return fixed(nearestServer(active, user))
+		return fixed(e.nearest(active, u))
 	default: // PolicyNearest
 		// 1. Same country, when the geo mapping for it is active.
 		if localOK {
-			if sel, ok := uniform(matcher{by: matchCountry, country: user}); ok {
+			if sel, ok := uniform(matchCountry); ok {
 				return sel
 			}
 		}
@@ -496,16 +688,15 @@ func selectFrom(policy Policy, active []ServerIP, user geodata.Country, localOK 
 		// one continent: EU28 + Rest of Europe). With an inactive local
 		// mapping, in-country servers are skipped: the geo-DNS routes
 		// the user's region to a neighboring serving site.
-		cont := geodata.ContinentOf(user)
-		best, bestDist := -1, 0.0
-		for i, sv := range active {
-			if !localOK && sv.Country == user {
+		best, bestDist := int32(-1), 0.0
+		for _, i := range active {
+			if !localOK && e.inCountry(i, u) {
 				continue
 			}
-			if !sameEurope(geodata.ContinentOf(sv.Country), cont) {
+			if !sameEurope(e.binds[i].cont, u.cont) {
 				continue
 			}
-			d := geodata.DistanceKm(user, sv.Country)
+			d := e.distanceKm(i, u)
 			if d < 0 {
 				continue
 			}
@@ -514,10 +705,10 @@ func selectFrom(policy Policy, active []ServerIP, user geodata.Country, localOK 
 			}
 		}
 		if best >= 0 {
-			return fixed(active[best].IP)
+			return fixed(best)
 		}
 		// 3. Globally nearest.
-		return fixed(nearestServer(active, user))
+		return fixed(e.nearest(active, u))
 	}
 }
 
@@ -529,13 +720,13 @@ func weightOf(sv *ServerIP) int {
 	return sv.Weight
 }
 
-// nearestServer returns the active server geographically closest to the
+// nearest returns the active binding geographically closest to the
 // user (deterministic: ties resolve to the lowest-IP server because the
 // zone's servers are kept sorted).
-func nearestServer(active []ServerIP, user geodata.Country) netsim.IP {
-	best, bestDist := 0, -1.0
-	for i, sv := range active {
-		d := geodata.DistanceKm(user, sv.Country)
+func (e *entry) nearest(active []int32, u *asker) int32 {
+	best, bestDist := active[0], -1.0
+	for _, i := range active {
+		d := e.distanceKm(i, u)
 		if d < 0 {
 			d = 1e9
 		}
@@ -543,7 +734,7 @@ func nearestServer(active []ServerIP, user geodata.Country) netsim.IP {
 			best, bestDist = i, d
 		}
 	}
-	return active[best].IP
+	return best
 }
 
 // sameEurope reports whether two regions count as the same continent for

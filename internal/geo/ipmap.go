@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crossborder/internal/geodata"
 	"crossborder/internal/netsim"
@@ -69,8 +70,15 @@ type IPMap struct {
 	// Seed makes the probe sampling deterministic per IP.
 	Seed int64
 
+	// mu guards cache and inflight, and only them: measurements run
+	// outside it.
 	mu    sync.Mutex
 	cache map[netsim.IP]Location
+	// inflight holds the measurement under way for each IP missed but
+	// not yet cached; other callers missing on that IP wait on it.
+	inflight map[netsim.IP]*pendingLocate
+	// measurements counts the measurements run (each IP's first miss).
+	measurements atomic.Int64
 
 	// candidates are the countries a probe may estimate, indexed by
 	// geodata.Index (AllCountries order).
@@ -111,6 +119,7 @@ func NewIPMap(w *netsim.World, mesh *ProbeMesh) *IPMap {
 		ProbesPerQuery: 100,
 		Seed:           42,
 		cache:          make(map[netsim.IP]Location),
+		inflight:       make(map[netsim.IP]*pendingLocate),
 	}
 	for _, c := range geodata.AllCountries() {
 		m.candidates = append(m.candidates, c.Code)
@@ -186,26 +195,46 @@ func (m *IPMap) setFloorRow(r int, floorOf []float64) {
 // Name implements Service.
 func (m *IPMap) Name() string { return "ripe-ipmap" }
 
+// pendingLocate is one IP's measurement under way: done closes once
+// loc and ok hold its result.
+type pendingLocate struct {
+	done chan struct{}
+	loc  Location
+	ok   bool
+}
+
 // Locate implements Service. Results are cached; the measurement for a
-// given IP is deterministic under the configured seed.
+// given IP is deterministic under the configured seed, and runs once
+// even when several goroutines miss on the IP at the same time: the
+// first measures, the others wait for its result.
 func (m *IPMap) Locate(ip netsim.IP) (Location, bool) {
 	m.mu.Lock()
 	if loc, ok := m.cache[ip]; ok {
 		m.mu.Unlock()
 		return loc, true
 	}
+	if p, ok := m.inflight[ip]; ok {
+		m.mu.Unlock()
+		<-p.done
+		return p.loc, p.ok
+	}
+	p := &pendingLocate{done: make(chan struct{})}
+	m.inflight[ip] = p
 	m.mu.Unlock()
 
-	truthCountry, ok := m.truthCountry(ip)
-	if !ok {
-		return Location{}, false
+	if truthCountry, ok := m.truthCountry(ip); ok {
+		m.measurements.Add(1)
+		p.loc, p.ok = m.measure(ip, truthCountry), true
 	}
-	loc := m.measure(ip, truthCountry)
 
 	m.mu.Lock()
-	m.cache[ip] = loc
+	if p.ok {
+		m.cache[ip] = p.loc
+	}
+	delete(m.inflight, ip)
 	m.mu.Unlock()
-	return loc, true
+	close(p.done)
+	return p.loc, p.ok
 }
 
 func (m *IPMap) truthCountry(ip netsim.IP) (geodata.Country, bool) {

@@ -3,6 +3,8 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"crossborder/internal/geodata"
@@ -335,6 +337,64 @@ func assertEstimateMatchesScan(t *testing.T, m *IPMap, from int, floors []float6
 		if got := m.estimate(from, rtt); got != want {
 			t.Fatalf("row %d, rtt %v: estimate = %d (floor %v), scan %d (floor %v)", from, rtt, got, floors[got], want, floors[want])
 		}
+	}
+}
+
+// TestIPMapLocateMeasuresOnce has goroutines locate overlapping IP
+// sets at GOMAXPROCS=2, pairs of them in the same order so that they
+// miss on the same IPs at the same time: each locatable IP must be
+// measured exactly once, and every answer must equal a single
+// goroutine's.
+func TestIPMapLocateMeasuresOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w, ips := oracleWorld(t)
+	mesh := DefaultMesh()
+	type answer struct {
+		loc Location
+		ok  bool
+	}
+	serial := NewIPMap(w, mesh)
+	want := make(map[netsim.IP]answer)
+	for _, ip := range ips {
+		loc, ok := serial.Locate(ip)
+		want[ip] = answer{loc, ok}
+	}
+	located := 0
+	for _, a := range want {
+		if a.ok {
+			located++
+		}
+	}
+	if n := serial.measurements.Load(); n != int64(located) {
+		t.Fatalf("one goroutine measured %d times for %d locatable IPs", n, located)
+	}
+
+	m := NewIPMap(w, mesh)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			off := (g / 2) * len(ips) / (goroutines / 2)
+			for k := range ips {
+				ip := ips[(off+k)%len(ips)]
+				loc, ok := m.Locate(ip)
+				if (answer{loc, ok}) != want[ip] {
+					errs <- ip.String()
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for ip := range errs {
+		t.Errorf("concurrent Locate(%s) differs from a single goroutine's", ip)
+	}
+	if n := m.measurements.Load(); n != int64(located) {
+		t.Errorf("%d goroutines measured %d times for %d locatable IPs", goroutines, n, located)
 	}
 }
 

@@ -1,12 +1,19 @@
 // Package crashtest checks what only a real process can show: it runs
 // collectd as a subprocess, stops it the two ways a daemon stops, and
-// restarts it against the same data directory. A SIGKILL under
-// wal-sync=always, landing once half the replay is acknowledged, must
-// lose no acknowledged upload; a SIGTERM must drain, write a final
-// checkpoint and exit 0. After each restart every artifact must be
-// byte-identical to the batch study (internal/goldentest). Repeated
+// restarts it against the same data directory. A SIGKILL landing once
+// half the replay is acknowledged must lose no acknowledged upload: on
+// restart every acknowledged event dedups. A SIGTERM must drain, write
+// a final checkpoint and exit 0. After each restart every artifact must
+// be byte-identical to the batch study (internal/goldentest). Repeated
 // kills at seeded points, under wal-sync=interval and healed by
 // re-sends, are the crash fault family of internal/ingest/chaostest.
+//
+// A SIGKILL ends the process but leaves the kernel's page cache, so
+// every WAL write that returned survives it under any wal-sync policy.
+// The kill therefore shows that acknowledged events are journaled and
+// dedup'd after a process crash; it cannot show what wal-sync=always
+// buys over the other policies, which only a lost page cache (power
+// loss, a kernel crash) would.
 package crashtest
 
 import (
@@ -151,7 +158,9 @@ func (d *daemon) stopGracefully(t *testing.T) {
 //     right after half the users' streams are acknowledged; the
 //     restarted daemon must answer every one of those events as a
 //     duplicate when the whole study is re-sent, then serve the
-//     golden artifacts.
+//     golden artifacts. The page cache outlives the kill, so the
+//     subtest passes under wal-sync=none too: it checks recovery
+//     after a process kill, not the fsync policy.
 func TestCrashRecoveryGoldenParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash harness is not short")
@@ -204,8 +213,9 @@ func TestCrashRecoveryGoldenParity(t *testing.T) {
 		d.kill9(t)
 		d = startDaemon(t, bin, dir, d.addr, "always")
 
-		// Re-send the whole study: under wal-sync=always every event
-		// acknowledged before the kill is on disk, so it dedups.
+		// Re-send the whole study: every event acknowledged before the
+		// kill was written to the WAL, and a process kill keeps what
+		// the kernel holds, so it dedups.
 		dups := 0
 		upload := func(b ingest.Batch) error {
 			res, err := cl.Upload(b)

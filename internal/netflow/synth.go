@@ -64,9 +64,14 @@ type DaySynthesis struct {
 // It memoizes one compiled DNS query (dns.Plan) per FQDN, vantage
 // country and date for its own lifetime, so a Synthesizer must not be
 // shared between goroutines, and should not outlive a change to its
-// Resolver's Spill or GeoMapping. The memo is never trimmed and grows
-// with the number of distinct dates synthesized; a Synthesizer is meant
-// for a small fixed set of dates, such as Table 8's four.
+// Resolver's Spill or GeoMapping. The Resolver's zones are compiled
+// already, so neither a Plan nor a Resolve copies bindings; what the
+// memo saves per sample is the zone and region lookups, the GeoMapping
+// call and the policy's pass over the active set: a Table 8 run takes
+// about 0.7 of its resolve-per-sample time. The memo is never trimmed
+// and grows with the number of distinct dates synthesized; a
+// Synthesizer is meant for a small fixed set of dates, such as Table
+// 8's four.
 type Synthesizer struct {
 	Resolver *dns.Server
 	// ResolutionSamples is how many resolutions approximate one FQDN's
